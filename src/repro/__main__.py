@@ -214,14 +214,20 @@ def main(argv=None) -> int:
     experiments = subparsers.add_parser(
         "experiments", help="regenerate the paper's tables and figures"
     )
-    experiments.add_argument("names", nargs="*", help="subset to run")
+    from .experiments.runner import (
+        EXPERIMENT_NAMES,
+        add_resilience_arguments,
+        add_trace_arguments,
+    )
+
+    experiments.add_argument(
+        "names", nargs="*", help=f"subset to run: {' '.join(EXPERIMENT_NAMES)}"
+    )
     experiments.add_argument("--quick", action="store_true")
     experiments.add_argument(
         "--workers", type=int, default=1,
         help="processes for the standard sweeps (results identical to serial)",
     )
-    from .experiments.runner import add_resilience_arguments, add_trace_arguments
-
     add_resilience_arguments(experiments)
     add_trace_arguments(experiments)
 

@@ -55,6 +55,12 @@ QUICK_WINDOWS = tuple(2**exp for exp in (18, 20, 22, 24, 26))
 QUICK_THETAS = (0.0, 0.5, 1.0, 1.5, 1.75)
 QUICK_NAIVE_SIM = NAIVE_SIM.with_sample(2**15)
 
+#: The experiment names :func:`run_report` accepts, in run order.
+EXPERIMENT_NAMES = (
+    "table1", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
+    "nonequi", "claims",
+)
+
 
 def run_report(
     names,
@@ -70,6 +76,9 @@ def run_report(
     trace_file=None,
 ) -> RunReport:
     """Run the named experiments (all if empty); returns a RunReport.
+
+    An unknown name raises :class:`ConfigurationError` listing the valid
+    ones (the CLIs exit 2) before anything runs.
 
     ``output_dir`` additionally writes each result as CSV + JSON;
     ``charts`` appends a terminal chart under every figure's table.
@@ -92,6 +101,12 @@ def run_report(
     """
     if stream is None:
         stream = sys.stdout
+    unknown = sorted(set(names or ()) - set(EXPERIMENT_NAMES))
+    if unknown:
+        raise ConfigurationError(
+            f"unknown experiment(s): {' '.join(unknown)}; "
+            f"valid names: {' '.join(EXPERIMENT_NAMES)}"
+        )
     common.validate_workers(workers)
     if trace is not None:
         obs.enable(bool(trace))
@@ -421,8 +436,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "experiments",
         nargs="*",
-        help="subset to run: table1 fig3 fig4 fig5 fig6 fig7 fig8 fig9 "
-             "nonequi claims",
+        help=f"subset to run: {' '.join(EXPERIMENT_NAMES)}",
     )
     parser.add_argument(
         "--quick", action="store_true", help="reduced sweeps (~1 minute)"

@@ -4,8 +4,9 @@ Index traversals produce a :class:`LookupTrace` -- a step-by-step matrix of
 byte addresses, one column per lookup.  :class:`MachineModel` replays the
 trace the way the GPU would execute it: accesses from concurrently resident
 threads interleave round-robin (step-major within waves of
-``interleave_width`` lookups), flow through the L1 and L2 caches, and --
-when they miss to the interconnect -- through the GPU TLB.  This
+``interleave_width`` lookups), coalesce per warp (which stands in for the
+L1), flow through the L2 cache, and -- when they miss to the interconnect
+-- through the GPU TLB.  This
 interleaving is what makes the paper's TLB thrashing emergent: by the time
 a thread issues its next traversal step, thousands of other threads'
 accesses have aged its translation out of the LRU (Section 4.1).
@@ -33,13 +34,9 @@ import numpy as np
 from .. import obs
 from ..config import DEFAULT_CONFIG, SimulationConfig
 from ..errors import ConfigurationError, SimulationError
-from ..hardware.cache import LruCache, SetAssociativeCache
+from ..hardware.cache import SetAssociativeCache
 from ..hardware.counters import PerfCounters
-from ..hardware.fastlru import (
-    VectorLruCache,
-    VectorLruTlb,
-    VectorSetAssociativeCache,
-)
+from ..hardware.fastlru import VectorLruTlb, VectorSetAssociativeCache
 from ..hardware.memory import SystemMemory
 from ..hardware.spec import SystemSpec
 from ..hardware.tlb import LruTlb
@@ -108,13 +105,11 @@ class MachineModel:
         self.memory = SystemMemory(spec)
         gpu = spec.gpu
         if sim.fast_replay:
-            self.l1 = VectorLruCache(gpu.l1_bytes, gpu.cacheline_bytes)
             self.l2 = VectorSetAssociativeCache(
                 gpu.l2_bytes, gpu.cacheline_bytes, ways=16
             )
             self.tlb = VectorLruTlb(spec.tlb_entries)
         else:
-            self.l1 = LruCache(gpu.l1_bytes, gpu.cacheline_bytes)
             self.l2 = SetAssociativeCache(
                 gpu.l2_bytes, gpu.cacheline_bytes, ways=16
             )
@@ -123,7 +118,6 @@ class MachineModel:
         # ``model.<name>.*`` counters from its batch entry points.  The
         # VectorLruTlb's inner VectorLruCache stays unnamed on purpose --
         # naming it would double-count every TLB access.
-        self.l1.obs_name = "l1"
         self.l2.obs_name = "l2"
         self.tlb.obs_name = "tlb"
         if gpu.cacheline_bytes & (gpu.cacheline_bytes - 1) != 0:
@@ -140,7 +134,6 @@ class MachineModel:
 
     def reset_hierarchy(self) -> None:
         """Clear cache and TLB state (start of a new query)."""
-        self.l1.reset()
         self.l2.reset()
         self.tlb.reset()
 

@@ -1,4 +1,4 @@
-"""GPU cache simulators (L1 and L2).
+"""GPU cache simulators (reference models).
 
 Section 3.1 of the paper explains why out-of-core index traversals do not
 cost ``O(log n)`` *remote* accesses: "After the first few key lookups, the
@@ -9,9 +9,9 @@ interconnect traffic after warm-up.
 
 Two models share one interface (``access(line) -> bool``):
 
-* :class:`LruCache` -- fully associative LRU, used for the L1 hot-line model
-  (a hot line ends up in every SM's L1, so modelling one SM's capacity for
-  shared hot lines is adequate).
+* :class:`LruCache` -- fully associative LRU, the reference for the
+  vectorized model the TLB builds on (warp coalescing stands in for the
+  L1, so no L1 is replayed).
 * :class:`SetAssociativeCache` -- set-associative LRU, used for the L2.
 """
 

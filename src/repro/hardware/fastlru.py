@@ -3,36 +3,38 @@
 The reference models in :mod:`repro.hardware.cache` and
 :mod:`repro.hardware.tlb` replay one line per Python call -- faithful but
 slow when a figure sweeps millions of coalesced transactions.  This module
-re-implements the same three policies with numpy batch kernels:
+answers the same LRU questions with numpy batch kernels built on one
+identity: an access hits iff fewer than ``C`` distinct keys (per set, for a
+set-associative cache) were touched since the previous access to the same
+key -- its reuse (Mattson stack) distance is below the capacity.
 
-* :class:`VectorLruCache` -- fully associative LRU.  Processes a stream in
-  chunks of at most ``min(capacity, 8192)`` accesses.  Within a chunk every
-  re-access is a guaranteed hit (a chunk is shorter than the capacity, so
-  nothing evicts between two touches of the same key), and accesses to
-  pre-chunk residents hit iff ``depth + new_distinct_before < capacity`` --
-  a stack-distance test resolved with two cumulative bounds and an exact
-  dominance count for the few accesses that land between the bounds.
-* :class:`VectorSetAssociativeCache` -- set-associative LRU.  Transactions
-  are grouped per set; short sub-streams replay column-by-column against a
-  ``(sets, ways)`` timestamp register file (each Python-level step retires
-  one transaction for *every* active set at once), long low-diversity ones
-  take a first-occurrence shortcut, and long high-diversity ones are
-  concatenated into one shared stack-distance kernel
-  (:meth:`~VectorSetAssociativeCache._replay_windows`).
+* :class:`VectorLruCache` -- fully associative LRU.  When the resident
+  stack and the batch's distinct keys fit in the capacity together, nothing
+  can be evicted and the batch resolves in one sort.  Otherwise it
+  processes the stream in chunks of at most ``min(capacity, 4096)``
+  accesses: within a chunk every re-access is a guaranteed hit, and
+  accesses to pre-chunk residents hit iff ``depth + new_distinct_before <
+  capacity`` -- a stack-distance test resolved with two cumulative bounds
+  and an exact dominance count for the few accesses between the bounds.
+* :class:`VectorSetAssociativeCache` -- set-associative LRU.  One kernel
+  (:func:`_reuse_hits`) resolves every set at once: the batch is grouped
+  per set behind the set's residents, previous occurrences come from one
+  packed sort, trivial classes settle most accesses outright, and only the
+  rest count their reuse distance with lag gathers.
 * :class:`VectorLruTlb` -- :class:`VectorLruCache` plus first-touch (cold
   miss) tracking, mirroring :class:`repro.hardware.tlb.LruTlb`.
 
 Exactness is the contract, not an aspiration: every model produces the
 same per-access hit/miss outcomes, the same eviction order, and the same
 counters as its ``OrderedDict`` reference on any stream (see
-``tests/hardware/test_fast_models.py``).  The scalar ``access`` API is kept
-for drop-in compatibility; the batch APIs are what the executor's fast
-path uses.
+``tests/hardware/test_fast_models.py`` and
+``tests/hardware/test_replay_differential.py``).  The scalar ``access``
+API is kept for drop-in compatibility; the batch APIs are what the
+executor uses.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Iterable, Optional
 
 import numpy as np
@@ -52,78 +54,12 @@ _CHUNK = 4096
 _POS_BITS = 21
 _POS_CAP = 1 << _POS_BITS
 
-#: Sorts below every valid way timestamp (those are >= -1): selects a
-#: matching way ahead of the LRU way in the column machine's fused pick.
-_MATCH_RANK = np.int64(-(2**62))
-
-#: Set sub-streams at least this long get the low-diversity fast path
-#: (see ``VectorSetAssociativeCache._replay_hot_segment``).
-_HOT_SEGMENT = 512
-
-#: Set sub-streams at least this long that are *not* low-diversity are
-#: replayed with the lag-window stack-distance kernel rather than the
-#: column machine, which would otherwise degenerate to one near-empty
-#: column per transaction.
-_WINDOW_SEGMENT = 512
-
 
 def _emit_model_counters(name: str, accesses: int, hits: int) -> None:
     """Batch-granularity obs counters for one named hierarchy level."""
     obs.add(f"model.{name}.accesses", float(accesses))
     obs.add(f"model.{name}.hits", float(hits))
     obs.add(f"model.{name}.misses", float(accesses - hits))
-
-
-def _dense_ids(keys: np.ndarray, extra: np.ndarray):
-    """Rank-compress ``extra + keys`` into dense ids with one packed sort.
-
-    Returns ``(key_ids, extra_ids, id_to_key)`` where ids index
-    ``id_to_key``.  Avoids ``np.unique`` (mergesort) by packing the
-    position into the low bits and using the default sort.
-    """
-    both = np.concatenate([extra, keys]) if len(extra) else keys
-    n = len(both)
-    if n == 0:
-        empty = np.empty(0, np.int64)
-        return empty, empty, empty
-    packed = np.sort((both << _POS_BITS) | np.arange(n, dtype=np.int64))
-    skey = packed >> _POS_BITS
-    spos = packed & (_POS_CAP - 1)
-    new_group = np.ones(n, bool)
-    new_group[1:] = skey[1:] != skey[:-1]
-    gid = np.cumsum(new_group, dtype=np.int64) - 1
-    ids = np.empty(n, np.int64)
-    ids[spos] = gid
-    id_to_key = skey[new_group]
-    return ids[len(extra):], ids[: len(extra)], id_to_key
-
-
-def _segment_distinct(
-    k_keys: np.ndarray,
-    starts: np.ndarray,
-    seg_len: np.ndarray,
-    segs: np.ndarray,
-) -> np.ndarray:
-    """Distinct-line count of each chosen segment, in one packed sort.
-
-    Works on the set-grouped stream: a line maps to exactly one set, so
-    grouping the chosen segments' values globally by line is grouping
-    them per segment.
-    """
-    lens = seg_len[segs]
-    off = np.zeros(len(segs) + 1, np.int64)
-    np.cumsum(lens, out=off[1:])
-    total = int(off[-1])
-    sid = np.repeat(np.arange(len(segs)), lens)
-    idx = np.arange(total) + np.repeat(starts[segs] - off[:-1], lens)
-    packed = np.sort(
-        (k_keys[idx] << _POS_BITS) | np.arange(total, dtype=np.int64)
-    )
-    pk = packed >> _POS_BITS
-    group_start = np.ones(total, bool)
-    group_start[1:] = pk[1:] != pk[:-1]
-    first_pos = (packed & (_POS_CAP - 1))[group_start]
-    return np.bincount(sid[first_pos], minlength=len(segs))
 
 
 class VectorLruCache:
@@ -133,7 +69,7 @@ class VectorLruCache:
     :meth:`access_batch` and :meth:`resident_lines`.
     """
 
-    #: Set by the owner (e.g. ``MachineModel`` names its levels "l1"/"l2")
+    #: Set by the owner (e.g. ``MachineModel`` names its levels "l2"/"tlb")
     #: to emit ``model.<obs_name>.*`` counters from batch accesses while
     #: tracing is on.  Unnamed models stay silent.
     obs_name: Optional[str] = None
@@ -172,15 +108,11 @@ class VectorLruCache:
         if n == 0:
             return np.zeros(0, bool)
         hit_mask = np.empty(n, bool)
-        limit = _POS_CAP - self.capacity_lines - 1
-        for lo in range(0, n, limit):
-            batch = lines[lo : lo + limit]
-            keys, stack_ids, id_to_key = _dense_ids(batch, self._stack)
-            hits, stack = _lru_replay(
-                keys, self.capacity_lines, stack_ids, len(id_to_key)
+        for lo in range(0, n, _POS_CAP):
+            hits, self._stack = _lru_replay(
+                lines[lo : lo + _POS_CAP], self.capacity_lines, self._stack
             )
-            self._stack = id_to_key[stack]
-            hit_mask[lo : lo + limit] = hits
+            hit_mask[lo : lo + _POS_CAP] = hits
         nhit = int(np.count_nonzero(hit_mask))
         self.hits += nhit
         self.misses += n - nhit
@@ -214,14 +146,44 @@ class VectorLruCache:
         return self.hits / total
 
 
-def _lru_replay(keys: np.ndarray, capacity: int, stack: np.ndarray, umax: int):
-    """Exact LRU replay over dense non-negative ids.
+def _lru_replay(batch: np.ndarray, capacity: int, stack: np.ndarray):
+    """Exact LRU replay of a batch of keys.
 
-    ``stack`` holds the resident ids, most recent first.  Returns the hit
-    mask and the updated stack.  See the module docstring for the
-    stack-distance argument behind the chunked evaluation.
+    ``stack`` holds the resident keys, most recent first.  Returns the hit
+    mask and the updated stack.  When the stack and the batch's distinct
+    keys fit in the capacity together, nothing can be evicted: a touch hits
+    iff its key is resident or was touched earlier in the batch, and the
+    new stack is the batch's keys by last touch (newest first), then the
+    untouched residents in their old order.  Otherwise the batch replays in
+    chunks over dense ids; see the module docstring for the stack-distance
+    argument behind the chunked evaluation.
     """
-    n = len(keys)
+    n = len(batch)
+    packed = np.sort((batch << _POS_BITS) | np.arange(n, dtype=np.int64))
+    pos = packed & (_POS_CAP - 1)
+    packed >>= _POS_BITS
+    group_start = np.ones(n, bool)
+    group_start[1:] = packed[1:] != packed[:-1]
+    distinct = packed[group_start]
+    del packed
+    slot = np.searchsorted(distinct, stack)
+    in_batch = np.zeros(len(stack), bool)
+    inside = slot < len(distinct)
+    in_batch[inside] = distinct[slot[inside]] == stack[inside]
+    idle = stack[~in_batch]  # residents the batch does not touch
+    if len(distinct) + len(idle) <= capacity:
+        resident = np.zeros(len(distinct), bool)
+        resident[slot[in_batch]] = True
+        hits = np.ones(n, bool)
+        hits[pos[group_start][~resident]] = False
+        last = np.sort(pos[np.append(group_start[1:], True)])[::-1]
+        return hits, np.concatenate([batch[last], idle])
+    # Dense ids: batch keys index ``distinct``, idle residents follow.
+    keys = np.empty(n, np.int64)
+    keys[pos] = np.cumsum(group_start) - 1
+    id_to_key = np.concatenate([distinct, idle])
+    stack = np.where(in_batch, slot, len(distinct) + np.cumsum(~in_batch) - 1)
+    umax = len(id_to_key)
     T = min(capacity, _CHUNK)
     hits = np.zeros(n, bool)
     depth_map = np.full(umax, -1, np.int32)
@@ -313,17 +275,16 @@ def _lru_replay(keys: np.ndarray, capacity: int, stack: np.ndarray, umax: int):
         untouched = np.ones(len(stack), bool)
         untouched[delta[resident]] = False
         stack = np.concatenate([k[last_pos], stack[untouched]])[:capacity]
-    return hits, stack
+    return hits, id_to_key[stack]
 
 
 class VectorSetAssociativeCache:
     """Set-associative LRU over line numbers, batch-vectorized.
 
     Interface-compatible with
-    :class:`repro.hardware.cache.SetAssociativeCache`.  State lives in a
-    ``(sets, ways)`` pair of arrays: the resident line per way and the
-    timestamp of its last touch; eviction picks the stalest way, which is
-    exactly LRU.
+    :class:`repro.hardware.cache.SetAssociativeCache`.  State is one
+    ``(sets, ways)`` array holding each set's resident lines in LRU-to-MRU
+    order, right-aligned: empty ways are -1 and come first.
     """
 
     #: See :attr:`VectorLruCache.obs_name`.
@@ -346,15 +307,11 @@ class VectorSetAssociativeCache:
         self.ways = ways
         self.num_sets = max(1, capacity_lines // ways)
         self._tags = np.full((self.num_sets, ways), -1, np.int64)
-        self._ts = np.full((self.num_sets, ways), -1, np.int64)
-        self._clock = 0
         self.hits = 0
         self.misses = 0
 
     def reset(self) -> None:
         self._tags.fill(-1)
-        self._ts.fill(-1)
-        self._clock = 0
         self.hits = 0
         self.misses = 0
 
@@ -376,284 +333,50 @@ class VectorSetAssociativeCache:
         return hit_mask
 
     def _replay(self, lines: np.ndarray) -> np.ndarray:
+        ways = self.ways
         n = len(lines)
         sets = lines % self.num_sets
-        # Group transactions per set (stable by position), keeping each
-        # set's sub-stream in arrival order.
-        order = np.sort((sets << _POS_BITS) | np.arange(n, dtype=np.int64))
-        pos = order & (_POS_CAP - 1)
-        sval = order >> _POS_BITS
-        skeys = lines[pos]
-        seg_start = np.ones(n, bool)
-        seg_start[1:] = sval[1:] != sval[:-1]
-        hits = np.zeros(n, bool)
-        # A repeat of the set's previous line is a guaranteed hit on the
-        # MRU way and leaves the LRU order unchanged -- drop it up front.
-        rerun = np.zeros(n, bool)
-        rerun[1:] = (~seg_start[1:]) & (skeys[1:] == skeys[:-1])
-        hits[pos[rerun]] = True
-        keep = ~rerun
-        k_keys = skeys[keep]
-        k_pos = pos[keep]
-        m = len(k_keys)
-        if m == 0:
-            return hits
-        k_start = seg_start[keep]
-        starts = np.nonzero(k_start)[0]
-        seg_sets = sval[keep][k_start]
-        seg_len = np.diff(np.append(starts, m))
-        out_hit = np.empty(m, bool)
-        # Long segments leave the column machine, which would spin one
-        # near-empty column per transaction for them.  Low-diversity ones
-        # (index upper levels: few cachelines whose power-of-two strides
-        # alias into a handful of sets) take the hot path; the rest are
-        # batched into one multi-segment stack-distance kernel.
-        columnar = np.ones(len(seg_len), bool)
-        long_segs = np.nonzero(seg_len >= _HOT_SEGMENT)[0]
-        if len(long_segs):
-            distinct = _segment_distinct(k_keys, starts, seg_len, long_segs)
-            for seg in long_segs[distinct <= self.ways].tolist():
-                lo = starts[seg]
-                sub = k_keys[lo : lo + seg_len[seg]]
-                self._replay_hot_segment(int(seg_sets[seg]), sub, out_hit, lo)
-                columnar[seg] = False
-            windowed = long_segs[
-                (distinct > self.ways)
-                & (seg_len[long_segs] >= _WINDOW_SEGMENT)
-            ]
-            if len(windowed):
-                self._replay_windows(
-                    k_keys,
-                    starts[windowed],
-                    seg_len[windowed],
-                    seg_sets[windowed],
-                    out_hit,
-                )
-                columnar[windowed] = False
-        # Longest set first: the sets still active at column c are then a
-        # prefix, so each column step slices instead of gathers.
-        by_len = np.argsort(-np.where(columnar, seg_len, 0), kind="stable")
-        by_len = by_len[: int(np.count_nonzero(columnar))]
-        row_sets = seg_sets[by_len]
-        row_len = seg_len[by_len]
-        row_start = starts[by_len]
-        max_cols = int(row_len[0]) if len(row_len) else 0
-        tags = self._tags[row_sets]
-        ts = self._ts[row_sets]
-        rows = np.arange(len(row_sets))
-        neg_len = -row_len
-        for c in range(max_cols):
-            active = int(np.searchsorted(neg_len, -(c + 1), side="right"))
-            idx = row_start[:active] + c
-            v = k_keys[idx]
-            eq = tags[:active] == v[:, None]
-            # One fused way pick: a matching way outranks every timestamp
-            # (hits refresh their way), otherwise the stalest way loses.
-            way = np.where(eq, _MATCH_RANK, ts[:active]).argmin(axis=1)
-            r = rows[:active]
-            hit = eq[r, way]
-            tags[r, way] = v
-            ts[r, way] = self._clock + c
-            out_hit[idx] = hit
-        if len(row_sets):
-            self._tags[row_sets] = tags
-            self._ts[row_sets] = ts
-        self._clock += max(max_cols, self.ways)
-        hits[k_pos] = out_hit
-        return hits
-
-    def _replay_hot_segment(
-        self, set_index: int, sub: np.ndarray, out_hit: np.ndarray, lo: int
-    ) -> bool:
-        """Exactly replay one set's long sub-stream, if it is low-diversity.
-
-        Returns False (segment not handled) when the sub-stream touches
-        more than ``ways`` distinct lines.  Otherwise every access past a
-        line's first occurrence is a guaranteed hit (at most ``ways``
-        distinct lines means nothing touched this batch is ever evicted),
-        so only the first occurrences -- at most ``ways`` of them -- go
-        through a sequential LRU replay against the set's prior state.
-        """
-        t = len(sub)
-        packed = np.sort((sub << _POS_BITS) | np.arange(t, dtype=np.int64))
-        pk = packed >> _POS_BITS
-        group_start = np.ones(t, bool)
-        group_start[1:] = pk[1:] != pk[:-1]
-        if int(np.count_nonzero(group_start)) > self.ways:
-            return False
-        ppos = packed & (_POS_CAP - 1)
-        first_pos = np.sort(ppos[group_start])
-        group_last = np.ones(t, bool)
-        group_last[:-1] = pk[1:] != pk[:-1]
-        last_pos = np.sort(ppos[group_last])
-        seg_hits = np.ones(t, bool)
-        # Sequential replay of the <= ways first occurrences.
-        tags = self._tags[set_index]
-        ts = self._ts[set_index]
-        valid = tags >= 0
-        state = OrderedDict(
-            (int(line), None)
-            for line in tags[valid][np.argsort(ts[valid], kind="stable")]
-        )
-        for p in first_pos.tolist():
-            line = int(sub[p])
-            if line in state:
-                state.move_to_end(line)
-            else:
-                seg_hits[p] = False
-                if len(state) >= self.ways:
-                    state.popitem(last=False)
-                state[line] = None
-        # Refresh recency to the batch's last-touch order.
-        for p in last_pos.tolist():
-            state.move_to_end(int(sub[p]))
-        out_hit[lo : lo + t] = seg_hits
-        self._store_set_state(set_index, state)
-        return True
-
-    def _replay_windows(
-        self,
-        k_keys: np.ndarray,
-        w_starts: np.ndarray,
-        w_lens: np.ndarray,
-        w_sets: np.ndarray,
-        out_hit: np.ndarray,
-    ) -> None:
-        """Exactly replay many sets' long, high-diversity sub-streams.
-
-        Stack-distance formulation: within one LRU set of ``ways`` lines
-        an access hits iff fewer than ``ways`` distinct lines were touched
-        since its previous occurrence.  That count is
-        ``d(i) = #{j in (prev(i), i) : prev(j) <= prev(i)}`` -- a window
-        position counts iff it is the window's first touch of its line.
-
-        All segments are concatenated (each prefixed by its set's prior
-        residents as pseudo-accesses, so carried state needs no special
-        casing) and resolved by shared lag passes: a line maps to exactly
-        one set, so previous-occurrence windows never cross a segment
-        boundary, and one pass serves every segment at once.  Lag passes
-        are tiered: most accesses resolve within ``2*ways`` lags; only
-        the segments still holding unresolved accesses pay the deep tier,
-        and the few accesses even that leaves fall back to a bounded
-        backward walk.
-        """
-        ways = self.ways
-        num = len(w_sets)
-        row_tags = self._tags[w_sets]
-        row_ts = self._ts[w_sets]
-        by_age = np.argsort(row_ts, axis=1)  # invalid (-1) first, then LRU->MRU
-        aged_tags = np.take_along_axis(row_tags, by_age, axis=1)
-        p = (row_tags >= 0).sum(axis=1)
-        out_len = p + w_lens
-        seg_off = np.zeros(num + 1, np.int64)
-        np.cumsum(out_len, out=seg_off[1:])
-        total = int(seg_off[-1])
-        seg_id = np.repeat(np.arange(num), out_len)
-        local = np.arange(total) - seg_off[seg_id]
-        is_pref = local < p[seg_id]
-        s = np.empty(total, np.int64)
-        pref_seg = seg_id[is_pref]
-        s[is_pref] = aged_tags[pref_seg, ways - p[pref_seg] + local[is_pref]]
-        sub_seg = seg_id[~is_pref]
-        sub_local = local[~is_pref] - p[sub_seg]
-        s[~is_pref] = k_keys[w_starts[sub_seg] + sub_local]
-        hit, todo, pv, pk, ppos = self._window_pass(s)
-        for i in np.nonzero(todo)[0].tolist():
-            seen = set()
-            bottom = pv[i]
-            j = i - 1
-            while j > bottom and len(seen) < ways:
-                seen.add(int(s[j]))
-                j -= 1
-            hit[i] = len(seen) < ways
-        out_hit[w_starts[sub_seg] + sub_local] = hit[~is_pref]
-        # New state per set: the ways most recently used distinct lines.
-        group_last = np.ones(total, bool)
-        group_last[:-1] = pk[1:] != pk[:-1]
-        last_pos = np.sort(ppos[group_last])  # ascending = segment-grouped
-        lp_seg = seg_id[last_pos]
-        counts = np.bincount(lp_seg, minlength=num)
-        ends = np.cumsum(counts)
-        rank = np.arange(len(last_pos)) - (ends - counts)[lp_seg]
-        from_end = counts[lp_seg] - 1 - rank
-        keep = from_end < ways
-        rows = w_sets[lp_seg[keep]]
-        self._tags[w_sets] = -1
-        self._ts[w_sets] = -1
-        self._tags[rows, from_end[keep]] = s[last_pos[keep]]
-        self._ts[rows, from_end[keep]] = self._clock + rank[keep]
-        self._clock += total
-
-    def _window_pass(self, s: np.ndarray):
-        """Lag-pass stack-distance resolution over a concatenated stream.
-
-        Dense tier: lags up to ``2 * ways`` accumulate d for every
-        position with full-array passes.  Sparse tier: the positions
-        still unresolved -- typically few, since ``2 * ways`` lags drive
-        most big-window accesses past the miss threshold -- continue up
-        to ``16 * ways`` lags with gathers over just those positions,
-        retiring each as soon as its window is covered (exact) or its
-        count reaches ``ways`` (certain miss).
-
-        Returns ``(hit, todo, pv, pk, ppos)``: the per-position hit mask,
-        the positions neither tier resolved, previous-occurrence
-        positions, and the packed sort's key/position arrays (reused by
-        the caller for last-touch extraction).
-        """
-        length = len(s)
-        pos_bits = 22  # one more than _POS_BITS: prefixes extend a batch
-        packed = np.sort((s << pos_bits) | np.arange(length, dtype=np.int64))
-        pk = packed >> pos_bits
-        ppos = packed & ((1 << pos_bits) - 1)
-        same = np.zeros(length, bool)
-        same[1:] = pk[1:] == pk[:-1]
-        pv = np.full(length, -1, np.int64)
-        pv[ppos[1:][same[1:]]] = ppos[:-1][same[1:]]
-        window = np.arange(length, dtype=np.int64) - pv - 1
-        window[pv < 0] = np.iinfo(np.int64).max
-        hit = np.zeros(length, bool)
-        ways = self.ways
-        # Short window: fewer accesses than ways, nothing evicted -> hit.
-        hit[(pv >= 0) & (window < ways)] = True
-        todo = (pv >= 0) & (window >= ways)
-        d = np.zeros(length, np.int64)
-        lag = 0
-        stop = min(2 * ways, length - 1)
-        while lag < stop:
-            lag += 1
-            # Position i-lag contributes to d(i) iff it lies inside the
-            # window and is the window's first touch of its line.
-            d[lag:] += (window[lag:] >= lag) & (pv[: length - lag] <= pv[lag:])
-        exact = todo & (window <= lag)
-        hit[exact] = d[exact] < ways
-        todo &= (window > lag) & (d < ways)
-        q = np.nonzero(todo)[0]
-        deep_stop = min(16 * ways, length - 1)
-        dq, wq, pq = d[q], window[q], pv[q]
-        while lag < deep_stop and len(q):
-            lag += 1
-            covered = wq >= lag
-            back = np.maximum(q - lag, 0)
-            dq += covered & (pv[back] <= pq)
-            done = (wq <= lag) | (dq >= ways)
-            if done.any():
-                hit[q[done]] = dq[done] < ways
-                live = ~done
-                q, dq, wq, pq = q[live], dq[live], wq[live], pq[live]
-        todo = np.zeros(length, bool)
-        todo[q] = True
-        return hit, todo, pv, pk, ppos
-
-    def _store_set_state(self, set_index: int, state: "OrderedDict") -> None:
-        """Write one set's LRU-ordered content back into the register file."""
-        tags = self._tags[set_index]
-        ts = self._ts[set_index]
-        tags.fill(-1)
-        ts.fill(-1)
-        resident = np.fromiter(state, dtype=np.int64)
-        tags[: len(resident)] = resident
-        ts[: len(resident)] = self._clock + np.arange(len(resident))
-        return None
+        touched = np.flatnonzero(np.bincount(sets, minlength=self.num_sets))
+        rows = self._tags[touched]
+        held = rows >= 0
+        residents = rows[held]  # row-major: each set's LRU -> MRU
+        prior = len(residents)
+        total = prior + n
+        bits = total.bit_length()
+        # Group per set (stable by position), each set's residents first as
+        # pseudo-accesses so carried state needs no special casing.
+        order = np.concatenate([np.repeat(touched, held.sum(axis=1)), sets])
+        order <<= bits
+        order |= np.arange(total)
+        order.sort()
+        rank = order & ((1 << bits) - 1)
+        order >>= bits
+        s = np.concatenate([residents, lines])[rank]
+        # A repeat of the set's previous line is a guaranteed hit on the MRU
+        # way and leaves the LRU order unchanged -- drop it up front.  Equal
+        # lines share a set, so this never pairs two sets.
+        keep = np.ones(total, bool)
+        keep[1:] = s[1:] != s[:-1]
+        s = s[keep]
+        rank = rank[keep]
+        group = order[keep]
+        del order, keep
+        seg_start = np.ones(len(s), bool)
+        seg_start[1:] = group[1:] != group[:-1]
+        hit, last = _reuse_hits(s, np.flatnonzero(seg_start), ways)
+        # New state per set: its ways most recently used distinct lines,
+        # read off the last touches (ascending positions stay set-grouped).
+        last_pos = np.flatnonzero(last)
+        last_set = group[last_pos]
+        ends = np.cumsum(np.bincount(last_set, minlength=self.num_sets))
+        from_end = ends[last_set] - 1 - np.arange(len(last_pos))
+        kept = from_end < ways
+        self._tags[touched] = -1
+        self._tags[last_set[kept], ways - 1 - from_end[kept]] = s[last_pos[kept]]
+        missed = rank[~hit]
+        out = np.ones(n, bool)
+        out[missed[missed >= prior] - prior] = False
+        return out
 
     # -- scalar compatibility ------------------------------------------
 
@@ -674,10 +397,8 @@ class VectorSetAssociativeCache:
 
     def resident_lines(self, set_index: int) -> np.ndarray:
         """One set's resident lines in LRU-to-MRU order."""
-        tags = self._tags[set_index]
-        ts = self._ts[set_index]
-        valid = tags >= 0
-        return tags[valid][np.argsort(ts[valid], kind="stable")]
+        row = self._tags[set_index]
+        return row[row >= 0]
 
     @property
     def occupancy(self) -> int:
@@ -689,6 +410,80 @@ class VectorSetAssociativeCache:
         if total == 0:
             return 0.0
         return self.hits / total
+
+
+def _reuse_hits(s: np.ndarray, starts: np.ndarray, ways: int):
+    """Exact per-set LRU outcomes of a set-grouped stream.
+
+    ``s`` holds each set's accesses contiguously, the segments beginning at
+    ``starts``; a line maps to one set, so a previous occurrence and the
+    window since then never leave the line's segment.  Access ``i`` with
+    previous occurrence ``pv(i)`` hits iff its reuse distance
+
+        d(i) = #{j in (pv(i), i) : pv(j) < pv(i)}
+
+    (a window position counts iff it is the window's first touch of its
+    line) is below ``ways``.  Trivial classes settle most accesses: a first
+    touch misses, a window shorter than ``ways`` hits, so does any access
+    whose segment has touched at most ``ways`` distinct lines so far, and a
+    window holding ``ways`` first-ever touches misses.  The rest count d
+    with lag gathers and retire once the count reaches ``ways`` (a miss) or
+    the window is covered; see DESIGN.md section 10.
+
+    Returns ``(hit, last)``: the hit mask and the mask of each line's last
+    occurrence.
+    """
+    m = len(s)
+    bits = m.bit_length()
+    packed = s << bits
+    packed |= np.arange(m)
+    packed.sort()
+    pos = packed & ((1 << bits) - 1)
+    packed >>= bits
+    same = packed[1:] == packed[:-1]
+    del packed
+    prev = pos[:-1][same]
+    pv = np.full(m, -1, np.int32)
+    pv[pos[1:][same]] = prev
+    last = np.ones(m, bool)
+    last[prev] = False
+    del pos, same, prev
+    first = pv < 0
+    cold = np.cumsum(first, dtype=np.int32)  # first touches in [0, i]
+    window = np.arange(-1, m - 1, dtype=np.int32) - pv  # i - pv(i) - 1
+    seen = cold - np.repeat(cold[starts] - 1, np.diff(np.append(starts, m)))
+    hit = ~first & ((window < ways) | (seen <= ways))
+    q = np.flatnonzero(~(first | hit))
+    q = q[cold[q] - cold[pv[q]] < ways]
+    del seen, first, cold
+    pq = pv[q]
+    wq = window[q]
+    d = np.zeros(len(q), np.int32)
+    lag = 0
+    while len(q):
+        if len(q) * ways > m:
+            # Wide: one gather pass per lag over every open access.
+            back = q - lag
+            for _ in range(ways):
+                back -= 1
+                d += pv.take(back, mode="clip") < pq
+            span = ways
+        else:
+            # Narrow: a block of lags per gather, no larger than the stream
+            # and at most doubling the lags done.
+            span = max(ways, min(lag, m // len(q)))
+            lags = np.arange(lag + 1, lag + span + 1)
+            counted = pv.take(q[:, None] - lags, mode="clip") < pq[:, None]
+            d += counted.sum(axis=1, dtype=np.int32)
+        lag += span
+        # A lag past the window lands at or before pv(i) (or clips to
+        # position 0, a first touch), where pv(j) < pv(i): it counted once.
+        reached = d - np.maximum(lag - wq, 0) >= ways
+        done = reached | (wq <= lag)
+        hit[q[done & ~reached]] = True
+        live = ~done
+        q, pq, wq, d = q[live], pq[live], wq[live], d[live]
+    return hit, last
 
 
 class VectorLruTlb:
