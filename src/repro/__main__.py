@@ -4,11 +4,11 @@ Commands:
 
 * ``experiments [names...] [--quick] [--workers N]`` -- regenerate the
   paper's tables and figures (same as ``python -m repro.experiments.runner``);
-* ``bench [--json FILE] [--compare-reference]`` -- time the standard
-  sweeps and record wall clocks plus key counters to a JSON report;
+* ``bench [--json FILE] [--workers N]`` -- time the standard sweeps and
+  record wall clocks plus key counters to a JSON report;
 * ``bench2 [--json FILE] [--workers N] [--min-serve-throughput N]`` --
-  benchmark the fused probe path: kernel micro-bench, the BENCH_1 sweep
-  set through the worker pool, and the serve-bench sweep (BENCH_2.json);
+  the BENCH_1 sweep set through the worker pool plus the serve-bench
+  sweep (BENCH_2.json);
 * ``serve-bench [--shards N...] [--window-kib K...] [--zipf T...]
   [--index NAME] [--replicas K] [--replica-indexes NAME...]
   [--chaos-schedule FILE] [--update-fraction F...]
@@ -111,11 +111,7 @@ def cmd_lint(args) -> int:
 def cmd_bench(args) -> int:
     from .experiments.bench import main as bench_main
 
-    bench_main(
-        json_path=args.json,
-        workers=args.workers,
-        compare_reference=args.compare_reference,
-    )
+    bench_main(json_path=args.json, workers=args.workers)
     return 0
 
 
@@ -133,6 +129,10 @@ def cmd_bench2(args) -> int:
 def cmd_serve_bench(args) -> int:
     from .serve.bench import main as serve_bench_main
 
+    if args.min_compactions is not None and args.min_compactions < 0:
+        raise ConfigurationError(
+            f"--min-compactions must be >= 0, got {args.min_compactions}"
+        )
     payload = serve_bench_main(
         shards=tuple(args.shards),
         window_kib=tuple(args.window_kib),
@@ -242,14 +242,10 @@ def main(argv=None) -> int:
         "--workers", type=int, default=0,
         help="processes for the sweeps (0 = one per CPU core)",
     )
-    bench.add_argument(
-        "--compare-reference", action="store_true",
-        help="also time the OrderedDict reference models for a speedup figure",
-    )
 
     bench2 = subparsers.add_parser(
         "bench2",
-        help="benchmark the fused probe path and write BENCH_2.json",
+        help="pooled sweeps plus the serve sweep; writes BENCH_2.json",
     )
     bench2.add_argument(
         "--json", default=None, metavar="FILE",

@@ -1,8 +1,8 @@
 """PERF001: interpreted per-element loops in the probe hot paths.
 
 The index and join layers are the probe hot path: every structure
-traverses vectorized (``repro.indexes.*._traverse``) or through the
-fused batch kernels (``repro.indexes.kernels``), and the join drivers
+traverses vectorized (``repro.indexes.*._traverse``, which
+``probe_batch`` and ``probe_range_batch`` run too), and the join drivers
 iterate over *windows*, never keys.  A Python-level ``for`` loop in
 these packages is therefore either a bug magnet (an accidental
 per-key loop runs orders of magnitude slower than the numpy path) or
@@ -10,8 +10,6 @@ one of a small set of sanctioned shapes:
 
 * build-time geometry loops (run once per index build, O(height));
 * per-level descent loops (O(height) iterations over whole arrays);
-* kernel *source* loops (compiled by numba under ``REPRO_JIT``; the
-  interpreted form never runs on a hot path);
 * O(|S|/W) window drivers.
 
 Each sanctioned loop carries a ``# repro: noqa[PERF001]`` marker with a
@@ -39,8 +37,8 @@ class InterpretedHotLoop(Rule):
     severity = Severity.ERROR
     summary = (
         "Python-level for loop in the probe hot path (repro/indexes, "
-        "repro/join); vectorize, fuse into a batch kernel, or justify "
-        "with # repro: noqa[PERF001]"
+        "repro/join); vectorize with numpy or justify with "
+        "# repro: noqa[PERF001]"
     )
 
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
@@ -54,7 +52,6 @@ class InterpretedHotLoop(Rule):
                     self,
                     node,
                     "interpreted for loop in a probe hot-path package; "
-                    "vectorize with numpy, move it into the fused kernel "
-                    "source (repro.indexes.kernels), or justify the loop "
-                    "with # repro: noqa[PERF001]",
+                    "vectorize with numpy, or justify the loop with "
+                    "# repro: noqa[PERF001]",
                 )

@@ -10,7 +10,6 @@ the paper, so experiments and tests agree on one source of truth.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 
 from .errors import ConfigurationError
@@ -52,20 +51,6 @@ DEFAULT_IGNORED_LSB = 4
 #: pages").
 DEFAULT_HUGE_PAGE_BYTES = 1 * GIB
 
-#: Environment flag requesting the optional numba JIT backend for the
-#: fused batch probe kernels (see :mod:`repro.indexes.jit`).  The flag
-#: only *requests* compilation: when numba is not importable the kernels
-#: silently fall back to the vectorized numpy path, which is
-#: bit-identical by construction (tests/indexes/test_probe_batch.py).
-JIT_ENV = "REPRO_JIT"
-
-_FALSY = frozenset({"", "0", "false", "no", "off"})
-
-
-def jit_requested() -> bool:
-    """Whether ``REPRO_JIT`` asks for the compiled batch kernels."""
-    return os.environ.get(JIT_ENV, "").strip().lower() not in _FALSY
-
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -84,21 +69,11 @@ class SimulationConfig:
             inter-thread eviction (thrashing) of Section 4.1.
         seed: base RNG seed; every generator derives its own stream from it
             so runs are reproducible.
-        exact_tlb: replay the TLB as an exact LRU (True) or use the analytic
-            miss-rate approximation (False, ~100x faster, used by wide
-            parameter sweeps).
-        fast_replay: replay cache/TLB streams through the vectorized numpy
-            models (:mod:`repro.hardware.fastlru`) instead of the per-line
-            ``OrderedDict`` references.  Both produce identical counters
-            (the fast engine is exact, see tests/hardware/test_fast_models);
-            set False to debug against the reference implementations.
     """
 
     probe_sample: int = 2**14
     interleave_width: int = 2**20
     seed: int = 42
-    exact_tlb: bool = True
-    fast_replay: bool = True
 
     def __post_init__(self) -> None:
         if self.probe_sample <= 0 or self.probe_sample % 32 != 0:
@@ -120,10 +95,6 @@ class SimulationConfig:
     def with_seed(self, seed: int) -> "SimulationConfig":
         """Return a copy with a different base seed."""
         return replace(self, seed=seed)
-
-    def with_fast_replay(self, fast_replay: bool) -> "SimulationConfig":
-        """Return a copy toggling the vectorized replay engine."""
-        return replace(self, fast_replay=fast_replay)
 
     def scale_factor(self, s_tuples: int) -> float:
         """Factor by which sampled counters are scaled to the full relation."""

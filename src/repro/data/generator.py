@@ -12,6 +12,7 @@ large input to a single join with a low join selectivity":
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,9 +56,10 @@ class WorkloadConfig:
             raise WorkloadError(
                 f"match_rate must be in [0, 1], got {self.match_rate}"
             )
-        if self.zipf_theta < 0:
+        if not math.isfinite(self.zipf_theta) or self.zipf_theta < 0:
             raise WorkloadError(
-                f"zipf_theta must be non-negative, got {self.zipf_theta}"
+                f"zipf_theta must be finite and non-negative, got "
+                f"{self.zipf_theta}"
             )
         if self.stride < 3 and self.match_rate < 1.0:
             raise WorkloadError(

@@ -1,11 +1,9 @@
 """Wall-clock benchmark of the standard sweeps (``repro bench``).
 
 Times the Fig. 3 (naive) and Fig. 5 (partitioned) R-size sweeps with the
-fast replay engine and the session cache, and optionally the reference
-configuration (``OrderedDict`` replay models, no cache) for a speedup
-figure.  The results -- wall clocks, key series endpoints, and cache
-statistics -- are written to a ``BENCH_*.json`` file so performance
-regressions show up in review.
+session cache.  The results -- wall clocks, key series endpoints, and
+cache statistics -- are written to a ``BENCH_*.json`` file so
+performance regressions show up in review.
 
 The benchmark harness under ``benchmarks/`` imports the sweep constants
 from here so ``pytest benchmarks`` and ``repro bench`` measure the same
@@ -47,33 +45,25 @@ def _series_summary(result) -> dict:
     return summary
 
 
-def _run_sweeps(
-    r_sizes_gib: Sequence[float],
-    fast_replay: bool,
-    use_cache: bool,
-    workers: int,
-) -> dict:
+def _run_sweeps(r_sizes_gib: Sequence[float], workers: int) -> dict:
     """One timed pass over the Fig. 3 + Fig. 5 sweeps."""
     tune_allocator()
-    naive = BENCH_NAIVE_SIM.with_fast_replay(fast_replay)
-    ordered = BENCH_ORDERED_SIM.with_fast_replay(fast_replay)
-    with cache.session(use_cache):
+    with cache.session(True):
         cache.clear()
         started = time.perf_counter()
         fig3_throughput, fig4_requests = fig3.run(
-            r_sizes_gib=r_sizes_gib, sim=naive, workers=workers
+            r_sizes_gib=r_sizes_gib, sim=BENCH_NAIVE_SIM, workers=workers
         )
         fig3_seconds = time.perf_counter() - started
         started = time.perf_counter()
         fig5_throughput, _ = fig5.run(
-            r_sizes_gib=r_sizes_gib, sim=ordered, workers=workers
+            r_sizes_gib=r_sizes_gib, sim=BENCH_ORDERED_SIM, workers=workers
         )
         fig5_seconds = time.perf_counter() - started
         stats = cache.stats()
         cache.clear()
     return {
-        "fast_replay": fast_replay,
-        "cache": use_cache,
+        "cache": True,
         "workers": workers,
         "fig3_seconds": round(fig3_seconds, 3),
         "fig5_seconds": round(fig5_seconds, 3),
@@ -88,22 +78,16 @@ def _run_sweeps(
 def run_bench(
     r_sizes_gib: Sequence[float] = BENCH_R_SIZES_GIB,
     workers: int = 0,
-    compare_reference: bool = False,
 ) -> dict:
     """Benchmark the standard sweeps; returns the JSON-ready payload.
 
     ``workers=0`` (the default) resolves to one sweep process per CPU
     core through the resilient pool; figures are bit-identical at any
-    worker count.  With ``compare_reference`` the sweeps run a second
-    time with the ``OrderedDict`` reference replay models and no
-    session cache, and the payload gains a ``speedup`` entry.  The fast
-    and reference passes produce identical figure data (the equivalence
-    suite in ``tests/hardware/test_fast_models.py`` asserts exact
-    counter equality), so the speedup compares like with like.
+    worker count.
     """
     workers = resolve_workers(workers)
     policy = active_policy()
-    payload = {
+    return {
         "benchmark": "repro-sweeps",
         "r_sizes_gib": list(r_sizes_gib),
         "probe_samples": {
@@ -117,33 +101,17 @@ def run_bench(
         },
         "platform": platform.platform(),
         "python": platform.python_version(),
-        "fast": _run_sweeps(
-            r_sizes_gib, fast_replay=True, use_cache=True, workers=workers
-        ),
+        "fast": _run_sweeps(r_sizes_gib, workers=workers),
     }
-    if compare_reference:
-        payload["reference"] = _run_sweeps(
-            r_sizes_gib, fast_replay=False, use_cache=False, workers=1
-        )
-        payload["speedup"] = round(
-            payload["reference"]["total_seconds"]
-            / max(payload["fast"]["total_seconds"], 1e-9),
-            2,
-        )
-    return payload
 
 
 def write_bench(payload: dict, path: str) -> None:
     atomic_write_json(payload=payload, path=path, sort_keys=False)
 
 
-def main(
-    json_path: Optional[str] = None,
-    workers: int = 0,
-    compare_reference: bool = False,
-) -> dict:
+def main(json_path: Optional[str] = None, workers: int = 0) -> dict:
     """CLI entry point: run, print a short summary, optionally write JSON."""
-    payload = run_bench(workers=workers, compare_reference=compare_reference)
+    payload = run_bench(workers=workers)
     fast = payload["fast"]
     print(
         f"fast sweep: fig3 {fast['fig3_seconds']:.1f}s + "
@@ -152,12 +120,6 @@ def main(
         f"{fast['cache_stats']['point_hits']} points, "
         f"{fast['cache_stats']['environment_hits']} environments)"
     )
-    if compare_reference:
-        reference = payload["reference"]
-        print(
-            f"reference sweep: {reference['total_seconds']:.1f}s "
-            f"-> speedup {payload['speedup']:.2f}x"
-        )
     if json_path:
         write_bench(payload, json_path)
         print(f"wrote {json_path}")

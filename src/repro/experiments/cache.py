@@ -88,7 +88,6 @@ def _base_key(
     spec: SystemSpec,
     workload: WorkloadConfig,
     index_cls: Optional[Type],
-    sim: SimulationConfig,
     index_kwargs: Optional[dict],
 ):
     kwargs_key = tuple(sorted((index_kwargs or {}).items()))
@@ -97,15 +96,8 @@ def _base_key(
     # and the sim only parameterizes replay.  Key the built environment
     # with both normalized out so a Zipf sweep builds each index once and
     # the naive/partitioned sweeps (different sample sizes) share their
-    # builds.  ``fast_replay`` stays in the key -- it selects the machine's
-    # cache-model classes at construction time.
-    return (
-        spec,
-        replace(workload, zipf_theta=0.0),
-        index_cls,
-        sim.fast_replay,
-        kwargs_key,
-    )
+    # builds.
+    return (spec, replace(workload, zipf_theta=0.0), index_cls, kwargs_key)
 
 
 def environment(
@@ -137,7 +129,7 @@ def environment(
     if not _enabled:
         return build()
     try:
-        base_key = _base_key(spec, workload, index_cls, sim, index_kwargs)
+        base_key = _base_key(spec, workload, index_cls, index_kwargs)
         hash(base_key)
     except TypeError:  # unhashable index kwargs: skip caching
         return build()

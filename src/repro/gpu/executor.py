@@ -34,12 +34,10 @@ import numpy as np
 from .. import obs
 from ..config import DEFAULT_CONFIG, SimulationConfig
 from ..errors import ConfigurationError, SimulationError
-from ..hardware.cache import SetAssociativeCache
 from ..hardware.counters import PerfCounters
 from ..hardware.fastlru import VectorLruTlb, VectorSetAssociativeCache
 from ..hardware.memory import SystemMemory
 from ..hardware.spec import SystemSpec
-from ..hardware.tlb import LruTlb
 
 
 class AccessKind(enum.Enum):
@@ -104,16 +102,10 @@ class MachineModel:
         self.sim = sim
         self.memory = SystemMemory(spec)
         gpu = spec.gpu
-        if sim.fast_replay:
-            self.l2 = VectorSetAssociativeCache(
-                gpu.l2_bytes, gpu.cacheline_bytes, ways=16
-            )
-            self.tlb = VectorLruTlb(spec.tlb_entries)
-        else:
-            self.l2 = SetAssociativeCache(
-                gpu.l2_bytes, gpu.cacheline_bytes, ways=16
-            )
-            self.tlb = LruTlb(spec.tlb_entries)
+        self.l2 = VectorSetAssociativeCache(
+            gpu.l2_bytes, gpu.cacheline_bytes, ways=16
+        )
+        self.tlb = VectorLruTlb(spec.tlb_entries)
         # Name the hierarchy levels for observability: a named model emits
         # ``model.<name>.*`` counters from its batch entry points.  The
         # VectorLruTlb's inner VectorLruCache stays unnamed on purpose --
@@ -216,8 +208,8 @@ class MachineModel:
 
         When tracing is on (:mod:`repro.obs`), each call emits one
         ``replay.simulate`` span plus ``replay.*`` counters sourced from
-        the very :class:`PerfCounters` returned -- so traced counters are
-        exact for the fast and reference replay engines alike.
+        the very :class:`PerfCounters` returned, so traced counters equal
+        the returned ones exactly.
         """
         if not obs.enabled():
             return self._replay(trace, simulate_tlb, interleave_width, shuffle)
@@ -249,30 +241,16 @@ class MachineModel:
         counters.memory_accesses = float(issued)
         if len(stream) == 0:
             return counters
-        page_line_shift = self._page_shift - self._line_shift
-        l2 = self.l2
-        tlb = self.tlb
         tlb_misses = 0
         cold_before = self.tlb.cold_misses
-        if isinstance(l2, VectorSetAssociativeCache):
-            # Fast path: whole-stream batch replay, no per-line Python loop.
-            l2_hit_mask = l2.access_batch(stream)
-            l2_hits = int(np.count_nonzero(l2_hit_mask))
-            remote = len(stream) - l2_hits
-            if simulate_tlb and remote:
-                pages = stream[~l2_hit_mask] >> page_line_shift
-                tlb_hit_mask = tlb.access_batch(pages)
-                tlb_misses = remote - int(np.count_nonzero(tlb_hit_mask))
-        else:
-            l2_hits = 0
-            remote = 0
-            for line in stream.tolist():
-                if l2.access(line):
-                    l2_hits += 1
-                    continue
-                remote += 1
-                if simulate_tlb and not tlb.access(line >> page_line_shift):
-                    tlb_misses += 1
+        l2_hit_mask = self.l2.access_batch(stream)
+        l2_hits = int(np.count_nonzero(l2_hit_mask))
+        remote = len(stream) - l2_hits
+        if simulate_tlb and remote:
+            page_line_shift = self._page_shift - self._line_shift
+            pages = stream[~l2_hit_mask] >> page_line_shift
+            tlb_hit_mask = self.tlb.access_batch(pages)
+            tlb_misses = remote - int(np.count_nonzero(tlb_hit_mask))
         counters.l1_hits = float(issued - len(stream))
         counters.l2_hits = float(l2_hits)
         counters.remote_accesses = float(remote)

@@ -7,9 +7,8 @@ architectural features those experiments exercise:
 * interconnect bandwidth/latency and cacheline-granularity remote access
   (:mod:`repro.hardware.interconnect`),
 * the GPU last-level TLB whose 32 GiB range causes the paper's throughput
-  cliff (:mod:`repro.hardware.tlb`),
-* the GPU cache hierarchy that absorbs upper index levels
-  (:mod:`repro.hardware.cache`),
+  cliff, and the set-associative L2 that absorbs upper index levels, both
+  exact LRU models replayed in batches (:mod:`repro.hardware.fastlru`),
 * host/device address spaces (:mod:`repro.hardware.memory`), and
 * hardware performance counters (:mod:`repro.hardware.counters`)
   standing in for the POWER9 translation-request counters.
@@ -37,8 +36,6 @@ from .spec import (
 )
 from .interconnect import InterconnectModel
 from .memory import Allocation, MemorySpace, SystemMemory
-from .tlb import AnalyticTlb, LruTlb, make_tlb
-from .cache import LruCache, SetAssociativeCache
 
 __all__ = [
     "PerfCounters",
@@ -60,9 +57,4 @@ __all__ = [
     "Allocation",
     "MemorySpace",
     "SystemMemory",
-    "AnalyticTlb",
-    "LruTlb",
-    "make_tlb",
-    "LruCache",
-    "SetAssociativeCache",
 ]

@@ -1,9 +1,8 @@
-"""Vectorized cache/TLB models (the fast replay engine).
+"""Vectorized cache/TLB models (the replay engine).
 
-The reference models in :mod:`repro.hardware.cache` and
-:mod:`repro.hardware.tlb` replay one line per Python call -- faithful but
-slow when a figure sweeps millions of coalesced transactions.  This module
-answers the same LRU questions with numpy batch kernels built on one
+A figure sweeps millions of coalesced transactions through the L2 and
+the TLB, far too many to replay one line per Python call.  This module
+answers the LRU questions with numpy batch kernels built on one
 identity: an access hits iff fewer than ``C`` distinct keys (per set, for a
 set-associative cache) were touched since the previous access to the same
 key -- its reuse (Mattson stack) distance is below the capacity.
@@ -22,15 +21,15 @@ key -- its reuse (Mattson stack) distance is below the capacity.
   packed sort, trivial classes settle most accesses outright, and only the
   rest count their reuse distance with lag gathers.
 * :class:`VectorLruTlb` -- :class:`VectorLruCache` plus first-touch (cold
-  miss) tracking, mirroring :class:`repro.hardware.tlb.LruTlb`.
+  miss) tracking.
 
 Exactness is the contract, not an aspiration: every model produces the
 same per-access hit/miss outcomes, the same eviction order, and the same
-counters as its ``OrderedDict`` reference on any stream (see
-``tests/hardware/test_fast_models.py`` and
+counters as its ``OrderedDict`` oracle in ``tests/hardware/oracles.py``
+on any stream (see ``tests/hardware/test_fast_models.py`` and
 ``tests/hardware/test_replay_differential.py``).  The scalar ``access``
-API is kept for drop-in compatibility; the batch APIs are what the
-executor uses.
+API shares the oracles' interface; the batch APIs are what the executor
+uses.
 """
 
 from __future__ import annotations
@@ -65,8 +64,8 @@ def _emit_model_counters(name: str, accesses: int, hits: int) -> None:
 class VectorLruCache:
     """Fully associative LRU over line numbers, batch-vectorized.
 
-    Interface-compatible with :class:`repro.hardware.cache.LruCache`; adds
-    :meth:`access_batch` and :meth:`resident_lines`.
+    Adds :meth:`access_batch` and :meth:`resident_lines` to the scalar
+    ``access``/``contains`` interface.
     """
 
     #: Set by the owner (e.g. ``MachineModel`` names its levels "l2"/"tlb")
@@ -281,8 +280,7 @@ def _lru_replay(batch: np.ndarray, capacity: int, stack: np.ndarray):
 class VectorSetAssociativeCache:
     """Set-associative LRU over line numbers, batch-vectorized.
 
-    Interface-compatible with
-    :class:`repro.hardware.cache.SetAssociativeCache`.  State is one
+    The set index is the line number modulo the set count.  State is one
     ``(sets, ways)`` array holding each set's resident lines in LRU-to-MRU
     order, right-aligned: empty ways are -1 and come first.
     """
@@ -489,7 +487,9 @@ def _reuse_hits(s: np.ndarray, starts: np.ndarray, ways: int):
 class VectorLruTlb:
     """Exact LRU TLB with cold-miss tracking, batch-vectorized.
 
-    Interface-compatible with :class:`repro.hardware.tlb.LruTlb`.
+    Consumes page numbers (address >> page shift) in program order; the
+    executor interleaves concurrent threads before calling it, which is
+    what makes inter-thread eviction (thrashing) visible.
     """
 
     #: See :attr:`VectorLruCache.obs_name`.  The inner

@@ -30,7 +30,6 @@ from ..gpu.simt import SimtCost, divergent_cost
 from ..hardware.counters import PerfCounters
 from ..hardware.memory import SystemMemory
 from ..units import KEY_BYTES
-from . import jit
 
 
 class TraceRecorder:
@@ -181,7 +180,7 @@ class Index(abc.ABC):
         return self._traverse(keys, recorder=None)
 
     # ------------------------------------------------------------------
-    # Fused batch kernel.
+    # Fused batch probes.
     # ------------------------------------------------------------------
 
     def probe_batch(
@@ -194,14 +193,8 @@ class Index(abc.ABC):
         concatenation -- and returns the batch's fused
         :class:`PerfCounters` delta.  The counters are *structural*
         (``lookups`` and a height-based access count), derived only from
-        the batch size and the index geometry, so the numpy and JIT
-        backends report exactly equal deltas by construction; replayed
-        cache/TLB counters remain the job of :meth:`trace_lookups`.
-
-        The kernel behind it is either the vectorized numpy traversal or,
-        under ``REPRO_JIT`` with numba importable, the compiled scalar
-        kernel from :mod:`repro.indexes.kernels` -- bit-identical either
-        way (see tests/indexes/test_probe_batch.py).
+        the batch size and the index geometry; replayed cache/TLB
+        counters remain the job of :meth:`trace_lookups`.
         """
         keys = np.asarray(keys, dtype=KEY_DTYPE)
         count = len(keys)
@@ -217,40 +210,16 @@ class Index(abc.ABC):
             )
         if count == 0:
             return PerfCounters()
-        view = out[offset : offset + count]
         if obs.enabled():
             with obs.span("index.probe_batch", index=self.name,
                           lookups=count):
-                self._probe_kernel(keys, view)
+                positions = self._traverse(keys, recorder=None)
             obs.add("index.batch_lookups", float(count), index=self.name)
             obs.add("index.batch_kernels", index=self.name)
         else:
-            self._probe_kernel(keys, view)
+            positions = self._traverse(keys, recorder=None)
+        out[offset : offset + count] = positions
         return self._batch_counters(count)
-
-    def _probe_kernel(self, keys: np.ndarray, out: np.ndarray) -> None:
-        """One fused pass over ``keys``; results land in ``out``.
-
-        Dispatches to the compiled scalar kernel when the JIT backend is
-        enabled and this index advertises one, otherwise runs the
-        vectorized traversal.  ``keys`` is already ``KEY_DTYPE`` and
-        ``out`` is exactly ``len(keys)`` wide.
-        """
-        if jit.enabled():
-            runner = jit.runner_for(self)
-            if runner is not None:
-                runner(keys, out)
-                return
-        out[:] = self._traverse(keys, recorder=None)
-
-    def _batch_kernel_args(self):
-        """(kernel name, packed structure args) or None when not JIT-able.
-
-        The base implementation opts out; each concrete index overrides
-        it when its structure can be expressed as the plain arrays the
-        scalar kernels in :mod:`repro.indexes.kernels` consume.
-        """
-        return None
 
     def _batch_counters(self, count: int) -> PerfCounters:
         """Structural fused-counter delta for a batch of ``count`` keys."""
@@ -262,7 +231,7 @@ class Index(abc.ABC):
         )
 
     # ------------------------------------------------------------------
-    # Fused range-probe kernel (non-equi joins).
+    # Fused range probes (non-equi joins).
     # ------------------------------------------------------------------
 
     def _lower_bound(self, keys: np.ndarray) -> np.ndarray:
@@ -312,10 +281,7 @@ class Index(abc.ABC):
         ``out_start[offset : offset + count]`` /
         ``out_end[offset : offset + count]``, and returns the batch's
         structural :class:`PerfCounters` delta (two bound traversals per
-        pair, so twice :meth:`probe_batch`'s access count).  Like
-        ``probe_batch``, the kernel is either the vectorized numpy
-        bounds or, under ``REPRO_JIT``, a compiled scalar twin from
-        :mod:`repro.indexes.kernels` -- bit-identical either way.
+        pair, so twice :meth:`probe_batch`'s access count).
         """
         lo = np.asarray(lo, dtype=KEY_DTYPE)
         hi = np.asarray(hi, dtype=KEY_DTYPE)
@@ -337,42 +303,17 @@ class Index(abc.ABC):
                 )
         if count == 0:
             return PerfCounters()
-        start_view = out_start[offset : offset + count]
-        end_view = out_end[offset : offset + count]
         if obs.enabled():
             with obs.span("index.probe_range_batch", index=self.name,
                           lookups=count):
-                self._range_kernel(lo, hi, start_view, end_view)
+                starts, ends = self._range_bounds(lo, hi)
             obs.add("index.range_lookups", float(count), index=self.name)
             obs.add("index.range_kernels", index=self.name)
         else:
-            self._range_kernel(lo, hi, start_view, end_view)
+            starts, ends = self._range_bounds(lo, hi)
+        out_start[offset : offset + count] = starts
+        out_end[offset : offset + count] = ends
         return self._range_batch_counters(count)
-
-    def _range_kernel(
-        self,
-        lo: np.ndarray,
-        hi: np.ndarray,
-        out_start: np.ndarray,
-        out_end: np.ndarray,
-    ) -> None:
-        """One fused range pass; spans land in the output views."""
-        if jit.enabled():
-            runner = jit.range_runner_for(self)
-            if runner is not None:
-                runner(lo, hi, out_start, out_end)
-                return
-        starts, ends = self._range_bounds(lo, hi)
-        out_start[:] = starts
-        out_end[:] = ends
-
-    def _range_kernel_args(self):
-        """(range-kernel name, packed structure args) or None.
-
-        Mirrors :meth:`_batch_kernel_args` for the range kernels in
-        :mod:`repro.indexes.kernels`; the base implementation opts out.
-        """
-        return None
 
     def _range_batch_counters(self, count: int) -> PerfCounters:
         """Structural fused-counter delta for ``count`` range probes.

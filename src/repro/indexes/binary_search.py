@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .. import obs
-from ..data.column import KEY_DTYPE, MaterializedColumn
+from ..data.column import KEY_DTYPE
 from ..data.relation import Relation
 from ..hardware.memory import SystemMemory
 from ..perf.analytic import midtree_sweep_pages
@@ -122,17 +122,6 @@ class BinarySearchIndex(Index):
             hi = np.where(active & ~go_right, mid, hi)
             active = lo < hi
         return lo
-
-    def _batch_kernel_args(self):
-        """Scalar-kernel packing: the raw sorted key array is the index."""
-        if not isinstance(self.column, MaterializedColumn):
-            return None
-        return ("binary_search_batch", (self.column.keys,))
-
-    def _range_kernel_args(self):
-        if not isinstance(self.column, MaterializedColumn):
-            return None
-        return ("binary_search_range_batch", (self.column.keys,))
 
     # ------------------------------------------------------------------
     # Analytic locality.

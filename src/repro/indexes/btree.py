@@ -294,35 +294,6 @@ class BPlusTreeIndex(Index):
             nodes * self.leaf_entries + slot_lo, len(self.column)
         )
 
-    def _batch_kernel_args(self):
-        """Scalar-kernel packing: geometry as plain int64 arrays."""
-        if not isinstance(self.column, MaterializedColumn):
-            return None
-        return (
-            "btree_batch",
-            (
-                self.column.keys,
-                np.asarray(self.level_sizes, dtype=np.int64),
-                np.asarray(self.level_coverage, dtype=np.int64),
-                self.fanout,
-                self.leaf_entries,
-            ),
-        )
-
-    def _range_kernel_args(self):
-        if not isinstance(self.column, MaterializedColumn):
-            return None
-        return (
-            "btree_range_batch",
-            (
-                self.column.keys,
-                np.asarray(self.level_sizes, dtype=np.int64),
-                np.asarray(self.level_coverage, dtype=np.int64),
-                self.fanout,
-                self.leaf_entries,
-            ),
-        )
-
     # ------------------------------------------------------------------
     # Updates (materialized columns only).
     # ------------------------------------------------------------------

@@ -278,37 +278,6 @@ class HarmoniaIndex(Index):
             nodes * self.node_keys + counts_lt, len(self.column)
         )
 
-    def _batch_kernel_args(self):
-        """Scalar-kernel packing: geometry as plain int64 arrays."""
-        from ..data.column import MaterializedColumn
-
-        if not isinstance(self.column, MaterializedColumn):
-            return None
-        return (
-            "harmonia_batch",
-            (
-                self.column.keys,
-                np.asarray(self.level_sizes, dtype=np.int64),
-                np.asarray(self.level_coverage, dtype=np.int64),
-                self.node_keys,
-            ),
-        )
-
-    def _range_kernel_args(self):
-        from ..data.column import MaterializedColumn
-
-        if not isinstance(self.column, MaterializedColumn):
-            return None
-        return (
-            "harmonia_range_batch",
-            (
-                self.column.keys,
-                np.asarray(self.level_sizes, dtype=np.int64),
-                np.asarray(self.level_coverage, dtype=np.int64),
-                self.node_keys,
-            ),
-        )
-
     # ------------------------------------------------------------------
     # SIMT: cooperative sub-warp execution.
     # ------------------------------------------------------------------

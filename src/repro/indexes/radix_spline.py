@@ -520,46 +520,6 @@ class RadixSplineIndex(Index):
             active = search_lo < search_hi
         return search_lo
 
-    def _batch_kernel_args(self):
-        """Scalar-kernel packing; implicit (virtual-column) splines gather
-        keys on demand and cannot be expressed over plain arrays."""
-        if self.spline_keys is None or not isinstance(
-            self.column, MaterializedColumn
-        ):
-            return None
-        return (
-            "radix_spline_batch",
-            (
-                self.column.keys,
-                self.radix_table,
-                self.spline_keys,
-                self.spline_positions,
-                np.uint64(self._min_key),
-                np.uint64(self._max_spline_key - self._min_key),
-                np.uint64(self._shift),
-                np.int64(self.error_bound),
-            ),
-        )
-
-    def _range_kernel_args(self):
-        if self.spline_keys is None or not isinstance(
-            self.column, MaterializedColumn
-        ):
-            return None
-        return (
-            "radix_spline_range_batch",
-            (
-                self.column.keys,
-                self.radix_table,
-                self.spline_keys,
-                self.spline_positions,
-                np.uint64(self._min_key),
-                np.uint64(self._max_spline_key - self._min_key),
-                np.uint64(self._shift),
-                np.int64(self.error_bound),
-            ),
-        )
-
     # ------------------------------------------------------------------
     # Analytic locality.
     # ------------------------------------------------------------------

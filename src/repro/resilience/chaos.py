@@ -43,6 +43,7 @@ through the harness and writes the event-log artifact CI uploads.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -57,6 +58,26 @@ SCHEMA = "repro-chaos/1"
 LOG_SCHEMA = "repro-chaos-log/1"
 
 _KINDS = ("kill", "wedge", "corrupt")
+
+
+def _number(entry: Dict[str, Any], name: str, default: float) -> float:
+    """``entry[name]`` as a JSON number (bools and strings rejected)."""
+    value = entry.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(
+            f"chaos event field {name!r} must be a number, got {value!r}"
+        )
+    return value
+
+
+def _integral(entry: Dict[str, Any], name: str) -> int:
+    """``entry[name]`` as an integer; ``1.0`` passes, ``1.7`` does not."""
+    value = _number(entry, name, -1)
+    if not float(value).is_integer():
+        raise ConfigurationError(
+            f"chaos event field {name!r} must be an integer, got {value!r}"
+        )
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -89,10 +110,12 @@ class ChaosEvent:
             raise ConfigurationError(
                 f"unknown chaos kind {self.kind!r}; expected one of {_KINDS}"
             )
-        if self.at < 0:
+        if not math.isfinite(self.at) or self.at < 0:
             raise ConfigurationError(
-                f"chaos event cannot arm before time zero, got {self.at}"
+                f"chaos event 'at' must be a finite time >= 0, got {self.at}"
             )
+        if math.isnan(self.duration):
+            raise ConfigurationError("chaos event 'duration' must not be NaN")
         if self.kind == "kill" and (self.shard < 0 or self.replica < 0):
             raise ConfigurationError(
                 "kill events need shard >= 0 and replica >= 0, got "
@@ -126,6 +149,11 @@ class ChaosEvent:
 
     @staticmethod
     def from_dict(entry: Dict[str, Any]) -> "ChaosEvent":
+        if not isinstance(entry, dict):
+            raise ConfigurationError(
+                f"chaos schedule 'events' entries must be JSON objects, "
+                f"got {entry!r}"
+            )
         known = {"kind", "at", "shard", "replica", "duration", "batch"}
         extra = sorted(set(entry) - known)
         if extra:
@@ -136,11 +164,11 @@ class ChaosEvent:
             raise ConfigurationError(f"chaos event missing 'kind': {entry!r}")
         return ChaosEvent(
             kind=str(entry["kind"]),
-            at=float(entry.get("at", 0.0)),
-            shard=int(entry.get("shard", -1)),
-            replica=int(entry.get("replica", -1)),
-            duration=float(entry.get("duration", 0.0)),
-            batch=int(entry.get("batch", -1)),
+            at=float(_number(entry, "at", 0.0)),
+            shard=_integral(entry, "shard"),
+            replica=_integral(entry, "replica"),
+            duration=float(_number(entry, "duration", 0.0)),
+            batch=_integral(entry, "batch"),
         )
 
 
@@ -189,6 +217,20 @@ class ChaosSchedule:
 
     def dump(self, path: str) -> str:
         return atomic_write_json(path=path, payload=self.as_dict())
+
+    def check_targets(self, shards: int, replicas: int) -> None:
+        """Reject an event aimed at a shard or replica the run lacks."""
+        for event in self.events:
+            if event.shard >= shards:
+                raise ConfigurationError(
+                    f"chaos event targets shard {event.shard}, but the run "
+                    f"has {shards} shard(s)"
+                )
+            if event.replica >= replicas:
+                raise ConfigurationError(
+                    f"chaos event targets replica {event.replica}, but the "
+                    f"run has {replicas} replica(s) per shard"
+                )
 
 
 class ChaosController:
@@ -340,6 +382,7 @@ def run_serve_under_chaos(
         _arrival_interval,
         _check_mixed_against_oracle,
         _serve_workload,
+        check_axis_values,
     )
     from ..serve.executor import ReplicatedShardExecutor
     from ..serve.service import ProbeRequest, ShardedIndexService
@@ -348,6 +391,9 @@ def run_serve_under_chaos(
     from ..units import KEY_BYTES, KIB
     from ..workloads.updates import make_update_stream
 
+    check_axis_values([zipf_theta], [update_fraction])
+    if schedule is not None:
+        schedule.check_targets(shards, replicas)
     names = list(replica_indexes) if replica_indexes else [index] * replicas
     unknown = sorted(set(names) - set(INDEX_BY_NAME))
     if unknown:
@@ -520,6 +566,8 @@ def main(
     fails loudly rather than as a silent divergence.
     """
     schedule = ChaosSchedule.load(schedule_path)
+    # The clean run goes first and ignores the schedule: check it now.
+    schedule.check_targets(shards, replicas)
     kwargs: Dict[str, Any] = dict(
         shards=shards,
         replicas=replicas,

@@ -15,6 +15,7 @@ end-to-end differential test of the sharded path.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
@@ -467,6 +468,23 @@ def run_serve_point_task(task: ServeTask) -> dict:
     )
 
 
+def check_axis_values(
+    zipf_thetas: Sequence[float], update_fractions: Sequence[float]
+) -> None:
+    """Reject a skew or update fraction no workload can be built from."""
+    for theta in zipf_thetas:
+        if not math.isfinite(theta) or theta < 0.0:
+            raise ConfigurationError(
+                f"zipf theta (--zipf) must be finite and >= 0, got {theta}"
+            )
+    for fraction in update_fractions:
+        if not 0.0 <= fraction <= 1.0:  # NaN fails every comparison
+            raise ConfigurationError(
+                "update fraction (--update-fraction) must be in [0, 1], "
+                f"got {fraction}"
+            )
+
+
 def run_serve_bench(
     shards: Sequence[int] = DEFAULT_SHARDS,
     window_kib: Sequence[int] = DEFAULT_WINDOW_KIB,
@@ -498,11 +516,7 @@ def run_serve_bench(
     ``update_fractions`` adds the mixed read/write axis: each fraction
     re-runs the sweep with that share of requests as updates.
     """
-    for fraction in update_fractions:
-        if fraction < 0.0 or fraction > 1.0:
-            raise ConfigurationError(
-                f"update fractions must be in [0, 1], got {fraction}"
-            )
+    check_axis_values(zipf_thetas, update_fractions)
     if index not in INDEX_BY_NAME:
         raise ConfigurationError(
             f"unknown index {index!r}; choose from "

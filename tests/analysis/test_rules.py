@@ -428,7 +428,7 @@ class TestPerf001:
             name="repro/indexes/slow.py",
         )
         assert _ids(run) == ["PERF001"]
-        assert "fused kernel" in run.findings[0].message
+        assert "vectorize with numpy" in run.findings[0].message
 
     def test_flags_loop_in_join_package(self, lint_snippet):
         run = lint_snippet(

@@ -95,14 +95,13 @@ def test_suppressions_stay_rare(self_run):
     # PERF001 is counted separately: sanctioning build-time and
     # per-level loops via justified noqa markers is that rule's design
     # (see repro/analysis/rules/perf.py), so its markers are bounded
-    # but expected.  The budget grew with the range-kernel twins: each
-    # index type now carries a second scalar kernel source (the
-    # two-sided range walk), and the non-equi drivers add the KNN
-    # walk-out and two O(|S|/W) window loops.
+    # but expected: per-level descents, build-time geometry, and the
+    # O(|S|/W) window drivers (the non-equi drivers add the KNN
+    # walk-out and two window loops).
     perf = [f for f in self_run.suppressed if f.rule_id == "PERF001"]
     other = [f for f in self_run.suppressed if f.rule_id != "PERF001"]
     assert len(other) <= 10
-    assert len(perf) <= 45
+    assert len(perf) <= 25
 
 
 def test_perf_suppressions_carry_justifications(self_run):

@@ -46,6 +46,8 @@ class TestWorkloadConfig:
             dict(r_tuples=10, match_rate=-0.1),
             dict(r_tuples=10, zipf_theta=-1),
             dict(r_tuples=10, match_rate=0.5, stride=2),
+            dict(r_tuples=10, zipf_theta=float("nan")),
+            dict(r_tuples=10, zipf_theta=float("inf")),
         ],
     )
     def test_validation(self, kwargs):

@@ -1,11 +1,12 @@
-"""GPU cache simulators."""
+"""The OrderedDict cache oracles the vectorized models are checked against."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.hardware.cache import LruCache, SetAssociativeCache, lines_for
+
+from .oracles import LruCache, SetAssociativeCache
 
 
 class TestLruCache:
@@ -119,26 +120,6 @@ class TestSetAssociativeCache:
     def test_rejects_zero_ways(self):
         with pytest.raises(ConfigurationError):
             SetAssociativeCache(capacity_bytes=1024, line_bytes=128, ways=0)
-
-
-class TestLinesFor:
-    def test_single_line(self):
-        assert list(lines_for(0, 8, 128)) == [0]
-
-    def test_spanning_access(self):
-        # A 4 KiB B+tree node starting at a line boundary covers 32 lines.
-        assert len(lines_for(4096, 4096, 128)) == 32
-
-    def test_straddling_boundary(self):
-        assert list(lines_for(120, 16, 128)) == [0, 1]
-
-    def test_rejects_zero_size(self):
-        with pytest.raises(ConfigurationError):
-            lines_for(0, 0, 128)
-
-    def test_rejects_non_power_of_two_line(self):
-        with pytest.raises(ConfigurationError):
-            lines_for(0, 8, 100)
 
 
 @settings(max_examples=25, deadline=None)

@@ -11,13 +11,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.hardware.cache import LruCache, SetAssociativeCache
 from repro.hardware.fastlru import (
     VectorLruCache,
     VectorLruTlb,
     VectorSetAssociativeCache,
 )
-from repro.hardware.tlb import LruTlb
+
+from .oracles import LruCache, LruTlb, SetAssociativeCache
 
 
 def reference_lru_hits(cache, keys):

@@ -23,10 +23,10 @@ from hypothesis import given, strategies as st
 
 from repro.config import SimulationConfig
 from repro.gpu.executor import LookupTrace, MachineModel
-from repro.hardware.cache import SetAssociativeCache
 from repro.hardware.fastlru import VectorLruTlb, VectorSetAssociativeCache
 from repro.hardware.spec import V100_NVLINK2
-from repro.hardware.tlb import LruTlb
+
+from .oracles import LruTlb, SetAssociativeCache
 
 LINE_BYTES = 32
 

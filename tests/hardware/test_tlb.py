@@ -1,11 +1,12 @@
-"""GPU TLB simulators."""
+"""The OrderedDict TLB oracle the vectorized TLB is checked against."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.hardware.tlb import AnalyticTlb, LruTlb, make_tlb, pages_for
+
+from .oracles import LruTlb
 
 
 class TestLruTlb:
@@ -58,62 +59,6 @@ class TestLruTlb:
 
     def test_miss_rate_empty(self):
         assert LruTlb(entries=1).miss_rate == 0.0
-
-
-class TestAnalyticTlb:
-    def test_fitting_pages_cold_only(self):
-        tlb = AnalyticTlb(entries=100)
-        misses = tlb.access_uniform(num_accesses=10_000, num_pages=50)
-        assert misses == 50
-
-    def test_steady_state_rate(self):
-        tlb = AnalyticTlb(entries=100)
-        tlb.access_uniform(num_accesses=100_000, num_pages=400)
-        assert tlb.miss_rate == pytest.approx(0.75, rel=0.01)
-
-    def test_agrees_with_exact_lru_for_uniform_access(self, rng):
-        """The closed form must track the event simulator (DESIGN.md S5)."""
-        pages, entries, accesses = 300, 64, 60_000
-        exact = LruTlb(entries=entries)
-        exact.access_sequence(rng.integers(0, pages, accesses).tolist())
-        analytic = AnalyticTlb(entries=entries)
-        analytic.access_uniform(accesses, pages)
-        assert exact.miss_rate == pytest.approx(analytic.miss_rate, rel=0.05)
-
-    def test_rejects_bad_inputs(self):
-        tlb = AnalyticTlb(entries=4)
-        with pytest.raises(ConfigurationError):
-            tlb.access_uniform(-1, 10)
-        with pytest.raises(ConfigurationError):
-            tlb.access_uniform(10, 0)
-
-    def test_reset(self):
-        tlb = AnalyticTlb(entries=4)
-        tlb.access_uniform(100, 10)
-        tlb.reset()
-        assert tlb.hits == 0 and tlb.misses == 0
-
-
-class TestMakeTlb:
-    def test_exact(self):
-        assert isinstance(make_tlb(4, exact=True), LruTlb)
-
-    def test_analytic(self):
-        assert isinstance(make_tlb(4, exact=False), AnalyticTlb)
-
-
-class TestPagesFor:
-    def test_shift(self):
-        addresses = np.array([0, 4095, 4096, 8191], dtype=np.int64)
-        assert pages_for(addresses, 4096).tolist() == [0, 0, 1, 1]
-
-    def test_rejects_non_power_of_two(self):
-        with pytest.raises(ConfigurationError):
-            pages_for(np.array([0]), 3000)
-
-    def test_large_addresses_exact(self):
-        address = np.array([2**60 + 4096], dtype=np.int64)
-        assert pages_for(address, 4096)[0] == 2**48 + 1
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,23 +1,14 @@
-"""Bit-identity suite for the fused batch kernels and the JIT backend.
+"""Bit-identity suite for the fused batch probe.
 
-Three layers of equivalence, each property-driven through the same
-adversarial regimes as the differential suite
-(:mod:`tests.indexes.test_differential`):
+Property-driven through the same adversarial regimes as the
+differential suite (:mod:`tests.indexes.test_differential`):
 
-* ``probe_batch`` (vectorized numpy backend) vs. ``lookup`` -- the
-  fused API writes the same positions into a caller-owned buffer;
-* the scalar kernel *source* (:mod:`repro.indexes.kernels`, the exact
-  code numba compiles under ``REPRO_JIT``) run interpreted vs.
-  ``lookup`` -- this is what makes the JIT path's bit-identity
-  testable without numba installed;
-* :class:`~repro.hardware.counters.PerfCounters` equality across
-  backends -- the fused counters are structural (a pure function of
-  lookup count and index height), so both backends return identical
-  counters by construction, and the suite pins that.
-
-When numba *is* available, the compiled kernels run against the same
-oracle under ``REPRO_JIT=1``; on machines without it the flag must
-degrade silently to the numpy backend, which is also pinned here.
+* ``probe_batch`` vs. ``lookup`` -- the fused API writes the same
+  positions into a caller-owned buffer, on materialized and virtual
+  columns alike;
+* :class:`~repro.hardware.counters.PerfCounters` -- the fused counters
+  are structural (a pure function of lookup count and index height),
+  and the suite pins that.
 """
 
 from __future__ import annotations
@@ -28,35 +19,16 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 
-from repro.config import JIT_ENV  # noqa: E402
-from repro.data.column import MaterializedColumn  # noqa: E402
+from repro.data.column import MaterializedColumn, VirtualSortedColumn  # noqa: E402
 from repro.data.relation import Relation  # noqa: E402
 from repro.errors import SimulationError  # noqa: E402
 from repro.indexes import ALL_INDEX_TYPES  # noqa: E402
-from repro.indexes import jit  # noqa: E402
 
 from .test_differential import oracle_lookup, workloads  # noqa: E402
-
-NUMBA_AVAILABLE = jit.numba_available()
 
 
 def build_index(index_cls, keys: np.ndarray):
     return index_cls(Relation(name="R", column=MaterializedColumn(keys)))
-
-
-@pytest.fixture
-def jit_env(monkeypatch):
-    """Set/unset REPRO_JIT around a test, refreshing the jit caches."""
-
-    def configure(value):
-        if value is None:
-            monkeypatch.delenv(JIT_ENV, raising=False)
-        else:
-            monkeypatch.setenv(JIT_ENV, value)
-        jit.refresh()
-
-    yield configure
-    jit.refresh()
 
 
 @pytest.mark.parametrize("index_cls", ALL_INDEX_TYPES)
@@ -122,92 +94,11 @@ class TestProbeBatchNumpy:
         assert (out == -7).all()
 
 
-@pytest.mark.parametrize("index_cls", ALL_INDEX_TYPES)
-class TestScalarKernelSource:
-    """The uncompiled kernel source is bit-identical to the numpy path."""
-
-    @given(workload=workloads())
-    def test_interpreted_kernel_matches_lookup(self, index_cls, workload):
-        keys, probes = workload
-        index = build_index(index_cls, keys)
-        runner = jit.runner_for(index, compile=False)
-        if runner is None:
-            pytest.skip(f"{index_cls.name} has no batch kernel here")
-        out = np.empty(len(probes), dtype=np.int64)
-        runner(probes.astype(np.uint64), out)
-        np.testing.assert_array_equal(
-            out,
-            oracle_lookup(keys, probes),
-            err_msg=f"{index_cls.name} scalar kernel diverges from the oracle",
-        )
-
-
-@pytest.mark.parametrize("index_cls", ALL_INDEX_TYPES)
-class TestJitFlag:
-    def test_flag_without_numba_falls_back(self, index_cls, jit_env):
-        jit_env("1")
-        if NUMBA_AVAILABLE:
-            pytest.skip("numba present: the fallback branch is unreachable")
-        assert jit.numba_available() is False
-        assert jit.enabled() is False
-        assert jit.backend_name() == "numpy"
-        keys = np.arange(1, 257, dtype=np.uint64) * np.uint64(3)
-        probes = np.concatenate([keys[:16], keys[:16] + np.uint64(1)])
-        index = build_index(index_cls, keys)
-        out = np.empty(len(probes), dtype=np.int64)
-        index.probe_batch(probes, out)
-        np.testing.assert_array_equal(out, oracle_lookup(keys, probes))
-
-    def test_flag_unset_means_numpy(self, index_cls, jit_env):
-        jit_env(None)
-        assert jit.enabled() is False
-        assert jit.backend_name() == "numpy"
-
-    @pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not installed")
-    @given(workload=workloads())
-    @settings(max_examples=25, deadline=None)
-    def test_compiled_kernel_bit_identical(self, index_cls, workload):
-        keys, probes = workload
-        index = build_index(index_cls, keys)
-        runner = jit.runner_for(index, compile=True)
-        if runner is None:
-            pytest.skip(f"{index_cls.name} has no batch kernel here")
-        out = np.empty(len(probes), dtype=np.int64)
-        runner(probes.astype(np.uint64), out)
-        np.testing.assert_array_equal(
-            out,
-            oracle_lookup(keys, probes),
-            err_msg=f"{index_cls.name} compiled kernel diverges",
-        )
-
-
-@pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not installed")
-@pytest.mark.parametrize("index_cls", ALL_INDEX_TYPES)
-def test_jit_probe_batch_counters_bit_identical(index_cls, jit_env):
-    """Full probe_batch under REPRO_JIT: positions AND counters match."""
-    keys = np.arange(1, 1025, dtype=np.uint64) * np.uint64(5)
-    probes = np.concatenate([keys, keys + np.uint64(1), keys - np.uint64(1)])
-    index = build_index(index_cls, keys)
-    jit_env(None)
-    base_out = np.empty(len(probes), dtype=np.int64)
-    base_counters = index.probe_batch(probes, base_out)
-    jit_env("1")
-    assert jit.enabled() is True
-    jit_out = np.empty(len(probes), dtype=np.int64)
-    jit_counters = index.probe_batch(probes, jit_out)
-    np.testing.assert_array_equal(jit_out, base_out)
-    assert jit_counters.as_dict() == base_counters.as_dict()
-
-
-def test_virtual_columns_have_no_batch_kernel():
-    """Kernel packing requires a materialized key array; virtual
-    columns fall back to the vectorized traversal inside probe_batch."""
-    from repro.data.column import VirtualSortedColumn
-
+def test_probe_batch_on_virtual_columns():
+    """Virtual columns gather keys on demand; probe_batch still matches."""
     relation = Relation(name="R", column=VirtualSortedColumn(num_keys=64))
     for index_cls in ALL_INDEX_TYPES:
         index = index_cls(relation)
-        assert jit.runner_for(index, compile=False) is None
         out = np.empty(4, dtype=np.int64)
         probes = relation.column.key_at(np.asarray([0, 1, 2, 63]))
         index.probe_batch(probes, out)

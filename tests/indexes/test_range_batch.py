@@ -1,13 +1,11 @@
-"""Bit-identity suite for the fused range kernels (the non-equi primitive).
+"""Bit-identity suite for the fused range probe (the non-equi primitive).
 
-The same three layers as tests/indexes/test_probe_batch.py, applied to
+The same layers as tests/indexes/test_probe_batch.py, applied to
 ``probe_range_batch``:
 
-* the vectorized ``_range_bounds`` backend vs a ``searchsorted`` oracle
-  -- per-key [start, end) spans over the sorted base;
-* the scalar range-kernel *source* (:mod:`repro.indexes.kernels`, the
-  code numba compiles under ``REPRO_JIT``) run interpreted vs the same
-  oracle -- JIT bit-identity without numba installed;
+* the vectorized ``_range_bounds`` vs a ``searchsorted`` oracle --
+  per-key [start, end) spans over the sorted base, on materialized and
+  virtual columns alike;
 * structural :class:`PerfCounters`: two bound traversals and two int64
   span endpoints per pair, a pure function of batch size and height.
 """
@@ -24,7 +22,6 @@ from repro.data.column import MaterializedColumn, VirtualSortedColumn  # noqa: E
 from repro.data.relation import Relation  # noqa: E402
 from repro.errors import SimulationError  # noqa: E402
 from repro.indexes import ALL_INDEX_TYPES  # noqa: E402
-from repro.indexes import jit  # noqa: E402
 from repro.indexes.domain import saturating_band  # noqa: E402
 
 from .test_differential import workloads  # noqa: E402
@@ -161,44 +158,14 @@ class TestRangeBatchNumpy:
         assert (ends == -7).all()
 
 
-@pytest.mark.parametrize("index_cls", ALL_INDEX_TYPES)
-class TestScalarRangeKernelSource:
-    """The uncompiled range-kernel source is bit-identical to numpy."""
-
-    @given(workload=workloads(), epsilon=EPSILONS)
-    def test_interpreted_kernel_matches_oracle(
-        self, index_cls, workload, epsilon
-    ):
-        keys, probes = workload
-        index = build_index(index_cls, keys)
-        runner = jit.range_runner_for(index, compile=False)
-        if runner is None:
-            pytest.skip(f"{index_cls.name} has no range kernel here")
-        lo, hi = band_bounds(probes, epsilon)
-        starts = np.empty(len(probes), dtype=np.int64)
-        ends = np.empty(len(probes), dtype=np.int64)
-        runner(lo, hi, starts, ends)
-        want_start, want_end = oracle_range(keys, lo, hi)
-        np.testing.assert_array_equal(
-            starts, want_start,
-            err_msg=f"{index_cls.name} scalar range kernel start diverges",
-        )
-        np.testing.assert_array_equal(
-            ends, want_end,
-            err_msg=f"{index_cls.name} scalar range kernel end diverges",
-        )
-
-
-def test_virtual_columns_have_no_range_kernel():
-    """Kernel packing needs a materialized key array; virtual columns
-    fall back to the vectorized bounds inside probe_range_batch."""
+def test_probe_range_batch_on_virtual_columns():
+    """Virtual columns gather keys on demand; spans still match."""
     relation = Relation(name="R", column=VirtualSortedColumn(num_keys=64))
     keys = relation.column.key_at(np.arange(64))
     probes = keys[np.asarray([0, 7, 31, 63])]
     lo, hi = band_bounds(probes, 2)
     for index_cls in ALL_INDEX_TYPES:
         index = index_cls(relation)
-        assert jit.range_runner_for(index, compile=False) is None
         starts = np.empty(4, dtype=np.int64)
         ends = np.empty(4, dtype=np.int64)
         index.probe_range_batch(lo, hi, starts, ends)

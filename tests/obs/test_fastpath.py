@@ -21,14 +21,14 @@ import pytest
 from repro import obs
 from repro.config import SimulationConfig
 from repro.gpu.executor import LookupTrace, MachineModel
-from repro.hardware.cache import LruCache, SetAssociativeCache
 from repro.hardware.fastlru import (
     VectorLruCache,
     VectorLruTlb,
     VectorSetAssociativeCache,
 )
 from repro.hardware.spec import V100_NVLINK2
-from repro.hardware.tlb import LruTlb
+
+from ..hardware.oracles import LruCache, LruTlb, SetAssociativeCache, replay
 
 
 def random_trace(steps=4, lookups=2048, seed=7, span_bytes=1 << 26):
@@ -40,9 +40,8 @@ def random_trace(steps=4, lookups=2048, seed=7, span_bytes=1 << 26):
     )
 
 
-def machine(fast=True):
-    sim = SimulationConfig(probe_sample=2**10, fast_replay=fast)
-    return MachineModel(V100_NVLINK2, sim)
+def machine():
+    return MachineModel(V100_NVLINK2, SimulationConfig(probe_sample=2**10))
 
 
 class TestEnvironmentSwitch:
@@ -176,25 +175,24 @@ class TestTracedCountersMatchOracle:
 
 class TestReplayCountersAcrossEngines:
     def test_fast_and_reference_replay_emit_identical_counters(self, traced):
-        """The replay.* counters gate CI; they must not depend on which
-        replay engine ran.  Sourced from the returned PerfCounters, they
-        are identical by the engines' exactness contract."""
+        """The replay.* counters gate CI.  Sourced from the returned
+        PerfCounters, they equal the reference replay of the same trace
+        through the OrderedDict oracles."""
         trace = random_trace(steps=3, lookups=1024, span_bytes=1 << 24)
-        fast = machine(fast=True).simulate_lookups(trace)
-        fast_snapshot = obs.snapshot()["counters"]
-        obs.reset()
-        reference = machine(fast=False).simulate_lookups(trace)
-        reference_snapshot = obs.snapshot()["counters"]
+        model = machine()
+        fast = model.simulate_lookups(trace)
+        reference = replay(model, trace)
         assert fast.as_dict() == reference.as_dict()
-        fast_replay = {
+        traced_replay = {
             key: value
-            for key, value in fast_snapshot.items()
+            for key, value in obs.snapshot()["counters"].items()
             if key.startswith("replay.")
         }
-        reference_replay = {
-            key: value
-            for key, value in reference_snapshot.items()
-            if key.startswith("replay.")
+        expected = {
+            f"replay.{name}": value
+            for name, value in reference.as_dict().items()
+            if value
         }
-        assert fast_replay == reference_replay
-        assert fast_replay["replay.lookups"] == trace.num_lookups
+        expected["replay.batches"] = 1.0
+        assert traced_replay == expected
+        assert traced_replay["replay.lookups"] == trace.num_lookups

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.hardware.tlb import LruTlb
 from repro.perf.analytic import (
     expected_distinct,
     level_sweep_pages,
     midtree_sweep_pages,
     uniform_lru_misses,
 )
+
+from ..hardware.oracles import LruTlb
 
 
 class TestExpectedDistinct:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.__main__ import main as cli_main
 from repro.errors import ConfigurationError, InjectedFault
 from repro.resilience import chaos
 from repro.resilience.chaos import (
@@ -87,6 +88,10 @@ class TestChaosEvent:
             ChaosEvent.from_dict({"kind": "kill", "sharrd": 0, "replica": 0})
         with pytest.raises(ConfigurationError):
             ChaosEvent.from_dict({"at": 1.0})
+
+    def test_integral_float_targets_accepted(self):
+        event = ChaosEvent.from_dict({"kind": "kill", "shard": 1.0, "replica": 0})
+        assert (event.shard, event.replica) == (1, 0)
 
 
 class TestChaosSchedule:
@@ -329,6 +334,63 @@ class TestHarness:
                 requests=4,
                 request_tuples=64,
             )
+
+
+#: Malformed single-event schedules, and the field each error must name.
+MALFORMED_EVENTS = {
+    "nan-arm-time": (
+        {"kind": "kill", "at": float("nan"), "shard": 0, "replica": 0},
+        "'at'",
+    ),
+    "string-arm-time": (
+        {"kind": "kill", "at": "soon", "shard": 0, "replica": 0},
+        "'at'",
+    ),
+    "event-not-an-object": (7, "'events'"),
+    "shard-out-of-range": (
+        {"kind": "kill", "at": 0.0, "shard": 9, "replica": 0},
+        "shard 9",
+    ),
+    "replica-out-of-range": (
+        {"kind": "kill", "at": 0.0, "shard": 0, "replica": 5},
+        "replica 5",
+    ),
+    "fractional-shard": (
+        {"kind": "kill", "at": 0.0, "shard": 1.7, "replica": 0},
+        "'shard'",
+    ),
+    "nan-duration": (
+        {"kind": "wedge", "at": 0.0, "shard": 0, "duration": float("nan")},
+        "'duration'",
+    ),
+}
+
+
+class TestMalformedSchedules:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_EVENTS))
+    def test_cli_exits_2_naming_the_field(self, case, tmp_path, capsys):
+        event, field_name = MALFORMED_EVENTS[case]
+        path = tmp_path / "schedule.json"
+        path.write_text(json.dumps({"schema": chaos.SCHEMA, "events": [event]}))
+        argv = ["chaos", "--schedule", str(path), "--requests", "8"]
+        assert cli_main(argv) == 2
+        assert field_name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", [dict(shard=2, replica=0), dict(shard=0, replica=2)])
+    def test_harness_rejects_targets_outside_the_run(self, target):
+        schedule = ChaosSchedule(events=(ChaosEvent(kind="kill", **target),))
+        with pytest.raises(ConfigurationError, match="targets"):
+            run_serve_under_chaos(schedule=schedule, **SMALL)
+
+    @pytest.mark.parametrize("update_fraction", [float("nan"), -0.1, 1.5])
+    def test_harness_rejects_bad_update_fraction(self, update_fraction):
+        with pytest.raises(ConfigurationError, match="update fraction"):
+            run_serve_under_chaos(update_fraction=update_fraction, **SMALL)
+
+    @pytest.mark.parametrize("theta", [float("nan"), float("inf"), -1.0])
+    def test_harness_rejects_bad_zipf_theta(self, theta):
+        with pytest.raises(ConfigurationError, match="zipf theta"):
+            run_serve_under_chaos(zipf_theta=theta, **SMALL)
 
 
 # ----------------------------------------------------------------------

@@ -54,6 +54,26 @@ class TestServeBench:
             run_serve_bench(index="fractal-tree", **BENCH_KWARGS)
 
     @pytest.mark.parametrize(
+        "axes,field_name",
+        [
+            (dict(zipf_thetas=(float("nan"),)), "zipf theta"),
+            (dict(zipf_thetas=(0.0, float("inf"))), "zipf theta"),
+            (dict(zipf_thetas=(-1.0,)), "zipf theta"),
+            (dict(update_fractions=(float("nan"),)), "update fraction"),
+            (dict(update_fractions=(0.0, 1.5)), "update fraction"),
+        ],
+    )
+    def test_bad_axis_values_rejected_before_any_work(
+        self, axes, field_name, monkeypatch
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("sweep started despite a bad axis value")
+
+        monkeypatch.setattr("repro.serve.bench.map_tasks", no_work)
+        with pytest.raises(ConfigurationError, match=field_name):
+            run_serve_bench(**dict(BENCH_KWARGS, **axes))
+
+    @pytest.mark.parametrize(
         "index", ["btree", "harmonia", "radix-spline"]
     )
     def test_all_indexes_serve_correctly(self, index):

@@ -1,5 +1,7 @@
 """Command-line interface (python -m repro)."""
 
+import os
+
 import pytest
 
 from repro.__main__ import main
@@ -66,3 +68,41 @@ class TestDefault:
     def test_no_command_prints_help(self, capture):
         assert main([]) == 1
         assert "experiments" in capture.getvalue()
+
+
+KILL_ONE = os.path.join(
+    os.path.dirname(__file__), "..", "benchmarks", "chaos", "kill-one.json"
+)
+
+
+class TestBadAxisValues:
+    """Bad serve-bench/chaos axis values exit 2 before any work starts."""
+
+    @pytest.mark.parametrize(
+        "argv,field_name",
+        [
+            (["serve-bench", "--workers", "1", "--zipf", "nan"], "--zipf"),
+            (["serve-bench", "--workers", "1", "--zipf", "inf"], "--zipf"),
+            (["serve-bench", "--workers", "1", "--zipf", "-1"], "--zipf"),
+            (
+                ["serve-bench", "--workers", "1", "--update-fraction", "nan"],
+                "--update-fraction",
+            ),
+            (
+                ["serve-bench", "--workers", "1", "--min-compactions", "-1"],
+                "--min-compactions",
+            ),
+            (
+                ["chaos", "--schedule", KILL_ONE, "--update-fraction", "nan"],
+                "--update-fraction",
+            ),
+        ],
+    )
+    def test_exits_2_naming_the_field(self, argv, field_name, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started despite a bad axis value")
+
+        monkeypatch.setattr("repro.serve.bench.map_tasks", no_work)
+        monkeypatch.setattr("repro.serve.bench._serve_workload", no_work)
+        assert main(argv) == 2
+        assert field_name in capsys.readouterr().err
