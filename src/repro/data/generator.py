@@ -21,7 +21,7 @@ from ..config import DEFAULT_S_TUPLES
 from ..errors import WorkloadError
 from .column import Column, KEY_DTYPE, make_column
 from .relation import Relation
-from .zipf import zipf_sample
+from .zipf import scatter_ranks, zipf_ranks, zipf_sample
 
 
 @dataclass(frozen=True)
@@ -109,11 +109,7 @@ def make_probe_keys(
     n = len(build_column)
     if config.zipf_theta > 0:
         ranks = zipf_sample(rng, n, config.zipf_theta, count)
-        # Scatter hot ranks across the key domain so skew does not
-        # accidentally equal spatial locality: rank -> position via a
-        # fixed multiplicative permutation (odd multiplier => bijection
-        # modulo any n when applied to ranks then reduced).
-        positions = (ranks * np.int64(2654435761) + np.int64(config.seed)) % n
+        positions = scatter_ranks(ranks, n, config.seed)
     else:
         positions = rng.integers(0, n, size=count, dtype=np.int64)
     keys = build_column.key_at(positions).astype(KEY_DTYPE)
@@ -153,6 +149,11 @@ class ProbeSet:
         return int(np.count_nonzero(self.expected_positions >= 0))
 
 
+#: Uniform draws a skewed ordered sample inverts per step.  The sample
+#: does not depend on it; it only bounds the step's scratch buffers.
+_ZIPF_CHUNK = 2**16
+
+
 def make_ordered_probe_sample(
     build_column: Column,
     config: WorkloadConfig,
@@ -176,7 +177,7 @@ def make_ordered_probe_sample(
     That preserves both the window's key density *and* its per-key
     duplicate counts (a window of 4M Zipf-1.0 tuples repeats its hot keys
     many times; those repeats are exactly the cache locality the skew
-    experiment measures).
+    experiment measures).  Such a sample holds up to ``4 * count`` keys.
     """
     if window_tuples <= 0:
         raise WorkloadError(
@@ -187,36 +188,72 @@ def make_ordered_probe_sample(
     count = min(count, window_tuples)
     rng = np.random.default_rng(config.seed + 0x0D0E)
     n = len(build_column)
-    segment = max(1, min(n, round(n * count / window_tuples)))
     if config.zipf_theta > 0:
-        from .zipf import zipf_sample
-
-        # Draw the whole window (capped for memory), map ranks to their
-        # scattered positions, and keep the segment's share.
-        draw = min(window_tuples, 2**24)
-        effective_segment = max(1, min(n, round(n * count / draw)))
-        ranks = zipf_sample(rng, n, config.zipf_theta, draw)
-        all_positions = (
-            ranks * np.int64(2654435761) + np.int64(config.seed)
-        ) % n
-        positions = all_positions[all_positions < effective_segment]
-        if len(positions) == 0:
-            # Extremely skewed draws can miss the segment; fall back to
-            # the hot set itself, which is what such a window contains.
-            positions = all_positions[:count]
-        elif len(positions) > 4 * count:
-            positions = positions[: 4 * count]
+        positions = _skewed_window_positions(
+            rng, n, config, window_tuples, count
+        )
     else:
+        segment = max(1, min(n, round(n * count / window_tuples)))
         positions = rng.integers(0, segment, size=count, dtype=np.int64)
     positions.sort()
     keys = build_column.key_at(positions).astype(KEY_DTYPE)
     expected = positions.copy()
     if config.match_rate < 1.0:
-        misses = rng.random(count) >= config.match_rate
+        misses = rng.random(len(positions)) >= config.match_rate
         keys = keys.copy()
         keys[misses] += KEY_DTYPE(1)
         expected[misses] = -1
     return ProbeSet(keys=keys, expected_positions=expected)
+
+
+def _skewed_window_positions(
+    rng: np.random.Generator,
+    n: int,
+    config: WorkloadConfig,
+    window_tuples: int,
+    count: int,
+) -> np.ndarray:
+    """Segment positions of a Zipf window, in draw order.
+
+    Draws the whole window (capped for memory), maps ranks to their
+    scattered positions, and keeps the first ``4 * count`` that land in
+    the sample's key-range segment.  The uniforms are inverted
+    ``_ZIPF_CHUNK`` at a time and drawing stops once the cap is full; the
+    generator then skips the undrawn rest, so it ends where a full draw
+    leaves it.
+    """
+    draw = min(window_tuples, 2**24)
+    segment = max(1, min(n, round(n * count / draw)))
+    cap = 4 * count
+    kept = np.empty(cap, dtype=np.int64)
+    filled = 0
+    # Extremely skewed draws can miss the segment; the sample then falls
+    # back to the window's first positions, its hot set.
+    head = np.empty(min(count, draw), dtype=np.int64)
+    chunk = min(_ZIPF_CHUNK, draw)
+    uniforms = np.empty(chunk)
+    scratch = np.empty(chunk, dtype=np.int64)
+    done = 0
+    while done < draw and filled < cap:
+        size = min(chunk, draw - done)
+        ranks = zipf_ranks(
+            rng.random(size, out=uniforms[:size]),
+            n,
+            config.zipf_theta,
+            out=scratch[:size],
+        )
+        positions = scatter_ranks(ranks, n, config.seed)
+        if done < len(head):
+            take = min(size, len(head) - done)
+            head[done : done + take] = positions[:take]
+        hits = positions[positions < segment]
+        take = min(len(hits), cap - filled)
+        kept[filled : filled + take] = hits[:take]
+        filled += take
+        done += size
+    # One 64-bit step per float64 uniform.
+    rng.bit_generator.advance(draw - done)
+    return kept[:filled] if filled else head
 
 
 def make_workload(config: WorkloadConfig, probe_count: int = None):

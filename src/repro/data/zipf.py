@@ -14,6 +14,8 @@ positions.  Rank 0 is the hottest item.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from ..errors import WorkloadError
@@ -63,11 +65,8 @@ def zipf_sample(
 ) -> np.ndarray:
     """Draw ``size`` ranks in ``[0, n)`` from a bounded Zipf(theta).
 
-    Inversion of the continuous CDF approximation: for uniform ``u``,
-
-        rank ~ ((u * ((n+1)^(1-theta) - 1) + 1)^(1/(1-theta))) - 1
-
-    (and ``exp(u * ln(n+1)) - 1`` at theta == 1).  Hot ranks are small.
+    Inverts ``size`` uniform draws with :func:`zipf_ranks`.  Hot ranks
+    are small.
     """
     if n <= 0:
         raise WorkloadError(f"domain size must be positive, got {n}")
@@ -79,16 +78,63 @@ def zipf_sample(
         return np.empty(0, dtype=np.int64)
     if theta == 0.0:
         return rng.integers(0, n, size=size, dtype=np.int64)
-    u = rng.random(size)
+    return zipf_ranks(rng.random(size), n, theta)
+
+
+def zipf_ranks(
+    u: np.ndarray, n: int, theta: float, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Invert the bounded Zipf(theta > 0) CDF approximation at uniforms ``u``.
+
+    For uniform ``u``,
+
+        rank ~ ((u * ((n+1)^(1-theta) - 1) + 1)^(1/(1-theta))) - 1
+
+    (and ``exp(u * ln(n+1)) - 1`` at theta == 1).  The float work runs in
+    place, so ``u`` is overwritten; the int64 ranks go to ``out`` when
+    given (same length as ``u``), else to a new array.  Every element is
+    computed independently, so inverting a stream chunk by chunk gives
+    the same ranks as inverting it whole.
+    """
     if abs(theta - 1.0) < 1e-9:
-        ranks = np.exp(u * np.log(float(n) + 1.0)) - 1.0
+        u *= np.log(float(n) + 1.0)
+        np.exp(u, out=u)
     else:
-        top = (float(n) + 1.0) ** (1.0 - theta) - 1.0
-        ranks = (u * top + 1.0) ** (1.0 / (1.0 - theta)) - 1.0
+        u *= (float(n) + 1.0) ** (1.0 - theta) - 1.0
+        u += 1.0
+        u **= 1.0 / (1.0 - theta)
+    u -= 1.0
+    np.floor(u, out=u)
     # Clip in float space *before* the int cast: theta near 1 can push
     # the inversion past int64, and float->int64 overflow is undefined.
-    ranks = np.clip(np.floor(ranks), 0.0, float(n - 1))
-    return ranks.astype(np.int64)
+    ranks = np.clip(u, 0.0, float(n - 1), out=u)
+    if out is None:
+        return ranks.astype(np.int64)
+    out[...] = ranks
+    return out
+
+
+def scatter_ranks(ranks: np.ndarray, n: int, seed: int) -> np.ndarray:
+    """Map Zipf ranks to column positions: ``(rank * 2654435761 + seed) % n``.
+
+    Scatters hot ranks across the key domain so that skew does not
+    accidentally equal spatial locality.  The multiplier is Knuth's
+    multiplicative-hash constant, a prime near ``2**32`` / golden ratio.  The
+    arithmetic is int64 and runs in place (``ranks`` is overwritten and
+    returned); every result lies in ``[0, n)``.
+
+    The mapping is a bijection on ``[0, n)`` only while ``rank *
+    2654435761 + seed`` fits in int64 (and ``n`` is not a multiple of the
+    prime multiplier).  Ranks above 3,474,701,543 wrap around int64, so on
+    relations of more than about 26 GiB distinct ranks can share a
+    position: at R = 100 GiB and seed 42, ranks 0 and 6,979,321,856 both
+    land on position 42.  The wrap only touches cold ranks and is kept
+    because every skewed figure point depends on it.
+    """
+    np.multiply(ranks, np.int64(2654435761), out=ranks)
+    np.add(ranks, np.int64(seed), out=ranks)
+    np.remainder(ranks, n, out=ranks)
+    return ranks
 
 
 def zipf_sum_p2(n: int, theta: float) -> float:

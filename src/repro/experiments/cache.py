@@ -4,7 +4,7 @@ The benchmark harness and the experiment runner evaluate many sweep
 points that share expensive setup: the same (R size, index) environment
 is rebuilt by Figs. 3/4/6, the skew sweep rebuilds one 100 GiB index per
 Zipf exponent, and the ablations rebuild identical environments back to
-back.  This module memoizes two layers:
+back.  This module memoizes three layers:
 
 * **environments** -- :func:`environment` returns one shared
   :class:`~repro.join.base.QueryEnvironment` per (spec, workload, index,
@@ -17,6 +17,11 @@ back.  This module memoizes two layers:
   :class:`~repro.perf.model.QueryCost`) under a caller-provided key.
   Values are deep-copied in and out, so callers may mutate what they
   get back.
+* **probe samples** -- every environment of a session draws its ordered
+  probe samples through one shared
+  :class:`~repro.join.base.SampleStore`, so the index classes probing
+  one window (a Fig. 7 window size, a Fig. 8 exponent) share one draw.
+  Each :func:`session` starts an empty store; the arrays are read-only.
 
 Caching is **disabled by default** so unit tests and ad-hoc scripts keep
 building independent objects; the runner, the benchmark harness, and
@@ -36,12 +41,13 @@ from ..config import SimulationConfig
 from ..data.generator import WorkloadConfig
 from ..errors import CapacityError
 from ..hardware.spec import SystemSpec
-from ..join.base import QueryEnvironment
+from ..join.base import QueryEnvironment, SampleStore
 
 _enabled = False
 _environments: dict = {}
 _points: dict = {}
 _hits = {"environments": 0, "points": 0}
+_samples = SampleStore()
 
 
 def enable(on: bool = True) -> None:
@@ -55,9 +61,10 @@ def is_enabled() -> bool:
 
 
 def clear() -> None:
-    """Drop all cached environments and points, and reset hit counters."""
+    """Drop all cached environments, points and samples; reset hit counters."""
     _environments.clear()
     _points.clear()
+    _samples.clear()
     _hits["environments"] = 0
     _hits["points"] = 0
 
@@ -70,18 +77,27 @@ def stats() -> dict:
         "points": len(_points),
         "environment_hits": _hits["environments"],
         "point_hits": _hits["points"],
+        "samples": len(_samples),
+        "sample_hits": _samples.hits,
     }
 
 
 @contextmanager
 def session(on: bool = True):
-    """Enable caching for a with-block, restoring the previous state."""
-    previous = _enabled
+    """Enable caching for a with-block, restoring the previous state.
+
+    The block gets a sample store of its own, so no probe sample is
+    shared across sessions.
+    """
+    global _samples
+    previous, previous_samples = _enabled, _samples
     enable(on)
+    _samples = SampleStore()
     try:
         yield
     finally:
         enable(previous)
+        _samples = previous_samples
 
 
 def _base_key(
@@ -128,6 +144,23 @@ def environment(
 
     if not _enabled:
         return build()
+    env = _cached_environment(
+        spec, workload, index_cls, sim, index_kwargs, build
+    )
+    # Re-attached on every return: an environment cached in an earlier
+    # session must not carry that session's samples into this one.
+    env.samples = _samples
+    return env
+
+
+def _cached_environment(
+    spec: SystemSpec,
+    workload: WorkloadConfig,
+    index_cls: Optional[Type],
+    sim: SimulationConfig,
+    index_kwargs: Optional[dict],
+    build: Callable[[], QueryEnvironment],
+) -> QueryEnvironment:
     try:
         base_key = _base_key(spec, workload, index_cls, index_kwargs)
         hash(base_key)

@@ -11,13 +11,18 @@ memory, and throughput covers the entire query run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Type
+from typing import Callable, Optional, Type
 
 import numpy as np
 
 from ..config import DEFAULT_CONFIG, SimulationConfig
 from ..data.column import Column, KEY_DTYPE
-from ..data.generator import WorkloadConfig, make_build_relation
+from ..data.generator import (
+    ProbeSet,
+    WorkloadConfig,
+    make_build_relation,
+    make_ordered_probe_sample,
+)
 from ..errors import WorkloadError
 from ..gpu.executor import MachineModel
 from ..hardware.memory import MemorySpace
@@ -136,6 +141,43 @@ def reference_join(
     return JoinResult(probe_indices=probe, build_positions=positions)
 
 
+class SampleStore:
+    """Ordered probe samples keyed by ``(workload, window_tuples, count)``.
+
+    A sample is a pure function of its key (R's column is built from the
+    workload), so one store can serve many environments: the session
+    cache hands every environment of a session the same store, and the
+    four index classes probing one window then share one draw.
+    """
+
+    def __init__(self) -> None:
+        self._samples: dict = {}
+        self.hits = 0
+
+    def __len__(self) -> int:
+        return len(self._samples)
+
+    def clear(self) -> None:
+        self._samples.clear()
+        self.hits = 0
+
+    def get(self, key, draw: Callable[[], ProbeSet]) -> ProbeSet:
+        """The sample stored under ``key``, drawn by ``draw()`` on a miss.
+
+        Stored arrays are made read-only: every later caller gets the
+        same object.
+        """
+        sample = self._samples.get(key)
+        if sample is not None:
+            self.hits += 1
+            return sample
+        sample = draw()
+        sample.keys.flags.writeable = False
+        sample.expected_positions.flags.writeable = False
+        self._samples[key] = sample
+        return sample
+
+
 class QueryEnvironment:
     """A machine with the workload's relations (and index) placed in it.
 
@@ -170,6 +212,21 @@ class QueryEnvironment:
             kwargs = index_kwargs or {}
             self.index = index_cls(self.relation, **kwargs)
             self.index.place(self.machine.memory)
+        self.samples = SampleStore()
+
+    def ordered_sample(self, window_tuples: int, count: int) -> ProbeSet:
+        """The ordered probe sample of one window, drawn once per store.
+
+        Memoizes :func:`~repro.data.generator.make_ordered_probe_sample`
+        in :attr:`samples`; the returned arrays are read-only.
+        """
+        return self.samples.get(
+            (self.workload, window_tuples, count),
+            lambda: make_ordered_probe_sample(
+                self.column, self.workload, window_tuples=window_tuples,
+                count=count,
+            ),
+        )
 
     @property
     def column(self) -> Column:

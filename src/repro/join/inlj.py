@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..data.generator import make_ordered_probe_sample, make_probe_keys
+from ..data.generator import make_probe_keys
 from ..errors import ConfigurationError, WorkloadError
 from ..indexes.base import Index
 from ..perf.model import QueryCost
@@ -91,11 +91,8 @@ class IndexNestedLoopJoin:
         s_tuples = float(env.workload.s_tuples)
         env.machine.reset_hierarchy()
         if self.probe_order == "sorted":
-            sample = make_ordered_probe_sample(
-                env.column,
-                env.workload,
-                window_tuples=env.workload.s_tuples,
-                count=env.sim.probe_sample,
+            sample = env.ordered_sample(
+                env.workload.s_tuples, env.sim.probe_sample
             )
             lookup = self.index.trace_lookups(sample.keys)
             raw = env.machine.simulate_lookups(

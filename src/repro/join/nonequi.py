@@ -36,7 +36,7 @@ import numpy as np
 from .. import obs
 from ..config import DEFAULT_WINDOW_BYTES
 from ..data.column import Column, KEY_DTYPE
-from ..data.generator import make_ordered_probe_sample, make_probe_keys
+from ..data.generator import make_probe_keys
 from ..errors import ConfigurationError, WorkloadError
 from ..gpu.streams import (
     StageTiming,
@@ -375,12 +375,7 @@ class _WindowedNonEqui:
         -- the windowed advantage the sweep measures.
         """
         window = min(self.window_tuples, env.workload.s_tuples)
-        sample = make_ordered_probe_sample(
-            env.column,
-            env.workload,
-            window_tuples=window,
-            count=min(env.sim.probe_sample, window),
-        )
+        sample = env.ordered_sample(window, min(env.sim.probe_sample, window))
         env.machine.reset_hierarchy()
         lookup = self.index.trace_lookups(sample.keys)
         raw = env.machine.simulate_lookups(lookup.trace, simulate_tlb=False)

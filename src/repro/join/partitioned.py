@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..data.generator import make_ordered_probe_sample
 from ..errors import WorkloadError
 from ..hardware.memory import MemorySpace
 from ..indexes.base import Index
@@ -80,10 +79,7 @@ class PartitionedINLJ:
                 s_tuples, tuple_bytes=_PARTITION_TUPLE_BYTES
             )
         )
-        sample = make_ordered_probe_sample(
-            env.column, workload, window_tuples=s_tuples,
-            count=env.sim.probe_sample,
-        )
+        sample = env.ordered_sample(s_tuples, env.sim.probe_sample)
         env.machine.reset_hierarchy()
         lookup = self.index.trace_lookups(sample.keys)
         raw = env.machine.simulate_lookups(lookup.trace, simulate_tlb=False)

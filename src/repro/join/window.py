@@ -22,7 +22,6 @@ from typing import Iterator, Tuple
 import numpy as np
 
 from ..config import DEFAULT_WINDOW_BYTES
-from ..data.generator import make_ordered_probe_sample
 from ..errors import ConfigurationError, WorkloadError
 from ..gpu.streams import (
     StageTiming,
@@ -118,12 +117,7 @@ class WindowedINLJ:
     def _window_probe_counters(self, env: QueryEnvironment) -> PerfCounters:
         """Counters of one window's probe kernel (event sim + analytic TLB)."""
         window = min(self.window_tuples, env.workload.s_tuples)
-        sample = make_ordered_probe_sample(
-            env.column,
-            env.workload,
-            window_tuples=window,
-            count=min(env.sim.probe_sample, window),
-        )
+        sample = env.ordered_sample(window, min(env.sim.probe_sample, window))
         env.machine.reset_hierarchy()
         lookup = self.index.trace_lookups(sample.keys)
         raw = env.machine.simulate_lookups(lookup.trace, simulate_tlb=False)

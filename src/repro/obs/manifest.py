@@ -29,6 +29,9 @@ SCHEMA = "repro-obs-manifest/1"
 #: float variation across platforms, never a real op-count change.
 DEFAULT_REL_TOL = 1e-9
 
+#: Sections that must be JSON objects when present.
+_OBJECT_SECTIONS = ("counters", "gauges", "histograms", "phases", "spans")
+
 
 def build_manifest(
     registry: MetricsRegistry,
@@ -107,6 +110,12 @@ def load_manifest(path: str) -> dict:
     schema = document["schema"]
     if not str(schema).startswith("repro-obs-manifest/"):
         raise ValueError(f"{path} has unknown manifest schema {schema!r}")
+    for section in _OBJECT_SECTIONS:
+        if section in document and not isinstance(document[section], dict):
+            raise ValueError(
+                f"{path}: section {section!r} must be a JSON object, got "
+                f"{json.dumps(document[section])[:40]}"
+            )
     return document
 
 

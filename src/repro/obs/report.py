@@ -8,7 +8,8 @@ Two modes:
   compare the deterministic sections of two manifests.  With
   ``--fail-on-drift`` any difference exits nonzero; this is the CI
   bench-smoke gate.  ``--rel-tol`` widens numeric comparison (default
-  1e-9, absorbing cross-platform libm noise in analytic counters).
+  1e-9, absorbing cross-platform libm noise in analytic counters); it
+  must be finite and in [0, 1).
 
 Refreshing the committed CI baseline after an *intentional* perf or
 model change: rerun the smoke command from ``.github/workflows/ci.yml``
@@ -19,6 +20,7 @@ and copy the fresh manifest over
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import IO, List, Mapping, Optional
 
@@ -104,6 +106,14 @@ def run_report(
 ) -> int:
     """Programmatic entry point behind :func:`main`; returns exit code."""
     out = stream if stream is not None else sys.stdout
+    if not (math.isfinite(rel_tol) and 0.0 <= rel_tol < 1.0):
+        # inf would silently switch the drift gate off; nan and negative
+        # values would silently mean "exact".
+        print(
+            f"error: --rel-tol must be finite and in [0, 1), got {rel_tol}",
+            file=sys.stderr,
+        )
+        return 2
     if diff or fail_on_drift:
         if len(paths) != 2:
             print(
@@ -152,8 +162,8 @@ def add_report_arguments(parser: argparse.ArgumentParser) -> None:
         type=float,
         default=DEFAULT_REL_TOL,
         metavar="TOL",
-        help="relative tolerance for numeric comparison "
-        f"(default {DEFAULT_REL_TOL:g})",
+        help="relative tolerance for numeric comparison, finite and in "
+        f"[0, 1) (default {DEFAULT_REL_TOL:g})",
     )
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from ..data.column import Column, KEY_DTYPE
 from ..data.generator import WorkloadConfig
-from ..data.zipf import zipf_sample
+from ..data.zipf import scatter_ranks, zipf_sample
 from ..errors import WorkloadError
 from ..indexes.domain import clamped_int64, saturating_band
 
@@ -72,7 +72,7 @@ def _draw_positions(
     """Member positions, uniform or Zipf-scattered like the equi stream."""
     if config.zipf_theta > 0:
         ranks = zipf_sample(rng, n, config.zipf_theta, count)
-        return (ranks * np.int64(2654435761) + np.int64(config.seed)) % n
+        return scatter_ranks(ranks, n, config.seed)
     return rng.integers(0, n, size=count, dtype=np.int64)
 
 
