@@ -133,12 +133,10 @@ class MachineModel:
     # Event-level simulation.
     # ------------------------------------------------------------------
 
-    def coalesced_lines(
-        self, trace: LookupTrace, interleave_width: Optional[int] = None
-    ) -> tuple:
+    def coalesced_lines(self, trace: LookupTrace) -> tuple:
         """Flatten a trace into GPU transaction order with warp coalescing.
 
-        Waves of ``interleave_width`` lookups run concurrently; within a
+        Waves of ``sim.interleave_width`` lookups run concurrently; within a
         wave, step s of every lookup precedes step s+1 of any lookup
         (round-robin).  Lanes of one warp (32 consecutive lookups) that
         touch the same cacheline in the same step *coalesce* into a single
@@ -149,11 +147,7 @@ class MachineModel:
         Returns ``(lines, issued)``: the cacheline-id transaction stream
         and the number of lane-level accesses it represents.
         """
-        width = interleave_width or self.sim.interleave_width
-        if width <= 0:
-            raise ConfigurationError(
-                f"interleave width must be positive, got {width}"
-            )
+        width = self.sim.interleave_width
         warp = self.spec.gpu.warp_size
         matrix = trace.step_addresses
         num_lookups = trace.num_lookups
@@ -188,7 +182,6 @@ class MachineModel:
         self,
         trace: LookupTrace,
         simulate_tlb: bool = True,
-        interleave_width: Optional[int] = None,
         shuffle: bool = False,
     ) -> PerfCounters:
         """Replay a trace: warp coalescing -> L2 -> interconnect (-> TLB).
@@ -212,27 +205,21 @@ class MachineModel:
         the returned ones exactly.
         """
         if not obs.enabled():
-            return self._replay(trace, simulate_tlb, interleave_width, shuffle)
+            return self._replay(trace, simulate_tlb, shuffle)
         with obs.span(
             "replay.simulate",
             lookups=trace.num_lookups,
             event_tlb=simulate_tlb,
         ):
-            counters = self._replay(
-                trace, simulate_tlb, interleave_width, shuffle
-            )
+            counters = self._replay(trace, simulate_tlb, shuffle)
         obs.add("replay.batches")
         obs.add_perf_counters("replay", counters)
         return counters
 
     def _replay(
-        self,
-        trace: LookupTrace,
-        simulate_tlb: bool,
-        interleave_width: Optional[int],
-        shuffle: bool,
+        self, trace: LookupTrace, simulate_tlb: bool, shuffle: bool
     ) -> PerfCounters:
-        stream, issued = self.coalesced_lines(trace, interleave_width)
+        stream, issued = self.coalesced_lines(trace)
         if shuffle and len(stream) > 0:
             rng = np.random.default_rng(self.sim.seed ^ 0x5A)
             stream = rng.permutation(stream)

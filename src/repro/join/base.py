@@ -22,11 +22,14 @@ from ..data.generator import (
     WorkloadConfig,
     make_build_relation,
     make_ordered_probe_sample,
+    make_probe_keys,
 )
 from ..errors import WorkloadError
 from ..gpu.executor import MachineModel
+from ..hardware.counters import PerfCounters
 from ..hardware.memory import MemorySpace
 from ..hardware.spec import SystemSpec
+from ..indexes.base import Index
 from ..indexes.domain import saturating_band
 from ..perf.model import CalibrationConstants, CostModel, DEFAULT_CALIBRATION
 from ..units import KEY_BYTES
@@ -141,6 +144,62 @@ def reference_join(
     return JoinResult(probe_indices=probe, build_positions=positions)
 
 
+def require_1d(probe_keys: np.ndarray) -> np.ndarray:
+    """``probe_keys`` as an array; rejects any shape but one dimension."""
+    probe_keys = np.asarray(probe_keys)
+    if probe_keys.ndim != 1:
+        raise WorkloadError(
+            f"probe keys must be one-dimensional, got {probe_keys.ndim}"
+        )
+    return probe_keys
+
+
+def sampled_lookup_counters(
+    machine: MachineModel,
+    index: Index,
+    keys: np.ndarray,
+    lookups: float,
+    random_order: bool,
+) -> PerfCounters:
+    """Counters of ``lookups`` index traversals, priced from a traced sample.
+
+    The sampled-probe estimator under every INLJ variant, the non-equi
+    joins and the shard calibration: start a fresh hierarchy, trace
+    ``keys`` through ``index``, replay the trace, attach the SIMT
+    counters and scale the sample to ``lookups`` with the index's replay
+    factor.  A random-order sample (the naive probes of Section 3)
+    replays through the event TLB with its transactions shuffled; an
+    ordered sample (partition order, Sections 4-5) skips the event TLB,
+    and its caller adds :func:`sweep_tlb_counters` instead.
+    """
+    machine.reset_hierarchy()
+    lookup = index.trace_lookups(keys)
+    raw = machine.simulate_lookups(
+        lookup.trace, simulate_tlb=random_order, shuffle=random_order
+    )
+    raw.simt_instructions = lookup.simt.warp_instructions
+    raw.divergence_replays = lookup.simt.divergence_replays
+    return machine.scale_lookup_counters(
+        raw, float(lookups), replay_factor=index.tlb_replay_factor
+    )
+
+
+def sweep_tlb_counters(
+    machine: MachineModel, index: Index, window_lookups: float
+) -> PerfCounters:
+    """Analytic TLB misses of one partition-ordered window's page sweep."""
+    gpu = machine.spec.gpu
+    sweep_pages = index.expected_sweep_pages(
+        window_lookups=float(window_lookups),
+        page_bytes=gpu.tlb_entry_bytes,
+        l2_bytes=gpu.l2_bytes,
+        cacheline_bytes=gpu.cacheline_bytes,
+    )
+    return machine.analytic_tlb_counters(
+        sweep_pages, replay_factor=index.tlb_replay_factor
+    )
+
+
 class SampleStore:
     """Ordered probe samples keyed by ``(workload, window_tuples, count)``.
 
@@ -227,6 +286,46 @@ class QueryEnvironment:
                 count=count,
             ),
         )
+
+    def check_index(self, index: Index) -> None:
+        """Reject an operator built over another environment's index."""
+        if self.index is not index:
+            raise WorkloadError(
+                "environment was built for a different index instance"
+            )
+
+    def naive_probe_counters(self, lookups: float) -> PerfCounters:
+        """Counters of ``lookups`` stream-order (random) index traversals.
+
+        Replays a random probe sample of ``sim.probe_sample`` keys
+        through the event TLB.
+        """
+        sample = make_probe_keys(
+            self.column, self.workload, count=self.sim.probe_sample
+        )
+        return sampled_lookup_counters(
+            self.machine, self.index, sample.keys, lookups, random_order=True
+        )
+
+    def ordered_probe_counters(
+        self, window: int, lookups: float
+    ) -> PerfCounters:
+        """Counters of one partition-ordered window of ``window`` probes.
+
+        Replays the window's ordered sample of ``min(sim.probe_sample,
+        window)`` keys, scales it to ``lookups`` index traversals and
+        adds the analytic TLB sweep of the window.  Range probes pass two
+        traversals per probe, but the sweep does not double: both bounds
+        of a partitioned probe walk the same pages.
+        """
+        sample = self.ordered_sample(
+            window, min(self.sim.probe_sample, window)
+        )
+        counters = sampled_lookup_counters(
+            self.machine, self.index, sample.keys, lookups, random_order=False
+        )
+        counters.add(sweep_tlb_counters(self.machine, self.index, window))
+        return counters
 
     @property
     def column(self) -> Column:

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..data.generator import make_probe_keys
-from ..errors import ConfigurationError, WorkloadError
+from ..errors import ConfigurationError
 from ..indexes.base import Index
 from ..perf.model import QueryCost
-from .base import JoinResult, QueryEnvironment
+from .base import JoinResult, QueryEnvironment, require_1d
 
 _PROBE_ORDERS = ("stream", "sorted")
 
@@ -50,11 +49,7 @@ class IndexNestedLoopJoin:
         single preallocated positions buffer (the textbook INLJ *is* one
         GPU-sized batch), rather than through an allocating ``lookup``.
         """
-        probe_keys = np.asarray(probe_keys)
-        if probe_keys.ndim != 1:
-            raise WorkloadError(
-                f"probe keys must be one-dimensional, got {probe_keys.ndim}"
-            )
+        probe_keys = require_1d(probe_keys)
         positions = np.empty(len(probe_keys), dtype=np.int64)
         if self.probe_order == "sorted":
             order = np.argsort(probe_keys, kind="stable")
@@ -84,46 +79,12 @@ class IndexNestedLoopJoin:
         analytic TLB, like the partitioned operators.  Either way the S
         table read and result materialization are added on top.
         """
-        if env.index is not self.index:
-            raise WorkloadError(
-                "environment was built for a different index instance"
-            )
-        s_tuples = float(env.workload.s_tuples)
-        env.machine.reset_hierarchy()
+        env.check_index(self.index)
+        s_tuples = env.workload.s_tuples
         if self.probe_order == "sorted":
-            sample = env.ordered_sample(
-                env.workload.s_tuples, env.sim.probe_sample
-            )
-            lookup = self.index.trace_lookups(sample.keys)
-            raw = env.machine.simulate_lookups(
-                lookup.trace, simulate_tlb=False
-            )
+            counters = env.ordered_probe_counters(s_tuples, s_tuples)
         else:
-            sample = make_probe_keys(
-                env.column, env.workload, count=env.sim.probe_sample
-            )
-            lookup = self.index.trace_lookups(sample.keys)
-            raw = env.machine.simulate_lookups(
-                lookup.trace, simulate_tlb=True, shuffle=True
-            )
-        raw.simt_instructions = lookup.simt.warp_instructions
-        raw.divergence_replays = lookup.simt.divergence_replays
-        counters = env.machine.scale_lookup_counters(
-            raw, s_tuples, replay_factor=self.index.tlb_replay_factor
-        )
-        if self.probe_order == "sorted":
-            gpu = env.spec.gpu
-            sweep_pages = self.index.expected_sweep_pages(
-                window_lookups=s_tuples,
-                page_bytes=gpu.tlb_entry_bytes,
-                l2_bytes=gpu.l2_bytes,
-                cacheline_bytes=gpu.cacheline_bytes,
-            )
-            counters.add(
-                env.machine.analytic_tlb_counters(
-                    sweep_pages, replay_factor=self.index.tlb_replay_factor
-                )
-            )
+            counters = env.naive_probe_counters(s_tuples)
         counters.add(env.machine.scan_counters(env.s_bytes))
         counters.add(env.machine.result_counters(env.result_bytes()))
         counters.validate()

@@ -16,8 +16,9 @@ them without operator-specific traversal code:
   documented, deterministic tie-break.
 
 Each operator comes in a naive (stream-order) and a windowed-partitioned
-variant.  The windowed variants reuse :class:`RadixPartitioner` and the
-tumbling-window driver exactly as :class:`WindowedINLJ` does: range
+variant.  The windowed variants are thin subclasses of the tumbling-window
+driver :class:`~repro.join.window.WindowedJoin`, as :class:`WindowedINLJ`
+is; only their per-window probe and pricing hooks differ.  Range
 lookups within a window arrive in partition order, so the two bound
 traversals sweep index pages sequentially instead of thrashing the TLB.
 The lo/hi bounds of one probe land within ``epsilon`` of each other and
@@ -28,32 +29,26 @@ window, not once per bound).
 
 from __future__ import annotations
 
-import math
-from typing import Iterator, Tuple
-
 import numpy as np
 
 from .. import obs
 from ..config import DEFAULT_WINDOW_BYTES
 from ..data.column import Column, KEY_DTYPE
-from ..data.generator import make_probe_keys
-from ..errors import ConfigurationError, WorkloadError
-from ..gpu.streams import (
-    StageTiming,
-    overlapped_pipeline_time,
-    serial_pipeline_time,
-)
+from ..errors import ConfigurationError
 from ..hardware.counters import PerfCounters
-from ..hardware.memory import MemorySpace
 from ..indexes.base import Index
 from ..indexes.domain import saturating_band
 from ..partition.radix import RadixPartitioner
 from ..perf.model import QueryCost
 from ..units import KEY_BYTES
-from .base import JoinResult, QueryEnvironment, RESULT_PAIR_BYTES, expand_spans
-
-#: GPU-resident window tuple: 8 B key + 8 B source index.
-_WINDOW_TUPLE_BYTES = 16
+from .base import (
+    JoinResult,
+    QueryEnvironment,
+    RESULT_PAIR_BYTES,
+    expand_spans,
+    require_1d,
+)
+from .window import WindowedJoin
 
 
 def expected_band_matches(column: Column, epsilon: int) -> float:
@@ -115,15 +110,6 @@ def _knn_positions(
     return out
 
 
-def _require_1d(probe_keys: np.ndarray) -> np.ndarray:
-    probe_keys = np.asarray(probe_keys)
-    if probe_keys.ndim != 1:
-        raise WorkloadError(
-            f"probe keys must be one-dimensional, got {probe_keys.ndim}"
-        )
-    return probe_keys.astype(KEY_DTYPE)
-
-
 class BandJoin:
     """Naive (stream-order) band join: ``|r.key - s.key| <= epsilon``."""
 
@@ -144,7 +130,7 @@ class BandJoin:
 
     def join(self, probe_keys: np.ndarray) -> JoinResult:
         """Exact band join via one fused :meth:`probe_range_batch`."""
-        probe_keys = _require_1d(probe_keys)
+        probe_keys = require_1d(probe_keys).astype(KEY_DTYPE)
         count = len(probe_keys)
         lo, hi = saturating_band(probe_keys, self.epsilon)
         starts = np.empty(count, dtype=np.int64)
@@ -171,39 +157,36 @@ class BandJoin:
     # Simulated path.
     # ------------------------------------------------------------------
 
+    #: Bound traversals per probe (lo and hi).
+    probe_scale = 2
+
     def _result_bytes(self, env: QueryEnvironment) -> float:
         matches = env.workload.s_tuples * expected_band_matches(
             env.column, self.epsilon
         )
         return matches * RESULT_PAIR_BYTES
 
+    def _extra_counters(
+        self, env: QueryEnvironment, probes: int
+    ) -> PerfCounters:
+        """Operator-specific additions to the probe stage of ``probes``."""
+        return PerfCounters()
+
     def estimate(self, env: QueryEnvironment) -> QueryCost:
-        """Cost-model throughput of the naive band join.
+        """Cost-model throughput of the naive join.
 
         Like the stream-order INLJ, but every probe runs *two* scattered
         traversals (the lo and hi bounds), so traversal and TLB counters
         scale by ``2 |S|`` -- random-order bounds thrash the TLB twice.
+        The KNN join adds its walk-out reads through
+        :meth:`_extra_counters`.
         """
-        if env.index is not self.index:
-            raise WorkloadError(
-                "environment was built for a different index instance"
-            )
-        s_tuples = float(env.workload.s_tuples)
-        env.machine.reset_hierarchy()
-        sample = make_probe_keys(
-            env.column, env.workload, count=env.sim.probe_sample
-        )
-        lookup = self.index.trace_lookups(sample.keys)
-        raw = env.machine.simulate_lookups(
-            lookup.trace, simulate_tlb=True, shuffle=True
-        )
-        raw.simt_instructions = lookup.simt.warp_instructions
-        raw.divergence_replays = lookup.simt.divergence_replays
-        counters = env.machine.scale_lookup_counters(
-            raw, 2.0 * s_tuples, replay_factor=self.index.tlb_replay_factor
-        )
+        env.check_index(self.index)
+        s_tuples = env.workload.s_tuples
+        counters = env.naive_probe_counters(self.probe_scale * s_tuples)
         counters.add(env.machine.scan_counters(env.s_bytes))
         counters.add(env.machine.result_counters(self._result_bytes(env)))
+        counters.add(self._extra_counters(env, s_tuples))
         counters.validate()
         return env.cost_model.price_stages([("probe", counters)])
 
@@ -222,7 +205,7 @@ class KNNJoin(BandJoin):
 
     def join(self, probe_keys: np.ndarray) -> JoinResult:
         """Exact KNN join: point range probe, then a ``k``-step walk-out."""
-        probe_keys = _require_1d(probe_keys)
+        probe_keys = require_1d(probe_keys).astype(KEY_DTYPE)
         count = len(probe_keys)
         starts = np.empty(count, dtype=np.int64)
         ends = np.empty(count, dtype=np.int64)
@@ -255,62 +238,23 @@ class KNNJoin(BandJoin):
         k_eff = min(self.k, len(env.column))
         return env.workload.s_tuples * k_eff * RESULT_PAIR_BYTES
 
-    def estimate(self, env: QueryEnvironment) -> QueryCost:
-        """Naive band-join cost plus the walk-out's neighbour reads."""
-        cost = super().estimate(env)
+    def _extra_counters(
+        self, env: QueryEnvironment, probes: int
+    ) -> PerfCounters:
+        """The walk-out's neighbour reads for ``probes`` probes."""
         k_eff = min(self.k, len(env.column))
-        walkout = env.machine.scan_counters(
-            env.workload.s_tuples * k_eff * KEY_BYTES
-        )
-        counters = cost.counters
-        counters.add(walkout)
-        counters.validate()
-        return env.cost_model.price_stages([("probe", counters)])
+        return env.machine.scan_counters(probes * k_eff * KEY_BYTES)
 
 
-class _WindowedNonEqui:
-    """Shared tumbling-window driver and cost pipeline (Section 5 model).
+class _WindowedNonEqui(WindowedJoin):
+    """The window-by-window range-probe join loop of both non-equi joins.
 
-    Subclasses provide the per-window probe (:meth:`_window_probe`) and
-    the expected result volume (:meth:`_result_bytes`); the window
-    schedule, partition stage, and overlap model are exactly
-    :class:`WindowedINLJ`'s.  Per-probe traversal counters scale by two
-    bounds per probe, but the analytic TLB sweep does *not* double: both
-    bounds of a partitioned probe land within ``epsilon`` of each other
-    and walk the same index pages, so each page is still swept once per
-    window.
+    Subclasses provide the per-window range probe (:meth:`_window_probe`)
+    and turn the spans into pairs (:meth:`_finish`).
     """
 
-    def __init__(
-        self,
-        index: Index,
-        partitioner: RadixPartitioner,
-        window_bytes: int = DEFAULT_WINDOW_BYTES,
-        overlap: bool = True,
-    ):
-        if window_bytes < KEY_BYTES:
-            raise ConfigurationError(
-                f"window must hold at least one tuple, got {window_bytes} bytes"
-            )
-        self.index = index
-        self.partitioner = partitioner
-        self.window_bytes = window_bytes
-        self.overlap = overlap
-
-    @property
-    def window_tuples(self) -> int:
-        """Window capacity in probe tuples (8-byte keys)."""
-        return max(1, self.window_bytes // KEY_BYTES)
-
-    def windows(
-        self, probe_keys: np.ndarray
-    ) -> Iterator[Tuple[int, np.ndarray]]:
-        """Tumbling windows over the probe stream: (start_index, keys)."""
-        capacity = self.window_tuples
-        for start in range(0, len(probe_keys), capacity):  # repro: noqa[PERF001] -- O(|S|/W) window driver, not a per-key loop
-            yield start, probe_keys[start : start + capacity]
-
-    # -- functional ----------------------------------------------------
+    #: Bound traversals per probe (lo and hi).
+    probe_scale = 2
 
     def _window_probe(
         self,
@@ -339,7 +283,7 @@ class _WindowedNonEqui:
         kept aligned with the span buffers so the KNN walk-out can run
         over the whole stream after the loop.
         """
-        probe_keys = _require_1d(probe_keys)
+        probe_keys = require_1d(probe_keys).astype(KEY_DTYPE)
         total = len(probe_keys)
         starts = np.empty(total, dtype=np.int64)
         ends = np.empty(total, dtype=np.int64)
@@ -352,108 +296,6 @@ class _WindowedNonEqui:
             sources[start:stop] = output.source_indices + start
             permuted[start:stop] = output.keys
         return self._finish(permuted, sources, starts, ends)
-
-    # -- simulated -----------------------------------------------------
-
-    #: Bound traversals per probe (lo and hi).
-    _probe_scale = 2.0
-
-    def _result_bytes(self, env: QueryEnvironment) -> float:
-        raise NotImplementedError
-
-    def _extra_window_counters(
-        self, env: QueryEnvironment, window: int
-    ) -> PerfCounters:
-        """Operator-specific additions to one window's probe stage."""
-        return PerfCounters()
-
-    def _window_probe_counters(self, env: QueryEnvironment) -> PerfCounters:
-        """Counters of one window's range-probe kernel.
-
-        Ordered sample + event sim for traversal work (scaled by two
-        bounds per probe), analytic TLB swept once per page per window
-        -- the windowed advantage the sweep measures.
-        """
-        window = min(self.window_tuples, env.workload.s_tuples)
-        sample = env.ordered_sample(window, min(env.sim.probe_sample, window))
-        env.machine.reset_hierarchy()
-        lookup = self.index.trace_lookups(sample.keys)
-        raw = env.machine.simulate_lookups(lookup.trace, simulate_tlb=False)
-        raw.simt_instructions = lookup.simt.warp_instructions
-        raw.divergence_replays = lookup.simt.divergence_replays
-        counters = env.machine.scale_lookup_counters(
-            raw,
-            self._probe_scale * window,
-            replay_factor=self.index.tlb_replay_factor,
-        )
-        gpu = env.spec.gpu
-        sweep_pages = self.index.expected_sweep_pages(
-            window_lookups=float(window),
-            page_bytes=gpu.tlb_entry_bytes,
-            l2_bytes=gpu.l2_bytes,
-            cacheline_bytes=gpu.cacheline_bytes,
-        )
-        counters.add(
-            env.machine.analytic_tlb_counters(
-                sweep_pages, replay_factor=self.index.tlb_replay_factor
-            )
-        )
-        window_fraction = window / env.workload.s_tuples
-        counters.add(
-            env.machine.result_counters(
-                self._result_bytes(env) * window_fraction
-            )
-        )
-        counters.add(self._extra_window_counters(env, window))
-        return counters
-
-    def estimate(self, env: QueryEnvironment) -> QueryCost:
-        """Windowed pipeline cost: partition + range probe per window."""
-        if env.index is not self.index:
-            raise WorkloadError(
-                "environment was built for a different index instance"
-            )
-        window = min(self.window_tuples, env.workload.s_tuples)
-        num_windows = math.ceil(env.workload.s_tuples / window)
-        # Two in-flight windows (double buffering across streams); range
-        # probes carry two span buffers alongside key + source.
-        env.machine.memory.allocate(
-            2 * 2 * window * _WINDOW_TUPLE_BYTES,
-            MemorySpace.DEVICE,
-            label="window buffers",
-        )
-        partition_counters = env.machine.scan_counters(window * KEY_BYTES)
-        partition_counters.add(
-            self.partitioner.partition_counters(
-                window, tuple_bytes=_WINDOW_TUPLE_BYTES
-            )
-        )
-        probe_counters = self._window_probe_counters(env)
-        cost_model = env.cost_model
-        timing = StageTiming(
-            partition=cost_model.probe_stage_time(partition_counters),
-            probe=cost_model.probe_stage_time(probe_counters),
-            launch_overhead=cost_model.constants.kernel_launch_seconds,
-        )
-        timings = [timing] * num_windows
-        if self.overlap:
-            seconds = overlapped_pipeline_time(timings)
-        else:
-            seconds = serial_pipeline_time(timings)
-        totals = PerfCounters()
-        per_window = PerfCounters()
-        per_window.add(partition_counters)
-        per_window.add(probe_counters)
-        totals.add(per_window.scaled(num_windows))
-        return QueryCost(
-            seconds=seconds,
-            breakdown={
-                "window_partition": timing.partition,
-                "window_probe": timing.probe,
-                "num_windows": float(num_windows),
-            },
-            counters=totals,
-        )
 
 
 class WindowedBandJoin(_WindowedNonEqui):
@@ -498,11 +340,8 @@ class WindowedBandJoin(_WindowedNonEqui):
             )
         return JoinResult(probe_indices=probe, build_positions=positions)
 
-    def _result_bytes(self, env: QueryEnvironment) -> float:
-        matches = env.workload.s_tuples * expected_band_matches(
-            env.column, self.epsilon
-        )
-        return matches * RESULT_PAIR_BYTES
+    # Priced like the naive band join: the same result volume.
+    _result_bytes = BandJoin._result_bytes
 
 
 class WindowedKNNJoin(_WindowedNonEqui):
@@ -552,13 +391,7 @@ class WindowedKNNJoin(_WindowedNonEqui):
             probe_indices=probe, build_positions=positions.reshape(-1)
         )
 
-    def _result_bytes(self, env: QueryEnvironment) -> float:
-        k_eff = min(self.k, len(env.column))
-        return env.workload.s_tuples * k_eff * RESULT_PAIR_BYTES
-
-    def _extra_window_counters(
-        self, env: QueryEnvironment, window: int
-    ) -> PerfCounters:
-        """The walk-out's neighbour reads for this window's probes."""
-        k_eff = min(self.k, len(env.column))
-        return env.machine.scan_counters(window * k_eff * KEY_BYTES)
+    # Priced like the naive KNN join: the same result volume and
+    # walk-out reads.
+    _result_bytes = KNNJoin._result_bytes
+    _extra_counters = KNNJoin._extra_counters

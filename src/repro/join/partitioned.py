@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import WorkloadError
 from ..hardware.memory import MemorySpace
 from ..indexes.base import Index
 from ..partition.radix import RadixPartitioner
 from ..perf.model import QueryCost
-from .base import JoinResult, QueryEnvironment
+from .base import JoinResult, QueryEnvironment, require_1d
 
 #: GPU-resident tuple during partitioning: 8 B key + 8 B source index.
 _PARTITION_TUPLE_BYTES = 16
@@ -35,12 +34,7 @@ class PartitionedINLJ:
 
     def join(self, probe_keys: np.ndarray) -> JoinResult:
         """Exact join; lookups run in partition order."""
-        probe_keys = np.asarray(probe_keys)
-        if probe_keys.ndim != 1:
-            raise WorkloadError(
-                f"probe keys must be one-dimensional, got {probe_keys.ndim}"
-            )
-        output = self.partitioner.partition(probe_keys)
+        output = self.partitioner.partition(require_1d(probe_keys))
         positions = self.index.lookup(output.keys)
         matched = positions >= 0
         return JoinResult(
@@ -61,12 +55,8 @@ class PartitionedINLJ:
         simulator supplies cache behaviour from a density-preserving
         ordered sample, the TLB analytically (see repro.perf.analytic).
         """
-        if env.index is not self.index:
-            raise WorkloadError(
-                "environment was built for a different index instance"
-            )
-        workload = env.workload
-        s_tuples = workload.s_tuples
+        env.check_index(self.index)
+        s_tuples = env.workload.s_tuples
         # Materialized key buffers (ping/pong) live in GPU memory.
         env.machine.memory.allocate(
             2 * s_tuples * _PARTITION_TUPLE_BYTES,
@@ -79,27 +69,7 @@ class PartitionedINLJ:
                 s_tuples, tuple_bytes=_PARTITION_TUPLE_BYTES
             )
         )
-        sample = env.ordered_sample(s_tuples, env.sim.probe_sample)
-        env.machine.reset_hierarchy()
-        lookup = self.index.trace_lookups(sample.keys)
-        raw = env.machine.simulate_lookups(lookup.trace, simulate_tlb=False)
-        raw.simt_instructions = lookup.simt.warp_instructions
-        raw.divergence_replays = lookup.simt.divergence_replays
-        probe_stage = env.machine.scale_lookup_counters(
-            raw, float(s_tuples), replay_factor=self.index.tlb_replay_factor
-        )
-        gpu = env.spec.gpu
-        sweep_pages = self.index.expected_sweep_pages(
-            window_lookups=float(s_tuples),
-            page_bytes=gpu.tlb_entry_bytes,
-            l2_bytes=gpu.l2_bytes,
-            cacheline_bytes=gpu.cacheline_bytes,
-        )
-        probe_stage.add(
-            env.machine.analytic_tlb_counters(
-                sweep_pages, replay_factor=self.index.tlb_replay_factor
-            )
-        )
+        probe_stage = env.ordered_probe_counters(s_tuples, s_tuples)
         probe_stage.add(env.machine.result_counters(env.result_bytes()))
         return env.cost_model.price_stages(
             [("partition", partition_stage), ("probe", probe_stage)]

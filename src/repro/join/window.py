@@ -22,7 +22,7 @@ from typing import Iterator, Tuple
 import numpy as np
 
 from ..config import DEFAULT_WINDOW_BYTES
-from ..errors import ConfigurationError, WorkloadError
+from ..errors import ConfigurationError
 from ..gpu.streams import (
     StageTiming,
     overlapped_pipeline_time,
@@ -34,16 +34,25 @@ from ..indexes.base import Index
 from ..partition.radix import RadixPartitioner
 from ..perf.model import QueryCost
 from ..units import KEY_BYTES
-from .base import JoinResult, QueryEnvironment
+from .base import JoinResult, QueryEnvironment, require_1d
 
 #: GPU-resident window tuple: 8 B key + 8 B source index.
 _WINDOW_TUPLE_BYTES = 16
 
 
-class WindowedINLJ:
-    """INLJ with on-the-fly windowed partitioning of the probe stream."""
+class WindowedJoin:
+    """Tumbling-window driver and cost pipeline of every windowed join.
 
-    name = "windowed INLJ"
+    Subclasses provide :meth:`join` and three pricing hooks:
+    :attr:`probe_scale`, :meth:`_result_bytes` and
+    :meth:`_extra_counters`.  The window schedule, partition stage and
+    overlap model are shared.
+    """
+
+    #: Index traversals per probe: 1 for a point probe, 2 for a range
+    #: probe (its lo and hi bounds).  The analytic TLB sweep does not
+    #: scale with it: both bounds walk the same pages.
+    probe_scale = 1
 
     def __init__(
         self,
@@ -80,82 +89,44 @@ class WindowedINLJ:
         for start in range(0, len(probe_keys), capacity):  # repro: noqa[PERF001] -- O(|S|/W) window driver, not a per-key loop
             yield start, probe_keys[start : start + capacity]
 
-    def join(self, probe_keys: np.ndarray) -> JoinResult:
-        """Exact join, window by window, lookups in partition order.
-
-        Both result columns are written into buffers preallocated at
-        ``len(probe_keys)``: each window's fused :meth:`probe_batch`
-        lands directly at its stream offset, so the loop allocates
-        nothing per window and there is no final concatenation.  Result
-        rows keep the historical order -- partition order within each
-        window, windows in stream order.
-        """
-        probe_keys = np.asarray(probe_keys)
-        if probe_keys.ndim != 1:
-            raise WorkloadError(
-                f"probe keys must be one-dimensional, got {probe_keys.ndim}"
-            )
-        total = len(probe_keys)
-        positions = np.empty(total, dtype=np.int64)
-        sources = np.empty(total, dtype=np.int64)
-        for start, window_keys in self.windows(probe_keys):  # repro: noqa[PERF001] -- O(|S|/W) window driver around the fused kernel
-            output = self.partitioner.partition(window_keys)
-            self.index.probe_batch(output.keys, positions, offset=start)
-            sources[start : start + len(window_keys)] = (
-                output.source_indices + start
-            )
-        matched = positions >= 0
-        return JoinResult(
-            probe_indices=sources[matched],
-            build_positions=positions[matched],
-        )
-
     # ------------------------------------------------------------------
     # Simulated path.
     # ------------------------------------------------------------------
 
+    def _result_bytes(self, env: QueryEnvironment) -> float:
+        """Result materialization volume of the whole probe side."""
+        return env.result_bytes()
+
+    def _extra_counters(
+        self, env: QueryEnvironment, probes: int
+    ) -> PerfCounters:
+        """Operator-specific additions to the probe stage of ``probes``."""
+        return PerfCounters()
+
     def _window_probe_counters(self, env: QueryEnvironment) -> PerfCounters:
         """Counters of one window's probe kernel (event sim + analytic TLB)."""
         window = min(self.window_tuples, env.workload.s_tuples)
-        sample = env.ordered_sample(window, min(env.sim.probe_sample, window))
-        env.machine.reset_hierarchy()
-        lookup = self.index.trace_lookups(sample.keys)
-        raw = env.machine.simulate_lookups(lookup.trace, simulate_tlb=False)
-        raw.simt_instructions = lookup.simt.warp_instructions
-        raw.divergence_replays = lookup.simt.divergence_replays
-        counters = env.machine.scale_lookup_counters(
-            raw, float(window), replay_factor=self.index.tlb_replay_factor
-        )
-        gpu = env.spec.gpu
-        sweep_pages = self.index.expected_sweep_pages(
-            window_lookups=float(window),
-            page_bytes=gpu.tlb_entry_bytes,
-            l2_bytes=gpu.l2_bytes,
-            cacheline_bytes=gpu.cacheline_bytes,
-        )
-        counters.add(
-            env.machine.analytic_tlb_counters(
-                sweep_pages, replay_factor=self.index.tlb_replay_factor
-            )
+        counters = env.ordered_probe_counters(
+            window, self.probe_scale * window
         )
         window_fraction = window / env.workload.s_tuples
         counters.add(
-            env.machine.result_counters(env.result_bytes() * window_fraction)
+            env.machine.result_counters(
+                self._result_bytes(env) * window_fraction
+            )
         )
+        counters.add(self._extra_counters(env, window))
         return counters
 
     def estimate(self, env: QueryEnvironment) -> QueryCost:
-        """Cost-model throughput of the windowed INLJ.
+        """Cost-model throughput of the windowed join.
 
         Prices one representative window's two stages, then schedules
         ``ceil(|S| / W)`` windows on one or two streams.  Neither input is
         materialized: device memory holds only the in-flight window
         buffers.
         """
-        if env.index is not self.index:
-            raise WorkloadError(
-                "environment was built for a different index instance"
-            )
+        env.check_index(self.index)
         window = min(self.window_tuples, env.workload.s_tuples)
         num_windows = math.ceil(env.workload.s_tuples / window)
         # Two in-flight windows (double buffering across streams).
@@ -195,4 +166,36 @@ class WindowedINLJ:
                 "num_windows": float(num_windows),
             },
             counters=totals,
+        )
+
+
+class WindowedINLJ(WindowedJoin):
+    """INLJ with on-the-fly windowed partitioning of the probe stream."""
+
+    name = "windowed INLJ"
+
+    def join(self, probe_keys: np.ndarray) -> JoinResult:
+        """Exact join, window by window, lookups in partition order.
+
+        Both result columns are written into buffers preallocated at
+        ``len(probe_keys)``: each window's fused :meth:`probe_batch`
+        lands directly at its stream offset, so the loop allocates
+        nothing per window and there is no final concatenation.  Result
+        rows keep the historical order -- partition order within each
+        window, windows in stream order.
+        """
+        probe_keys = require_1d(probe_keys)
+        total = len(probe_keys)
+        positions = np.empty(total, dtype=np.int64)
+        sources = np.empty(total, dtype=np.int64)
+        for start, window_keys in self.windows(probe_keys):  # repro: noqa[PERF001] -- O(|S|/W) window driver around the fused kernel
+            output = self.partitioner.partition(window_keys)
+            self.index.probe_batch(output.keys, positions, offset=start)
+            sources[start : start + len(window_keys)] = (
+                output.source_indices + start
+            )
+        matched = positions >= 0
+        return JoinResult(
+            probe_indices=sources[matched],
+            build_positions=positions[matched],
         )

@@ -23,7 +23,7 @@ import numpy as np
 from ..data.generator import WorkloadConfig, make_build_relation, make_probe_keys
 from ..errors import ConfigurationError, SimulationError
 from ..experiments.common import map_tasks, resolve_workers
-from ..hardware.spec import SystemSpec, V100_NVLINK2
+from ..hardware.spec import SystemSpec
 from ..resilience import faults
 from ..indexes import (
     BinarySearchIndex,
@@ -79,13 +79,16 @@ def _arrival_interval(
     """Deterministic open-loop arrival spacing at the target load.
 
     Models the fleet's service rate from shard 0's calibrated window
-    price (all shards serve near-equal slices of R, so one shard is a
-    good stand-in) and spaces arrivals so the offered tuple rate is
-    ``DEFAULT_UTILIZATION`` of it.
+    price on ``spec`` (all shards serve near-equal slices of R, so one
+    shard is a good stand-in) and spaces arrivals so the offered tuple
+    rate is ``DEFAULT_UTILIZATION`` of it.  Pass the executor's spec, so
+    the calibration and the prices come from the machine that serves.
     """
     cost = CostModel(spec)
     window_seconds = (
-        cost.probe_stage_time(plan.shards[0].window_counters(window_tuples))
+        cost.probe_stage_time(
+            plan.shards[0].window_counters(window_tuples, spec)
+        )
         + KERNELS_PER_WINDOW * cost.constants.kernel_launch_seconds
     )
     tuples_per_second = (
@@ -247,7 +250,6 @@ def run_sweep_point(
     zipf_theta: float,
     index_cls: Type,
     request_tuples: int,
-    spec: SystemSpec = V100_NVLINK2,
     replicas: int = 1,
     replica_index_classes: Optional[Sequence[Type]] = None,
     chaos_text: str = "",
@@ -309,7 +311,7 @@ def run_sweep_point(
         max_backlog_tuples=BACKLOG_WINDOWS * max(1, window_bytes // KEY_BYTES),
     )
     interval = _arrival_interval(
-        plan, max(1, window_bytes // KEY_BYTES), request_tuples, spec
+        plan, max(1, window_bytes // KEY_BYTES), request_tuples, executor.spec
     )
     num_requests = len(probes.keys) // request_tuples
     if update_fraction > 0.0:
@@ -377,10 +379,10 @@ def run_sweep_point(
 
 #: One serve sweep point as a picklable task for the resilient pool:
 #: (num_shards, window_kib, zipf_theta, index_name, r_tuples, requests,
-#: request_tuples, seed, spec, replicas, replica_indexes, chaos_text,
+#: request_tuples, seed, replicas, replica_indexes, chaos_text,
 #: update_fraction).
 ServeTask = Tuple[
-    int, int, float, str, int, int, int, int, SystemSpec,
+    int, int, float, str, int, int, int, int,
     int, Tuple[str, ...], str, float,
 ]
 
@@ -388,8 +390,8 @@ ServeTask = Tuple[
 def serve_task_label(task: ServeTask) -> str:
     """Short human/fault-matchable name for one serve sweep point."""
     num_shards, window_kib, theta, index = task[:4]
-    replicas = task[9]
-    update_fraction = task[12]
+    replicas = task[8]
+    update_fraction = task[11]
     suffix = f":r{replicas}" if replicas > 1 else ""
     if update_fraction > 0.0:
         suffix += f":u{update_fraction}"
@@ -437,7 +439,6 @@ def run_serve_point_task(task: ServeTask) -> dict:
         requests,
         request_tuples,
         seed,
-        spec,
         replicas,
         replica_indexes,
         chaos_text,
@@ -455,7 +456,6 @@ def run_serve_point_task(task: ServeTask) -> dict:
         zipf_theta=zipf_theta,
         index_cls=INDEX_BY_NAME[index],
         request_tuples=request_tuples,
-        spec=spec,
         replicas=replicas,
         replica_index_classes=(
             [INDEX_BY_NAME[name] for name in replica_indexes]
@@ -494,7 +494,6 @@ def run_serve_bench(
     requests: int = DEFAULT_REQUESTS,
     request_tuples: int = DEFAULT_REQUEST_TUPLES,
     seed: int = 42,
-    spec: SystemSpec = V100_NVLINK2,
     workers: int = 0,
     replicas: int = 1,
     replica_indexes: Optional[Sequence[str]] = None,
@@ -561,7 +560,6 @@ def run_serve_bench(
             requests,
             request_tuples,
             seed,
-            spec,
             replicas,
             names,
             chaos_text,

@@ -36,6 +36,7 @@ from ..hardware.counters import PerfCounters
 from ..hardware.memory import MemorySpace
 from ..hardware.spec import SystemSpec, V100_NVLINK2
 from ..indexes.base import Index
+from ..join.base import sampled_lookup_counters, sweep_tlb_counters
 from ..partition.bits import PartitionBits, choose_partition_bits
 from ..partition.radix import RadixPartitioner
 from .delta import DeltaBuffer, merge_newest_wins
@@ -223,13 +224,8 @@ class Shard:
             0, self.num_tuples - 1, num=count, dtype=np.int64
         )
         sample_keys = self.relation.column.key_at(sample_positions)
-        machine.reset_hierarchy()
-        lookup = self.index.trace_lookups(sample_keys)
-        raw = machine.simulate_lookups(lookup.trace, simulate_tlb=False)
-        raw.simt_instructions = lookup.simt.warp_instructions
-        raw.divergence_replays = lookup.simt.divergence_replays
-        scaled = machine.scale_lookup_counters(
-            raw, float(count), replay_factor=self.index.tlb_replay_factor
+        scaled = sampled_lookup_counters(
+            machine, self.index, sample_keys, count, random_order=False
         )
         self._machine = machine
         self._calibration = ShardCalibration(
@@ -243,7 +239,12 @@ class Shard:
         spec: SystemSpec = V100_NVLINK2,
         sim: SimulationConfig = CALIBRATION_SIM,
     ) -> PerfCounters:
-        """Replayed counters of one ``window_tuples``-wide probe window."""
+        """Replayed counters of one ``window_tuples``-wide probe window.
+
+        ``spec`` and ``sim`` take effect on the first call, which
+        calibrates the shard's machine; the analytic TLB sweep is priced
+        on that machine too.
+        """
         if window_tuples <= 0:
             raise ConfigurationError(
                 f"window tuple count must be positive, got {window_tuples}"
@@ -252,18 +253,7 @@ class Shard:
         counters = calibration.per_lookup.scaled(float(window_tuples))
         machine = self._machine
         assert machine is not None  # calibrate() always sets it
-        gpu = spec.gpu
-        sweep_pages = self.index.expected_sweep_pages(
-            window_lookups=float(window_tuples),
-            page_bytes=gpu.tlb_entry_bytes,
-            l2_bytes=gpu.l2_bytes,
-            cacheline_bytes=gpu.cacheline_bytes,
-        )
-        counters.add(
-            machine.analytic_tlb_counters(
-                sweep_pages, replay_factor=self.index.tlb_replay_factor
-            )
-        )
+        counters.add(sweep_tlb_counters(machine, self.index, window_tuples))
         counters.add(
             self.partitioner.partition_counters(float(window_tuples))
         )

@@ -17,6 +17,12 @@ from repro.indexes import HarmoniaIndex, RadixSplineIndex
 from repro.join.base import QueryEnvironment
 from repro.join.hash_join import HashJoin
 from repro.join.inlj import IndexNestedLoopJoin
+from repro.join.nonequi import (
+    BandJoin,
+    KNNJoin,
+    WindowedBandJoin,
+    WindowedKNNJoin,
+)
 from repro.join.partitioned import PartitionedINLJ
 from repro.join.window import WindowedINLJ
 from repro.partition.bits import choose_partition_bits
@@ -36,6 +42,34 @@ def make_partitioner(env):
     return RadixPartitioner(bits)
 
 
+#: Every operator that prices a sampled probe: (index, partitioner) -> join.
+SAMPLED_OPERATORS = {
+    "inlj-stream": lambda index, _: IndexNestedLoopJoin(index),
+    "inlj-sorted": lambda index, _: IndexNestedLoopJoin(
+        index, probe_order="sorted"
+    ),
+    "partitioned": PartitionedINLJ,
+    "windowed": WindowedINLJ,
+    "band": lambda index, _: BandJoin(index, epsilon=4),
+    "knn": lambda index, _: KNNJoin(index, k=2),
+    "windowed-band": lambda index, partitioner: WindowedBandJoin(
+        index, partitioner, epsilon=4
+    ),
+    "windowed-knn": lambda index, partitioner: WindowedKNNJoin(
+        index, partitioner, k=2
+    ),
+}
+
+
+@pytest.mark.parametrize("operator", SAMPLED_OPERATORS)
+def test_rejects_foreign_index(operator):
+    env = make_env(RadixSplineIndex)
+    other = make_env(RadixSplineIndex)
+    join = SAMPLED_OPERATORS[operator](other.index, make_partitioner(env))
+    with pytest.raises(WorkloadError):
+        join.estimate(env)
+
+
 class TestINLJEstimate:
     def test_positive_throughput(self):
         env = make_env(RadixSplineIndex)
@@ -52,13 +86,6 @@ class TestINLJEstimate:
         env = make_env(RadixSplineIndex)
         cost = IndexNestedLoopJoin(env.index).estimate(env)
         assert "probe" in cost.breakdown
-
-    def test_rejects_foreign_index(self):
-        env = make_env(RadixSplineIndex)
-        other_env = make_env(RadixSplineIndex)
-        join = IndexNestedLoopJoin(other_env.index)
-        with pytest.raises(WorkloadError):
-            join.estimate(env)
 
     def test_deterministic(self):
         env = make_env(HarmoniaIndex)
@@ -173,13 +200,6 @@ class TestWindowedEstimate:
         )
         cost = join.estimate(env)
         assert cost.breakdown["num_windows"] == 1
-
-    def test_rejects_foreign_index(self):
-        env = make_env(RadixSplineIndex)
-        other = make_env(RadixSplineIndex)
-        join = WindowedINLJ(other.index, make_partitioner(env))
-        with pytest.raises(WorkloadError):
-            join.estimate(env)
 
 
 class TestHashJoinEstimate:

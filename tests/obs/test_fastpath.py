@@ -103,7 +103,7 @@ class TestDisabledOverhead:
             return best
 
         for _ in range(3):
-            raw = timed(lambda: sim._replay(trace, True, None, False))
+            raw = timed(lambda: sim._replay(trace, True, False))
             wrapped = timed(lambda: sim.simulate_lookups(trace))
             if wrapped <= raw * 1.05:
                 break
