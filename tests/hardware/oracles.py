@@ -12,6 +12,9 @@ possible LRU: one ``OrderedDict`` per set, touched one access at a time.
   the line number modulo the set count.
 * :class:`LruTlb` -- fully associative LRU over page numbers, plus
   first-touch (cold) miss tracking.
+* :func:`coalesced_lines` -- :meth:`MachineModel.coalesced_lines` as a
+  fixed-width per-warp sort over the lane-expanded trace, one column per
+  lane whatever the trace's run lengths.
 * :func:`replay` -- :meth:`MachineModel.simulate_lookups` rebuilt on
   these models, for end-to-end counter equality.
 """
@@ -20,6 +23,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from typing import Iterable
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.gpu.executor import LookupTrace, MachineModel
@@ -195,13 +200,51 @@ class LruTlb:
         return self.misses / total if total else 0.0
 
 
+def lane_matrix(trace: LookupTrace) -> np.ndarray:
+    """The trace's address matrix with one column per lane."""
+    return np.repeat(trace.step_addresses, trace.run_lengths, axis=1)
+
+
+def coalesced_lines(machine: MachineModel, trace: LookupTrace) -> tuple:
+    """``(lines, issued)`` of ``trace``, coalesced lane by lane.
+
+    Waves of ``interleave_width`` lanes; per wave, each step's lanes are
+    sorted warp by warp and a lane whose line equals its sorted predecessor
+    coalesces away.  Inactive (negative) entries are dropped.
+    """
+    width = machine.sim.interleave_width
+    warp = machine.spec.gpu.warp_size
+    line_shift = machine.spec.gpu.cacheline_bytes.bit_length() - 1
+    matrix = lane_matrix(trace)
+    steps, num_lookups = matrix.shape
+    if steps == 0 or num_lookups == 0:
+        return np.empty(0, dtype=np.int64), 0
+    issued = 0
+    parts = []
+    for start in range(0, num_lookups, width):
+        block = matrix[:, start : start + width]
+        wave_width = block.shape[1]
+        padded_width = -(-wave_width // warp) * warp
+        active = block >= 0
+        issued += int(np.count_nonzero(active))
+        lines = np.full((steps, padded_width), -1, dtype=np.int64)
+        lines[:, :wave_width] = np.where(active, block >> line_shift, -1)
+        by_warp = np.sort(lines.reshape(steps, -1, warp), axis=2)
+        first = np.ones_like(by_warp, dtype=bool)
+        first[:, :, 1:] = by_warp[:, :, 1:] != by_warp[:, :, :-1]
+        first &= by_warp >= 0
+        parts.append(by_warp[first])
+    return np.concatenate(parts), issued
+
+
 def replay(machine: MachineModel, trace: LookupTrace) -> PerfCounters:
     """Raw counters of ``trace`` on a cold hierarchy, one line at a time.
 
     The reference for ``machine.simulate_lookups(trace)`` on a freshly
     built (or reset) machine, event TLB on, unshuffled: the same coalesced
-    line stream goes through a 16-way :class:`SetAssociativeCache` L2 and,
-    on a miss, an :class:`LruTlb` sized like the machine's.
+    line stream, from :func:`coalesced_lines`, goes through a 16-way
+    :class:`SetAssociativeCache` L2 and, on a miss, an :class:`LruTlb`
+    sized like the machine's.
     """
     spec = machine.spec
     gpu = spec.gpu
@@ -210,7 +253,7 @@ def replay(machine: MachineModel, trace: LookupTrace) -> PerfCounters:
     page_line_shift = (
         gpu.tlb_entry_bytes.bit_length() - gpu.cacheline_bytes.bit_length()
     )
-    stream, issued = machine.coalesced_lines(trace)
+    stream, issued = coalesced_lines(machine, trace)
     counters = PerfCounters()
     counters.lookups = float(trace.num_lookups)
     counters.memory_accesses = float(issued)

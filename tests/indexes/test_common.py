@@ -6,6 +6,8 @@ and untraced results must agree bit-for-bit, and both must agree with the
 ground-truth rank computation.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +17,7 @@ from repro.data.relation import Relation
 from repro.errors import SimulationError
 from repro.hardware.memory import MemorySpace, SystemMemory
 from repro.hardware.spec import V100_NVLINK2
-from repro.indexes import ALL_INDEX_TYPES
+from repro.indexes import ALL_INDEX_TYPES, EXTENSION_INDEX_TYPES
 
 INDEX_IDS = [cls.__name__ for cls in ALL_INDEX_TYPES]
 
@@ -131,6 +133,26 @@ class TestTracing:
         index = placed_index(index_cls, small_relation)
         result = index.trace_lookups(small_probes.keys)
         assert result.simt.warp_instructions > 0
+
+
+@pytest.mark.parametrize(
+    "index_cls",
+    ALL_INDEX_TYPES + EXTENSION_INDEX_TYPES,
+    ids=[cls.__name__ for cls in ALL_INDEX_TYPES + EXTENSION_INDEX_TYPES],
+)
+@pytest.mark.parametrize("shape", [(), (8, 8), (2, 1, 3)], ids=str)
+def test_trace_rejects_non_1d_batches(
+    index_cls, shape, small_relation, monkeypatch
+):
+    """A batch that is not one-dimensional fails, naming its shape, before
+    any traversal (run detection would compare whole rows)."""
+    index = placed_index(index_cls, small_relation)
+    monkeypatch.setattr(
+        index, "_traverse", lambda *args, **kwargs: pytest.fail("traversed")
+    )
+    keys = np.full(shape, small_relation.column.min_key, dtype=np.uint64)
+    with pytest.raises(SimulationError, match=re.escape(str(shape))):
+        index.trace_lookups(keys)
 
 
 class TestStructure:
