@@ -32,7 +32,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from .. import obs
 from ..config import DEFAULT_BTREE_NODE_BYTES
 from ..data.column import KEY_DTYPE, MaterializedColumn
 from ..data.relation import Relation
@@ -54,6 +53,7 @@ class BPlusTreeIndex(Index):
     # Divergent binary search within nodes: same replay behaviour as the
     # plain binary search.
     tlb_replay_factor = 8.0
+    reports_node_visits = True
 
     def __init__(
         self,
@@ -246,12 +246,6 @@ class BPlusTreeIndex(Index):
         self, keys: np.ndarray, recorder: Optional[TraceRecorder]
     ) -> np.ndarray:
         keys = np.asarray(keys, dtype=KEY_DTYPE)
-        if obs.enabled():
-            obs.add(
-                "index.node_visits",
-                float(len(keys) * len(self.level_sizes)),
-                index=self.name,
-            )
         nodes = np.zeros(len(keys), dtype=np.int64)
         for level in range(len(self.level_sizes) - 1):  # repro: noqa[PERF001] -- O(height) per-level descent over whole key arrays
             child = self._search_internal(level, nodes, keys, recorder)

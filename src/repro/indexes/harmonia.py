@@ -25,7 +25,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from .. import obs
 from ..config import DEFAULT_HARMONIA_NODE_KEYS
 from ..data.column import KEY_DTYPE
 from ..data.relation import Relation
@@ -51,6 +50,7 @@ class HarmoniaIndex(Index):
     # at 111 GiB over ~0.8 last-level misses per lookup (the cooperative
     # traversal touches one new huge page per lookup -- the leaf).
     tlb_replay_factor = 14.0
+    reports_node_visits = True
 
     def __init__(
         self,
@@ -211,12 +211,6 @@ class HarmoniaIndex(Index):
     ) -> np.ndarray:
         keys = np.asarray(keys, dtype=KEY_DTYPE)
         count = len(keys)
-        if obs.enabled():
-            obs.add(
-                "index.node_visits",
-                float(count * len(self.level_sizes)),
-                index=self.name,
-            )
         nodes = np.zeros(count, dtype=np.int64)
         lines_per_node = max(
             1, (self.node_keys * KEY_BYTES + 127) // 128
