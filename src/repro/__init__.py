@@ -87,12 +87,13 @@ from .partition import PartitionBits, RadixPartitioner, choose_partition_bits
 from .perf import CostModel, QueryCost, Series
 from .serve import (
     ProbeRequest,
+    ReplicatedShardExecutor,
     ServeReport,
     ShardedIndexService,
-    ShardExecutor,
     ShardPlan,
     fallback_shard,
     range_shard,
+    replicate,
 )
 
 __version__ = "1.0.0"
@@ -149,10 +150,11 @@ __all__ = [
     "QueryCost",
     "Series",
     "ProbeRequest",
+    "ReplicatedShardExecutor",
     "ServeReport",
     "ShardedIndexService",
-    "ShardExecutor",
     "ShardPlan",
     "fallback_shard",
     "range_shard",
+    "replicate",
 ]

@@ -300,7 +300,8 @@ def main(argv=None) -> int:
     )
     serve_bench.add_argument(
         "--replicas", type=int, default=1,
-        help="replicas per range shard (1 = the unreplicated PR-5 path)",
+        help="replicas per range shard (1 = unreplicated: a dead copy's "
+        "windows wait for its rebuild or take the fallback index)",
     )
     serve_bench.add_argument(
         "--replica-indexes", nargs="+", default=None, metavar="NAME",

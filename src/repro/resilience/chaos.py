@@ -366,108 +366,50 @@ def run_serve_under_chaos(
 ) -> ChaosRunResult:
     """Serve one deterministic workload, optionally under a schedule.
 
-    ``schedule=None`` is the fault-free reference run.  The workload,
-    plan, and arrival spacing are pure functions of the arguments, so
-    two calls with equal arguments are bit-identical -- the property
-    :func:`check_replay` asserts.  ``update_fraction > 0`` interleaves
-    update requests (the same stream generator the bench uses), checks
-    every served answer against the sorted-array-with-updates oracle,
-    and lets priced compactions fire mid-schedule.
+    ``schedule=None`` is the fault-free reference run.  The point is
+    served by ``serve-bench``'s own driver
+    (:func:`repro.serve.bench.serve_point`) with an unbounded backlog,
+    so the workload, plan, and arrival spacing are pure functions of
+    the arguments and two calls with equal arguments are bit-identical
+    -- the property :func:`check_replay` asserts.  The driver checks
+    every served answer against ground truth: the generator's positions
+    on a read-only stream, the sorted-array-with-updates oracle when
+    ``update_fraction > 0`` interleaves updates (and priced compactions
+    fire mid-schedule).
     """
     # Imported here, not at module top: bench imports this module
     # lazily for its --chaos-schedule flag, and the resilience package
     # must stay importable without the serve layer's numpy machinery.
     from ..serve.bench import (
         INDEX_BY_NAME,
-        _arrival_interval,
-        _check_mixed_against_oracle,
         _serve_workload,
         check_axis_values,
+        replica_index_names,
+        serve_point,
     )
-    from ..serve.executor import ReplicatedShardExecutor
-    from ..serve.service import ProbeRequest, ShardedIndexService
-    from ..serve.shard import fallback_shard
-    from ..serve.replica import replicate
-    from ..units import KEY_BYTES, KIB
-    from ..workloads.updates import make_update_stream
 
     check_axis_values([zipf_theta], [update_fraction])
     if schedule is not None:
         schedule.check_targets(shards, replicas)
-    names = list(replica_indexes) if replica_indexes else [index] * replicas
-    unknown = sorted(set(names) - set(INDEX_BY_NAME))
-    if unknown:
-        raise ConfigurationError(
-            f"unknown replica index names {unknown}; choose from "
-            f"{', '.join(sorted(INDEX_BY_NAME))}"
-        )
-    if len(names) != replicas:
-        raise ConfigurationError(
-            f"--replica-indexes names {len(names)} replicas but "
-            f"--replicas is {replicas}"
-        )
+    names = replica_index_names(index, replicas, replica_indexes)
     relation, probes = _serve_workload(
         r_tuples, requests * request_tuples, zipf_theta, seed
-    )
-    plan = replicate(
-        relation, shards, [INDEX_BY_NAME[name] for name in names]
     )
     controller = (
         ChaosController(schedule) if schedule is not None else None
     )
-    executor = ReplicatedShardExecutor(
-        plan,
-        fallback_shard(relation, INDEX_BY_NAME[names[0]]),
+    executor, report, _ = serve_point(
+        relation,
+        probes,
+        shards,
+        window_kib,
+        [INDEX_BY_NAME[name] for name in names],
+        request_tuples,
+        update_fraction=update_fraction,
+        seed=seed,
         chaos=controller,
-    )
-    service = ShardedIndexService(
-        plan,
-        executor,
-        window_bytes=window_kib * KIB,
         max_backlog_tuples=UNBOUNDED_BACKLOG,
     )
-    interval = _arrival_interval(
-        plan,
-        max(1, window_kib * KIB // KEY_BYTES),
-        request_tuples,
-        executor.spec,
-    )
-    if update_fraction > 0.0:
-        base_keys = relation.column.key_at(
-            np.arange(relation.num_tuples, dtype=np.int64)
-        )
-        stream = make_update_stream(
-            base_keys,
-            probes.keys,
-            requests,
-            request_tuples,
-            update_fraction,
-            seed,
-        )
-        request_list = [
-            ProbeRequest(
-                request_id=i,
-                keys=stream.keys[i],
-                arrival=i * interval,
-                kind=stream.kinds[i],
-                values=stream.values[i],
-            )
-            for i in range(requests)
-        ]
-        report = service.run(request_list)
-        _check_mixed_against_oracle(report, request_list, base_keys)
-    else:
-        request_list = [
-            ProbeRequest(
-                request_id=i,
-                keys=probes.keys[
-                    i * request_tuples : (i + 1) * request_tuples
-                ],
-                arrival=i * interval,
-            )
-            for i in range(requests)
-        ]
-        report = service.run(request_list)
     parts = [
         outcome.positions
         for outcome in report.outcomes

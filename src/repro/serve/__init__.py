@@ -8,14 +8,15 @@ windows that reuse the engine's window operator (:mod:`.batcher`),
 bounded backlogs apply backpressure (:mod:`.admission`), and a
 discrete-event loop over a logical clock (:mod:`.clock`,
 :mod:`.service`) schedules window execution priced by the perf replay
-model (:mod:`.executor`).  Each range can carry K replicas --
-optionally divergent index types (:mod:`.replica`) -- behind a
-cost-based router with failure detection (:mod:`.health`) and priced
-background rebuilds (:mod:`.recovery`).  Online updates land in a
-per-shard sorted delta tier merged into every probe (:mod:`.delta`),
-folded back into the base index by policy-driven compactions priced in
-the same simulated currency.  ``repro serve-bench`` (:mod:`.bench`)
-sweeps the configuration space and emits a bit-identical BENCH JSON.
+model (:mod:`.executor`).  Each range carries K replicas -- K = 1 is
+the unreplicated deployment, and the copies may carry divergent index
+types (:mod:`.replica`) -- behind a cost-based router with failure
+detection (:mod:`.health`) and priced background rebuilds
+(:mod:`.recovery`).  Online updates land in a per-shard sorted delta
+tier merged into every probe (:mod:`.delta`), folded back into the base
+index by policy-driven compactions priced in the same simulated
+currency.  ``repro serve-bench`` (:mod:`.bench`) sweeps the
+configuration space and emits a bit-identical BENCH JSON.
 """
 
 from .admission import AdmissionController
@@ -28,12 +29,7 @@ from .delta import (
     merge_newest_wins,
     read_amplification,
 )
-from .executor import (
-    ReplicatedShardExecutor,
-    ShardExecutor,
-    WindowDeferred,
-    WindowResult,
-)
+from .executor import ReplicatedShardExecutor, WindowDeferred, WindowResult
 from .health import (
     DEAD,
     HEALTHY,
@@ -77,7 +73,6 @@ __all__ = [
     "ServeReport",
     "Shard",
     "ShardBatcher",
-    "ShardExecutor",
     "ShardPlan",
     "ShardStats",
     "ShardedIndexService",

@@ -9,8 +9,14 @@ Unlike ``repro bench`` -- which times the *host* and therefore reads the
 wall clock -- every number here is simulated, so the payload carries no
 platform fields and two runs with the same seed are **bit-identical**;
 CI diffs the file directly.  Every request is also checked against the
-workload generator's ground-truth positions, so the bench doubles as an
-end-to-end differential test of the sharded path.
+workload generator's ground-truth positions (or, with updates in the
+stream, the sorted-array-with-updates oracle), so the bench doubles as
+an end-to-end differential test of the sharded path.
+
+Every point serves through one driver, :func:`serve_point`, which the
+chaos harness (:mod:`repro.resilience.chaos`) shares: the plan is always
+a replica set per range, with ``--replicas 1`` (the default) as the
+unreplicated deployment.
 """
 
 from __future__ import annotations
@@ -35,14 +41,10 @@ from ..ioutil import atomic_write_json
 from ..perf.model import CostModel
 from ..units import KEY_BYTES, KIB
 from ..workloads.updates import SortedArrayOracle, make_update_stream
-from .executor import (
-    KERNELS_PER_WINDOW,
-    ReplicatedShardExecutor,
-    ShardExecutor,
-)
+from .executor import KERNELS_PER_WINDOW, ReplicatedShardExecutor
 from .replica import replicate
 from .service import ProbeRequest, ServeReport, ShardedIndexService
-from .shard import CALIBRATION_SIM, fallback_shard, range_shard
+from .shard import CALIBRATION_SIM, fallback_shard
 
 #: CLI index names (the four paper indexes).
 INDEX_BY_NAME: Dict[str, Type] = {
@@ -133,22 +135,15 @@ def _per_shard_metrics(report: ServeReport) -> Dict[str, Dict[str, object]]:
     return metrics
 
 
-def _degraded_block(executor) -> Dict[str, object]:
+def _degraded_block(executor: ReplicatedShardExecutor) -> Dict[str, object]:
     """The per-row ``degraded`` payload: fallback traffic, failovers,
-    recoveries, and the full per-replica health-transition timeline.
-
-    Works for both executors: the PR-5 :class:`ShardExecutor` has no
-    replicas, so everything but its fallback tally reads as zero/empty.
-    """
-    health = getattr(executor, "health", None)
+    recoveries, and the full per-replica health-transition timeline."""
     return {
-        "fallback_windows": getattr(executor, "fallback_windows", 0),
-        "failovers": getattr(executor, "failovers", 0),
-        "recoveries": getattr(executor, "recoveries", 0),
-        "deferred_windows": getattr(executor, "deferrals", 0),
-        "health_transitions": (
-            health.transitions() if health is not None else []
-        ),
+        "fallback_windows": executor.fallback_windows,
+        "failovers": executor.failovers,
+        "recoveries": executor.recoveries,
+        "deferred_windows": executor.deferrals,
+        "health_transitions": executor.health.transitions(),
     }
 
 
@@ -209,109 +204,108 @@ def _check_mixed_against_oracle(
                 )
 
 
-def _updates_block(executor, plan, replicated: bool) -> Dict[str, object]:
+def _updates_block(executor: ReplicatedShardExecutor) -> Dict[str, object]:
     """The per-row ``updates`` payload block (zeros on read-only runs)."""
-    compactions = list(getattr(executor, "compactions", []))
     by_strategy: Dict[str, int] = {}
-    for event in compactions:
+    for event in executor.compactions:
         strategy = str(event["strategy"])
         by_strategy[strategy] = by_strategy.get(strategy, 0) + 1
-    depths: Dict[str, int] = {}
-    if replicated:
-        for shard_id in range(plan.num_shards):
-            for replica in plan.replicas(shard_id):
-                depths[f"{shard_id}:{replica.replica_id}"] = (
-                    replica.shard.delta.num_tuples
-                )
-    else:
-        for shard in plan.shards:
-            depths[f"{shard.shard_id}:-1"] = shard.delta.num_tuples
+    plan = executor.plan
+    depths = {
+        f"{shard_id}:{replica.replica_id}": replica.shard.delta.num_tuples
+        for shard_id in range(plan.num_shards)
+        for replica in plan.replicas(shard_id)
+    }
     return {
-        "update_windows": getattr(executor, "update_windows", 0),
-        "update_tuples": getattr(executor, "update_tuples", 0),
+        "update_windows": executor.update_windows,
+        "update_tuples": executor.update_tuples,
         "delta_depth": depths,
-        "delta_peak": getattr(executor, "delta_peak", 0),
-        "read_amplification_peak": round(
-            getattr(executor, "read_amplification_peak", 0.0), 6
-        ),
-        "compactions": compactions,
+        "delta_peak": executor.delta_peak,
+        "read_amplification_peak": round(executor.read_amplification_peak, 6),
+        "compactions": list(executor.compactions),
         "compactions_by_strategy": dict(sorted(by_strategy.items())),
-        "compactions_completed": getattr(
-            executor, "compactions_completed", 0
-        ),
+        "compactions_completed": executor.compactions_completed,
     }
 
 
-def run_sweep_point(
+def replica_index_names(
+    index: str, replicas: int, replica_indexes: Optional[Sequence[str]]
+) -> Tuple[str, ...]:
+    """The validated index name of every replica level, replica 0 first.
+
+    The one replica-index check ``serve-bench`` and ``chaos`` share:
+    ``index`` and every ``replica_indexes`` entry must name a paper
+    index, and an explicit list must name exactly ``replicas`` levels.
+    Without a list, every level takes ``index``.
+    """
+    choices = ", ".join(sorted(INDEX_BY_NAME))
+    if index not in INDEX_BY_NAME:
+        raise ConfigurationError(
+            f"unknown index {index!r}; choose from {choices}"
+        )
+    if replicas < 1:
+        raise ConfigurationError(
+            f"replica count must be >= 1, got {replicas}"
+        )
+    names = tuple(replica_indexes or ())
+    unknown = sorted(set(names) - set(INDEX_BY_NAME))
+    if unknown:
+        raise ConfigurationError(
+            f"unknown replica index names {unknown}; choose from {choices}"
+        )
+    if names and len(names) != replicas:
+        raise ConfigurationError(
+            f"--replica-indexes names {len(names)} replicas but "
+            f"--replicas is {replicas}"
+        )
+    return names or (index,) * replicas
+
+
+def serve_point(
     relation,
     probes,
     num_shards: int,
     window_kib: int,
-    zipf_theta: float,
-    index_cls: Type,
+    index_classes: Sequence[Type],
     request_tuples: int,
-    replicas: int = 1,
-    replica_index_classes: Optional[Sequence[Type]] = None,
-    chaos_text: str = "",
     update_fraction: float = 0.0,
     seed: int = 42,
-) -> dict:
-    """Serve one (shards, window, skew) configuration; returns its row.
+    chaos: Optional[object] = None,
+    max_backlog_tuples: Optional[int] = None,
+) -> Tuple[ReplicatedShardExecutor, ServeReport, float]:
+    """Serve one workload end to end and check every answer.
 
-    ``replicas=1`` with no chaos keeps the PR-5 single-copy executor --
-    bit-identical rows to earlier payloads aside from the additive
-    ``degraded`` block.  ``replicas>1`` (or any chaos schedule) serves
-    through :class:`ReplicatedShardExecutor`; ``chaos_text`` carries a
-    ``repro-chaos/1`` schedule as JSON text so sweep tasks stay plain
-    picklable tuples.  ``update_fraction > 0`` interleaves update
-    requests into the stream (forcing the replicated executor, which
-    owns compaction scheduling) and swaps the ground-truth check for
-    the sorted-array-with-updates oracle.
+    The one serve driver of ``serve-bench`` and the chaos harness:
+    range-shard ``relation`` with one replica per entry of
+    ``index_classes`` (a single entry is the unreplicated deployment),
+    build the executor (replaying ``chaos``, a
+    :class:`~repro.resilience.chaos.ChaosController`, if given) and the
+    service, space arrivals at the target load, and serve
+    ``probes.keys`` as ``request_tuples``-wide requests --
+    ``update_fraction`` of them as updates.  ``max_backlog_tuples``
+    defaults to ``BACKLOG_WINDOWS`` windows per shard.  Every admitted
+    request is then checked against ground truth: the generator's
+    expected positions on a read-only stream, the
+    sorted-array-with-updates oracle on a mixed one.  Returns the
+    executor, the service report and the arrival spacing (seconds).
     """
-    window_bytes = window_kib * KIB
-    replicated = (
-        replicas > 1
-        or bool(chaos_text)
-        or bool(replica_index_classes)
-        or update_fraction > 0.0
+    window_tuples = max(1, window_kib * KIB // KEY_BYTES)
+    plan = replicate(relation, num_shards, index_classes)
+    executor = ReplicatedShardExecutor(
+        plan, fallback_shard(relation, index_classes[0]), chaos=chaos
     )
-    if replicated:
-        index_classes = (
-            list(replica_index_classes)
-            if replica_index_classes
-            else [index_cls] * replicas
-        )
-        if len(index_classes) != replicas:
-            raise ConfigurationError(
-                f"replica index list names {len(index_classes)} replicas "
-                f"but replicas={replicas}"
-            )
-        plan = replicate(relation, num_shards, index_classes)
-        controller = None
-        if chaos_text:
-            import json as _json
-
-            from ..resilience.chaos import ChaosController, ChaosSchedule
-
-            controller = ChaosController(
-                ChaosSchedule.from_dict(_json.loads(chaos_text))
-            )
-        executor = ReplicatedShardExecutor(
-            plan,
-            fallback_shard(relation, index_classes[0]),
-            chaos=controller,
-        )
-    else:
-        plan = range_shard(relation, num_shards, index_cls)
-        executor = ShardExecutor(plan, fallback_shard(relation, index_cls))
     service = ShardedIndexService(
         plan,
         executor,
-        window_bytes=window_bytes,
-        max_backlog_tuples=BACKLOG_WINDOWS * max(1, window_bytes // KEY_BYTES),
+        window_bytes=window_kib * KIB,
+        max_backlog_tuples=(
+            BACKLOG_WINDOWS * window_tuples
+            if max_backlog_tuples is None
+            else max_backlog_tuples
+        ),
     )
     interval = _arrival_interval(
-        plan, max(1, window_bytes // KEY_BYTES), request_tuples, executor.spec
+        plan, window_tuples, request_tuples, executor.spec
     )
     num_requests = len(probes.keys) // request_tuples
     if update_fraction > 0.0:
@@ -351,13 +345,56 @@ def run_sweep_point(
         ]
         report = service.run(requests)
         _check_against_oracle(report, requests, probes.expected_positions)
+    return executor, report, interval
+
+
+def run_sweep_point(
+    relation,
+    probes,
+    num_shards: int,
+    window_kib: int,
+    zipf_theta: float,
+    index_classes: Sequence[Type],
+    request_tuples: int,
+    chaos_text: str = "",
+    update_fraction: float = 0.0,
+    seed: int = 42,
+) -> dict:
+    """Serve one (shards, window, skew) configuration; returns its row.
+
+    ``index_classes`` names each replica level's index (one entry: the
+    unreplicated deployment).  ``chaos_text`` carries a
+    ``repro-chaos/1`` schedule as JSON text, so sweep tasks stay plain
+    picklable tuples; the schedule replays inside the point.
+    ``update_fraction > 0`` interleaves update requests into the stream.
+    """
+    controller = None
+    if chaos_text:
+        import json as _json
+
+        from ..resilience.chaos import ChaosController, ChaosSchedule
+
+        controller = ChaosController(
+            ChaosSchedule.from_dict(_json.loads(chaos_text))
+        )
+    executor, report, interval = serve_point(
+        relation,
+        probes,
+        num_shards,
+        window_kib,
+        index_classes,
+        request_tuples,
+        update_fraction=update_fraction,
+        seed=seed,
+        chaos=controller,
+    )
     return {
         "shards": num_shards,
         "window_kib": window_kib,
         "zipf_theta": zipf_theta,
         "update_fraction": update_fraction,
-        "replicas": replicas if replicated else 1,
-        "requests": num_requests,
+        "replicas": len(index_classes),
+        "requests": len(report.outcomes),
         "admitted": report.admitted_requests,
         "rejected": report.rejected_requests,
         "arrival_interval_seconds": round(interval, 12),
@@ -372,7 +409,7 @@ def run_sweep_point(
         },
         "failed_shards": executor.failed_shards,
         "degraded": _degraded_block(executor),
-        "updates": _updates_block(executor, plan, replicated),
+        "updates": _updates_block(executor),
         "per_shard": _per_shard_metrics(report),
     }
 
@@ -380,7 +417,7 @@ def run_sweep_point(
 #: One serve sweep point as a picklable task for the resilient pool:
 #: (num_shards, window_kib, zipf_theta, index_name, r_tuples, requests,
 #: request_tuples, seed, replicas, replica_indexes, chaos_text,
-#: update_fraction).
+#: update_fraction); ``replica_indexes`` names every replica level.
 ServeTask = Tuple[
     int, int, float, str, int, int, int, int,
     int, Tuple[str, ...], str, float,
@@ -434,12 +471,12 @@ def run_serve_point_task(task: ServeTask) -> dict:
         num_shards,
         window_kib,
         zipf_theta,
-        index,
+        _,
         r_tuples,
         requests,
         request_tuples,
         seed,
-        replicas,
+        _,
         replica_indexes,
         chaos_text,
         update_fraction,
@@ -454,14 +491,8 @@ def run_serve_point_task(task: ServeTask) -> dict:
         num_shards=num_shards,
         window_kib=window_kib,
         zipf_theta=zipf_theta,
-        index_cls=INDEX_BY_NAME[index],
+        index_classes=[INDEX_BY_NAME[name] for name in replica_indexes],
         request_tuples=request_tuples,
-        replicas=replicas,
-        replica_index_classes=(
-            [INDEX_BY_NAME[name] for name in replica_indexes]
-            if replica_indexes
-            else None
-        ),
         chaos_text=chaos_text,
         update_fraction=update_fraction,
         seed=seed,
@@ -509,34 +540,15 @@ def run_serve_bench(
     come back in task order and every row is a pure function of its
     task.  The payload deliberately carries no worker-count field.
 
-    ``replicas``/``replica_indexes`` serve each point through the
-    replicated executor; ``chaos_schedule`` (a path) replays the same
+    Each range carries ``replicas`` copies (1, the default, is the
+    unreplicated deployment), indexed per level by ``replica_indexes``
+    or else by ``index``; ``chaos_schedule`` (a path) replays the same
     scripted fault schedule inside every sweep point.
     ``update_fractions`` adds the mixed read/write axis: each fraction
     re-runs the sweep with that share of requests as updates.
     """
     check_axis_values(zipf_thetas, update_fractions)
-    if index not in INDEX_BY_NAME:
-        raise ConfigurationError(
-            f"unknown index {index!r}; choose from "
-            f"{', '.join(sorted(INDEX_BY_NAME))}"
-        )
-    if replicas < 1:
-        raise ConfigurationError(
-            f"replica count must be >= 1, got {replicas}"
-        )
-    names: Tuple[str, ...] = tuple(replica_indexes or ())
-    unknown = sorted(set(names) - set(INDEX_BY_NAME))
-    if unknown:
-        raise ConfigurationError(
-            f"unknown replica index names {unknown}; choose from "
-            f"{', '.join(sorted(INDEX_BY_NAME))}"
-        )
-    if names and len(names) != replicas:
-        raise ConfigurationError(
-            f"--replica-indexes names {len(names)} replicas but "
-            f"--replicas is {replicas}"
-        )
+    names = replica_index_names(index, replicas, replica_indexes)
     chaos_text = ""
     if chaos_schedule:
         # Validate eagerly (a bad file should fail the run, not every
@@ -580,7 +592,7 @@ def run_serve_bench(
         "benchmark": "repro-serve",
         "index": index,
         "replicas": replicas,
-        "replica_indexes": list(names) if names else [index] * replicas,
+        "replica_indexes": list(names),
         "chaos_schedule": chaos_schedule or "",
         "update_fractions": [float(f) for f in update_fractions],
         "r_tuples": r_tuples,

@@ -9,24 +9,21 @@ the resilience layer's retry policy; backoff sleeps are captured into
 *simulated* delay instead of sleeping, so fault plans stretch latency
 without touching the wall clock.
 
-Two executors share that contract:
+:class:`ReplicatedShardExecutor` serves K replicas per range behind a
+cost-based router; an unreplicated deployment is simply K = 1.  A
+window goes to the cheapest healthy replica (probation replicas first
+-- the half-open trial).  Every transition to dead -- the failure
+threshold tripping mid-retry, or a spent retry budget -- prices and
+schedules exactly one rebuild on the simulated clock, and the window
+fails over to the next candidate.  With every replica of a range down
+(at K = 1: the only one is dead or compacting), the router weighs
+*waiting for the earliest rebuild or merge* against *probing the
+fallback* and either defers the window (:class:`WindowDeferred`) or
+degrades.
 
-* :class:`ShardExecutor` (PR 5): one index per range.  A shard that
-  exhausts its retry budget is marked failed and its traffic degrades
-  to the single-shard fallback index.
-* :class:`ReplicatedShardExecutor`: K replicas per range behind a
-  cost-based router.  A window goes to the cheapest healthy replica
-  (probation replicas first -- the half-open trial); a replica that
-  exhausts its budget is declared dead, its rebuild is priced and
-  scheduled on the simulated clock, and the window fails over to the
-  next candidate.  With every replica of a range down, the router
-  weighs *waiting for the earliest rebuild* against *probing the
-  fallback* and either defers the window (:class:`WindowDeferred`) or
-  degrades.
-
-Either way a window's positions are identical no matter which replica
-or fallback served it -- all copies return global R positions -- which
-is the invariance the chaos harness checks.
+A window's positions are identical no matter which replica or fallback
+served it -- all copies return global R positions -- which is the
+invariance the chaos harness checks.
 """
 
 from __future__ import annotations
@@ -59,14 +56,11 @@ from .recovery import (
     price_rebuild,
 )
 from .replica import ReplicatedPlan
-from .shard import CALIBRATION_SIM, Shard, ShardPlan
+from .shard import CALIBRATION_SIM, Shard
 
-#: Fault-injection site checked before every window probe.  Plans match
-#: shards via the label, e.g. ``shard:raise@2:match=shard1``.
-FAULT_SITE = "shard"
-
-#: Fault site of the replicated path; labels name the replica, e.g.
-#: ``replica:raise@2:match=shard1r0``.
+#: Fault-injection site checked before every replica probe attempt.
+#: Labels name the replica, ``shard{s}r{k}``, so ``match=shard1``
+#: selects every replica of shard 1 and ``match=shard1r0`` one copy.
 REPLICA_FAULT_SITE = "replica"
 
 #: A window executes as two serial kernels, mirroring the windowed
@@ -96,7 +90,7 @@ class WindowResult:
     degraded: bool = False
     #: Filled in by the service: seconds the window sat queued.
     queue_wait: float = 0.0
-    #: Replica that served the window (-1: unreplicated or fallback).
+    #: Replica that served the window (-1: the fallback or an update).
     replica: int = -1
     #: Replicas that died under this window before one answered.
     failovers: int = 0
@@ -167,140 +161,6 @@ def _update_counters(
         remote_accesses=width,
         simt_instructions=width + depth,
     )
-
-
-@dataclass
-class ShardExecutor:
-    """Executes windows against a :class:`ShardPlan` with a fallback."""
-
-    plan: ShardPlan
-    fallback: Shard
-    spec: SystemSpec = V100_NVLINK2
-    sim: SimulationConfig = CALIBRATION_SIM
-    policy: Optional[RetryPolicy] = None
-    _cost: CostModel = field(init=False)
-    _failed: List[bool] = field(init=False)
-
-    def __post_init__(self) -> None:
-        if self.policy is None:
-            self.policy = active_policy()
-        self._cost = CostModel(self.spec)
-        self._failed = [False] * self.plan.num_shards
-        self.fallback_windows = 0
-        self.update_windows = 0
-        self.update_tuples = 0
-
-    def shard_failed(self, shard_id: int) -> bool:
-        """True once ``shard_id`` exhausted its retry budget."""
-        return self._failed[shard_id]
-
-    @property
-    def failed_shards(self) -> List[int]:
-        return [sid for sid, down in enumerate(self._failed) if down]
-
-    def execute(self, window: Window, now: float = 0.0) -> WindowResult:
-        """Run one window; returns positions plus simulated timing.
-
-        ``now`` is the dispatch timestamp on the simulated clock; the
-        unreplicated executor does not use it (accepted so the service
-        drives both executors identically).
-        """
-        del now
-        if window.kind == "update":
-            return self._execute_update(window)
-        shard = self.plan.shards[window.shard_id]
-        delays: List[float] = []
-        degraded = self._failed[window.shard_id]
-
-        def probe() -> np.ndarray:
-            faults.check(FAULT_SITE, label=f"shard{window.shard_id}")
-            return shard.probe(window.keys)
-
-        positions: Optional[np.ndarray] = None
-        assert self.policy is not None  # set in __post_init__
-        if not degraded:
-            try:
-                positions = with_retry(
-                    probe,
-                    self.policy,
-                    label=f"serve.shard{window.shard_id}",
-                    sleep=delays.append,
-                )
-            except SweepExecutionError:
-                self._failed[window.shard_id] = True
-                degraded = True
-                if obs.enabled():
-                    obs.add("serve.shard_failures", shard=window.shard_id)
-        if degraded:
-            positions = _fallback_probe(self.fallback, window)
-            self.fallback_windows += 1
-        assert positions is not None
-        active = self.fallback if degraded else shard
-        counters = active.window_counters(len(window), self.spec, self.sim)
-        service = (
-            self._cost.probe_stage_time(counters)
-            + KERNELS_PER_WINDOW * self._cost.constants.kernel_launch_seconds
-            + sum(delays)
-        )
-        delta_counters = active.delta.read_counters(len(window))
-        if delta_counters is not None:
-            # Reconciling against a non-empty delta is a serial extra
-            # stage: the probe result must exist before it is merged.
-            service += self._cost.probe_stage_time(delta_counters)
-            counters.add(delta_counters)
-        if obs.enabled():
-            if delays:
-                obs.add(
-                    "serve.retries", len(delays), shard=window.shard_id
-                )
-            if degraded:
-                obs.add("serve.degraded_windows", shard=window.shard_id)
-        return WindowResult(
-            window=window,
-            positions=positions,
-            service_seconds=service,
-            counters=counters,
-            retries=len(delays),
-            degraded=degraded,
-        )
-
-    def _execute_update(self, window: Window) -> WindowResult:
-        """Absorb one update window into the shard's delta tier.
-
-        Updates are host-authoritative: the window applies to the
-        shard *and* the fallback copy unconditionally (no fault site,
-        no retries), so degraded probe traffic keeps seeing every
-        write.  The unreplicated executor never compacts -- compaction
-        needs the simulated-clock event scheduling only the replicated
-        executor has -- so its deltas persist for the run, still
-        correct through the probe-side merge.
-        """
-        values = _update_window_values(window)
-        shard = self.plan.shards[window.shard_id]
-        shard.apply_updates(window.keys, values)
-        self.fallback.apply_updates(window.keys, values)
-        self.update_windows += 1
-        self.update_tuples += len(window)
-        counters = _update_counters(len(window), shard.delta.num_tuples)
-        service = (
-            self._cost.probe_stage_time(counters)
-            + KERNELS_PER_WINDOW * self._cost.constants.kernel_launch_seconds
-        )
-        if obs.enabled():
-            obs.add(
-                "serve.delta.applied", len(window), shard=window.shard_id
-            )
-            obs.observe(
-                "serve.delta.depth",
-                shard.delta.num_tuples,
-                shard=window.shard_id,
-            )
-        return WindowResult(
-            window=window,
-            positions=values.copy(),
-            service_seconds=service,
-            counters=counters,
-        )
 
 
 @dataclass
@@ -639,12 +499,6 @@ class ReplicatedShardExecutor:
             )
         ]
 
-    def shard_failed(self, shard_id: int) -> bool:
-        return all(
-            self.health.is_dead(shard_id, replica.replica_id)
-            for replica in self.plan.replicas(shard_id)
-        )
-
     # ------------------------------------------------------------------
     # Execution.
     # ------------------------------------------------------------------
@@ -692,7 +546,11 @@ class ReplicatedShardExecutor:
                     faults.check(REPLICA_FAULT_SITE, label=label)
                     out = shard.probe(window.keys)
                 except Exception:
-                    self.health.record_failure(shard_id, replica_id, now)
+                    # The threshold can trip mid-retry; a later attempt
+                    # may still answer, but the replica stays dead until
+                    # the rebuild scheduled here brings it back.
+                    if self.health.record_failure(shard_id, replica_id, now):
+                        self._on_dead(shard_id, replica_id, now)
                     raise
                 self.health.record_success(shard_id, replica_id, now)
                 return out
@@ -707,8 +565,8 @@ class ReplicatedShardExecutor:
                 served_by = replica_id
                 break
             except SweepExecutionError:
-                self.health.force_dead(shard_id, replica_id, now)
-                self._on_dead(shard_id, replica_id, now)
+                if self.health.force_dead(shard_id, replica_id, now):
+                    self._on_dead(shard_id, replica_id, now)
                 failovers += 1
                 self.health.note(
                     now, shard_id, replica_id, "failover", f"window={seq}"

@@ -5,11 +5,14 @@ requests arrive on a simulated timeline; each is routed to the shards
 owning its keys, admitted whole or rejected whole by the backlog bound,
 and buffered into per-shard tumbling windows.  Closed windows queue FIFO
 per shard; each shard is one simulated GPU that executes one window at a
-time, its service time priced by the cost model.  The event loop is a
-plain discrete-event simulation over a :class:`SimulatedClock` --
-completions and arrivals interleave on the heap, with completions at
-equal timestamps processed first so a draining shard frees backlog
-before the next arrival is admitted.
+time, its service time priced by the cost model.  Every range is a
+replica set -- K = 1 for an unreplicated deployment -- executed by
+:class:`~repro.serve.executor.ReplicatedShardExecutor`.  The event loop
+is a plain discrete-event simulation over a :class:`SimulatedClock` --
+the executor's scheduled rebuilds and compactions, completions and
+arrivals interleave on the heap; at equal timestamps recoveries run
+first, then completions, so a draining shard frees backlog before the
+next arrival is admitted.
 
 Everything is deterministic: no wall clock (DET002), no unseeded
 randomness (DET001), no unordered-set iteration (DET003).  Two runs over
@@ -21,7 +24,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Tuple, Union
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -31,19 +34,8 @@ from ..hardware.counters import PerfCounters
 from .admission import AdmissionController
 from .batcher import ShardBatcher, Window
 from .clock import SimulatedClock
-from .executor import (
-    ReplicatedShardExecutor,
-    ShardExecutor,
-    WindowDeferred,
-    WindowResult,
-)
+from .executor import ReplicatedShardExecutor, WindowDeferred, WindowResult
 from .replica import ReplicatedPlan
-from .shard import ShardPlan
-
-#: Either serving topology: the service drives both through the same
-#: ``split``/``execute`` surface (see the duck-typed recovery hooks).
-PlanLike = Union[ShardPlan, ReplicatedPlan]
-ExecutorLike = Union[ShardExecutor, ReplicatedShardExecutor]
 
 #: Heap ranks: recoveries before completions before arrivals at equal
 #: timestamps.  A replica rejoining at time t must be visible to a
@@ -191,8 +183,8 @@ class ShardedIndexService:
 
     def __init__(
         self,
-        plan: PlanLike,
-        executor: ExecutorLike,
+        plan: ReplicatedPlan,
+        executor: ReplicatedShardExecutor,
         window_bytes: int,
         max_backlog_tuples: int,
     ):
@@ -212,10 +204,6 @@ class ShardedIndexService:
         #: completes after the last tuple was served extends the event
         #: timeline, not the serving time.
         self._makespan = 0.0
-        # Replication hooks, duck-typed so the PR-5 executor (which has
-        # neither replicas nor recovery) keeps working unchanged.
-        self._take_scheduled = getattr(executor, "take_scheduled", None)
-        self._handle_recovery = getattr(executor, "handle_recovery", None)
         self._stats: Dict[int, ShardStats] = {}
         #: Global-stream row-id values of admitted update tuples
         #: (-1 for probe tuples), indexed by stream position; grown
@@ -270,8 +258,7 @@ class ShardedIndexService:
                 self.clock.advance_to(timestamp)
                 if rank == _RECOVERY:
                     assert isinstance(payload, _Recovery)
-                    if self._handle_recovery is not None:
-                        self._handle_recovery(payload.key, self.clock.now)
+                    self.executor.handle_recovery(payload.key, self.clock.now)
                     continue
                 if isinstance(payload, _ShardKick):
                     # The deferred window's rebuild deadline arrived;
@@ -431,9 +418,7 @@ class ShardedIndexService:
 
     def _drain_scheduled(self, heap: list) -> None:
         """Turn newly scheduled rebuilds into simulated-clock events."""
-        if self._take_scheduled is None:
-            return
-        for ready_at, key in self._take_scheduled():
+        for ready_at, key in self.executor.take_scheduled():
             self._push(heap, ready_at, _RECOVERY, _Recovery(key))
 
     def _complete(

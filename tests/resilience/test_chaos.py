@@ -1,6 +1,6 @@
 """Scripted chaos: schedules, the controller, and result invariance.
 
-The committed-schedule tests gate the same three JSON files CI replays
+The committed-schedule tests gate the same four JSON files CI replays
 (`benchmarks/chaos/`); the hypothesis property generalizes them to
 arbitrary generated schedules that leave at least one surviving replica
 per range shard.
@@ -50,6 +50,39 @@ SMALL = dict(
     request_tuples=64,
     window_kib=4,
 )
+
+#: Harness arguments of each committed schedule, as the CI chaos job
+#: replays it.
+COMMITTED = {
+    "kill-one": {},
+    "kill-then-recover": {},
+    "rolling-wedge": {},
+    "kill-during-compaction": dict(update_fraction=0.5, index="btree"),
+}
+
+
+def assert_every_death_rebuilt(timeline):
+    """Each ``dead`` event is followed, for the same replica, by a
+    ``rebuild_scheduled``, and no death schedules two: every replica
+    that dies gets exactly one rebuild."""
+    kinds = [event["kind"] for event in timeline]
+    assert kinds.count("rebuild_scheduled") == kinds.count("dead")
+    for position, event in enumerate(timeline):
+        if event["kind"] != "dead":
+            continue
+        replica = (event["shard"], event["replica"])
+        following = next(
+            (
+                later["kind"]
+                for later in timeline[position + 1 :]
+                if (later["shard"], later["replica"]) == replica
+            ),
+            None,
+        )
+        assert following == "rebuild_scheduled", (
+            f"shard{replica[0]}r{replica[1]} died at t={event['t']} "
+            f"and was never rebuilt (next event: {following})"
+        )
 
 
 class TestChaosEvent:
@@ -220,18 +253,38 @@ class TestChaosController:
 class TestCommittedSchedules:
     """The exact gates the CI chaos job replays."""
 
-    @pytest.mark.parametrize(
-        "name", ["kill-one", "kill-then-recover", "rolling-wedge"]
-    )
+    @pytest.mark.parametrize("name", sorted(COMMITTED))
     def test_invariant_and_replayable(self, name, tmp_path):
         path = os.path.join(SCHEDULE_DIR, f"{name}.json")
         log_path = str(tmp_path / "events.json")
-        status = chaos.main(schedule_path=path, event_log_path=log_path)
+        status = chaos.main(
+            schedule_path=path, event_log_path=log_path, **COMMITTED[name]
+        )
         assert status == 0
         log = json.loads(open(log_path).read())
         assert log["schema"] == chaos.LOG_SCHEMA
         assert log["invariant"] is True
         assert log["schedule"] == ChaosSchedule.load(path).as_dict()
+        assert_every_death_rebuilt(log["timeline"])
+
+    @pytest.mark.parametrize("name", sorted(COMMITTED))
+    def test_single_replica_invariant_and_rebuilt(self, name, tmp_path):
+        """K = 1: every window of a dead copy waits for its rebuild or
+        takes the fallback, and the copy always comes back."""
+        path = os.path.join(SCHEDULE_DIR, f"{name}.json")
+        log_path = str(tmp_path / "events.json")
+        status = chaos.main(
+            schedule_path=path,
+            event_log_path=log_path,
+            replicas=1,
+            **COMMITTED[name],
+        )
+        assert status == 0
+        log = json.loads(open(log_path).read())
+        assert log["invariant"] is True
+        assert_every_death_rebuilt(log["timeline"])
+        kinds = [event["kind"] for event in log["timeline"]]
+        assert kinds.count("dead") == kinds.count("rebuild_complete")
 
     def test_kill_one_full_event_sequence(self):
         """kill -> failover -> priced rebuild -> probation -> rejoin."""
@@ -480,3 +533,4 @@ if HAVE_HYPOTHESIS:
             assert chaotic.makespan_seconds == replayed.makespan_seconds
             assert chaotic.timeline == replayed.timeline
             assert chaotic.injections == replayed.injections
+            assert_every_death_rebuilt(chaotic.timeline)

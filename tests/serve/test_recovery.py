@@ -13,6 +13,9 @@ from repro.indexes import (
     HarmoniaIndex,
     RadixSplineIndex,
 )
+from repro.resilience import faults
+from repro.resilience.faults import FaultPlan
+from repro.resilience.retry import RetryPolicy
 from repro.serve.batcher import Window
 from repro.serve.executor import (
     MAX_WINDOW_DEFERRALS,
@@ -22,7 +25,9 @@ from repro.serve.executor import (
 )
 from repro.serve.recovery import price_rebuild
 from repro.serve.replica import replicate
+from repro.serve.service import ProbeRequest, ShardedIndexService
 from repro.serve.shard import fallback_shard, range_shard
+from repro.units import KEY_BYTES
 
 
 def shard_for(relation, index_cls):
@@ -189,3 +194,100 @@ class TestFailoverVersusWait:
         assert not result.degraded
         assert result.replica == 0
         assert executor.health.state(shard_id, 0) == "healthy"
+
+
+class TestDeathMidRetry:
+    """The failure threshold (2) can trip inside one window's retry
+    budget (3 attempts); a later attempt then answers, but the replica
+    is dead and must still be rebuilt."""
+
+    @pytest.fixture(autouse=True)
+    def clean_faults(self):
+        faults.clear()
+        yield
+        faults.clear()
+
+    def two_transient_faults(self, shard_id=0):
+        faults.install(
+            FaultPlan(
+                kind="raise",
+                site="replica",
+                at=0,
+                count=2,
+                match=f"shard{shard_id}r0",
+            )
+        )
+
+    def two_replica_executor(self, relation):
+        return ReplicatedShardExecutor(
+            replicate(relation, 2, [BinarySearchIndex] * 2),
+            fallback_shard(relation, BinarySearchIndex),
+            policy=RetryPolicy(max_attempts=3, jitter=0.0),
+        )
+
+    def test_death_schedules_exactly_one_rebuild(
+        self, small_relation, small_probes
+    ):
+        executor = self.two_replica_executor(small_relation)
+        keys = small_probes.keys[:256]
+        shard_id, shard_keys, indices = executor.plan.split(
+            keys, np.arange(len(keys))
+        )[0]
+        window = Window(
+            shard_id=shard_id, keys=shard_keys, indices=indices, full=True
+        )
+        self.two_transient_faults(shard_id)
+        result = executor.execute(window, now=0.0)
+        # The third attempt answered from the (already dead) replica.
+        assert isinstance(result, WindowResult)
+        assert (result.replica, result.retries) == (0, 2)
+        assert not result.degraded and result.failovers == 0
+        assert executor.health.is_dead(shard_id, 0)
+        assert [key for _, key in executor.take_scheduled()] == [
+            (shard_id, 0)
+        ]
+        assert [
+            event["kind"] for event in executor.health.transitions()
+        ] == ["failure", "failure", "dead", "rebuild_scheduled"]
+
+    def test_two_transient_faults_at_two_replicas_recover(
+        self, small_relation, small_probes
+    ):
+        executor = self.two_replica_executor(small_relation)
+        service = ShardedIndexService(
+            executor.plan,
+            executor,
+            window_bytes=64 * KEY_BYTES,
+            max_backlog_tuples=10_000,
+        )
+        requests = [
+            ProbeRequest(
+                request_id=i,
+                keys=small_probes.keys[i * 64 : (i + 1) * 64],
+                arrival=i * 1e-5,
+            )
+            for i in range(len(small_probes.keys) // 64)
+        ]
+        self.two_transient_faults(0)
+        report = service.run(requests)
+        own = [
+            event["kind"]
+            for event in executor.health.transitions()
+            if (event["shard"], event["replica"]) == (0, 0)
+        ]
+        assert own == [
+            "failure",
+            "failure",
+            "dead",
+            "rebuild_scheduled",
+            "rebuild_complete",
+            "recovered",
+        ]
+        assert executor.health.state(0, 0) == "healthy"
+        assert executor.recoveries == 1
+        assert executor.fallback_windows == 0
+        for request, outcome in zip(requests, report.outcomes):
+            truth = small_probes.expected_positions[
+                request.request_id * 64 : (request.request_id + 1) * 64
+            ]
+            np.testing.assert_array_equal(outcome.positions, truth)

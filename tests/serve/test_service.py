@@ -15,10 +15,10 @@ from repro.resilience.faults import FaultPlan
 from repro.resilience.retry import RetryPolicy
 from repro.serve import (
     ProbeRequest,
-    ShardExecutor,
+    ReplicatedShardExecutor,
     ShardedIndexService,
     fallback_shard,
-    range_shard,
+    replicate,
 )
 from repro.units import KEY_BYTES
 
@@ -50,9 +50,10 @@ def build_service(
     index_cls=BinarySearchIndex,
     max_backlog_tuples=10_000,
     policy=None,
+    replicas=1,
 ):
-    plan = range_shard(relation, num_shards, index_cls)
-    executor = ShardExecutor(
+    plan = replicate(relation, num_shards, [index_cls] * replicas)
+    executor = ReplicatedShardExecutor(
         plan, fallback_shard(relation, index_cls), policy=policy
     )
     return ShardedIndexService(
@@ -163,49 +164,74 @@ class TestShardedIndexService:
     def test_transient_fault_is_retried_and_results_unchanged(self):
         relation, probes = build_workload()
         requests = as_requests(probes)
-        baseline = build_service(relation).run(requests)
-        faults.install(
-            FaultPlan(kind="raise", site="shard", at=1, count=2)
-        )
-        report = build_service(
-            relation, policy=RetryPolicy(max_attempts=3, jitter=0.0)
-        ).run(requests)
-        total_retries = sum(
-            stats.retries for stats in report.shard_stats.values()
-        )
-        assert total_retries > 0
-        assert sum(
-            s.degraded_windows for s in report.shard_stats.values()
-        ) == 0
-        for a, b in zip(baseline.outcomes, report.outcomes):
-            np.testing.assert_array_equal(a.positions, b.positions)
-        # Backoff is simulated time: the faulted run takes longer.
-        assert report.makespan_seconds > baseline.makespan_seconds
+        for replicas in (1, 2):
+            faults.clear()
+            baseline = build_service(relation, replicas=replicas).run(
+                requests
+            )
+            faults.install(
+                FaultPlan(kind="raise", site="replica", at=1, count=2)
+            )
+            report = build_service(
+                relation,
+                policy=RetryPolicy(max_attempts=3, jitter=0.0),
+                replicas=replicas,
+            ).run(requests)
+            total_retries = sum(
+                stats.retries for stats in report.shard_stats.values()
+            )
+            assert total_retries > 0, replicas
+            assert sum(
+                s.degraded_windows for s in report.shard_stats.values()
+            ) == 0, replicas
+            for a, b in zip(baseline.outcomes, report.outcomes):
+                np.testing.assert_array_equal(a.positions, b.positions)
+            # Backoff is simulated time: the faulted run takes longer.
+            assert report.makespan_seconds > baseline.makespan_seconds
 
     def test_permanent_shard_failure_degrades_to_fallback(self):
         relation, probes = build_workload()
         requests = as_requests(probes)
-        baseline = build_service(relation).run(requests)
-        faults.install(
-            FaultPlan(
-                kind="raise",
-                site="shard",
-                at=0,
-                count=10_000,
-                match="shard2",
+        for replicas in (1, 2):
+            faults.clear()
+            baseline = build_service(relation, replicas=replicas).run(
+                requests
             )
-        )
-        service = build_service(
-            relation, policy=RetryPolicy(max_attempts=2, jitter=0.0)
-        )
-        report = service.run(requests)
-        assert service.executor.failed_shards == [2]
-        assert report.shard_stats[2].degraded_windows == (
-            report.shard_stats[2].windows
-        )
-        # Degraded answers are identical: the fallback spans all of R.
-        for a, b in zip(baseline.outcomes, report.outcomes):
-            np.testing.assert_array_equal(a.positions, b.positions)
+            # Labels are shard{n}r{k}: the match selects every copy of
+            # shard 2, so no replica of it can ever answer.
+            faults.install(
+                FaultPlan(
+                    kind="raise",
+                    site="replica",
+                    at=0,
+                    count=10_000,
+                    match="shard2",
+                )
+            )
+            service = build_service(
+                relation,
+                policy=RetryPolicy(max_attempts=2, jitter=0.0),
+                replicas=replicas,
+            )
+            report = service.run(requests)
+            stats = report.shard_stats
+            assert stats[2].windows > 0
+            assert stats[2].degraded_windows == stats[2].windows, replicas
+            assert all(
+                stats[shard_id].degraded_windows == 0
+                for shard_id in (0, 1, 3)
+            ), replicas
+            # A dead copy is rebuilt and rejoins (then dies again on
+            # its probation trial): the failure is never terminal.
+            rebuilt = [
+                event["shard"]
+                for event in service.executor.health.transitions()
+                if event["kind"] == "rebuild_complete"
+            ]
+            assert rebuilt and set(rebuilt) == {2}, replicas
+            # Degraded answers are identical: the fallback spans all of R.
+            for a, b in zip(baseline.outcomes, report.outcomes):
+                np.testing.assert_array_equal(a.positions, b.positions)
 
     def test_rejects_unsorted_arrivals(self):
         relation, probes = build_workload()

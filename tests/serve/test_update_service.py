@@ -21,10 +21,8 @@ from repro.serve import (
     ProbeRequest,
     ReplicatedShardExecutor,
     ShardBatcher,
-    ShardExecutor,
     ShardedIndexService,
     fallback_shard,
-    range_shard,
     replicate,
 )
 from repro.serve.bench import run_serve_bench, run_sweep_point
@@ -170,12 +168,12 @@ class TestProbeRequestValidation:
 
 
 class TestMixedServiceSingleCopy:
-    """The unreplicated PR-5 executor: correct, never compacts."""
+    """One replica per range (K = 1): the unreplicated deployment."""
 
     def test_mixed_stream_matches_oracle(self):
         relation, probes = build_workload()
-        plan = range_shard(relation, 2, BinarySearchIndex)
-        executor = ShardExecutor(
+        plan = replicate(relation, 2, [BinarySearchIndex])
+        executor = ReplicatedShardExecutor(
             plan, fallback_shard(relation, BinarySearchIndex)
         )
         service = ShardedIndexService(
@@ -188,13 +186,11 @@ class TestMixedServiceSingleCopy:
         replay_against_oracle(base_keys, requests, report)
         assert executor.update_windows > 0
         assert executor.update_tuples == stream.update_tuples
-        # No event scheduling on this executor: deltas persist.
-        assert sum(s.delta.num_tuples for s in plan.shards) > 0
 
     def test_probe_stats_exclude_update_traffic(self):
         relation, probes = build_workload()
-        plan = range_shard(relation, 1, BinarySearchIndex)
-        executor = ShardExecutor(
+        plan = replicate(relation, 1, [BinarySearchIndex])
+        executor = ReplicatedShardExecutor(
             plan, fallback_shard(relation, BinarySearchIndex)
         )
         service = ShardedIndexService(
@@ -241,6 +237,16 @@ class TestMixedServiceReplicated:
         assert len(executor.compactions) > 0
         assert executor.compactions_completed > 0
         assert executor.delta_peak > 0
+
+    def test_single_replica_compacts_and_matches_oracle(self):
+        """K = 1: the only copy merges its delta, and every answer
+        around the merges stays exact."""
+        base_keys, _, requests, report, executor, _ = self.run_mixed(
+            replicas=1
+        )
+        replay_against_oracle(base_keys, requests, report)
+        assert len(executor.compactions) > 0
+        assert executor.compactions_completed == len(executor.compactions)
 
     def test_compaction_events_are_priced_and_attributed(self):
         _, _, _, _, executor, _ = self.run_mixed()
@@ -374,14 +380,14 @@ class TestBenchUpdatesPayload:
             num_shards=1,
             window_kib=1,
             zipf_theta=0.0,
-            index_cls=BinarySearchIndex,
+            index_classes=[BinarySearchIndex],
             request_tuples=64,
         )
         updates = row["updates"]
         assert updates["update_windows"] == 0
         assert updates["update_tuples"] == 0
         assert updates["compactions"] == []
-        assert set(updates["delta_depth"]) == {"0:-1"}
+        assert set(updates["delta_depth"]) == {"0:0"}
 
     def test_mixed_row_reports_compactions_and_depths(self):
         relation, probes = build_workload()
@@ -391,9 +397,8 @@ class TestBenchUpdatesPayload:
             num_shards=2,
             window_kib=1,
             zipf_theta=0.0,
-            index_cls=BPlusTreeIndex,
+            index_classes=[BPlusTreeIndex] * 2,
             request_tuples=64,
-            replicas=2,
             update_fraction=0.5,
         )
         updates = row["updates"]
