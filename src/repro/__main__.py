@@ -33,15 +33,16 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import __version__
 from .data.generator import WorkloadConfig
-from .errors import ConfigurationError
+from .errors import CapacityError, ConfigurationError, WorkloadError
 from .engine.planner import QueryPlanner
 from .hardware.spec import A100_PCIE4, GH200_C2C, MI250X_IF3, V100_NVLINK2
 from .indexes import ALL_INDEX_TYPES, EXTENSION_INDEX_TYPES
-from .units import GB, GIB, format_bytes
+from .units import GB, GIB, KEY_BYTES, format_bytes
 
 MACHINES = {
     "v100": V100_NVLINK2,
@@ -185,17 +186,30 @@ def cmd_chaos(args) -> int:
 
 
 def cmd_plan(args) -> int:
+    r_bytes = args.r_gib * GIB
+    # A one-key relation has no key span for the planner to partition.
+    if not math.isfinite(r_bytes) or r_bytes < 2 * KEY_BYTES:
+        raise ConfigurationError(
+            f"--r-gib must be a finite size of at least two keys, got "
+            f"{args.r_gib}"
+        )
     spec = MACHINES[args.machine]
-    workload = WorkloadConfig(
-        r_tuples=max(1, int(args.r_gib * GIB) // 8),
-        zipf_theta=args.zipf,
-    )
+    try:
+        workload = WorkloadConfig(
+            r_tuples=int(r_bytes) // KEY_BYTES,
+            zipf_theta=args.zipf,
+        )
+    except WorkloadError as error:
+        raise ConfigurationError(f"--zipf: {error}") from error
     planner = QueryPlanner(spec)
-    choice = planner.plan(
-        workload,
-        require_updates=args.require_updates,
-        include_variants=args.variants,
-    )
+    try:
+        choice = planner.plan(
+            workload,
+            require_updates=args.require_updates,
+            include_variants=args.variants,
+        )
+    except CapacityError as error:
+        raise ConfigurationError(f"--r-gib: {error}") from error
     print(
         f"workload: R = {args.r_gib:g} GiB, S = 2^26 tuples, "
         f"selectivity {workload.join_selectivity * 100:.1f}%, "

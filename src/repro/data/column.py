@@ -47,6 +47,13 @@ def _splitmix64(values: np.ndarray) -> np.ndarray:
         return z ^ (z >> np.uint64(31))
 
 
+def _check_side(side: str) -> None:
+    if side not in ("left", "right"):
+        raise ConfigurationError(
+            f"side must be 'left' or 'right', got {side!r}"
+        )
+
+
 class Column:
     """Interface shared by materialized and virtual sorted key columns.
 
@@ -84,40 +91,17 @@ class Column:
         raise NotImplementedError
 
     def bound_positions(self, keys: ArrayLike, side: str = "left") -> np.ndarray:
-        """Vectorized ``searchsorted`` over the column.
+        """Vectorized ``searchsorted`` over the column: each key's rank.
 
         ``side="left"`` returns the first position whose key is ``>=``
         each probe (the lower bound); ``side="right"`` the first whose
         key is ``>`` it.  Both return ``len(self)`` when no such
-        position exists.  The generic implementation bisects through
-        :meth:`key_at` in O(log n) vectorized rounds so it works for
-        virtual columns too; materialized columns override it with a
-        direct ``searchsorted``.  This is the ground-truth primitive the
-        non-equi join oracles are built on.
+        position exists.  Materialized columns answer with one
+        ``searchsorted``, virtual columns in O(1) per key.  Index
+        descents derive every slot from these ranks, and the non-equi
+        join oracles are built on them.
         """
-        if side not in ("left", "right"):
-            raise ConfigurationError(
-                f"side must be 'left' or 'right', got {side!r}"
-            )
-        keys = np.atleast_1d(np.asarray(keys, dtype=KEY_DTYPE))
-        n = len(self)
-        lo = np.zeros(len(keys), dtype=np.int64)
-        hi = np.full(len(keys), n, dtype=np.int64)
-        while True:
-            active = lo < hi
-            if not active.any():
-                break
-            mid = (lo + hi) >> 1
-            # mid < n whenever active, so the masked read never leaves
-            # the column.
-            mid_keys = self.key_at(np.where(active, mid, 0))
-            if side == "left":
-                go_right = active & (mid_keys < keys)
-            else:
-                go_right = active & (mid_keys <= keys)
-            lo = np.where(go_right, mid + 1, lo)
-            hi = np.where(active & ~go_right, mid, hi)
-        return lo
+        raise NotImplementedError
 
     @property
     def min_key(self) -> int:
@@ -200,10 +184,7 @@ class MaterializedColumn(Column):
         return 0
 
     def bound_positions(self, keys: ArrayLike, side: str = "left") -> np.ndarray:
-        if side not in ("left", "right"):
-            raise ConfigurationError(
-                f"side must be 'left' or 'right', got {side!r}"
-            )
+        _check_side(side)
         keys = np.atleast_1d(np.asarray(keys, dtype=KEY_DTYPE))
         return np.searchsorted(self._keys, keys, side=side).astype(np.int64)
 
@@ -273,25 +254,50 @@ class VirtualSortedColumn(Column):
         )
         return base + self._noise(positions)
 
+    def _rank_estimate(self, keys: np.ndarray) -> np.ndarray:
+        """``(key - offset) // stride`` clamped to ``[0, num_keys]``.
+
+        key(i) lies in ``[offset + i*stride, offset + i*stride + stride - 2]``
+        (just ``offset + i*stride`` for stride <= 2), so every position
+        below the estimate holds a smaller key and every position above
+        it a larger one: only the key at the estimate itself can compare
+        either way.  The subtraction runs in uint64, clamped at zero, so
+        keys at or above 2^63 never wrap negative.
+        """
+        offset = np.uint64(self.offset)
+        shifted = np.where(keys > offset, keys - offset, np.uint64(0))
+        estimate = np.minimum(
+            shifted // np.uint64(self.stride), np.uint64(self.num_keys)
+        )
+        return estimate.astype(np.int64)
+
     def rank_of(self, keys: ArrayLike) -> np.ndarray:
         keys = np.atleast_1d(np.asarray(keys, dtype=KEY_DTYPE))
-        shifted = keys.astype(np.int64) - np.int64(self.offset)
-        candidates = shifted // np.int64(self.stride)
-        valid = (candidates >= 0) & (candidates < self.num_keys) & (shifted >= 0)
-        result = np.full(len(keys), -1, dtype=np.int64)
-        if valid.any():
-            cand_valid = candidates[valid]
-            actual = self.key_at(cand_valid)
-            matches = actual == keys[valid]
-            matched_positions = np.where(matches, cand_valid, -1)
-            result[valid] = matched_positions
-        return result
+        estimate = self._rank_estimate(keys)
+        inside = estimate < self.num_keys
+        member = inside & (
+            self.key_at(np.where(inside, estimate, 0)) == keys
+        )
+        return np.where(member, estimate, np.int64(-1))
+
+    def bound_positions(self, keys: ArrayLike, side: str = "left") -> np.ndarray:
+        # One key read per probe: the rank is the estimate, plus one when
+        # the key at the estimate still counts (below the probe for the
+        # lower bound, at or below it for the upper bound).
+        _check_side(side)
+        keys = np.atleast_1d(np.asarray(keys, dtype=KEY_DTYPE))
+        estimate = self._rank_estimate(keys)
+        inside = estimate < self.num_keys
+        at_estimate = self.key_at(np.where(inside, estimate, 0))
+        if side == "left":
+            counts = at_estimate < keys
+        else:
+            counts = at_estimate <= keys
+        return estimate + (inside & counts)
 
     def lower_bound_hint(self, keys: ArrayLike) -> np.ndarray:
         keys = np.atleast_1d(np.asarray(keys, dtype=KEY_DTYPE))
-        shifted = keys.astype(np.int64) - np.int64(self.offset)
-        estimate = shifted // np.int64(self.stride)
-        return np.clip(estimate, 0, self.num_keys - 1)
+        return np.minimum(self._rank_estimate(keys), self.num_keys - 1)
 
     def hint_error_bound(self) -> int:
         # key(i) lies in [offset + i*stride, offset + i*stride + stride - 2],

@@ -2,8 +2,8 @@
 
 Every index implements one traversal routine, ``_traverse``, used two ways:
 
-* ``lookup(keys)`` runs it without a recorder -- a pure, vectorized
-  functional lookup usable at any scale;
+* ``lookup(keys)`` and ``probe_batch`` run it without a recorder -- a
+  pure, vectorized functional lookup usable at any scale;
 * ``trace_lookups(keys)`` runs the same code with a
   :class:`TraceRecorder`, capturing the byte address of every memory
   access so the machine model can replay it.
@@ -11,6 +11,15 @@ Every index implements one traversal routine, ``_traverse``, used two ways:
 One code path for both guarantees the simulated access pattern is exactly
 the access pattern of the functional algorithm, which is the property the
 whole reproduction rests on.
+
+Traversals are *rank-first*.  A search step compares a slot's column key
+with the probe, and ``key[p] < probe`` holds exactly when ``p`` lies below
+the probe's lower column rank (``key[p] <= probe``: below its upper rank).
+So each traversal computes the two ranks once per batch
+(:meth:`Index._ranks`), derives every slot it would have found by integer
+arithmetic (:func:`slots_below`), and, only when recording or counting
+search rounds, replays the bisection mids that lead to each slot
+(:func:`replay_bisection`): a bisection's path is a function of its result.
 """
 
 from __future__ import annotations
@@ -30,6 +39,65 @@ from ..gpu.simt import SimtCost, divergent_cost
 from ..hardware.counters import PerfCounters
 from ..hardware.memory import SystemMemory
 from ..units import KEY_BYTES
+
+
+#: The largest key; node slots past the data hold it as padding.
+MAX_KEY = np.uint64(np.iinfo(np.uint64).max)
+
+
+def slots_below(
+    rank: np.ndarray, first: np.ndarray, width: int, stride: int = 1
+) -> np.ndarray:
+    """How many of a node's ``width`` slots lie below ``rank``.
+
+    Slot ``s`` of the node holds the column key at position
+    ``(first + s) * stride``.  Positions grow with ``s``, so the slots
+    whose key compares below the probe are a prefix, and ``(first + s) *
+    stride < rank`` exactly when ``first + s < ceil(rank / stride)``.
+    """
+    return np.clip(-(-rank // stride) - first, 0, width)
+
+
+def padded_upper(keys: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Upper ranks for counting node slots ``<=`` the probe.
+
+    Slots past the data hold :data:`MAX_KEY`, which a MAX probe compares
+    at or above as well: its rank reaches past every slot.
+    """
+    return np.where(keys == MAX_KEY, np.iinfo(np.int64).max, upper)
+
+
+def replay_bisection(
+    lo: np.ndarray,
+    hi: np.ndarray,
+    final: np.ndarray,
+    recorder: Optional["TraceRecorder"] = None,
+    base=0,
+    stride: int = KEY_BYTES,
+) -> int:
+    """Replay the bisections of ``[lo, hi)`` that end at ``final``.
+
+    A bisection over a monotone comparison (``key < probe`` or ``key <=
+    probe``) moves right at ``mid`` exactly when ``mid`` lies below the
+    slot it ends at, so its mids follow from ``final`` alone, with integer
+    compares and no key reads.  With a recorder,
+    each round records ``base + mid * stride`` for the lanes still
+    searching.  Returns the number of rounds, the longest lane's path.
+    """
+    lo, hi = np.broadcast_arrays(lo, hi, final)[:2]
+    active = lo < hi
+    rounds = 0
+    while active.any():
+        rounds += 1
+        mid = (lo + hi) >> 1
+        if recorder is not None:
+            recorder.record(base + mid * stride, active=active)
+        # Finished lanes have lo == hi == final, so they stay put.
+        right = mid < final
+        lo = np.where(right, mid + 1, lo)
+        hi = np.where(right, hi, mid)
+        active = lo < hi
+    return rounds
 
 
 class TraceRecorder:
@@ -179,6 +247,19 @@ class Index(abc.ABC):
         self, keys: np.ndarray, recorder: Optional[TraceRecorder]
     ) -> np.ndarray:
         """Locate ``keys``; optionally record accesses.  Returns positions."""
+
+    def _ranks(self, keys: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+        """Lower and upper column rank of each probe key.
+
+        Column keys are unique, so the upper rank is the lower one plus
+        one for a member: one key read at the lower rank decides it.  A
+        probe is a member exactly when its upper rank exceeds its lower
+        one, and then the lower rank is its position.
+        """
+        lower = self.column.bound_positions(keys)
+        inside = lower < len(self.column)
+        member = inside & (self.column.key_at(np.where(inside, lower, 0)) == keys)
+        return lower, lower + member
 
     def lookup(self, keys: np.ndarray) -> np.ndarray:
         """Functional lookup: position of each key in the column, -1 if absent."""

@@ -20,7 +20,7 @@ from ..data.relation import Relation
 from ..hardware.memory import SystemMemory
 from ..perf.analytic import midtree_sweep_pages
 from ..units import KEY_BYTES
-from .base import Index, TraceRecorder
+from .base import Index, TraceRecorder, replay_bisection
 
 
 class BinarySearchIndex(Index):
@@ -69,59 +69,26 @@ class BinarySearchIndex(Index):
     ) -> np.ndarray:
         keys = np.asarray(keys, dtype=KEY_DTYPE)
         n = len(self.column)
-        count = len(keys)
-        lo = np.zeros(count, dtype=np.int64)
-        hi = np.full(count, n, dtype=np.int64)
-        base = (
-            self.relation.allocation.base
-            if recorder is not None and self.relation.allocation is not None
-            else 0
-        )
-        active = lo < hi
-        rounds = 0
-        while active.any():
-            rounds += 1
-            mid = (lo + hi) >> 1
+        lower, upper = self._ranks(keys)
+        if recorder is not None or obs.enabled():
+            # The bisection of [0, n) ends at the lower rank.
+            base = self.relation.allocation.base if recorder is not None else 0
+            rounds = replay_bisection(0, n, lower, recorder, base)
+            if obs.enabled():
+                obs.add("index.search_rounds", float(rounds), index=self.name)
             if recorder is not None:
-                recorder.record(base + mid * KEY_BYTES, active=active)
-            safe_mid = np.where(active, mid, 0)
-            mid_keys = self.column.key_at(safe_mid)
-            go_right = active & (mid_keys < keys)
-            lo = np.where(go_right, mid + 1, lo)
-            hi = np.where(active & ~go_right, mid, hi)
-            active = lo < hi
-        if obs.enabled():
-            obs.add("index.search_rounds", float(rounds), index=self.name)
-        in_range = lo < n
-        # Final verification read of the lower-bound position (the INLJ
-        # fetches the candidate match anyway).
-        if recorder is not None:
-            recorder.record(base + np.where(in_range, lo, 0) * KEY_BYTES,
-                            active=in_range)
-        found = np.zeros(count, dtype=bool)
-        if in_range.any():
-            candidate = np.where(in_range, lo, 0)
-            found_keys = self.column.key_at(candidate)
-            found = in_range & (found_keys == keys)
-        positions = np.where(found, lo, np.int64(-1))
-        return positions
+                # Final verification read of the lower-bound position (the
+                # INLJ fetches the candidate match anyway).
+                in_range = lower < n
+                recorder.record(
+                    base + np.where(in_range, lower, 0) * KEY_BYTES,
+                    active=in_range,
+                )
+        return np.where(upper > lower, lower, np.int64(-1))
 
     def _lower_bound(self, keys: np.ndarray) -> np.ndarray:
-        """Plain vectorized lower-bound bisection of the full column."""
-        keys = np.asarray(keys, dtype=KEY_DTYPE)
-        n = len(self.column)
-        count = len(keys)
-        lo = np.zeros(count, dtype=np.int64)
-        hi = np.full(count, n, dtype=np.int64)
-        active = lo < hi
-        while active.any():
-            mid = (lo + hi) >> 1
-            mid_keys = self.column.key_at(np.where(active, mid, 0))
-            go_right = active & (mid_keys < keys)
-            lo = np.where(go_right, mid + 1, lo)
-            hi = np.where(active & ~go_right, mid, hi)
-            active = lo < hi
-        return lo
+        """The full-column bisection's result: the lower rank."""
+        return self.column.bound_positions(np.asarray(keys, dtype=KEY_DTYPE))
 
     # ------------------------------------------------------------------
     # Analytic locality.

@@ -1,11 +1,12 @@
 """A textbook B+tree with 4 KiB nodes (paper Section 3.2).
 
 The tree is *implicit*: because R's key column is sorted and static, node
-contents are fully determined by the column, so separator keys are computed
-from it instead of being copied into materialized arrays.  Addresses,
-node/level geometry, and therefore the memory access pattern are identical
-to a materialized dense-packed B+tree; the footprint is charged to
-simulated host memory at placement time, which reproduces the paper's
+contents are fully determined by the column, so no separator key is copied
+into a materialized array -- or even read: a search derives every slot it
+visits from the probe's column ranks (see :mod:`repro.indexes.base`).
+Addresses, node/level geometry, and therefore the memory access pattern
+are identical to a materialized dense-packed B+tree; the footprint is
+charged to simulated host memory at placement time, which reproduces the paper's
 capacity limits ("size limit of R is reduced for the B+tree and Harmonia
 due to memory capacity constraints").
 
@@ -39,10 +40,13 @@ from ..errors import ConfigurationError, SimulationError
 from ..hardware.memory import MemorySpace, SystemMemory
 from ..perf.analytic import level_sweep_pages
 from ..units import KEY_BYTES
-from .base import Index, TraceRecorder
-
-#: Sentinel for "no separator here" (child beyond the data).
-_MAX_KEY = np.uint64(np.iinfo(np.uint64).max)
+from .base import (
+    Index,
+    TraceRecorder,
+    padded_upper,
+    replay_bisection,
+    slots_below,
+)
 
 
 class BPlusTreeIndex(Index):
@@ -140,153 +144,96 @@ class BPlusTreeIndex(Index):
         )
 
     # ------------------------------------------------------------------
-    # Implicit node contents.
-    # ------------------------------------------------------------------
-
-    def _separator_keys(
-        self, level: int, nodes: np.ndarray, slots: np.ndarray
-    ) -> np.ndarray:
-        """Separator ``slots`` of internal ``nodes`` at ``level``.
-
-        Separator s = first key of child s+1 = column key at position
-        ``(node*F + s + 1) * child_coverage * leaf_entries``; MAX when that
-        child starts beyond the data.
-        """
-        child_coverage = self.level_coverage[level + 1]
-        first_position = (
-            (nodes * self.fanout + slots + 1) * child_coverage * self.leaf_entries
-        )
-        n = len(self.column)
-        exists = first_position < n
-        safe = np.where(exists, first_position, 0)
-        keys = self.column.key_at(safe)
-        return np.where(exists, keys, _MAX_KEY)
-
-    def _leaf_keys(self, leaves: np.ndarray, slots: np.ndarray) -> np.ndarray:
-        """Entry keys inside leaves; MAX past the end of the data."""
-        positions = leaves * self.leaf_entries + slots
-        n = len(self.column)
-        exists = positions < n
-        safe = np.where(exists, positions, 0)
-        keys = self.column.key_at(safe)
-        return np.where(exists, keys, _MAX_KEY)
-
-    # ------------------------------------------------------------------
     # Traversal.
     # ------------------------------------------------------------------
 
-    def _search_internal(
+    def _descend(
         self,
-        level: int,
-        nodes: np.ndarray,
         keys: np.ndarray,
+        upper: np.ndarray,
         recorder: Optional[TraceRecorder],
     ) -> np.ndarray:
-        """Child slot chosen in each internal node: upper_bound(separators)."""
-        count = len(keys)
-        num_separators = self.fanout - 1
-        slot_lo = np.zeros(count, dtype=np.int64)
-        slot_hi = np.full(count, num_separators, dtype=np.int64)
-        base = self._node_address(level, nodes) if recorder is not None else None
-        active = slot_lo < slot_hi
-        while active.any():
-            mid = (slot_lo + slot_hi) >> 1
-            if recorder is not None:
-                recorder.record(base + mid * KEY_BYTES, active=active)
-            separators = self._separator_keys(
-                level, nodes, np.where(active, mid, 0)
-            )
-            go_right = active & (separators <= keys)
-            slot_lo = np.where(go_right, mid + 1, slot_lo)
-            slot_hi = np.where(active & ~go_right, mid, slot_hi)
-            active = slot_lo < slot_hi
-        return slot_lo  # number of separators <= key == child index
+        """Leaf reached by each probe through the internal levels.
 
-    def _search_leaf(
-        self,
-        leaves: np.ndarray,
-        keys: np.ndarray,
-        recorder: Optional[TraceRecorder],
-    ) -> np.ndarray:
-        """Lower-bound position of each key inside its leaf; -1 if absent."""
-        count = len(keys)
-        slot_lo = np.zeros(count, dtype=np.int64)
-        slot_hi = np.full(count, self.leaf_entries, dtype=np.int64)
-        if recorder is not None:
-            base = self._node_address(len(self.level_sizes) - 1, leaves)
-        active = slot_lo < slot_hi
-        entry_bytes = KEY_BYTES + self.leaf_payload_bytes
-        while active.any():
-            mid = (slot_lo + slot_hi) >> 1
-            if recorder is not None:
-                recorder.record(base + mid * entry_bytes, active=active)
-            entry_keys = self._leaf_keys(leaves, np.where(active, mid, 0))
-            go_right = active & (entry_keys < keys)
-            slot_lo = np.where(go_right, mid + 1, slot_lo)
-            slot_hi = np.where(active & ~go_right, mid, slot_hi)
-            active = slot_lo < slot_hi
-        in_leaf = slot_lo < self.leaf_entries
-        if recorder is not None:
-            recorder.record(
-                base + np.where(in_leaf, slot_lo, 0) * entry_bytes,
-                active=in_leaf,
+        Each internal node's search is an upper bound over its separators:
+        separator ``s`` is the first key of child ``s+1``, i.e. the column
+        key at ``(node*F + s + 1) * child_coverage * leaf_entries`` (MAX
+        when that child starts beyond the data), so it compares ``<=``
+        the probe exactly when it sits below the probe's upper rank.
+        """
+        reach = padded_upper(keys, upper)
+        nodes = np.zeros(len(keys), dtype=np.int64)
+        separators = self.fanout - 1
+        for level in range(len(self.level_sizes) - 1):  # repro: noqa[PERF001] -- O(height) per-level descent over whole key arrays
+            child = slots_below(
+                reach,
+                nodes * self.fanout + 1,
+                separators,
+                self.level_coverage[level + 1] * self.leaf_entries,
             )
-        found_keys = self._leaf_keys(leaves, np.where(in_leaf, slot_lo, 0))
-        positions = leaves * self.leaf_entries + slot_lo
-        # A hit must land on a *data* slot: padding slots past the end of
-        # the column hold the MAX sentinel, and a probe key of MAX would
-        # otherwise "match" the padding and return an out-of-bounds
-        # position (found by the differential suite).
-        found = (
-            in_leaf & (positions < len(self.column)) & (found_keys == keys)
-        )
-        return np.where(found, positions, np.int64(-1))
+            if recorder is not None:
+                replay_bisection(
+                    0, separators, child, recorder,
+                    self._node_address(level, nodes),
+                )
+            # Dense packing can address children past the level's end for
+            # the right-most path; clamp to the last node of the next level.
+            nodes = np.minimum(
+                nodes * self.fanout + child, self.level_sizes[level + 1] - 1
+            )
+        return nodes
+
+    def _leaf_slots(
+        self, leaves: np.ndarray, lower: np.ndarray
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """First entry of each leaf, and the lower-bound slot inside it.
+
+        Entry ``s`` holds the key at ``leaf * leaf_entries + s`` (MAX past
+        the data, which no probe exceeds), so it compares below the probe
+        exactly when it sits below the probe's lower rank.
+        """
+        first = leaves * self.leaf_entries
+        return first, slots_below(lower, first, self.leaf_entries)
 
     def _traverse(
         self, keys: np.ndarray, recorder: Optional[TraceRecorder]
     ) -> np.ndarray:
         keys = np.asarray(keys, dtype=KEY_DTYPE)
-        nodes = np.zeros(len(keys), dtype=np.int64)
-        for level in range(len(self.level_sizes) - 1):  # repro: noqa[PERF001] -- O(height) per-level descent over whole key arrays
-            child = self._search_internal(level, nodes, keys, recorder)
-            nodes = nodes * self.fanout + child
-            # Dense packing can address children past the level's end for
-            # the right-most path; clamp to the last node of the next level.
-            nodes = np.minimum(nodes, self.level_sizes[level + 1] - 1)
-        return self._search_leaf(nodes, keys, recorder)
+        lower, upper = self._ranks(keys)
+        leaves = self._descend(keys, upper, recorder)
+        first, slot = self._leaf_slots(leaves, lower)
+        in_leaf = slot < self.leaf_entries
+        if recorder is not None:
+            base = self._node_address(len(self.level_sizes) - 1, leaves)
+            entry_bytes = KEY_BYTES + self.leaf_payload_bytes
+            replay_bisection(
+                0, self.leaf_entries, slot, recorder, base, entry_bytes
+            )
+            recorder.record(
+                base + np.where(in_leaf, slot, 0) * entry_bytes,
+                active=in_leaf,
+            )
+        positions = first + slot
+        # A hit is an entry of this leaf holding the probe: the probe is a
+        # member and the slot is its lower rank.  MAX padding past the
+        # data never matches.
+        found = in_leaf & (positions == lower) & (upper > lower)
+        return np.where(found, positions, np.int64(-1))
 
     def _lower_bound(self, keys: np.ndarray) -> np.ndarray:
         """Lower bound via the same descent ``_traverse`` runs.
 
         Internal levels are unchanged (upper bound on separators picks
-        the leaf whose key range covers the probe); the leaf search
-        keeps its lower-bound bisection but returns the *global
-        insertion position* ``leaf * entries + slot`` instead of
+        the leaf whose key range covers the probe); the leaf returns the
+        *global insertion position* ``leaf * entries + slot`` instead of
         equality-checking it.  Dense leaf packing makes that position
         exact for absent keys too: a probe past a full leaf's last key
         lands on slot ``leaf_entries``, i.e. the start of the next leaf.
         """
         keys = np.asarray(keys, dtype=KEY_DTYPE)
-        nodes = np.zeros(len(keys), dtype=np.int64)
-        for level in range(len(self.level_sizes) - 1):  # repro: noqa[PERF001] -- O(height) per-level descent over whole key arrays
-            child = self._search_internal(level, nodes, keys, None)
-            nodes = np.minimum(
-                nodes * self.fanout + child, self.level_sizes[level + 1] - 1
-            )
-        count = len(keys)
-        slot_lo = np.zeros(count, dtype=np.int64)
-        slot_hi = np.full(count, self.leaf_entries, dtype=np.int64)
-        active = slot_lo < slot_hi
-        while active.any():
-            mid = (slot_lo + slot_hi) >> 1
-            entry_keys = self._leaf_keys(nodes, np.where(active, mid, 0))
-            go_right = active & (entry_keys < keys)
-            slot_lo = np.where(go_right, mid + 1, slot_lo)
-            slot_hi = np.where(active & ~go_right, mid, slot_hi)
-            active = slot_lo < slot_hi
-        return np.minimum(
-            nodes * self.leaf_entries + slot_lo, len(self.column)
-        )
+        lower, upper = self._ranks(keys)
+        first, slot = self._leaf_slots(self._descend(keys, upper, None), lower)
+        return np.minimum(first + slot, len(self.column))
 
     # ------------------------------------------------------------------
     # Updates (materialized columns only).

@@ -33,9 +33,7 @@ from ..gpu.simt import SimtCost, subwarp_lookup_cost
 from ..hardware.memory import MemorySpace, SystemMemory
 from ..perf.analytic import level_sweep_pages
 from ..units import KEY_BYTES
-from .base import Index, TraceRecorder
-
-_MAX_KEY = np.uint64(np.iinfo(np.uint64).max)
+from .base import Index, TraceRecorder, padded_upper, slots_below
 
 #: Bytes per prefix-sum child-array entry.
 _CHILD_ENTRY_BYTES = 4
@@ -132,90 +130,39 @@ class HarmoniaIndex(Index):
         self._placed = True
 
     # ------------------------------------------------------------------
-    # Implicit node contents.
-    # ------------------------------------------------------------------
-
-    def _node_keys_matrix(
-        self, level: int, nodes: np.ndarray
-    ) -> np.ndarray:
-        """All ``node_keys`` keys of each node: shape (len(nodes), node_keys).
-
-        Key ``s`` of a node is the first column key covered by its child
-        ``s`` (for leaves: simply the s-th covered key); MAX past the data.
-        """
-        child_coverage = (
-            self.level_coverage[level + 1]
-            if level + 1 < len(self.level_sizes)
-            else 1
-        )
-        slots = np.arange(self.node_keys, dtype=np.int64)
-        first_positions = (
-            nodes[:, None] * self.node_keys + slots[None, :]
-        ) * child_coverage
-        n = len(self.column)
-        exists = first_positions < n
-        safe = np.where(exists, first_positions, 0)
-        keys = self.column.key_at(safe.reshape(-1)).reshape(safe.shape)
-        return np.where(exists, keys, _MAX_KEY)
-
-    def _node_child_counts(
-        self,
-        level: int,
-        nodes: np.ndarray,
-        keys: np.ndarray,
-        strict: bool = False,
-    ) -> np.ndarray:
-        """Per lane: how many of its node's keys are <= the probe.
-
-        Equivalent to ``(self._node_keys_matrix(level, nodes) <=
-        keys[:, None]).sum(axis=1)`` without materializing the
-        (lanes, node_keys) matrix: node keys are nondecreasing (strictly
-        increasing while backed by data, MAX-padded past it), so a
-        vectorized binary search over the key slots gathers
-        ``log2(node_keys)`` keys per lane instead of ``node_keys``.
-
-        ``strict=True`` counts keys strictly below the probe instead --
-        the leaf-level variant the range primitive's lower bound needs.
-        """
-        child_coverage = (
-            self.level_coverage[level + 1]
-            if level + 1 < len(self.level_sizes)
-            else 1
-        )
-        n = len(self.column)
-        node_first = nodes * self.node_keys
-        lo = np.zeros(len(nodes), dtype=np.int64)
-        hi = np.full(len(nodes), self.node_keys, dtype=np.int64)
-        active = lo < hi
-        while active.any():
-            mid = (lo + hi) >> 1
-            positions = (node_first + mid) * child_coverage
-            exists = active & (positions < n)
-            slot_keys = self.column.key_at(np.where(exists, positions, 0))
-            mid_keys = np.where(exists, slot_keys, _MAX_KEY)
-            if strict:
-                go_right = active & (mid_keys < keys)
-            else:
-                go_right = active & (mid_keys <= keys)
-            lo = np.where(go_right, mid + 1, lo)
-            hi = np.where(active & ~go_right, mid, hi)
-            active = lo < hi
-        return lo
-
-    # ------------------------------------------------------------------
     # Traversal.
     # ------------------------------------------------------------------
 
-    def _traverse(
-        self, keys: np.ndarray, recorder: Optional[TraceRecorder]
+    def _child_counts(
+        self, level: int, nodes: np.ndarray, rank: np.ndarray
     ) -> np.ndarray:
-        keys = np.asarray(keys, dtype=KEY_DTYPE)
-        count = len(keys)
-        nodes = np.zeros(count, dtype=np.int64)
+        """Per lane: how many of its node's keys sit below ``rank``.
+
+        Key ``s`` of a node is the first column key covered by its child
+        ``s`` (for leaves: simply the s-th covered key); MAX past the
+        data.  Against the upper rank of :func:`padded_upper` this counts
+        the node keys ``<=`` the probe; against the lower rank, the keys
+        ``<`` it.
+        """
+        child_coverage = (
+            self.level_coverage[level + 1]
+            if level + 1 < len(self.level_sizes)
+            else 1
+        )
+        return slots_below(
+            rank, nodes * self.node_keys, self.node_keys, child_coverage
+        )
+
+    def _descend(
+        self, reach: np.ndarray, recorder: Optional[TraceRecorder]
+    ) -> np.ndarray:
+        """Leaf reached by each probe; records every level's node visit."""
+        nodes = np.zeros(len(reach), dtype=np.int64)
         lines_per_node = max(
             1, (self.node_keys * KEY_BYTES + 127) // 128
         )
-        for level in range(len(self.level_sizes)):  # repro: noqa[PERF001] -- O(height) per-level descent over whole key arrays
+        leaf_level = len(self.level_sizes) - 1
+        for level in range(leaf_level + 1):  # repro: noqa[PERF001] -- O(height) per-level descent over whole key arrays
             if recorder is not None:
                 node_base = (
                     self._key_region.base
@@ -232,21 +179,27 @@ class HarmoniaIndex(Index):
                     (self.level_offsets[level] + nodes) * _CHILD_ENTRY_BYTES
                 )
                 recorder.record(child_base)
-            # child = (number of node keys <= probe) - 1; key 0 is the
-            # subtree minimum, so the count is >= 1 for in-range probes.
-            counts = self._node_child_counts(level, nodes, keys)
-            child = np.maximum(counts - 1, 0).astype(np.int64)
-            if level + 1 < len(self.level_sizes):
-                nodes = nodes * self.fanout + child
-                nodes = np.minimum(nodes, self.level_sizes[level + 1] - 1)
-            else:
-                positions = nodes * self.node_keys + child
-                n = len(self.column)
-                in_range = positions < n
-                safe = np.where(in_range, positions, 0)
-                found = in_range & (self.column.key_at(safe) == keys)
-                return np.where(found, positions, np.int64(-1))
-        raise SimulationError("traversal fell off the tree")  # pragma: no cover
+            if level < leaf_level:
+                # child = (number of node keys <= probe) - 1; key 0 is the
+                # subtree minimum, so the count is >= 1 for in-range probes.
+                counts = self._child_counts(level, nodes, reach)
+                nodes = np.minimum(
+                    nodes * self.fanout + np.maximum(counts - 1, 0),
+                    self.level_sizes[level + 1] - 1,
+                )
+        return nodes
+
+    def _traverse(
+        self, keys: np.ndarray, recorder: Optional[TraceRecorder]
+    ) -> np.ndarray:
+        keys = np.asarray(keys, dtype=KEY_DTYPE)
+        lower, upper = self._ranks(keys)
+        reach = padded_upper(keys, upper)
+        leaves = self._descend(reach, recorder)
+        counts = self._child_counts(len(self.level_sizes) - 1, leaves, reach)
+        positions = leaves * self.node_keys + np.maximum(counts - 1, 0)
+        found = (positions == lower) & (upper > lower)
+        return np.where(found, positions, np.int64(-1))
 
     def _lower_bound(self, keys: np.ndarray) -> np.ndarray:
         """Lower bound via the key-region descent.
@@ -257,19 +210,11 @@ class HarmoniaIndex(Index):
         the global insertion position for absent probes too.
         """
         keys = np.asarray(keys, dtype=KEY_DTYPE)
-        nodes = np.zeros(len(keys), dtype=np.int64)
-        height = len(self.level_sizes)
-        for level in range(height - 1):  # repro: noqa[PERF001] -- O(height) per-level descent over whole key arrays
-            counts = self._node_child_counts(level, nodes, keys)
-            child = np.maximum(counts - 1, 0).astype(np.int64)
-            nodes = np.minimum(
-                nodes * self.fanout + child, self.level_sizes[level + 1] - 1
-            )
-        counts_lt = self._node_child_counts(
-            height - 1, nodes, keys, strict=True
-        )
+        lower, upper = self._ranks(keys)
+        leaves = self._descend(padded_upper(keys, upper), None)
+        counts_lt = self._child_counts(len(self.level_sizes) - 1, leaves, lower)
         return np.minimum(
-            nodes * self.node_keys + counts_lt, len(self.column)
+            leaves * self.node_keys + counts_lt, len(self.column)
         )
 
     # ------------------------------------------------------------------

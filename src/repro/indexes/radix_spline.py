@@ -47,7 +47,7 @@ from ..errors import ConfigurationError, SimulationError
 from ..hardware.memory import MemorySpace, SystemMemory
 from ..perf.analytic import level_sweep_pages
 from ..units import KEY_BYTES
-from .base import Index, TraceRecorder
+from .base import Index, TraceRecorder, replay_bisection
 from .domain import clamped_int64
 
 #: Bytes per spline point: 8 B key + 8 B position.
@@ -451,46 +451,33 @@ class RadixSplineIndex(Index):
         self, keys: np.ndarray, recorder: Optional[TraceRecorder]
     ) -> np.ndarray:
         keys = np.asarray(keys, dtype=KEY_DTYPE)
-        count = len(keys)
         n = len(self.column)
         estimate = self._predict(keys, recorder)
-        # 4. Bounded binary search of the data.
+        # 4. Bounded binary search of the data: it ends at the lower rank
+        #    clamped into the +-error_bound window.
+        lower, upper = self._ranks(keys)
         search_lo = np.maximum(estimate - self.error_bound, 0)
         search_hi = np.minimum(estimate + self.error_bound + 1, n)
-        base = (
-            self.relation.allocation.base
-            if recorder is not None and self.relation.allocation is not None
-            else 0
-        )
-        active = search_lo < search_hi
-        data_rounds = 0
-        while active.any():
-            data_rounds += 1
-            mid = (search_lo + search_hi) >> 1
+        slot = np.clip(lower, search_lo, search_hi)
+        if recorder is not None or obs.enabled():
+            base = self.relation.allocation.base if recorder is not None else 0
+            data_rounds = replay_bisection(
+                search_lo, search_hi, slot, recorder, base
+            )
+            if obs.enabled():
+                obs.add(
+                    "index.data_search_rounds",
+                    float(data_rounds),
+                    index=self.name,
+                )
             if recorder is not None:
-                recorder.record(base + mid * KEY_BYTES, active=active)
-            mid_keys = self.column.key_at(np.where(active, mid, 0))
-            go_right = active & (mid_keys < keys)
-            search_lo = np.where(go_right, mid + 1, search_lo)
-            search_hi = np.where(active & ~go_right, mid, search_hi)
-            active = search_lo < search_hi
-        if obs.enabled():
-            obs.add(
-                "index.data_search_rounds",
-                float(data_rounds),
-                index=self.name,
-            )
-        in_range = search_lo < n
-        if recorder is not None:
-            recorder.record(
-                base + np.where(in_range, search_lo, 0) * KEY_BYTES,
-                active=in_range,
-            )
-        found = np.zeros(count, dtype=bool)
-        if in_range.any():
-            candidate = np.where(in_range, search_lo, 0)
-            found = in_range & (self.column.key_at(candidate) == keys)
-        return np.where(found, search_lo, np.int64(-1))
+                in_range = slot < n
+                recorder.record(
+                    base + np.where(in_range, slot, 0) * KEY_BYTES,
+                    active=in_range,
+                )
+        found = (slot == lower) & (upper > lower)
+        return np.where(found, slot, np.int64(-1))
 
     def _lower_bound(self, keys: np.ndarray) -> np.ndarray:
         """Lower bound via the spline prediction and a *widened* search.
@@ -502,23 +489,18 @@ class RadixSplineIndex(Index):
         so the true insertion point is within ``e + 1`` of the
         prediction (out-of-domain probes clamp within the same bound).
         Rounding adds at most one more position; the search window is
-        therefore widened to ``error_bound + 2`` on each side.
+        therefore widened to ``error_bound + 2`` on each side, and the
+        search ends at the lower rank clamped into it.
         """
         keys = np.asarray(keys, dtype=KEY_DTYPE)
         n = len(self.column)
         estimate = self._predict(keys, None)
         margin = self.error_bound + 2
-        search_lo = np.maximum(estimate - margin, 0)
-        search_hi = np.minimum(estimate + margin + 1, n)
-        active = search_lo < search_hi
-        while active.any():
-            mid = (search_lo + search_hi) >> 1
-            mid_keys = self.column.key_at(np.where(active, mid, 0))
-            go_right = active & (mid_keys < keys)
-            search_lo = np.where(go_right, mid + 1, search_lo)
-            search_hi = np.where(active & ~go_right, mid, search_hi)
-            active = search_lo < search_hi
-        return search_lo
+        return np.clip(
+            self.column.bound_positions(keys),
+            np.maximum(estimate - margin, 0),
+            np.minimum(estimate + margin + 1, n),
+        )
 
     # ------------------------------------------------------------------
     # Analytic locality.

@@ -1,5 +1,10 @@
 """Reference implementations the data-layer tests check against.
 
+:func:`bound_positions` is the generic ``searchsorted`` over any column:
+a vectorized bisection through ``key_at``, one key read per round.  Both
+column kinds answer without it (one ``searchsorted``, or O(1) per key for
+virtual columns); the tests require identical ranks.
+
 :func:`full_draw_ordered_sample` is the one-shot form of the skewed
 ordered sampler: it inverts the whole (capped) window of uniforms at
 once, scatters every rank, and only then filters the segment and applies
@@ -15,6 +20,29 @@ import numpy as np
 
 from repro.data.column import KEY_DTYPE, Column
 from repro.data.generator import ProbeSet, WorkloadConfig
+
+
+def bound_positions(column: Column, keys, side: str = "left") -> np.ndarray:
+    """First position whose key is ``>=`` (left) or ``>`` (right) each key."""
+    keys = np.atleast_1d(np.asarray(keys, dtype=KEY_DTYPE))
+    n = len(column)
+    lo = np.zeros(len(keys), dtype=np.int64)
+    hi = np.full(len(keys), n, dtype=np.int64)
+    while True:
+        active = lo < hi
+        if not active.any():
+            break
+        mid = (lo + hi) >> 1
+        # mid < n whenever active, so the masked read never leaves the
+        # column.
+        mid_keys = column.key_at(np.where(active, mid, 0))
+        if side == "left":
+            go_right = active & (mid_keys < keys)
+        else:
+            go_right = active & (mid_keys <= keys)
+        lo = np.where(go_right, mid + 1, lo)
+        hi = np.where(active & ~go_right, mid, hi)
+    return lo
 
 
 def full_draw_zipf_ranks(

@@ -11,6 +11,10 @@ from repro.data.column import (
 )
 from repro.errors import ConfigurationError, WorkloadError
 
+from . import oracles
+
+MAX_KEY = 2**64 - 1
+
 
 class TestMaterializedColumn:
     def test_basic(self):
@@ -104,6 +108,26 @@ class TestVirtualSortedColumn:
         column = VirtualSortedColumn(100, stride=4, offset=1000)
         assert column.rank_of(np.array([0, 999, 10**9]))[0] == -1
 
+    def test_regression_hint_for_keys_at_or_above_2_63(self):
+        """An int64 cast wrapped these keys negative, clipping the hint to
+        0 while the true lower bound is the column length."""
+        column = VirtualSortedColumn(1000, stride=4)
+        keys = np.asarray([2**63, 2**63 + 5, MAX_KEY], dtype=np.uint64)
+        hints = column.lower_bound_hint(keys)
+        assert hints.tolist() == [999, 999, 999]
+        assert np.all(
+            np.abs(column.bound_positions(keys) - hints)
+            <= column.hint_error_bound()
+        )
+
+    def test_bound_positions_rejects_unknown_side(self):
+        with pytest.raises(ConfigurationError):
+            VirtualSortedColumn(10).bound_positions([3], side="middle")
+        with pytest.raises(ConfigurationError):
+            MaterializedColumn(np.arange(3, dtype=np.uint64)).bound_positions(
+                [1], side="middle"
+            )
+
     def test_hint_within_bound(self):
         column = VirtualSortedColumn(10_000, stride=4, seed=3)
         positions = np.arange(10_000)
@@ -192,3 +216,45 @@ def test_virtual_column_properties(num_keys, stride, offset, seed):
     assert np.array_equal(column.rank_of(keys), positions)
     hints = column.lower_bound_hint(keys)
     assert np.all(np.abs(hints - positions) <= column.hint_error_bound())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    num_keys=st.integers(min_value=1, max_value=3000),
+    stride=st.integers(min_value=1, max_value=64),
+    offset=st.sampled_from([0, 1, 10**6, 2**62]),
+    seed=st.integers(min_value=0, max_value=2**31),
+    probe_seed=st.integers(min_value=0, max_value=2**32 - 1),
+    materialize=st.booleans(),
+)
+def test_bound_positions_match_the_bisection_reference(
+    num_keys, stride, offset, seed, probe_seed, materialize
+):
+    """Both column kinds, both sides: the rank equals the key-at bisection
+    and ``searchsorted`` over the materialized keys, for members, near
+    misses, 0, MAX, keys past the end and keys at or above 2^63."""
+    virtual = VirtualSortedColumn(
+        num_keys, stride=stride, offset=offset, seed=seed
+    )
+    keys = virtual.key_at(np.arange(num_keys, dtype=np.int64))
+    column = MaterializedColumn(keys) if materialize else virtual
+    rng = np.random.default_rng(probe_seed)
+    members = keys[rng.integers(0, num_keys, size=64)]
+    with np.errstate(over="ignore"):
+        near = np.concatenate([members + np.uint64(1), members - np.uint64(1)])
+    last = int(keys[-1])
+    extremes = np.asarray(
+        [0, MAX_KEY, last + 1, last + stride + 1, 2**63 - 1, 2**63, 2**63 + 1],
+        dtype=np.uint64,
+    )
+    wide = rng.integers(0, MAX_KEY, size=16, dtype=np.uint64, endpoint=True)
+    probes = np.concatenate([members, near, extremes, wide])
+    for side in ("left", "right"):
+        ranks = column.bound_positions(probes, side=side)
+        assert ranks.dtype == np.int64
+        np.testing.assert_array_equal(
+            ranks, oracles.bound_positions(column, probes, side=side)
+        )
+        np.testing.assert_array_equal(
+            ranks, np.searchsorted(keys, probes, side=side)
+        )

@@ -58,6 +58,31 @@ class TestPlan:
         assert "RadixSpline" not in text.split("chosen:")[1].split("\n")[0]
 
 
+class TestPlanBadInput:
+    """Bad plan sizes and skews exit 2 naming the flag, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["--r-gib", "nan"], "--r-gib"),
+            (["--r-gib", "inf"], "--r-gib"),
+            (["--r-gib", "1e300"], "--r-gib"),
+            (["--r-gib", "-1"], "--r-gib"),
+            (["--r-gib", "0"], "--r-gib"),
+            (["--r-gib", "1e-9"], "--r-gib"),
+            (["--r-gib", "1e6"], "--r-gib"),
+            (["--zipf", "nan"], "--zipf"),
+            (["--zipf", "-1"], "--zipf"),
+            (["--zipf", "inf"], "--zipf"),
+        ],
+    )
+    def test_exits_2_naming_the_flag(self, argv, flag, capsys):
+        assert main(["plan", *argv]) == 2
+        err = capsys.readouterr().err
+        assert flag in err
+        assert "zero span" not in err
+
+
 class TestExperiments:
     def test_table1_subset(self, capture):
         assert main(["experiments", "table1"]) == 0
