@@ -141,8 +141,8 @@ class HarmoniaIndex(Index):
         Key ``s`` of a node is the first column key covered by its child
         ``s`` (for leaves: simply the s-th covered key); MAX past the
         data.  Against the upper rank of :func:`padded_upper` this counts
-        the node keys ``<=`` the probe; against the lower rank, the keys
-        ``<`` it.
+        the node keys ``<=`` the probe; against the plain upper rank, the
+        data keys ``<=`` it; against the lower rank, the keys ``<`` it.
         """
         child_coverage = (
             self.level_coverage[level + 1]
@@ -194,9 +194,10 @@ class HarmoniaIndex(Index):
     ) -> np.ndarray:
         keys = np.asarray(keys, dtype=KEY_DTYPE)
         lower, upper = self._ranks(keys)
-        reach = padded_upper(keys, upper)
-        leaves = self._descend(reach, recorder)
-        counts = self._child_counts(len(self.level_sizes) - 1, leaves, reach)
+        leaves = self._descend(padded_upper(keys, upper), recorder)
+        # The leaf counts data slots only: a MAX member must not pick a
+        # MAX-padded slot past the data.
+        counts = self._child_counts(len(self.level_sizes) - 1, leaves, upper)
         positions = leaves * self.node_keys + np.maximum(counts - 1, 0)
         found = (positions == lower) & (upper > lower)
         return np.where(found, positions, np.int64(-1))

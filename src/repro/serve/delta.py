@@ -10,7 +10,9 @@ absorbing insert/upsert windows.  Probes reconcile the base
 newest-wins, so served positions stay element-equal to a sorted-array
 oracle applying the same update stream (the FliX-motivated design from
 ROADMAP open item 1: GPU-resident indexes struggle with in-place
-updates, so buffer-and-merge).
+updates, so buffer-and-merge).  Update windows queue as they arrive and
+fold into the sorted array on the buffer's next read, in one
+:func:`merge_newest_wins` pass over it.
 
 Reads over a deep delta pay for the extra binary search -- the *read
 amplification* the :class:`CompactionPolicy` trades against the priced
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -40,31 +42,47 @@ def merge_newest_wins(
     keys: np.ndarray,
     values: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Merge two key/value runs; later entries override earlier ones.
+    """Merge a batch into a sorted, unique run; later entries win.
 
-    Within ``keys`` itself the *last* occurrence of a duplicate wins,
-    and any key present in both runs takes its value from
-    ``keys``/``values`` -- the update stream's arrival-order semantics.
-    Returns sorted, unique arrays.
+    ``base_keys`` must be strictly increasing, as a delta buffer's run
+    and a shard's column both are.  Within ``keys`` itself the *last*
+    occurrence of a duplicate wins, and any key present in both takes
+    its value from ``keys``/``values`` -- the update stream's
+    arrival-order semantics.  Only the batch is sorted; it lands in the
+    run with one ``searchsorted`` and one masked copy per array, a
+    single pass over the run.  Returns new sorted, unique arrays.
     """
-    all_keys = np.concatenate(
-        [np.asarray(base_keys, dtype=KEY_DTYPE),
-         np.asarray(keys, dtype=KEY_DTYPE)]
-    )
-    all_values = np.concatenate(
-        [np.asarray(base_values, dtype=np.int64),
-         np.asarray(values, dtype=np.int64)]
-    )
+    base_keys = np.asarray(base_keys, dtype=KEY_DTYPE)
+    base_values = np.asarray(base_values, dtype=np.int64)
+    keys = np.asarray(keys, dtype=KEY_DTYPE)
     # Stable sort keeps arrival order within equal keys, so keep-last
-    # per key group implements newest-wins.
-    order = np.argsort(all_keys, kind="stable")
-    sorted_keys = all_keys[order]
-    sorted_values = all_values[order]
-    keep = np.empty(len(sorted_keys), dtype=bool)
-    if len(sorted_keys):
-        keep[:-1] = sorted_keys[1:] != sorted_keys[:-1]
-        keep[-1] = True
-    return sorted_keys[keep], sorted_values[keep]
+    # per key group implements newest-wins inside the batch.
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    values = np.asarray(values, dtype=np.int64)[order]
+    if len(keys):
+        last = np.empty(len(keys), dtype=bool)
+        last[:-1] = keys[1:] != keys[:-1]
+        last[-1] = True
+        keys, values = keys[last], values[last]
+    if len(base_keys) == 0:
+        return keys, values
+    slots = np.searchsorted(base_keys, keys)
+    # A key past the run clips onto its last key, which is smaller.
+    new = base_keys.take(slots, mode="clip") != keys
+    # Each batch key lands after the run keys below it and the new keys
+    # before it; a key already in the run lands on (overwrites) its slot.
+    targets = slots + (np.cumsum(new) - new)
+    placed = targets[new]
+    kept = np.ones(len(base_keys) + len(placed), dtype=bool)
+    kept[placed] = False
+    merged_keys = np.empty(len(kept), dtype=KEY_DTYPE)
+    merged_values = np.empty(len(kept), dtype=np.int64)
+    merged_keys[kept] = base_keys
+    merged_keys[placed] = keys[new]
+    merged_values[kept] = base_values
+    merged_values[targets] = values
+    return merged_keys, merged_values
 
 
 def delta_search_steps(delta_tuples: int) -> int:
@@ -92,24 +110,50 @@ class DeltaBuffer:
     a served position names exactly one version of one key.  ``apply``
     is idempotent for a repeated batch (newest-wins of equal values),
     which keeps retried update windows safe.
+
+    ``apply`` only queues a copy of its batch; every reader first folds
+    the queued batches into the sorted run with one merge.  A buffer
+    nobody reads (the fallback's, until a fault routes a window to it)
+    therefore never merges at all.
     """
 
-    __slots__ = ("_keys", "_values")
+    __slots__ = ("_keys", "_values", "_pending")
 
     def __init__(self) -> None:
         self._keys = np.empty(0, dtype=KEY_DTYPE)
         self._values = np.empty(0, dtype=np.int64)
+        #: Batches applied since the last fold, in arrival order.
+        self._pending: List[Tuple[np.ndarray, np.ndarray]] = []
+
+    def _fold(self) -> None:
+        """Merge the queued batches into the sorted run, newest-wins."""
+        pending = self._pending
+        if not pending:
+            return
+        self._pending = []
+        # Arrival order survives the concatenation, so the merge's
+        # newest-wins holds across batches as within one.
+        self._keys, self._values = merge_newest_wins(
+            self._keys,
+            self._values,
+            np.concatenate([keys for keys, _ in pending]),
+            np.concatenate([values for _, values in pending]),
+        )
 
     @property
     def num_tuples(self) -> int:
+        self._fold()
         return len(self._keys)
 
     @property
     def search_steps(self) -> int:
-        return delta_search_steps(len(self._keys))
+        return delta_search_steps(self.num_tuples)
 
     def apply(self, keys: np.ndarray, values: np.ndarray) -> None:
-        """Absorb one update window (newest-wins against current state)."""
+        """Absorb one update window (newest-wins against current state).
+
+        The batch is copied: callers may reuse their arrays.
+        """
         if len(keys) != len(values):
             raise ConfigurationError(
                 f"update window carries {len(keys)} keys but "
@@ -117,8 +161,8 @@ class DeltaBuffer:
             )
         if len(keys) == 0:
             return
-        self._keys, self._values = merge_newest_wins(
-            self._keys, self._values, keys, values
+        self._pending.append(
+            (np.array(keys, dtype=KEY_DTYPE), np.array(values, dtype=np.int64))
         )
 
     def lookup_into(self, keys: np.ndarray, positions: np.ndarray) -> int:
@@ -128,6 +172,7 @@ class DeltaBuffer:
         whatever the base probe produced (match or miss) -- the
         newest-wins reconciliation of the tentpole contract.
         """
+        self._fold()
         if len(self._keys) == 0:
             return 0
         keys = np.asarray(keys, dtype=KEY_DTYPE)
@@ -139,6 +184,7 @@ class DeltaBuffer:
 
     def drain(self) -> Tuple[np.ndarray, np.ndarray]:
         """Hand the buffered pairs to a compaction and reset to empty."""
+        self._fold()
         keys, values = self._keys, self._values
         self._keys = np.empty(0, dtype=KEY_DTYPE)
         self._values = np.empty(0, dtype=np.int64)
@@ -146,6 +192,7 @@ class DeltaBuffer:
 
     def snapshot(self) -> Tuple[np.ndarray, np.ndarray]:
         """Copies of the buffered pairs (tests and payload plumbing)."""
+        self._fold()
         return self._keys.copy(), self._values.copy()
 
     def read_counters(self, window_tuples: int) -> Optional[PerfCounters]:
@@ -158,7 +205,7 @@ class DeltaBuffer:
         like the index).  ``None`` when the delta is empty, so the
         fast path stays counter-free.
         """
-        if len(self._keys) == 0 or window_tuples <= 0:
+        if self.num_tuples == 0 or window_tuples <= 0:
             return None
         steps = float(self.search_steps)
         width = float(window_tuples)

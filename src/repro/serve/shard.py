@@ -175,9 +175,9 @@ class Shard:
         delta_keys, delta_values = self.delta.drain()
         if len(delta_keys) == 0:
             return 0
-        base_keys = self.relation.column.key_at(
-            np.arange(self.num_tuples, dtype=np.int64)
-        )
+        column = self.relation.column
+        assert isinstance(column, MaterializedColumn)  # shards own slices
+        base_keys = column.keys
         if self._row_ids is None:
             base_values = self.base_position + np.arange(
                 self.num_tuples, dtype=np.int64

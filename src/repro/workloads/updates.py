@@ -23,6 +23,7 @@ correct.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from typing import Optional, Tuple, Type
@@ -268,9 +269,7 @@ class SortedArrayOracle:
             raise ConfigurationError(
                 "oracle base keys must be strictly increasing"
             )
-        self._table = {
-            int(key): position for position, key in enumerate(keys)
-        }
+        self._table = dict(zip(keys.tolist(), range(len(keys))))
 
     def apply(self, keys: np.ndarray, values: np.ndarray) -> None:
         """Absorb one update batch, in order (later entries win)."""
@@ -279,14 +278,12 @@ class SortedArrayOracle:
                 f"oracle batch carries {len(keys)} keys but "
                 f"{len(values)} values"
             )
-        for key, value in zip(keys.tolist(), values.tolist()):
-            self._table[int(key)] = int(value)
+        self._table.update(zip(keys.tolist(), values.tolist()))
 
     def lookup(self, keys: np.ndarray) -> np.ndarray:
         """Newest row id per key; -1 for absent keys."""
-        table = self._table
         return np.fromiter(
-            (table.get(int(key), -1) for key in keys.tolist()),
+            map(self._table.get, keys.tolist(), itertools.repeat(-1)),
             dtype=np.int64,
             count=len(keys),
         )

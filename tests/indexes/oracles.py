@@ -245,8 +245,12 @@ def _harmonia_child_counts(
     nodes: np.ndarray,
     keys: np.ndarray,
     strict: bool = False,
+    padded: bool = True,
 ) -> np.ndarray:
-    """Per lane: how many of its node's keys are <= (strict: <) the probe."""
+    """Per lane: how many of its node's keys are <= (strict: <) the probe.
+
+    Slots past the data hold MAX; ``padded=False`` counts data slots only.
+    """
     child_coverage = (
         index.level_coverage[level + 1]
         if level + 1 < len(index.level_sizes)
@@ -267,6 +271,8 @@ def _harmonia_child_counts(
             go_right = active & (mid_keys < keys)
         else:
             go_right = active & (mid_keys <= keys)
+        if not padded:
+            go_right &= exists
         lo = np.where(go_right, mid + 1, lo)
         hi = np.where(active & ~go_right, mid, hi)
         active = lo < hi
@@ -296,9 +302,11 @@ def harmonia_traverse(
                 (index.level_offsets[level] + nodes) * _CHILD_ENTRY_BYTES
             )
             recorder.record(child_base)
-        counts = _harmonia_child_counts(index, level, nodes, keys)
+        # A leaf's MAX padding is not data: a MAX member stops at its slot.
+        leaf = level + 1 == len(index.level_sizes)
+        counts = _harmonia_child_counts(index, level, nodes, keys, padded=not leaf)
         child = np.maximum(counts - 1, 0).astype(np.int64)
-        if level + 1 < len(index.level_sizes):
+        if not leaf:
             nodes = nodes * index.fanout + child
             nodes = np.minimum(nodes, index.level_sizes[level + 1] - 1)
         else:

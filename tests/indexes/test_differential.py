@@ -173,3 +173,18 @@ def test_empty_relations_are_rejected_before_indexing():
     constructor refuses it, so no index can be built over nothing."""
     with pytest.raises(ConfigurationError):
         MaterializedColumn(np.empty(0, dtype=np.uint64))
+
+
+@pytest.mark.parametrize("index_cls", ALL_INDEX_TYPES)
+def test_regression_max_member_in_a_partial_last_leaf(index_cls):
+    """MAX as the last key of a leaf that is not full: Harmonia's leaf
+    once counted the MAX padding past the data as keys <= the probe,
+    picked a padded slot and missed.  Every index finds it."""
+    keys = np.asarray([5, 9, MAX_KEY - 4, MAX_KEY], dtype=np.uint64)
+    probes = np.asarray(
+        [MAX_KEY, MAX_KEY - 1, MAX_KEY - 4, 9, 0], dtype=np.uint64
+    )
+    index = index_cls(Relation(name="R", column=MaterializedColumn(keys)))
+    expected = oracle_lookup(keys, probes)
+    assert expected[0] == 3
+    np.testing.assert_array_equal(index.lookup(probes), expected)

@@ -13,6 +13,7 @@ from repro.indexes import (
     HarmoniaIndex,
     RadixSplineIndex,
 )
+import repro.serve.delta as delta_module
 from repro.serve.delta import (
     DEFAULT_COMPACTION_POLICY,
     CompactionPolicy,
@@ -80,6 +81,28 @@ class TestDeltaBuffer:
     def test_rejects_mismatched_batch(self):
         with pytest.raises(ConfigurationError):
             DeltaBuffer().apply(keys_of(1, 2), vals_of(1))
+
+    def test_applies_queue_until_one_read_folds_them(self, monkeypatch):
+        """A buffer nobody reads never merges; the first read folds every
+        queued batch with one merge, and later reads merge nothing."""
+        merged_batches = []
+
+        def counting_merge(base_keys, base_values, keys, values):
+            merged_batches.append(len(keys))
+            return merge_newest_wins(base_keys, base_values, keys, values)
+
+        monkeypatch.setattr(delta_module, "merge_newest_wins", counting_merge)
+        delta = DeltaBuffer()
+        for step in range(4):
+            delta.apply(keys_of(step, 9), vals_of(step, 10 + step))
+        assert merged_batches == []
+        assert delta.num_tuples == 5
+        assert merged_batches == [8]
+        positions = vals_of(-1)
+        delta.lookup_into(keys_of(9), positions)
+        assert positions[0] == 13
+        assert delta.read_counters(16) is not None
+        assert merged_batches == [8]
 
 
 class TestMergeNewestWins:
