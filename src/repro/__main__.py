@@ -6,9 +6,6 @@ Commands:
   paper's tables and figures (same as ``python -m repro.experiments.runner``);
 * ``bench [--json FILE] [--workers N]`` -- time the standard sweeps and
   record wall clocks plus key counters to a JSON report;
-* ``bench2 [--json FILE] [--workers N] [--min-serve-throughput N]`` --
-  the BENCH_1 sweep set through the worker pool plus the serve-bench
-  sweep (BENCH_2.json);
 * ``serve-bench [--shards N...] [--window-kib K...] [--zipf T...]
   [--index NAME] [--replicas K] [--replica-indexes NAME...]
   [--chaos-schedule FILE] [--update-fraction F...]
@@ -114,17 +111,6 @@ def cmd_bench(args) -> int:
 
     bench_main(json_path=args.json, workers=args.workers)
     return 0
-
-
-def cmd_bench2(args) -> int:
-    from .experiments.bench2 import main as bench2_main
-
-    return bench2_main(
-        json_path=args.json,
-        workers=args.workers,
-        baseline_path=args.baseline,
-        min_serve_throughput=args.min_serve_throughput,
-    )
 
 
 def cmd_serve_bench(args) -> int:
@@ -255,28 +241,6 @@ def main(argv=None) -> int:
     bench.add_argument(
         "--workers", type=int, default=0,
         help="processes for the sweeps (0 = one per CPU core)",
-    )
-
-    bench2 = subparsers.add_parser(
-        "bench2",
-        help="pooled sweeps plus the serve sweep; writes BENCH_2.json",
-    )
-    bench2.add_argument(
-        "--json", default=None, metavar="FILE",
-        help="write the benchmark payload to FILE (e.g. BENCH_2.json)",
-    )
-    bench2.add_argument(
-        "--workers", type=int, default=0,
-        help="sweep processes (0 = one per CPU core)",
-    )
-    bench2.add_argument(
-        "--baseline", default="BENCH_1.json", metavar="FILE",
-        help="BENCH_1 payload to compare the sweep wall clock against",
-    )
-    bench2.add_argument(
-        "--min-serve-throughput", type=float, default=None, metavar="N",
-        help="fail (exit 1) if the simulated peak serve throughput drops "
-        "below N lookups/s (deterministic per seed)",
     )
 
     serve_bench = subparsers.add_parser(
@@ -415,8 +379,6 @@ def main(argv=None) -> int:
             return cmd_experiments(args)
         if args.command == "bench":
             return cmd_bench(args)
-        if args.command == "bench2":
-            return cmd_bench2(args)
         if args.command == "serve-bench":
             return cmd_serve_bench(args)
         if args.command == "chaos":

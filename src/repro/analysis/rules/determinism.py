@@ -148,7 +148,6 @@ class WallClock(Rule):
         "repro/obs/tracing.py",
         "repro/experiments/runner.py",
         "repro/experiments/bench.py",
-        "repro/experiments/bench2.py",
         "repro/resilience/report.py",
     )
 

@@ -111,11 +111,6 @@ class Column:
     def max_key(self) -> int:
         return int(self.key_at(np.asarray([len(self) - 1]))[0])
 
-    @property
-    def min_gap(self) -> int:
-        """Guaranteed minimum difference between adjacent keys."""
-        raise NotImplementedError
-
     def validate_sample(self, rng: np.random.Generator, samples: int = 4096) -> None:
         """Spot-check monotonicity on a random sample of adjacent pairs.
 
@@ -146,11 +141,6 @@ class MaterializedColumn(Column):
         if len(keys) > 1 and not np.all(keys[:-1] < keys[1:]):
             raise ConfigurationError("keys must be strictly increasing")
         self._keys = keys
-        if len(keys) > 1:
-            gaps = keys[1:] - keys[:-1]
-            self._min_gap = int(gaps.min())
-        else:
-            self._min_gap = 1
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -187,10 +177,6 @@ class MaterializedColumn(Column):
         _check_side(side)
         keys = np.atleast_1d(np.asarray(keys, dtype=KEY_DTYPE))
         return np.searchsorted(self._keys, keys, side=side).astype(np.int64)
-
-    @property
-    def min_gap(self) -> int:
-        return self._min_gap
 
 
 class VirtualSortedColumn(Column):
@@ -304,12 +290,6 @@ class VirtualSortedColumn(Column):
         # so (key - offset) // stride recovers i for member keys and is off
         # by at most one position for arbitrary keys in the domain.
         return 1
-
-    @property
-    def min_gap(self) -> int:
-        if self.stride >= 3:
-            return 2
-        return self.stride
 
     def sample_positions(
         self, rng: np.random.Generator, count: int

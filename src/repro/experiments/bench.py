@@ -45,8 +45,19 @@ def _series_summary(result) -> dict:
     return summary
 
 
-def _run_sweeps(r_sizes_gib: Sequence[float], workers: int) -> dict:
-    """One timed pass over the Fig. 3 + Fig. 5 sweeps."""
+def run_bench(
+    r_sizes_gib: Sequence[float] = BENCH_R_SIZES_GIB,
+    workers: int = 0,
+) -> dict:
+    """Benchmark the standard sweeps; returns the JSON-ready payload.
+
+    One timed pass over the Fig. 3 + Fig. 5 sweeps with the session
+    cache.  ``workers=0`` (the default) resolves to one sweep process
+    per CPU core through the resilient pool; figures are bit-identical
+    at any worker count.
+    """
+    workers = resolve_workers(workers)
+    policy = active_policy()
     tune_allocator()
     with cache.session(True):
         cache.clear()
@@ -63,31 +74,6 @@ def _run_sweeps(r_sizes_gib: Sequence[float], workers: int) -> dict:
         stats = cache.stats()
         cache.clear()
     return {
-        "cache": True,
-        "workers": workers,
-        "fig3_seconds": round(fig3_seconds, 3),
-        "fig5_seconds": round(fig5_seconds, 3),
-        "total_seconds": round(fig3_seconds + fig5_seconds, 3),
-        "cache_stats": stats,
-        "fig3_queries_per_second": _series_summary(fig3_throughput),
-        "fig4_requests_per_lookup": _series_summary(fig4_requests),
-        "fig5_queries_per_second": _series_summary(fig5_throughput),
-    }
-
-
-def run_bench(
-    r_sizes_gib: Sequence[float] = BENCH_R_SIZES_GIB,
-    workers: int = 0,
-) -> dict:
-    """Benchmark the standard sweeps; returns the JSON-ready payload.
-
-    ``workers=0`` (the default) resolves to one sweep process per CPU
-    core through the resilient pool; figures are bit-identical at any
-    worker count.
-    """
-    workers = resolve_workers(workers)
-    policy = active_policy()
-    return {
         "benchmark": "repro-sweeps",
         "r_sizes_gib": list(r_sizes_gib),
         "probe_samples": {
@@ -101,7 +87,17 @@ def run_bench(
         },
         "platform": platform.platform(),
         "python": platform.python_version(),
-        "fast": _run_sweeps(r_sizes_gib, workers=workers),
+        "fast": {
+            "cache": True,
+            "workers": workers,
+            "fig3_seconds": round(fig3_seconds, 3),
+            "fig5_seconds": round(fig5_seconds, 3),
+            "total_seconds": round(fig3_seconds + fig5_seconds, 3),
+            "cache_stats": stats,
+            "fig3_queries_per_second": _series_summary(fig3_throughput),
+            "fig4_requests_per_lookup": _series_summary(fig4_requests),
+            "fig5_queries_per_second": _series_summary(fig5_throughput),
+        },
     }
 
 

@@ -388,7 +388,9 @@ def run_serve_under_chaos(
         serve_point,
     )
 
-    check_axis_values([zipf_theta], [update_fraction])
+    check_axis_values(
+        [zipf_theta], [update_fraction], r_tuples, requests, request_tuples
+    )
     if schedule is not None:
         schedule.check_targets(shards, replicas)
     names = replica_index_names(index, replicas, replica_indexes)

@@ -500,9 +500,21 @@ def run_serve_point_task(task: ServeTask) -> dict:
 
 
 def check_axis_values(
-    zipf_thetas: Sequence[float], update_fractions: Sequence[float]
+    zipf_thetas: Sequence[float],
+    update_fractions: Sequence[float],
+    r_tuples: int,
+    requests: int,
+    request_tuples: int,
 ) -> None:
-    """Reject a skew or update fraction no workload can be built from."""
+    """Reject a skew, update fraction or workload size no workload can
+    be built from."""
+    for flag, size in (
+        ("--r-tuples", r_tuples),
+        ("--requests", requests),
+        ("--request-tuples", request_tuples),
+    ):
+        if size < 1:
+            raise ConfigurationError(f"{flag} must be >= 1, got {size}")
     for theta in zipf_thetas:
         if not math.isfinite(theta) or theta < 0.0:
             raise ConfigurationError(
@@ -547,7 +559,9 @@ def run_serve_bench(
     ``update_fractions`` adds the mixed read/write axis: each fraction
     re-runs the sweep with that share of requests as updates.
     """
-    check_axis_values(zipf_thetas, update_fractions)
+    check_axis_values(
+        zipf_thetas, update_fractions, r_tuples, requests, request_tuples
+    )
     names = replica_index_names(index, replicas, replica_indexes)
     chaos_text = ""
     if chaos_schedule:

@@ -22,12 +22,8 @@ class SimulatedClock:
     and raises immediately rather than silently reordering events.
     """
 
-    def __init__(self, start: float = 0.0):
-        if start < 0:
-            raise SimulationError(
-                f"clock cannot start before zero, got {start}"
-            )
-        self._now = float(start)
+    def __init__(self) -> None:
+        self._now = 0.0
 
     @property
     def now(self) -> float:
@@ -42,13 +38,4 @@ class SimulatedClock:
                 f"clock cannot move backwards: {timestamp} < {self._now}"
             )
         self._now = float(timestamp)
-        return self._now
-
-    def advance(self, seconds: float) -> float:
-        """Advance by a non-negative duration and return the new time."""
-        if seconds < 0:
-            raise SimulationError(
-                f"cannot advance by a negative duration: {seconds}"
-            )
-        self._now += float(seconds)
         return self._now

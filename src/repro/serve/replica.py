@@ -102,10 +102,6 @@ class ReplicatedPlan:
     def shards(self) -> List[Shard]:
         return self.base.shards
 
-    @property
-    def column(self):
-        return self.base.column
-
     def route(self, keys: np.ndarray) -> np.ndarray:
         return self.base.route(keys)
 

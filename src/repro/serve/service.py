@@ -265,7 +265,7 @@ class ShardedIndexService:
                     # the recovery at the same timestamp already ran
                     # (rank -1), so the rejoined replica is routable.
                     self._busy[payload.shard_id] = False
-                    self._start_next(heap, payload.shard_id, stats)
+                    self._start_next(heap, payload.shard_id)
                     continue
                 if rank == _ARRIVAL:
                     request = payload
@@ -321,7 +321,7 @@ class ShardedIndexService:
                     )
                     shard_id = result.window.shard_id
                     self._busy[shard_id] = False
-                    self._start_next(heap, shard_id, stats)
+                    self._start_next(heap, shard_id)
 
         leftover = [
             request_id
@@ -380,9 +380,7 @@ class ShardedIndexService:
             if not self._busy[shard_id]:
                 self._dispatch(heap, shard_id)
 
-    def _start_next(
-        self, heap: list, shard_id: int, stats: Dict[int, ShardStats]
-    ) -> None:
+    def _start_next(self, heap: list, shard_id: int) -> None:
         if self._queues[shard_id]:
             self._dispatch(heap, shard_id)
 

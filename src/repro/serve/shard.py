@@ -263,11 +263,10 @@ class Shard:
 class ShardPlan:
     """A range-sharded layout of one relation across N simulated GPUs."""
 
-    def __init__(self, shards: List[Shard], column: Column):
+    def __init__(self, shards: List[Shard]):
         if not shards:
             raise ConfigurationError("a shard plan needs at least one shard")
         self.shards = shards
-        self.column = column
         #: Lower key bound of each shard; routing searchsorts this.
         self._lower_bounds = np.asarray(
             [shard.lower_key for shard in shards], dtype=np.uint64
@@ -355,7 +354,7 @@ def range_shard(
                 upper_key=upper,
             )
         )
-    return ShardPlan(shards, column)
+    return ShardPlan(shards)
 
 
 def fallback_shard(relation: Relation, index_cls: type) -> Shard:

@@ -41,10 +41,6 @@ class TestMaterializedColumn:
         assert column.hint_error_bound() == 0
         assert column.lower_bound_hint(np.array([6]))[0] == 2
 
-    def test_min_gap(self):
-        column = MaterializedColumn(np.array([0, 2, 10], dtype=np.uint64))
-        assert column.min_gap == 2
-
     def test_rejects_unsorted(self):
         with pytest.raises(ConfigurationError):
             MaterializedColumn(np.array([3, 1, 2], dtype=np.uint64))
@@ -90,7 +86,6 @@ class TestVirtualSortedColumn:
         keys = column.key_at(np.arange(10_000))
         gaps = keys[1:] - keys[:-1]
         assert gaps.min() >= 2
-        assert column.min_gap == 2
 
     def test_key_plus_one_never_member(self):
         column = VirtualSortedColumn(10_000, stride=4, seed=3)

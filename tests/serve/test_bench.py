@@ -61,6 +61,9 @@ class TestServeBench:
             (dict(zipf_thetas=(-1.0,)), "zipf theta"),
             (dict(update_fractions=(float("nan"),)), "update fraction"),
             (dict(update_fractions=(0.0, 1.5)), "update fraction"),
+            (dict(requests=0), "--requests"),
+            (dict(request_tuples=0), "--request-tuples"),
+            (dict(r_tuples=0), "--r-tuples"),
         ],
     )
     def test_bad_axis_values_rejected_before_any_work(
@@ -102,6 +105,24 @@ class TestServeBench:
         assert [row["shards"] for row in payload["sweeps"]] == [2]
         captured = capsys.readouterr()
         assert "lookups/s" in captured.out
+
+
+#: The default sweep's simulated peak (binary search, 12 points, seed
+#: 42), as committed in BENCH_2.json.  Every serve number is simulated,
+#: so the peak moves only when the serve cost model or workload does.
+DEFAULT_PEAK_LOOKUPS_PER_SECOND = 175_372_430.111
+
+#: The floor the default peak was gated at in CI before it was pinned.
+DEFAULT_PEAK_FLOOR = 150_000_000
+
+
+def test_default_sweep_peak_is_pinned():
+    rows = run_serve_bench(workers=1)["sweeps"]
+    assert len(rows) == 12
+    assert sum(row["total_lookups"] for row in rows) == 393_216
+    peak = max(row["throughput_lookups_per_second"] for row in rows)
+    assert peak == pytest.approx(DEFAULT_PEAK_LOOKUPS_PER_SECOND, rel=1e-9)
+    assert peak >= DEFAULT_PEAK_FLOOR
 
 
 class TestReplicatedServeBench:

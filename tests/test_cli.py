@@ -121,6 +121,14 @@ class TestBadAxisValues:
                 ["chaos", "--schedule", KILL_ONE, "--update-fraction", "nan"],
                 "--update-fraction",
             ),
+            (["chaos", "--schedule", KILL_ONE, "--requests", "0"], "--requests"),
+            (["chaos", "--schedule", KILL_ONE, "--requests", "-2"], "--requests"),
+            (
+                ["chaos", "--schedule", KILL_ONE, "--request-tuples", "0"],
+                "--request-tuples",
+            ),
+            (["chaos", "--schedule", KILL_ONE, "--r-tuples", "0"], "--r-tuples"),
+            (["chaos", "--schedule", KILL_ONE, "--r-tuples", "-5"], "--r-tuples"),
         ],
     )
     def test_exits_2_naming_the_field(self, argv, field_name, capsys, monkeypatch):
