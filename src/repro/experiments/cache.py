@@ -11,8 +11,9 @@ back.  This module memoizes three layers:
   sim, index kwargs).  Environments differing only in ``zipf_theta``
   share the built relation and index (skew affects probe sampling, not
   the build side), so a Zipf sweep builds each index once.  Sharing is
-  safe for the experiment call pattern: ``estimate()`` resets the cache
-  hierarchy on entry and allocates no new memory.
+  safe for the experiment call pattern: every replay starts on an empty
+  cache hierarchy and leaves it empty, and ``estimate()`` allocates no
+  new memory.
 * **points** -- :func:`point` memoizes one simulated sweep point (a
   :class:`~repro.perf.model.QueryCost`) under a caller-provided key.
   Values are deep-copied in and out, so callers may mutate what they

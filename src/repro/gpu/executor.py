@@ -197,11 +197,10 @@ def _coalesce_pairs(
 
 
 class MachineModel:
-    """One simulated machine instance: memory spaces plus cache/TLB state.
+    """One simulated machine instance: memory spaces plus an L2 and a TLB.
 
-    A MachineModel's hierarchy state persists across calls so that a query
-    composed of several simulation phases (e.g. one call per window) warms
-    caches realistically; :meth:`reset_hierarchy` starts a fresh query.
+    The hierarchy is empty between calls: :meth:`simulate_lookups` replays
+    each trace on a cold L2 and TLB and empties them before returning.
     """
 
     def __init__(
@@ -232,11 +231,6 @@ class MachineModel:
             )
         self._line_shift = gpu.cacheline_bytes.bit_length() - 1
         self._page_shift = gpu.tlb_entry_bytes.bit_length() - 1
-
-    def reset_hierarchy(self) -> None:
-        """Clear cache and TLB state (start of a new query)."""
-        self.l2.reset()
-        self.tlb.reset()
 
     # ------------------------------------------------------------------
     # Event-level simulation.
@@ -315,7 +309,8 @@ class MachineModel:
         Coalesced lane accesses count as ``l1_hits`` (they are satisfied
         within the SM, like the L1 hits the paper discusses); surviving
         transactions go through the L2, and L2 misses go remote.  Returns
-        raw counters for the trace.  ``simulate_tlb=False`` skips the event
+        raw counters for the trace, replayed on a cold hierarchy; nothing
+        of the replay stays behind.  ``simulate_tlb=False`` skips the event
         TLB (partition-ordered streams account for the TLB analytically;
         see module docstring) -- remote accesses are still counted.
 
@@ -355,21 +350,27 @@ class MachineModel:
         if len(stream) == 0:
             return counters
         tlb_misses = 0
-        cold_before = self.tlb.cold_misses
-        l2_hit_mask = self.l2.access_batch(stream)
-        l2_hits = int(np.count_nonzero(l2_hit_mask))
-        remote = len(stream) - l2_hits
-        if simulate_tlb and remote:
-            page_line_shift = self._page_shift - self._line_shift
-            pages = stream[~l2_hit_mask] >> page_line_shift
-            tlb_hit_mask = self.tlb.access_batch(pages)
-            tlb_misses = remote - int(np.count_nonzero(tlb_hit_mask))
+        try:
+            l2_hit_mask = self.l2.access_batch(stream)
+            l2_hits = int(np.count_nonzero(l2_hit_mask))
+            remote = len(stream) - l2_hits
+            if simulate_tlb and remote:
+                page_line_shift = self._page_shift - self._line_shift
+                pages = stream[~l2_hit_mask] >> page_line_shift
+                tlb_hit_mask = self.tlb.access_batch(pages)
+                tlb_misses = remote - int(np.count_nonzero(tlb_hit_mask))
+            counters.tlb_cold_misses = float(self.tlb.cold_misses)
+        finally:
+            # Nothing reads the end state.  Dropping it keeps an idle
+            # machine small (the L2 folds a cold replay's state only when
+            # read) and lets the next call start cold.
+            self.l2.reset()
+            self.tlb.reset()
         counters.l1_hits = float(issued - len(stream))
         counters.l2_hits = float(l2_hits)
         counters.remote_accesses = float(remote)
         counters.remote_bytes = float(remote * self.spec.gpu.cacheline_bytes)
         counters.tlb_misses = float(tlb_misses)
-        counters.tlb_cold_misses = float(self.tlb.cold_misses - cold_before)
         counters.translation_requests = (
             tlb_misses * self.spec.gpu.tlb_replay_factor
         )

@@ -102,13 +102,18 @@ class VectorLruCache:
 
     def access_batch(self, lines: np.ndarray) -> np.ndarray:
         """Touch a stream of lines; returns the per-access hit mask."""
+        return self._access(lines)[0]
+
+    def _access(self, lines: np.ndarray):
+        """:meth:`access_batch`, plus the sorted distinct lines of the
+        batch's last kernel pass (all of them when one pass covers it)."""
         lines = np.ascontiguousarray(lines, dtype=np.int64)
         n = len(lines)
         if n == 0:
-            return np.zeros(0, bool)
+            return np.zeros(0, bool), np.empty(0, np.int64)
         hit_mask = np.empty(n, bool)
         for lo in range(0, n, _POS_CAP):
-            hits, self._stack = _lru_replay(
+            hits, self._stack, distinct = _lru_replay(
                 lines[lo : lo + _POS_CAP], self.capacity_lines, self._stack
             )
             hit_mask[lo : lo + _POS_CAP] = hits
@@ -117,7 +122,7 @@ class VectorLruCache:
         self.misses += n - nhit
         if self.obs_name is not None and obs.enabled():
             _emit_model_counters(self.obs_name, n, nhit)
-        return hit_mask
+        return hit_mask, distinct
 
     # -- scalar compatibility ------------------------------------------
 
@@ -149,13 +154,14 @@ def _lru_replay(batch: np.ndarray, capacity: int, stack: np.ndarray):
     """Exact LRU replay of a batch of keys.
 
     ``stack`` holds the resident keys, most recent first.  Returns the hit
-    mask and the updated stack.  When the stack and the batch's distinct
-    keys fit in the capacity together, nothing can be evicted: a touch hits
-    iff its key is resident or was touched earlier in the batch, and the
-    new stack is the batch's keys by last touch (newest first), then the
-    untouched residents in their old order.  Otherwise the batch replays in
-    chunks over dense ids; see the module docstring for the stack-distance
-    argument behind the chunked evaluation.
+    mask, the updated stack and the batch's sorted distinct keys.  When the
+    stack and the batch's distinct keys fit in the capacity together,
+    nothing can be evicted: a touch hits iff its key is resident or was
+    touched earlier in the batch, and the new stack is the batch's keys by
+    last touch (newest first), then the untouched residents in their old
+    order.  Otherwise the batch replays in chunks over dense ids; see the
+    module docstring for the stack-distance argument behind the chunked
+    evaluation.
     """
     n = len(batch)
     packed = np.sort((batch << _POS_BITS) | np.arange(n, dtype=np.int64))
@@ -176,7 +182,7 @@ def _lru_replay(batch: np.ndarray, capacity: int, stack: np.ndarray):
         hits = np.ones(n, bool)
         hits[pos[group_start][~resident]] = False
         last = np.sort(pos[np.append(group_start[1:], True)])[::-1]
-        return hits, np.concatenate([batch[last], idle])
+        return hits, np.concatenate([batch[last], idle]), distinct
     # Dense ids: batch keys index ``distinct``, idle residents follow.
     keys = np.empty(n, np.int64)
     keys[pos] = np.cumsum(group_start) - 1
@@ -274,7 +280,7 @@ def _lru_replay(batch: np.ndarray, capacity: int, stack: np.ndarray):
         untouched = np.ones(len(stack), bool)
         untouched[delta[resident]] = False
         stack = np.concatenate([k[last_pos], stack[untouched]])[:capacity]
-    return hits, id_to_key[stack]
+    return hits, id_to_key[stack], distinct
 
 
 class VectorSetAssociativeCache:
@@ -283,6 +289,12 @@ class VectorSetAssociativeCache:
     The set index is the line number modulo the set count.  State is one
     ``(sets, ways)`` array holding each set's resident lines in LRU-to-MRU
     order, right-aligned: empty ways are -1 and come first.
+
+    A batch that reaches an empty cache and fits one kernel pass replays
+    *cold*: no residents to prepend and no state to write.  The cache keeps
+    the batch and folds its end state into the array on the first read
+    (:meth:`contains`, :meth:`resident_lines`, :attr:`occupancy` or the
+    next non-empty batch); :meth:`reset` drops it unbuilt.
     """
 
     #: See :attr:`VectorLruCache.obs_name`.
@@ -305,11 +317,18 @@ class VectorSetAssociativeCache:
         self.ways = ways
         self.num_sets = max(1, capacity_lines // ways)
         self._tags = np.full((self.num_sets, ways), -1, np.int64)
+        #: Whether ``_tags`` holds no line.
+        self._blank = True
+        #: The batch replayed cold, until a read folds it into ``_tags``.
+        self._pending: Optional[np.ndarray] = None
         self.hits = 0
         self.misses = 0
 
     def reset(self) -> None:
-        self._tags.fill(-1)
+        if not self._blank:
+            self._tags.fill(-1)
+            self._blank = True
+        self._pending = None
         self.hits = 0
         self.misses = 0
 
@@ -319,10 +338,15 @@ class VectorSetAssociativeCache:
         n = len(lines)
         if n == 0:
             return np.zeros(0, bool)
-        hit_mask = np.empty(n, bool)
-        for lo in range(0, n, _POS_CAP):
-            batch = lines[lo : lo + _POS_CAP]
-            hit_mask[lo : lo + _POS_CAP] = self._replay(batch)
+        if self._blank and self._pending is None and n <= _POS_CAP:
+            hit_mask = self._replay(lines, cold=True)
+            self._pending = lines.copy()
+        else:
+            self._fold()
+            hit_mask = np.empty(n, bool)
+            for lo in range(0, n, _POS_CAP):
+                batch = lines[lo : lo + _POS_CAP]
+                hit_mask[lo : lo + _POS_CAP] = self._replay(batch)
         nhit = int(np.count_nonzero(hit_mask))
         self.hits += nhit
         self.misses += n - nhit
@@ -330,26 +354,40 @@ class VectorSetAssociativeCache:
             _emit_model_counters(self.obs_name, n, nhit)
         return hit_mask
 
-    def _replay(self, lines: np.ndarray) -> np.ndarray:
+    def _fold(self) -> None:
+        """Write the end state of the batch replayed cold, if any."""
+        if self._pending is not None:
+            pending, self._pending = self._pending, None
+            self._replay(pending)
+
+    def _replay(self, lines: np.ndarray, cold: bool = False) -> np.ndarray:
+        """Hit mask of one kernel pass, written into the state unless
+        ``cold`` (an empty cache, whose end state waits for :meth:`_fold`)."""
         ways = self.ways
         n = len(lines)
         sets = lines % self.num_sets
-        touched = np.flatnonzero(np.bincount(sets, minlength=self.num_sets))
-        rows = self._tags[touched]
-        held = rows >= 0
-        residents = rows[held]  # row-major: each set's LRU -> MRU
-        prior = len(residents)
-        total = prior + n
+        if cold:
+            stream, order = lines, sets
+        else:
+            # Each touched set's residents go first, LRU to MRU, as
+            # pseudo-accesses, so carried state needs no special casing.
+            touched = np.flatnonzero(
+                np.bincount(sets, minlength=self.num_sets)
+            )
+            rows = self._tags[touched]
+            held = rows >= 0
+            stream = np.concatenate([rows[held], lines])
+            order = np.concatenate([np.repeat(touched, held.sum(axis=1)), sets])
+        total = len(stream)
+        prior = total - n
         bits = total.bit_length()
-        # Group per set (stable by position), each set's residents first as
-        # pseudo-accesses so carried state needs no special casing.
-        order = np.concatenate([np.repeat(touched, held.sum(axis=1)), sets])
+        # Group per set, stable by position.
         order <<= bits
         order |= np.arange(total)
         order.sort()
         rank = order & ((1 << bits) - 1)
         order >>= bits
-        s = np.concatenate([residents, lines])[rank]
+        s = stream[rank]
         # A repeat of the set's previous line is a guaranteed hit on the MRU
         # way and leaves the LRU order unchanged -- drop it up front.  Equal
         # lines share a set, so this never pairs two sets.
@@ -361,16 +399,21 @@ class VectorSetAssociativeCache:
         del order, keep
         seg_start = np.ones(len(s), bool)
         seg_start[1:] = group[1:] != group[:-1]
-        hit, last = _reuse_hits(s, np.flatnonzero(seg_start), ways)
-        # New state per set: its ways most recently used distinct lines,
-        # read off the last touches (ascending positions stay set-grouped).
-        last_pos = np.flatnonzero(last)
-        last_set = group[last_pos]
-        ends = np.cumsum(np.bincount(last_set, minlength=self.num_sets))
-        from_end = ends[last_set] - 1 - np.arange(len(last_pos))
-        kept = from_end < ways
-        self._tags[touched] = -1
-        self._tags[last_set[kept], ways - 1 - from_end[kept]] = s[last_pos[kept]]
+        hit, last = _reuse_hits(s, np.flatnonzero(seg_start), ways, not cold)
+        if not cold:
+            # New state per set: its ways most recently used distinct
+            # lines, read off the last touches (ascending positions stay
+            # set-grouped).
+            last_pos = np.flatnonzero(last)
+            last_set = group[last_pos]
+            ends = np.cumsum(np.bincount(last_set, minlength=self.num_sets))
+            from_end = ends[last_set] - 1 - np.arange(len(last_pos))
+            kept = from_end < ways
+            self._tags[touched] = -1
+            self._tags[last_set[kept], ways - 1 - from_end[kept]] = (
+                s[last_pos[kept]]
+            )
+            self._blank = False
         missed = rank[~hit]
         out = np.ones(n, bool)
         out[missed[missed >= prior] - prior] = False
@@ -391,15 +434,18 @@ class VectorSetAssociativeCache:
 
     def contains(self, line: int) -> bool:
         """Whether a line is resident, without touching LRU state."""
+        self._fold()
         return bool(np.any(self._tags[int(line) % self.num_sets] == line))
 
     def resident_lines(self, set_index: int) -> np.ndarray:
         """One set's resident lines in LRU-to-MRU order."""
+        self._fold()
         row = self._tags[set_index]
         return row[row >= 0]
 
     @property
     def occupancy(self) -> int:
+        self._fold()
         return int(np.count_nonzero(self._tags >= 0))
 
     @property
@@ -410,7 +456,7 @@ class VectorSetAssociativeCache:
         return self.hits / total
 
 
-def _reuse_hits(s: np.ndarray, starts: np.ndarray, ways: int):
+def _reuse_hits(s: np.ndarray, starts: np.ndarray, ways: int, with_last: bool):
     """Exact per-set LRU outcomes of a set-grouped stream.
 
     ``s`` holds each set's accesses contiguously, the segments beginning at
@@ -428,8 +474,8 @@ def _reuse_hits(s: np.ndarray, starts: np.ndarray, ways: int):
     with lag gathers and retire once the count reaches ``ways`` (a miss) or
     the window is covered; see DESIGN.md section 10.
 
-    Returns ``(hit, last)``: the hit mask and the mask of each line's last
-    occurrence.
+    Returns ``(hit, last)``: the hit mask and, ``with_last``, the mask of
+    each line's last occurrence (else None).
     """
     m = len(s)
     bits = m.bit_length()
@@ -443,8 +489,10 @@ def _reuse_hits(s: np.ndarray, starts: np.ndarray, ways: int):
     prev = pos[:-1][same]
     pv = np.full(m, -1, np.int32)
     pv[pos[1:][same]] = prev
-    last = np.ones(m, bool)
-    last[prev] = False
+    last = None
+    if with_last:
+        last = np.ones(m, bool)
+        last[prev] = False
     del pos, same, prev
     first = pv < 0
     cold = np.cumsum(first, dtype=np.int32)  # first touches in [0, i]
@@ -525,6 +573,24 @@ class VectorLruTlb:
         pages = np.ascontiguousarray(pages, dtype=np.int64)
         if len(pages) == 0:
             return np.zeros(0, bool)
+        if len(self._seen) == 0 and len(pages) <= _POS_CAP:
+            # Nothing touched yet: the seen set is the batch's distinct
+            # pages, which the replay's own sort already produces.
+            hit_mask, self._seen = self._cache._access(pages)
+            fresh = len(self._seen)
+        else:
+            fresh = self._see(pages)
+            hit_mask = self._cache.access_batch(pages)
+        self.cold_misses += fresh
+        if self.obs_name is not None and obs.enabled():
+            nhit = int(np.count_nonzero(hit_mask))
+            _emit_model_counters(self.obs_name, len(pages), nhit)
+            if fresh:
+                obs.add(f"model.{self.obs_name}.cold_misses", float(fresh))
+        return hit_mask
+
+    def _see(self, pages: np.ndarray) -> int:
+        """Merge the batch's new pages into the seen set; returns their count."""
         ordered = np.sort(pages)  # np.unique's mergesort is far slower
         distinct = np.ones(len(ordered), bool)
         distinct[1:] = ordered[1:] != ordered[:-1]
@@ -535,7 +601,6 @@ class VectorLruTlb:
         known[inside] = self._seen[slot[inside]] == candidates[inside]
         fresh = candidates[~known]
         if len(fresh):
-            self.cold_misses += len(fresh)
             merged = np.empty(len(self._seen) + len(fresh), np.int64)
             at = slot[~known] + np.arange(len(fresh))
             merged[at] = fresh
@@ -543,13 +608,7 @@ class VectorLruTlb:
             keep[at] = False
             merged[keep] = self._seen
             self._seen = merged
-        hit_mask = self._cache.access_batch(pages)
-        if self.obs_name is not None and obs.enabled():
-            nhit = int(np.count_nonzero(hit_mask))
-            _emit_model_counters(self.obs_name, len(pages), nhit)
-            if len(fresh):
-                obs.add(f"model.{self.obs_name}.cold_misses", float(len(fresh)))
-        return hit_mask
+        return len(fresh)
 
     def access(self, page: int) -> bool:
         """Touch one page; returns True on a TLB hit."""

@@ -47,7 +47,7 @@ from ..errors import ConfigurationError, SimulationError
 from ..hardware.memory import MemorySpace, SystemMemory
 from ..perf.analytic import level_sweep_pages
 from ..units import KEY_BYTES
-from .base import Index, TraceRecorder, replay_bisection
+from .base import Index, TraceRecorder, replay_bisection, slots_below
 from .domain import clamped_int64
 
 #: Bytes per spline point: 8 B key + 8 B position.
@@ -270,6 +270,20 @@ class RadixSplineIndex(Index):
             return self.column.key_at(self._spline_position_at(indices))
         return self.spline_keys[indices]
 
+    def _first_point_at(self, rank: np.ndarray) -> np.ndarray:
+        """First implicit spline point at or past column position ``rank``.
+
+        Point ``j`` sits at position ``j * interval`` and the last one at
+        ``n - 1``, so the answer is ``ceil(rank / interval)`` capped at
+        the last point, or ``num_points`` (none) when ``rank == n``.
+        Spline keys are column keys, so for a key of lower column rank
+        ``rank`` this is the first point whose key is ``>=`` it.
+        """
+        first = slots_below(
+            rank, 0, self._num_points - 1, self._uniform_interval
+        )
+        return np.where(rank < len(self.column), first, self._num_points)
+
     def _build_radix_table(self) -> None:
         num_points = self.num_spline_points
         ends = self._spline_key_at(np.asarray([0, num_points - 1]))
@@ -293,38 +307,17 @@ class RadixSplineIndex(Index):
                 prefixes, slots, side="left"
             ).astype(np.int64)
             return
-        # Implicit spline: prefixes are nondecreasing in the spline index,
-        # so a coarse prefix sample narrows every slot to a small window
-        # and a vectorized binary search finishes exactly -- identical to
-        # the searchsorted above without materializing all spline keys.
-        coarse = 64
-        coarse_prefixes = (
-            (
-                self._spline_key_at(
-                    np.arange(0, num_points, coarse, dtype=np.int64)
-                )
-                - np.uint64(min_key)
-            )
-            >> np.uint64(self._shift)
+        # Implicit spline: a key's prefix is >= p exactly when the key is
+        # >= min_key + (p << shift), so slot p points at the first spline
+        # point at or past that bound's column rank.  Virtual keys stay
+        # below 2^63 and the bounds exceed max_key by at most 2^shift <=
+        # 2^62, so they cannot wrap.
+        bounds = np.uint64(min_key) + (
+            slots.astype(np.uint64) << np.uint64(self._shift)
+        )
+        self.radix_table = self._first_point_at(
+            self.column.bound_positions(bounds)
         ).astype(np.int64)
-        block = np.searchsorted(coarse_prefixes, slots, side="left")
-        hi = np.minimum(block * coarse, num_points)
-        lo = np.maximum((block - 1) * coarse + 1, 0)
-        active = lo < hi
-        while active.any():
-            mid = (lo + hi) >> 1
-            prefix = (
-                (
-                    self._spline_key_at(np.where(active, mid, 0))
-                    - np.uint64(min_key)
-                )
-                >> np.uint64(self._shift)
-            ).astype(np.int64)
-            go_left = active & (prefix >= slots)
-            hi = np.where(go_left, mid, hi)
-            lo = np.where(active & ~go_left, mid + 1, lo)
-            active = lo < hi
-        self.radix_table = lo.astype(np.int64)
 
     @property
     def num_spline_points(self) -> int:
@@ -366,17 +359,20 @@ class RadixSplineIndex(Index):
     # ------------------------------------------------------------------
 
     def _predict(
-        self, keys: np.ndarray, recorder: Optional[TraceRecorder]
+        self,
+        keys: np.ndarray,
+        rank: np.ndarray,
+        recorder: Optional[TraceRecorder],
     ) -> np.ndarray:
         """Predicted column position of each key (steps 1-3 of a lookup).
 
-        Shared by ``_traverse`` (which finishes with the +-error_bound
-        data search) and ``_lower_bound`` (which widens the window; see
-        there).  The prediction is the piecewise-linear spline evaluated
-        at the probe, so it is monotone in the key -- the property the
-        range primitive's window-width argument rests on.
+        ``rank`` holds the keys' lower column ranks.  Shared by
+        ``_traverse`` (which finishes with the +-error_bound data search)
+        and ``_lower_bound`` (which widens the window; see there).  The
+        prediction is the piecewise-linear spline evaluated at the probe,
+        so it is monotone in the key -- the property the range
+        primitive's window-width argument rests on.
         """
-        count = len(keys)
         n = len(self.column)
         # 1. Radix table: one read per lookup.  Clamp-then-subtract in
         # uint64: an int64 cast of keys >= 2^63 wraps negative, and a
@@ -399,25 +395,27 @@ class RadixSplineIndex(Index):
             np.maximum(seg_hi + 1, seg_lo + 1), self.num_spline_points
         )
         # 2. Binary search the partition's spline points for the first
-        #    point with key >= probe (the upper interpolation point).
-        lo = seg_lo.astype(np.int64)
-        hi = seg_hi.astype(np.int64)
-        active = lo < hi
-        spline_rounds = 0
-        while active.any():
-            spline_rounds += 1
-            mid = (lo + hi) >> 1
-            if recorder is not None:
-                recorder.record(
-                    self._spline_allocation.base + mid * _SPLINE_POINT_BYTES,
-                    active=active,
+        #    point with key >= probe (the upper interpolation point).  The
+        #    search ends at the first such point overall, clamped into
+        #    the partition: on an implicit spline it follows from the
+        #    lower rank, on a materialized one from one searchsorted.
+        if self._uniform_interval is not None:
+            first = self._first_point_at(rank)
+        else:
+            first = np.searchsorted(self.spline_keys, keys, side="left")
+        found = np.clip(first, seg_lo, seg_hi)
+        if recorder is not None or obs.enabled():
+            base = self._spline_allocation.base if recorder is not None else 0
+            spline_rounds = replay_bisection(
+                seg_lo, seg_hi, found, recorder, base, _SPLINE_POINT_BYTES
+            )
+            if obs.enabled():
+                obs.add(
+                    "index.spline_search_rounds",
+                    float(spline_rounds),
+                    index=self.name,
                 )
-            mid_keys = self._spline_key_at(np.where(active, mid, 0))
-            go_right = active & (mid_keys < keys)
-            lo = np.where(go_right, mid + 1, lo)
-            hi = np.where(active & ~go_right, mid, hi)
-            active = lo < hi
-        upper = np.clip(lo, 1, self.num_spline_points - 1)
+        upper = np.clip(found, 1, self.num_spline_points - 1)
         lower = upper - 1
         if recorder is not None:
             # Fetch the two surrounding points (often one cacheline).
@@ -439,12 +437,6 @@ class RadixSplineIndex(Index):
         # Clamp before the int cast: probes far above their segment
         # (out-of-domain keys -- guaranteed misses) can predict past the
         # int64 range, and float->int64 overflow is undefined.
-        if obs.enabled():
-            obs.add(
-                "index.spline_search_rounds",
-                float(spline_rounds),
-                index=self.name,
-            )
         return clamped_int64(predicted, 0.0, float(n - 1))
 
     def _traverse(
@@ -452,10 +444,10 @@ class RadixSplineIndex(Index):
     ) -> np.ndarray:
         keys = np.asarray(keys, dtype=KEY_DTYPE)
         n = len(self.column)
-        estimate = self._predict(keys, recorder)
+        lower, upper = self._ranks(keys)
+        estimate = self._predict(keys, lower, recorder)
         # 4. Bounded binary search of the data: it ends at the lower rank
         #    clamped into the +-error_bound window.
-        lower, upper = self._ranks(keys)
         search_lo = np.maximum(estimate - self.error_bound, 0)
         search_hi = np.minimum(estimate + self.error_bound + 1, n)
         slot = np.clip(lower, search_lo, search_hi)
@@ -494,10 +486,11 @@ class RadixSplineIndex(Index):
         """
         keys = np.asarray(keys, dtype=KEY_DTYPE)
         n = len(self.column)
-        estimate = self._predict(keys, None)
+        lower = self.column.bound_positions(keys)
+        estimate = self._predict(keys, lower, None)
         margin = self.error_bound + 2
         return np.clip(
-            self.column.bound_positions(keys),
+            lower,
             np.maximum(estimate - margin, 0),
             np.minimum(estimate + margin + 1, n),
         )

@@ -164,15 +164,14 @@ def sampled_lookup_counters(
     """Counters of ``lookups`` index traversals, priced from a traced sample.
 
     The sampled-probe estimator under every INLJ variant, the non-equi
-    joins and the shard calibration: start a fresh hierarchy, trace
-    ``keys`` through ``index``, replay the trace, attach the SIMT
-    counters and scale the sample to ``lookups`` with the index's replay
-    factor.  A random-order sample (the naive probes of Section 3)
-    replays through the event TLB with its transactions shuffled; an
-    ordered sample (partition order, Sections 4-5) skips the event TLB,
-    and its caller adds :func:`sweep_tlb_counters` instead.
+    joins and the shard calibration: trace ``keys`` through ``index``,
+    replay the trace on a cold hierarchy, attach the SIMT counters and
+    scale the sample to ``lookups`` with the index's replay factor.  A
+    random-order sample (the naive probes of Section 3) replays through
+    the event TLB with its transactions shuffled; an ordered sample
+    (partition order, Sections 4-5) skips the event TLB, and its caller
+    adds :func:`sweep_tlb_counters` instead.
     """
-    machine.reset_hierarchy()
     lookup = index.trace_lookups(keys)
     raw = machine.simulate_lookups(
         lookup.trace, simulate_tlb=random_order, shuffle=random_order

@@ -233,6 +233,17 @@ class ChaosSchedule:
                 )
 
 
+def check_counts(shards: int, replicas: int) -> None:
+    """Reject a shard or replica count below one, naming its flag.
+
+    Runs before :meth:`ChaosSchedule.check_targets`, which would otherwise
+    blame the schedule for a count no schedule can fit.
+    """
+    for flag, count in (("--shards", shards), ("--replicas", replicas)):
+        if count < 1:
+            raise ConfigurationError(f"{flag} must be >= 1, got {count}")
+
+
 class ChaosController:
     """Replays a schedule against the replicated executor's probes.
 
@@ -391,6 +402,7 @@ def run_serve_under_chaos(
     check_axis_values(
         [zipf_theta], [update_fraction], r_tuples, requests, request_tuples
     )
+    check_counts(shards, replicas)
     if schedule is not None:
         schedule.check_targets(shards, replicas)
     names = replica_index_names(index, replicas, replica_indexes)
@@ -510,6 +522,7 @@ def main(
     fails loudly rather than as a silent divergence.
     """
     schedule = ChaosSchedule.load(schedule_path)
+    check_counts(shards, replicas)
     # The clean run goes first and ignores the schedule: check it now.
     schedule.check_targets(shards, replicas)
     kwargs: Dict[str, Any] = dict(

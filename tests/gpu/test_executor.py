@@ -195,12 +195,21 @@ class TestSimulateLookups:
         assert counters.tlb_misses == 64
 
     def test_shuffle_reproducible(self, machine):
+        """Back-to-back replays of one trace agree: each starts cold."""
         rng = np.random.default_rng(1)
         matrix = rng.integers(0, 2**34, size=(8, 512)).astype(np.int64)
         first = machine.simulate_lookups(trace_from(matrix), shuffle=True)
-        machine.reset_hierarchy()
         second = machine.simulate_lookups(trace_from(matrix), shuffle=True)
         assert first.as_dict() == second.as_dict()
+
+    def test_replay_retains_no_state(self, machine):
+        rng = np.random.default_rng(3)
+        matrix = rng.integers(0, 2**34, size=(8, 512)).astype(np.int64)
+        counters = machine.simulate_lookups(trace_from(matrix), shuffle=True)
+        assert counters.l2_hits + counters.remote_accesses > 0
+        assert counters.tlb_misses > 0
+        assert machine.l2.occupancy == 0
+        assert machine.tlb.occupancy == 0
 
     def test_empty_trace(self, machine):
         matrix = np.full((2, 32), -1, dtype=np.int64)

@@ -240,8 +240,8 @@ def coalesced_lines(machine: MachineModel, trace: LookupTrace) -> tuple:
 def replay(machine: MachineModel, trace: LookupTrace) -> PerfCounters:
     """Raw counters of ``trace`` on a cold hierarchy, one line at a time.
 
-    The reference for ``machine.simulate_lookups(trace)`` on a freshly
-    built (or reset) machine, event TLB on, unshuffled: the same coalesced
+    The reference for ``machine.simulate_lookups(trace)``, which always
+    replays on an empty hierarchy, event TLB on, unshuffled: the same coalesced
     line stream, from :func:`coalesced_lines`, goes through a 16-way
     :class:`SetAssociativeCache` L2 and, on a miss, an :class:`LruTlb`
     sized like the machine's.

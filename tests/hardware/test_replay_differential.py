@@ -23,10 +23,11 @@ from hypothesis import given, strategies as st
 
 from repro.config import SimulationConfig
 from repro.gpu.executor import LookupTrace, MachineModel
+from repro.hardware import fastlru
 from repro.hardware.fastlru import VectorLruTlb, VectorSetAssociativeCache
 from repro.hardware.spec import V100_NVLINK2
 
-from .oracles import LruTlb, SetAssociativeCache
+from .oracles import LruTlb, SetAssociativeCache, replay
 
 LINE_BYTES = 32
 
@@ -157,6 +158,60 @@ class TestL2KernelMatchesOracle:
         rng = np.random.default_rng(16)
         stream = rng.integers(0, 16, 800) * 4  # 16 lines, all in set 0 of 4
         assert_l2_matches_oracle(4, 16, stream, cuts=(100,))
+
+
+@pytest.mark.parametrize("reader", ["occupancy", "resident_lines", "contains"])
+def test_each_reader_folds_a_cold_batch(reader):
+    """A batch replayed cold on an empty L2 keeps no state until read:
+    every reader, read first, sees the end state the oracle holds."""
+    rng = np.random.default_rng(0xF01D)
+    num_sets, ways = 6, 4
+    stream = rng.integers(0, 90, 500)
+    capacity = num_sets * ways * LINE_BYTES
+    kernel = VectorSetAssociativeCache(capacity, LINE_BYTES, ways=ways)
+    oracle = SetAssociativeCache(capacity, LINE_BYTES, ways=ways)
+    kernel.access_batch(stream)
+    for line in stream.tolist():
+        oracle.access(line)
+    if reader == "occupancy":
+        assert kernel.occupancy == oracle.occupancy
+    elif reader == "resident_lines":
+        assert [kernel.resident_lines(i).tolist() for i in range(num_sets)] == [
+            list(cache_set) for cache_set in oracle._sets
+        ]
+    else:
+        assert [kernel.contains(line) for line in range(90)] == [
+            oracle.contains(line) for line in range(90)
+        ]
+
+
+class TestLongerThanOnePass:
+    """A batch longer than one kernel pass reaches an empty model through
+    the stateful kernels, one pass after another; every shorter first
+    batch above replays cold.  The pass length is patched down so a short
+    stream spans several passes."""
+
+    @pytest.fixture(autouse=True)
+    def short_passes(self, monkeypatch):
+        monkeypatch.setattr(fastlru, "_POS_BITS", 6)
+        monkeypatch.setattr(fastlru, "_POS_CAP", 1 << 6)
+
+    def test_models_from_empty(self):
+        rng = np.random.default_rng(0x9A55)
+        stream = rng.integers(0, 300, 1000)
+        assert_l2_matches_oracle(8, 4, stream)
+        assert_tlb_matches_oracle(32, [], stream)
+
+    def test_machine_replay_from_empty(self):
+        rng = np.random.default_rng(0x9A56)
+        trace = LookupTrace(
+            step_addresses=rng.integers(0, 1 << 30, size=(3, 400), dtype=np.int64),
+            steps_per_lookup=np.full(400, 3, dtype=np.int64),
+        )
+        machine = MachineModel(V100_NVLINK2, SimulationConfig(probe_sample=2**10))
+        stream, _ = machine.coalesced_lines(trace)
+        assert len(stream) > fastlru._POS_CAP
+        assert machine.simulate_lookups(trace).as_dict() == replay(machine, trace).as_dict()
 
 
 class TestTlbMatchesOracle:

@@ -8,6 +8,10 @@ the bisecting ``_traverse`` and ``_lower_bound`` of the four indexes, kept
 verbatim over the same index geometry, so
 ``test_traverse_differential.py`` can require identical positions, lower
 bounds, recorded step matrices and ``index.*`` round counters.
+RadixSpline's radix table and spline-point search bisected spline keys;
+their bisecting versions (:func:`radix_spline_radix_table`,
+:func:`radix_spline_predict`) are held to the rank-derived ones by
+``test_radix_spline.py``.
 
 :data:`TRAVERSE` and :data:`LOWER_BOUND` map each index class to its
 oracle.  ``traverse(index, keys, recorder)`` returns positions and records
@@ -29,6 +33,8 @@ from repro.indexes import (
     RadixSplineIndex,
     TraceRecorder,
 )
+from repro.indexes.domain import clamped_int64
+from repro.indexes.radix_spline import _SPLINE_POINT_BYTES
 from repro.units import KEY_BYTES
 
 _MAX_KEY = np.uint64(np.iinfo(np.uint64).max)
@@ -334,9 +340,114 @@ def harmonia_lower_bound(index: HarmoniaIndex, keys: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# RadixSpline (the spline-point search in ``_predict`` is unchanged and
-# shared; only the data search bisected column keys).
+# RadixSpline: the radix table built by bisecting spline keys, and the
+# lookup with its spline-point search and data search both bisecting.
 # ----------------------------------------------------------------------
+
+
+def radix_spline_radix_table(index: RadixSplineIndex) -> np.ndarray:
+    """The radix table as the bisecting build fills it.
+
+    ``table[p]`` is the first spline point whose key prefix is ``>= p``:
+    one ``searchsorted`` over a materialized spline's prefixes; on an
+    implicit spline, a coarse prefix sample narrows every slot to a
+    small window and a vectorized bisection over on-demand spline keys
+    finishes it.
+    """
+    num_points = index.num_spline_points
+    min_key = index._min_key
+    shift = index._shift
+    num_slots = ((index._max_spline_key - min_key) >> shift) + 2
+    slots = np.arange(num_slots, dtype=np.int64)
+    if index._uniform_interval is None:
+        prefixes = (
+            (index.spline_keys - np.uint64(min_key)) >> np.uint64(shift)
+        ).astype(np.int64)
+        return np.searchsorted(prefixes, slots, side="left").astype(np.int64)
+    coarse = 64
+    coarse_prefixes = (
+        (
+            index._spline_key_at(np.arange(0, num_points, coarse, dtype=np.int64))
+            - np.uint64(min_key)
+        )
+        >> np.uint64(shift)
+    ).astype(np.int64)
+    block = np.searchsorted(coarse_prefixes, slots, side="left")
+    hi = np.minimum(block * coarse, num_points)
+    lo = np.maximum((block - 1) * coarse + 1, 0)
+    active = lo < hi
+    while active.any():
+        mid = (lo + hi) >> 1
+        prefix = (
+            (index._spline_key_at(np.where(active, mid, 0)) - np.uint64(min_key))
+            >> np.uint64(shift)
+        ).astype(np.int64)
+        go_left = active & (prefix >= slots)
+        hi = np.where(go_left, mid, hi)
+        lo = np.where(active & ~go_left, mid + 1, lo)
+        active = lo < hi
+    return lo.astype(np.int64)
+
+
+def radix_spline_predict(
+    index: RadixSplineIndex,
+    keys: np.ndarray,
+    recorder: Optional[TraceRecorder],
+) -> np.ndarray:
+    """``index._predict`` with the spline-point search bisecting spline
+    keys, one on-demand key read per step, over ``index.radix_table``."""
+    n = len(index.column)
+    min_key = np.uint64(index._min_key)
+    span = np.uint64(index._max_spline_key - index._min_key)
+    clipped = np.where(keys > min_key, keys - min_key, np.uint64(0))
+    clipped = np.minimum(clipped, span)
+    prefixes = (clipped >> np.uint64(index._shift)).astype(np.int64)
+    if recorder is not None:
+        recorder.record(index._radix_allocation.base + prefixes * KEY_BYTES)
+    seg_lo = index.radix_table[prefixes]
+    seg_hi = index.radix_table[
+        np.minimum(prefixes + 1, len(index.radix_table) - 1)
+    ]
+    seg_hi = np.minimum(
+        np.maximum(seg_hi + 1, seg_lo + 1), index.num_spline_points
+    )
+    lo = seg_lo.astype(np.int64)
+    hi = seg_hi.astype(np.int64)
+    active = lo < hi
+    spline_rounds = 0
+    while active.any():
+        spline_rounds += 1
+        mid = (lo + hi) >> 1
+        if recorder is not None:
+            recorder.record(
+                index._spline_allocation.base + mid * _SPLINE_POINT_BYTES,
+                active=active,
+            )
+        mid_keys = index._spline_key_at(np.where(active, mid, 0))
+        go_right = active & (mid_keys < keys)
+        lo = np.where(go_right, mid + 1, lo)
+        hi = np.where(active & ~go_right, mid, hi)
+        active = lo < hi
+    upper = np.clip(lo, 1, index.num_spline_points - 1)
+    lower = upper - 1
+    if recorder is not None:
+        recorder.record(
+            index._spline_allocation.base + lower * _SPLINE_POINT_BYTES
+        )
+    key_low = index._spline_key_at(lower)
+    key_high = index._spline_key_at(upper)
+    pos_low = index._spline_position_at(lower).astype(np.float64)
+    pos_high = index._spline_position_at(upper).astype(np.float64)
+    span = np.maximum((key_high - key_low).astype(np.float64), 1.0)
+    delta = np.where(
+        keys > key_low, keys - key_low, np.uint64(0)
+    ).astype(np.float64)
+    predicted = pos_low + delta / span * (pos_high - pos_low)
+    if obs.enabled():
+        obs.add(
+            "index.spline_search_rounds", float(spline_rounds), index=index.name
+        )
+    return clamped_int64(predicted, 0.0, float(n - 1))
 
 
 def radix_spline_traverse(
@@ -347,7 +458,7 @@ def radix_spline_traverse(
     keys = np.asarray(keys, dtype=KEY_DTYPE)
     count = len(keys)
     n = len(index.column)
-    estimate = index._predict(keys, recorder)
+    estimate = radix_spline_predict(index, keys, recorder)
     search_lo = np.maximum(estimate - index.error_bound, 0)
     search_hi = np.minimum(estimate + index.error_bound + 1, n)
     base = (
@@ -389,7 +500,7 @@ def radix_spline_lower_bound(
 ) -> np.ndarray:
     keys = np.asarray(keys, dtype=KEY_DTYPE)
     n = len(index.column)
-    estimate = index._predict(keys, None)
+    estimate = radix_spline_predict(index, keys, None)
     margin = index.error_bound + 2
     search_lo = np.maximum(estimate - margin, 0)
     search_hi = np.minimum(estimate + margin + 1, n)

@@ -1,16 +1,26 @@
 """RadixSpline specifics, including the GreedySplineCorridor builder."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.data.column import MaterializedColumn, VirtualSortedColumn
+from repro import obs
+from repro.data.column import KEY_DTYPE, MaterializedColumn, VirtualSortedColumn
+from repro.data.relation import Relation
 from repro.errors import ConfigurationError
+from repro.hardware.memory import MemorySpace, SystemMemory
+from repro.hardware.spec import V100_NVLINK2
+from repro.indexes import TraceRecorder
 from repro.indexes.radix_spline import (
     RadixSplineIndex,
     greedy_spline_corridor,
     uniform_spline,
 )
+from repro.units import GIB, KEY_BYTES
+
+from . import oracles
 
 
 def interpolation_error(keys, point_keys, point_positions):
@@ -267,3 +277,136 @@ class TestLargeKeyRegressions:
             warnings.simplefilter("error")
             result = index.lookup(probes)
         np.testing.assert_array_equal(result, [-1, -1, 999, -1])
+
+
+#: A host large enough to place any index next to a 111 GiB relation.
+ROOMY = dataclasses.replace(
+    V100_NVLINK2,
+    cpu=dataclasses.replace(V100_NVLINK2.cpu, memory_capacity_bytes=2**50),
+)
+
+#: The bisecting table build reads every 64th spline point first; this
+#: many points keeps that pass to 2^16 reads.
+MAX_SPLINE_POINTS = 2**22
+
+#: The R sizes the figures sweep, in GiB.
+SWEEP_GIB = (1, 8, 16, 32, 48, 100, 111)
+
+
+@st.composite
+def virtual_geometries(draw):
+    """(column, max_error, radix_bits) of an implicit spline."""
+    max_error = draw(st.sampled_from((1, 2, 5, 32)))
+    limit = max(2, max_error**2) * MAX_SPLINE_POINTS
+    sweep_sizes = [gib * GIB // KEY_BYTES for gib in SWEEP_GIB]
+    num_keys = draw(
+        st.one_of(
+            st.integers(2, 5000),
+            st.integers(2, limit),
+            st.sampled_from([n for n in sweep_sizes if n <= limit] or [limit]),
+        )
+    )
+    stride = draw(st.sampled_from((1, 2, 3, 4, 9, 2**20)))
+    # Offsets up to the top of the 63-bit virtual domain.
+    offset = draw(st.integers(0, 2**63 - 1 - num_keys * stride))
+    column = VirtualSortedColumn(
+        num_keys, stride=stride, offset=offset, seed=draw(st.integers(0, 3))
+    )
+    return column, max_error, draw(st.integers(1, 18))
+
+
+def spline_probes(index, rng):
+    """Members, spline-point keys, radix-slot bounds, their neighbours,
+    and keys outside the domain up to 2^64 - 1."""
+    column = index.column
+    n = len(column)
+    members = column.key_at(rng.integers(0, n, size=64))
+    points = column.key_at(
+        np.minimum(
+            rng.integers(0, index.num_spline_points, size=32)
+            * index._uniform_interval,
+            n - 1,
+        )
+    )
+    slots = rng.integers(0, len(index.radix_table), size=32).astype(np.uint64)
+    bounds = np.uint64(index._min_key) + (slots << np.uint64(index._shift))
+    with np.errstate(over="ignore"):
+        near = np.concatenate(
+            [
+                keys + delta
+                for keys in (members, points, bounds)
+                for delta in (np.uint64(1), np.uint64(2**64 - 1))
+            ]
+        )
+    lo, hi = column.min_key, column.max_key
+    extremes = np.asarray(
+        [0, 1, max(lo - 1, 0), lo, hi, hi + 1, 2**63 - 1, 2**63, 2**63 + 1,
+         2**64 - 2, 2**64 - 1],
+        dtype=KEY_DTYPE,
+    )
+    wide = rng.integers(0, 2**64 - 1, size=16, dtype=np.uint64, endpoint=True)
+    return np.concatenate([members, points, bounds, near, extremes, wide])
+
+
+def traced_prediction(index, predict, keys):
+    """Prediction, recorded steps and spline rounds of one call."""
+    was_enabled = obs.enabled()
+    obs.enable()
+    obs.reset()
+    try:
+        recorder = TraceRecorder(len(keys))
+        estimate = predict(keys, recorder)
+        rounds = obs.counter("index.spline_search_rounds", index=index.name)
+    finally:
+        obs.enable(was_enabled)
+        obs.reset()
+    return estimate, recorder.build().step_addresses, rounds
+
+
+class TestRankDerivedSpline:
+    """The implicit spline's radix table and spline-point search, derived
+    from column ranks, against the bisections over on-demand spline keys
+    they replaced (``oracles.radix_spline_radix_table`` and
+    ``oracles.radix_spline_predict``): equal tables, predictions,
+    recorded spline addresses and ``index.spline_search_rounds``."""
+
+    @given(geometry=virtual_geometries(), probe_seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_bisecting_build_and_search(self, geometry, probe_seed):
+        column, max_error, radix_bits = geometry
+        memory = SystemMemory(ROOMY)
+        relation = Relation(name="R", column=column)
+        relation.place(memory, MemorySpace.HOST)
+        index = RadixSplineIndex(
+            relation, max_error=max_error, radix_bits=radix_bits
+        )
+        index.place(memory)
+        np.testing.assert_array_equal(
+            index.radix_table, oracles.radix_spline_radix_table(index)
+        )
+        keys = spline_probes(index, np.random.default_rng(probe_seed))
+
+        def rank_first(keys, recorder):
+            lower = index.column.bound_positions(keys)
+            return index._predict(keys, lower, recorder)
+
+        def bisecting(keys, recorder):
+            return oracles.radix_spline_predict(index, keys, recorder)
+
+        expected, expected_steps, expected_rounds = traced_prediction(
+            index, bisecting, keys
+        )
+        estimate, steps, rounds = traced_prediction(index, rank_first, keys)
+        np.testing.assert_array_equal(estimate, expected)
+        np.testing.assert_array_equal(steps, expected_steps)
+        assert rounds == expected_rounds
+        assert not obs.enabled()
+        np.testing.assert_array_equal(rank_first(keys, None), expected)
+
+    @pytest.mark.parametrize("gib", SWEEP_GIB)
+    def test_sweep_tables_match_the_bisecting_build(self, gib):
+        """Every R size the figures sweep, at the default geometry."""
+        column = VirtualSortedColumn(gib * GIB // KEY_BYTES, stride=4)
+        index = RadixSplineIndex(Relation(name="R", column=column))
+        np.testing.assert_array_equal(
+            index.radix_table, oracles.radix_spline_radix_table(index)
+        )

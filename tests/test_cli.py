@@ -129,6 +129,9 @@ class TestBadAxisValues:
             ),
             (["chaos", "--schedule", KILL_ONE, "--r-tuples", "0"], "--r-tuples"),
             (["chaos", "--schedule", KILL_ONE, "--r-tuples", "-5"], "--r-tuples"),
+            (["chaos", "--schedule", KILL_ONE, "--shards", "0"], "--shards"),
+            (["chaos", "--schedule", KILL_ONE, "--shards", "-1"], "--shards"),
+            (["chaos", "--schedule", KILL_ONE, "--replicas", "0"], "--replicas"),
         ],
     )
     def test_exits_2_naming_the_field(self, argv, field_name, capsys, monkeypatch):
