@@ -447,14 +447,6 @@ class MachineModel:
         counters.gpu_memory_bytes = float(num_accesses * bytes_per_access)
         return counters
 
-    def gpu_bulk_counters(self, num_bytes: float) -> PerfCounters:
-        """Sequential traffic within GPU device memory (partition passes)."""
-        if num_bytes < 0:
-            raise SimulationError(f"bulk bytes must be non-negative: {num_bytes}")
-        counters = PerfCounters()
-        counters.gpu_memory_bytes = float(num_bytes)
-        return counters
-
     def result_counters(self, num_bytes: float) -> PerfCounters:
         """Join-result materialization into GPU memory (Section 3.2)."""
         if num_bytes < 0:

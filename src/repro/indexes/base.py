@@ -20,6 +20,13 @@ So each traversal computes the two ranks once per batch
 arithmetic (:func:`slots_below`), and, only when recording or counting
 search rounds, replays the bisection mids that lead to each slot
 (:func:`replay_bisection`): a bisection's path is a function of its result.
+
+The binary search, the B+tree and Harmonia end on the lower rank, so
+without a recorder they answer from the ranks alone -- a probe is a
+member exactly when its upper rank exceeds its lower one, and the lower
+rank is then its position -- and their descents run only to record.  The
+RadixSpline keeps its error-window check: its spline prediction, not the
+ranks, decides where its search may end.
 """
 
 from __future__ import annotations
@@ -340,14 +347,12 @@ class Index(abc.ABC):
     def _lower_bound(self, keys: np.ndarray) -> np.ndarray:
         """First column position with key >= probe; ``len(column)`` if none.
 
-        The non-equi range primitive under :meth:`probe_range_batch`.
-        Each index derives it from the same structure its ``_traverse``
-        walks (tree descent, spline prediction, ...), so range probes
-        have the locality profile of two equality probes.
+        The non-equi range primitive under :meth:`probe_range_batch`: the
+        probe's lower rank, where the binary search's bisection and the
+        trees' dense-packed descents end.  An index whose search can stop
+        elsewhere (the RadixSpline's error window) overrides it.
         """
-        raise NotImplementedError(
-            f"{self.name} does not implement the range primitive"
-        )
+        return self.column.bound_positions(np.asarray(keys, dtype=KEY_DTYPE))
 
     def _range_bounds(
         self, lo: np.ndarray, hi: np.ndarray

@@ -86,10 +86,6 @@ class BinarySearchIndex(Index):
                 )
         return np.where(upper > lower, lower, np.int64(-1))
 
-    def _lower_bound(self, keys: np.ndarray) -> np.ndarray:
-        """The full-column bisection's result: the lower rank."""
-        return self.column.bound_positions(np.asarray(keys, dtype=KEY_DTYPE))
-
     # ------------------------------------------------------------------
     # Analytic locality.
     # ------------------------------------------------------------------

@@ -147,19 +147,24 @@ class BPlusTreeIndex(Index):
     # Traversal.
     # ------------------------------------------------------------------
 
-    def _descend(
+    def _record_descent(
         self,
         keys: np.ndarray,
+        lower: np.ndarray,
         upper: np.ndarray,
-        recorder: Optional[TraceRecorder],
-    ) -> np.ndarray:
-        """Leaf reached by each probe through the internal levels.
+        recorder: TraceRecorder,
+    ) -> None:
+        """Record each probe's root-to-leaf path.
 
         Each internal node's search is an upper bound over its separators:
         separator ``s`` is the first key of child ``s+1``, i.e. the column
         key at ``(node*F + s + 1) * child_coverage * leaf_entries`` (MAX
         when that child starts beyond the data), so it compares ``<=``
-        the probe exactly when it sits below the probe's upper rank.
+        the probe exactly when it sits below the probe's upper rank.  The
+        leaf search is a lower bound: entry ``s`` holds the key at ``leaf
+        * leaf_entries + s`` (MAX past the data, which no probe exceeds),
+        so it compares below the probe exactly when it sits below the
+        probe's lower rank.  The path ends with a read of the entry found.
         """
         reach = padded_upper(keys, upper)
         nodes = np.zeros(len(keys), dtype=np.int64)
@@ -171,69 +176,34 @@ class BPlusTreeIndex(Index):
                 separators,
                 self.level_coverage[level + 1] * self.leaf_entries,
             )
-            if recorder is not None:
-                replay_bisection(
-                    0, separators, child, recorder,
-                    self._node_address(level, nodes),
-                )
+            replay_bisection(
+                0, separators, child, recorder,
+                self._node_address(level, nodes),
+            )
             # Dense packing can address children past the level's end for
             # the right-most path; clamp to the last node of the next level.
             nodes = np.minimum(
                 nodes * self.fanout + child, self.level_sizes[level + 1] - 1
             )
-        return nodes
-
-    def _leaf_slots(
-        self, leaves: np.ndarray, lower: np.ndarray
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        """First entry of each leaf, and the lower-bound slot inside it.
-
-        Entry ``s`` holds the key at ``leaf * leaf_entries + s`` (MAX past
-        the data, which no probe exceeds), so it compares below the probe
-        exactly when it sits below the probe's lower rank.
-        """
-        first = leaves * self.leaf_entries
-        return first, slots_below(lower, first, self.leaf_entries)
+        slot = slots_below(lower, nodes * self.leaf_entries, self.leaf_entries)
+        in_leaf = slot < self.leaf_entries
+        base = self._node_address(len(self.level_sizes) - 1, nodes)
+        entry_bytes = KEY_BYTES + self.leaf_payload_bytes
+        replay_bisection(0, self.leaf_entries, slot, recorder, base, entry_bytes)
+        recorder.record(
+            base + np.where(in_leaf, slot, 0) * entry_bytes, active=in_leaf
+        )
 
     def _traverse(
         self, keys: np.ndarray, recorder: Optional[TraceRecorder]
     ) -> np.ndarray:
         keys = np.asarray(keys, dtype=KEY_DTYPE)
         lower, upper = self._ranks(keys)
-        leaves = self._descend(keys, upper, recorder)
-        first, slot = self._leaf_slots(leaves, lower)
-        in_leaf = slot < self.leaf_entries
         if recorder is not None:
-            base = self._node_address(len(self.level_sizes) - 1, leaves)
-            entry_bytes = KEY_BYTES + self.leaf_payload_bytes
-            replay_bisection(
-                0, self.leaf_entries, slot, recorder, base, entry_bytes
-            )
-            recorder.record(
-                base + np.where(in_leaf, slot, 0) * entry_bytes,
-                active=in_leaf,
-            )
-        positions = first + slot
-        # A hit is an entry of this leaf holding the probe: the probe is a
-        # member and the slot is its lower rank.  MAX padding past the
-        # data never matches.
-        found = in_leaf & (positions == lower) & (upper > lower)
-        return np.where(found, positions, np.int64(-1))
-
-    def _lower_bound(self, keys: np.ndarray) -> np.ndarray:
-        """Lower bound via the same descent ``_traverse`` runs.
-
-        Internal levels are unchanged (upper bound on separators picks
-        the leaf whose key range covers the probe); the leaf returns the
-        *global insertion position* ``leaf * entries + slot`` instead of
-        equality-checking it.  Dense leaf packing makes that position
-        exact for absent keys too: a probe past a full leaf's last key
-        lands on slot ``leaf_entries``, i.e. the start of the next leaf.
-        """
-        keys = np.asarray(keys, dtype=KEY_DTYPE)
-        lower, upper = self._ranks(keys)
-        first, slot = self._leaf_slots(self._descend(keys, upper, None), lower)
-        return np.minimum(first + slot, len(self.column))
+            self._record_descent(keys, lower, upper, recorder)
+        # The descent ends on the leaf entry at the lower rank, and that
+        # entry holds the probe exactly when the probe is a member.
+        return np.where(upper > lower, lower, np.int64(-1))
 
     # ------------------------------------------------------------------
     # Updates (materialized columns only).

@@ -133,90 +133,62 @@ class HarmoniaIndex(Index):
     # Traversal.
     # ------------------------------------------------------------------
 
-    def _child_counts(
-        self, level: int, nodes: np.ndarray, rank: np.ndarray
-    ) -> np.ndarray:
-        """Per lane: how many of its node's keys sit below ``rank``.
+    def _record_descent(
+        self, reach: np.ndarray, recorder: TraceRecorder
+    ) -> None:
+        """Record every level's node visit on each probe's path.
 
-        Key ``s`` of a node is the first column key covered by its child
-        ``s`` (for leaves: simply the s-th covered key); MAX past the
-        data.  Against the upper rank of :func:`padded_upper` this counts
-        the node keys ``<=`` the probe; against the plain upper rank, the
-        data keys ``<=`` it; against the lower rank, the keys ``<`` it.
+        Key ``s`` of an internal node is the first column key covered by
+        its child ``s``; MAX past the data.  Against the upper rank of
+        :func:`padded_upper`, :func:`slots_below` counts the node keys
+        ``<=`` the probe, and the path takes the child one below that
+        count.
         """
-        child_coverage = (
-            self.level_coverage[level + 1]
-            if level + 1 < len(self.level_sizes)
-            else 1
-        )
-        return slots_below(
-            rank, nodes * self.node_keys, self.node_keys, child_coverage
-        )
-
-    def _descend(
-        self, reach: np.ndarray, recorder: Optional[TraceRecorder]
-    ) -> np.ndarray:
-        """Leaf reached by each probe; records every level's node visit."""
         nodes = np.zeros(len(reach), dtype=np.int64)
         lines_per_node = max(
             1, (self.node_keys * KEY_BYTES + 127) // 128
         )
         leaf_level = len(self.level_sizes) - 1
         for level in range(leaf_level + 1):  # repro: noqa[PERF001] -- O(height) per-level descent over whole key arrays
-            if recorder is not None:
-                node_base = (
-                    self._key_region.base
-                    + (self.level_offsets[level] + nodes)
-                    * self.node_keys
-                    * KEY_BYTES
-                )
-                # Cooperative search reads the whole node: one access per
-                # cacheline it spans.
-                for line in range(lines_per_node):  # repro: noqa[PERF001] -- O(node cachelines) trace recording, traced path only
-                    recorder.record(node_base + line * 128)
-                # Child location via the prefix-sum array (tiny, hot).
-                child_base = self._child_array.base + (
-                    (self.level_offsets[level] + nodes) * _CHILD_ENTRY_BYTES
-                )
-                recorder.record(child_base)
+            node_base = (
+                self._key_region.base
+                + (self.level_offsets[level] + nodes)
+                * self.node_keys
+                * KEY_BYTES
+            )
+            # Cooperative search reads the whole node: one access per
+            # cacheline it spans.
+            for line in range(lines_per_node):  # repro: noqa[PERF001] -- O(node cachelines) trace recording, traced path only
+                recorder.record(node_base + line * 128)
+            # Child location via the prefix-sum array (tiny, hot).
+            child_base = self._child_array.base + (
+                (self.level_offsets[level] + nodes) * _CHILD_ENTRY_BYTES
+            )
+            recorder.record(child_base)
             if level < leaf_level:
                 # child = (number of node keys <= probe) - 1; key 0 is the
                 # subtree minimum, so the count is >= 1 for in-range probes.
-                counts = self._child_counts(level, nodes, reach)
+                counts = slots_below(
+                    reach,
+                    nodes * self.node_keys,
+                    self.node_keys,
+                    self.level_coverage[level + 1],
+                )
                 nodes = np.minimum(
                     nodes * self.fanout + np.maximum(counts - 1, 0),
                     self.level_sizes[level + 1] - 1,
                 )
-        return nodes
 
     def _traverse(
         self, keys: np.ndarray, recorder: Optional[TraceRecorder]
     ) -> np.ndarray:
         keys = np.asarray(keys, dtype=KEY_DTYPE)
         lower, upper = self._ranks(keys)
-        leaves = self._descend(padded_upper(keys, upper), recorder)
-        # The leaf counts data slots only: a MAX member must not pick a
-        # MAX-padded slot past the data.
-        counts = self._child_counts(len(self.level_sizes) - 1, leaves, upper)
-        positions = leaves * self.node_keys + np.maximum(counts - 1, 0)
-        found = (positions == lower) & (upper > lower)
-        return np.where(found, positions, np.int64(-1))
-
-    def _lower_bound(self, keys: np.ndarray) -> np.ndarray:
-        """Lower bound via the key-region descent.
-
-        Internal levels descend exactly as ``_traverse`` does; at the
-        leaf the strict count (keys < probe) is the local insertion
-        slot, and dense leaf packing makes ``leaf * node_keys + slot``
-        the global insertion position for absent probes too.
-        """
-        keys = np.asarray(keys, dtype=KEY_DTYPE)
-        lower, upper = self._ranks(keys)
-        leaves = self._descend(padded_upper(keys, upper), None)
-        counts_lt = self._child_counts(len(self.level_sizes) - 1, leaves, lower)
-        return np.minimum(
-            leaves * self.node_keys + counts_lt, len(self.column)
-        )
+        if recorder is not None:
+            self._record_descent(padded_upper(keys, upper), recorder)
+        # The descent ends on the leaf holding the lower rank, and its
+        # key there is the probe exactly when the probe is a member.
+        return np.where(upper > lower, lower, np.int64(-1))
 
     # ------------------------------------------------------------------
     # SIMT: cooperative sub-warp execution.

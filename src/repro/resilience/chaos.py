@@ -400,7 +400,14 @@ def run_serve_under_chaos(
     )
 
     check_axis_values(
-        [zipf_theta], [update_fraction], r_tuples, requests, request_tuples
+        [zipf_theta],
+        [update_fraction],
+        {
+            "--window-kib": [window_kib],
+            "--r-tuples": [r_tuples],
+            "--requests": [requests],
+            "--request-tuples": [request_tuples],
+        },
     )
     check_counts(shards, replicas)
     if schedule is not None:

@@ -22,7 +22,7 @@ unreplicated deployment.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple, Type
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -40,7 +40,11 @@ from ..indexes import (
 from ..ioutil import atomic_write_json
 from ..perf.model import CostModel
 from ..units import KEY_BYTES, KIB
-from ..workloads.updates import SortedArrayOracle, make_update_stream
+from ..workloads.updates import (
+    SortedArrayOracle,
+    UpdateStream,
+    make_update_stream,
+)
 from .executor import KERNELS_PER_WINDOW, ReplicatedShardExecutor
 from .replica import replicate
 from .service import ProbeRequest, ServeReport, ShardedIndexService
@@ -244,9 +248,7 @@ def replica_index_names(
             f"unknown index {index!r}; choose from {choices}"
         )
     if replicas < 1:
-        raise ConfigurationError(
-            f"replica count must be >= 1, got {replicas}"
-        )
+        raise ConfigurationError(f"--replicas must be >= 1, got {replicas}")
     names = tuple(replica_indexes or ())
     unknown = sorted(set(names) - set(INDEX_BY_NAME))
     if unknown:
@@ -309,16 +311,8 @@ def serve_point(
     )
     num_requests = len(probes.keys) // request_tuples
     if update_fraction > 0.0:
-        base_keys = relation.column.key_at(
-            np.arange(relation.num_tuples, dtype=np.int64)
-        )
-        stream = make_update_stream(
-            base_keys,
-            probes.keys,
-            num_requests,
-            request_tuples,
-            update_fraction,
-            seed,
+        base_keys, stream = _update_stream(
+            relation, probes, request_tuples, update_fraction, seed
         )
         requests = [
             ProbeRequest(
@@ -436,10 +430,45 @@ def serve_task_label(task: ServeTask) -> str:
 
 
 #: Per-process memo of generated serve workloads, keyed by workload
-#: config.  The parent reuses one (relation, probes) pair across every
-#: serial point of a theta, and each pool worker regenerates a workload
-#: at most once for its share of the sweep.
+#: config, and of the update streams served over them.  The parent
+#: reuses one (relation, probes) pair and one stream per update fraction
+#: across every serial point of a theta, and each pool worker
+#: regenerates them at most once for its share of the sweep.
 _WORKLOAD_MEMO: Dict[tuple, tuple] = {}
+
+
+def _update_stream(
+    relation, probes, request_tuples: int, update_fraction: float, seed: int
+) -> Tuple[np.ndarray, UpdateStream]:
+    """R's keys and the mixed request stream over ``probes``, memoized.
+
+    Every mixed point of a sweep over one (relation, probes) pair serves
+    the same stream.  The entry keeps the pair alive, so the object ids
+    in its key cannot be reused while it exists.
+    """
+    key = (
+        "updates",
+        id(relation),
+        id(probes),
+        request_tuples,
+        update_fraction,
+        seed,
+    )
+    if key not in _WORKLOAD_MEMO:
+        base_keys = relation.column.key_at(
+            np.arange(relation.num_tuples, dtype=np.int64)
+        )
+        stream = make_update_stream(
+            base_keys,
+            probes.keys,
+            len(probes.keys) // request_tuples,
+            request_tuples,
+            update_fraction,
+            seed,
+        )
+        _WORKLOAD_MEMO[key] = (relation, probes, base_keys, stream)
+    _, _, base_keys, stream = _WORKLOAD_MEMO[key]
+    return base_keys, stream
 
 
 def _serve_workload(
@@ -502,19 +531,15 @@ def run_serve_point_task(task: ServeTask) -> dict:
 def check_axis_values(
     zipf_thetas: Sequence[float],
     update_fractions: Sequence[float],
-    r_tuples: int,
-    requests: int,
-    request_tuples: int,
+    counts: Mapping[str, Sequence[int]],
 ) -> None:
-    """Reject a skew, update fraction or workload size no workload can
-    be built from."""
-    for flag, size in (
-        ("--r-tuples", r_tuples),
-        ("--requests", requests),
-        ("--request-tuples", request_tuples),
-    ):
-        if size < 1:
-            raise ConfigurationError(f"{flag} must be >= 1, got {size}")
+    """Reject a skew, update fraction or count no workload can be built
+    from.  ``counts`` maps each count flag to its values, which must all
+    be at least 1."""
+    for flag, values in counts.items():
+        for value in values:
+            if value < 1:
+                raise ConfigurationError(f"{flag} must be >= 1, got {value}")
     for theta in zipf_thetas:
         if not math.isfinite(theta) or theta < 0.0:
             raise ConfigurationError(
@@ -560,7 +585,16 @@ def run_serve_bench(
     re-runs the sweep with that share of requests as updates.
     """
     check_axis_values(
-        zipf_thetas, update_fractions, r_tuples, requests, request_tuples
+        zipf_thetas,
+        update_fractions,
+        {
+            "--shards": shards,
+            "--window-kib": window_kib,
+            "--replicas": [replicas],
+            "--r-tuples": [r_tuples],
+            "--requests": [requests],
+            "--request-tuples": [request_tuples],
+        },
     )
     names = replica_index_names(index, replicas, replica_indexes)
     chaos_text = ""

@@ -28,6 +28,7 @@ invariance the chaos harness checks.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -192,11 +193,15 @@ class ReplicatedShardExecutor:
             self.plan.replicas_per_shard,
             failure_threshold=self.failure_threshold,
         )
-        #: Simulated *base* window price per (shard, replica, window
-        #: tuples); the delta reconciliation stage is priced fresh on
-        #: top because delta depth changes with every update window.
-        self._price_memo: Dict[Tuple[int, int, int], float] = {}
-        self._fallback_price_memo: Dict[int, float] = {}
+        #: Simulated *base* window price and the counters it was priced
+        #: from, per (shard, replica, window tuples), and per (-1, -1,
+        #: window tuples) for the fallback; the delta reconciliation
+        #: stage is priced fresh on top because delta depth changes with
+        #: every update window.  A replica's entries live until its next
+        #: compaction completes; the fallback never compacts.
+        self._window_memo: Dict[
+            Tuple[int, int, int], Tuple[float, PerfCounters]
+        ] = {}
         #: Rebuild price per (shard, replica): invalidated only by a
         #: compaction, which changes the slice being rebuilt.
         self._rebuild_memo: Dict[Tuple[int, int], RebuildCost] = {}
@@ -229,6 +234,28 @@ class ReplicatedShardExecutor:
     # Pricing and routing.
     # ------------------------------------------------------------------
 
+    def _base_window(
+        self, shard: Shard, key: Tuple[int, int, int]
+    ) -> Tuple[float, PerfCounters]:
+        """Memoized price (probe stage plus launches) of ``shard``'s base
+        window and the replayed counters it was priced from.
+
+        ``key`` is (shard, replica, window tuples), or (-1, -1, window
+        tuples) for the fallback.  The counters are shared with the
+        memo: copy before mutating.
+        """
+        entry = self._window_memo.get(key)
+        if entry is None:
+            counters = shard.window_counters(key[2], self.spec, self.sim)
+            price = (
+                self._cost.probe_stage_time(counters)
+                + KERNELS_PER_WINDOW
+                * self._cost.constants.kernel_launch_seconds
+            )
+            entry = (price, counters)
+            self._window_memo[key] = entry
+        return entry
+
     def window_price(
         self, shard_id: int, replica_id: int, window_tuples: int
     ) -> float:
@@ -239,34 +266,15 @@ class ReplicatedShardExecutor:
         expensive to route to, which is how reads feel the pressure
         that the compaction policy relieves.
         """
-        key = (shard_id, replica_id, window_tuples)
         shard = self.plan.replica(shard_id, replica_id).shard
-        if key not in self._price_memo:
-            counters = shard.window_counters(
-                window_tuples, self.spec, self.sim
-            )
-            self._price_memo[key] = (
-                self._cost.probe_stage_time(counters)
-                + KERNELS_PER_WINDOW
-                * self._cost.constants.kernel_launch_seconds
-            )
-        return self._price_memo[key] + self._delta_stage_seconds(
-            shard, window_tuples
+        price, _ = self._base_window(
+            shard, (shard_id, replica_id, window_tuples)
         )
+        return price + self._delta_stage_seconds(shard, window_tuples)
 
     def fallback_price(self, window_tuples: int) -> float:
-        if window_tuples not in self._fallback_price_memo:
-            counters = self.fallback.window_counters(
-                window_tuples, self.spec, self.sim
-            )
-            self._fallback_price_memo[window_tuples] = (
-                self._cost.probe_stage_time(counters)
-                + KERNELS_PER_WINDOW
-                * self._cost.constants.kernel_launch_seconds
-            )
-        return self._fallback_price_memo[
-            window_tuples
-        ] + self._delta_stage_seconds(self.fallback, window_tuples)
+        price, _ = self._base_window(self.fallback, (-1, -1, window_tuples))
+        return price + self._delta_stage_seconds(self.fallback, window_tuples)
 
     def _delta_stage_seconds(
         self, shard: Shard, window_tuples: int
@@ -466,10 +474,11 @@ class ReplicatedShardExecutor:
             return False
         shard = self.plan.replica(shard_id, replica_id).shard
         merged = shard.compact()
-        # The base slice changed: stale prices must not serve routing.
-        self._price_memo = {
-            memo_key: price
-            for memo_key, price in self._price_memo.items()
+        # The base slice changed: stale prices and counters must not
+        # serve routing or a window's charge.
+        self._window_memo = {
+            memo_key: entry
+            for memo_key, entry in self._window_memo.items()
             if memo_key[:2] != key
         }
         self._rebuild_memo.pop(key, None)
@@ -588,20 +597,13 @@ class ReplicatedShardExecutor:
             self.health.note(now, shard_id, -1, "fallback", f"window={seq}")
 
         if degraded:
-            active = self.fallback
-            counters = active.window_counters(
-                len(window), self.spec, self.sim
-            )
+            active, memo_key = self.fallback, (-1, -1, len(window))
         else:
             active = self.plan.replica(shard_id, served_by).shard
-            counters = active.window_counters(
-                len(window), self.spec, self.sim
-            )
-        service = (
-            self._cost.probe_stage_time(counters)
-            + KERNELS_PER_WINDOW * self._cost.constants.kernel_launch_seconds
-            + sum(delays)
-        )
+            memo_key = (shard_id, served_by, len(window))
+        price, base = self._base_window(active, memo_key)
+        counters = copy.copy(base)
+        service = price + sum(delays)
         delta_counters = active.delta.read_counters(len(window))
         if delta_counters is not None:
             # Serial reconciliation stage; its seconds are the "rent"

@@ -242,8 +242,10 @@ class ShardedIndexService:
         # Global stream bookkeeping: admitted requests occupy contiguous
         # stream-index ranges, so a searchsorted over their start
         # offsets maps any window index back to its owning request.
-        admitted_ids: List[int] = []
-        admitted_starts: List[int] = []
+        # Only the first ``admitted`` entries are filled.
+        admitted_ids = np.empty(len(requests), dtype=np.int64)
+        admitted_starts = np.empty(len(requests), dtype=np.int64)
+        admitted = 0
         remaining: Dict[int, int] = {}
         stream_length = 0
 
@@ -286,8 +288,9 @@ class ShardedIndexService:
                             len(request.keys), -1, dtype=np.int64
                         )
                         remaining[request.request_id] = len(request.keys)
-                        admitted_ids.append(request.request_id)
-                        admitted_starts.append(stream_length)
+                        admitted_ids[admitted] = request.request_id
+                        admitted_starts[admitted] = stream_length
+                        admitted += 1
                         self._record_stream_values(stream_length, request)
                         stream_length += len(request.keys)
                         if obs.enabled():
@@ -316,8 +319,8 @@ class ShardedIndexService:
                         outcomes,
                         stats,
                         remaining,
-                        np.asarray(admitted_ids, dtype=np.int64),
-                        np.asarray(admitted_starts, dtype=np.int64),
+                        admitted_ids[:admitted],
+                        admitted_starts[:admitted],
                     )
                     shard_id = result.window.shard_id
                     self._busy[shard_id] = False
@@ -474,19 +477,22 @@ class ShardedIndexService:
             obs.observe("serve.queue_wait", wait, shard=shard_id)
         self.admission.drain(shard_id, len(window))
 
+        # A shard's stream is its requests' parts in arrival order, so a
+        # window's stream indices rise and each owning request holds one
+        # run of the window: land every run with one slice.
         slot = (
             np.searchsorted(admitted_starts, window.indices, side="right")
             - 1
         )
-        owners = admitted_ids[slot]
         offsets = window.indices - admitted_starts[slot]
-        for request_id in np.unique(owners):
-            mask = owners == request_id
-            outcome = outcomes[int(request_id)]
+        cuts = (np.flatnonzero(slot[1:] != slot[:-1]) + 1).tolist()
+        for lo, hi in zip([0] + cuts, cuts + [len(slot)]):
+            request_id = int(admitted_ids[slot[lo]])
+            outcome = outcomes[request_id]
             assert outcome.positions is not None
-            outcome.positions[offsets[mask]] = result.positions[mask]
-            remaining[int(request_id)] -= int(np.count_nonzero(mask))
-            if remaining[int(request_id)] == 0:
+            outcome.positions[offsets[lo:hi]] = result.positions[lo:hi]
+            remaining[request_id] -= hi - lo
+            if remaining[request_id] == 0:
                 outcome.completion = self.clock.now
                 if obs.enabled():
                     obs.observe("serve.latency", outcome.latency)

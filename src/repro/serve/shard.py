@@ -295,12 +295,21 @@ class ShardPlan:
         Intra-shard arrival order is preserved (stable grouping), so a
         shard's stream is the original stream filtered to its range --
         the property the tumbling batcher's window boundaries rely on.
+        Parts come in shard order.  A one-shard plan returns the
+        request's own arrays as its only part.
         """
+        if self.num_shards == 1:
+            return [(0, keys, indices)]
         ids = self.route(keys)
+        order = np.argsort(ids, kind="stable")
+        ends = np.cumsum(np.bincount(ids, minlength=self.num_shards))
         parts: List[Tuple[int, np.ndarray, np.ndarray]] = []
-        for shard_id in np.unique(ids):
-            mask = ids == shard_id
-            parts.append((int(shard_id), keys[mask], indices[mask]))
+        start = 0
+        for shard_id, end in enumerate(ends.tolist()):
+            if end > start:
+                picked = order[start:end]
+                parts.append((shard_id, keys[picked], indices[picked]))
+            start = end
         return parts
 
 

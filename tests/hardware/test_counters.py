@@ -1,5 +1,7 @@
 """Performance counters."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import SimulationError
@@ -47,6 +49,24 @@ class TestAccumulation:
         assert data["lookups"] == 1
         assert data["tlb_misses"] == 2
         assert "translation_requests" in data
+
+    def test_arithmetic_covers_every_field(self):
+        """A distinct value per dataclass field: add, ``+``, scaled and
+        as_dict must carry each one, in declaration order, so the fixed
+        field tuple they walk cannot drift from the dataclass."""
+        names = [field.name for field in dataclasses.fields(PerfCounters)]
+        a = PerfCounters(*[float(i + 1) for i in range(len(names))])
+        b = PerfCounters(*[1000.0 * (i + 1) for i in range(len(names))])
+        assert list(a.as_dict()) == names
+        assert a.as_dict() == {n: float(i + 1) for i, n in enumerate(names)}
+        expected = {n: 1001.0 * (i + 1) for i, n in enumerate(names)}
+        assert (a + b).as_dict() == expected
+        assert a.as_dict() == {n: float(i + 1) for i, n in enumerate(names)}
+        total = PerfCounters(*[float(i + 1) for i in range(len(names))])
+        assert total.add(b).as_dict() == expected
+        assert a.scaled(0.5).as_dict() == {
+            n: 0.5 * (i + 1) for i, n in enumerate(names)
+        }
 
 
 class TestDerivedMetrics:

@@ -6,9 +6,12 @@ the bisecting traversals that read one column key per search step; this
 suite requires, for every index configuration and any probe batch:
 
 * identical positions from ``_traverse`` without a recorder (the
-  ``lookup`` / ``probe_batch`` path, which replays nothing);
+  ``lookup`` / ``probe_batch`` path, which replays nothing: the binary
+  search, the B+tree and Harmonia answer it from the ranks alone);
 * identical positions, recorded step matrix (shape and every address)
-  and ``index.*`` round counters from ``_traverse`` with a recorder;
+  and ``index.*`` round counters from ``_traverse`` with a recorder --
+  the step matrix is where the tree descents, which run only to
+  record, must agree;
 * identical ``_lower_bound`` results.
 
 Columns are materialized shards of 2^14-2^16 keys in the numeric danger

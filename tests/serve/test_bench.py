@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
+from repro.data.generator import WorkloadConfig, make_probe_keys
 from repro.errors import ConfigurationError
+from repro.serve import bench
 from repro.serve.bench import run_serve_bench, write_serve_bench
+from repro.workloads.updates import make_update_stream
 
 BENCH_KWARGS = dict(
     shards=(1, 2),
@@ -64,6 +68,11 @@ class TestServeBench:
             (dict(requests=0), "--requests"),
             (dict(request_tuples=0), "--request-tuples"),
             (dict(r_tuples=0), "--r-tuples"),
+            (dict(shards=(0,)), "--shards"),
+            (dict(shards=(1, -2)), "--shards"),
+            (dict(window_kib=(0,)), "--window-kib"),
+            (dict(window_kib=(4, -1)), "--window-kib"),
+            (dict(replicas=0), "--replicas"),
         ],
     )
     def test_bad_axis_values_rejected_before_any_work(
@@ -105,6 +114,40 @@ class TestServeBench:
         assert [row["shards"] for row in payload["sweeps"]] == [2]
         captured = capsys.readouterr()
         assert "lookups/s" in captured.out
+
+
+def test_update_streams_are_memoized_per_workload(monkeypatch):
+    """Equal arguments share one generated stream; a different relation,
+    probe stream, update fraction, request width or seed gets its own,
+    equal to a fresh ``make_update_stream``."""
+    monkeypatch.setattr(bench, "_WORKLOAD_MEMO", {})
+    relation, probes = bench._serve_workload(2**12, 8 * 128, 0.0, 42)
+    other_relation, _ = bench._serve_workload(2**12, 8 * 128, 1.0, 42)
+    other_probes = make_probe_keys(
+        relation.column,
+        WorkloadConfig(r_tuples=2**12, s_tuples=8 * 128, seed=7),
+    )
+    _, first = bench._update_stream(relation, probes, 128, 0.5, 42)
+    assert bench._update_stream(relation, probes, 128, 0.5, 42)[1] is first
+    for args in (
+        (other_relation, probes, 128, 0.5, 42),
+        (relation, other_probes, 128, 0.5, 42),
+        (relation, probes, 128, 0.25, 42),
+        (relation, probes, 64, 0.5, 42),
+        (relation, probes, 128, 0.5, 43),
+    ):
+        base_keys, stream = bench._update_stream(*args)
+        assert stream is not first
+        rel, prb, width, fraction, seed = args
+        np.testing.assert_array_equal(
+            base_keys, rel.column.key_at(np.arange(rel.num_tuples))
+        )
+        expected = make_update_stream(
+            base_keys, prb.keys, len(prb.keys) // width, width, fraction, seed
+        )
+        assert stream.kinds == expected.kinds
+        for keys, want in zip(stream.keys, expected.keys):
+            np.testing.assert_array_equal(keys, want)
 
 
 #: The default sweep's simulated peak (binary search, 12 points, seed

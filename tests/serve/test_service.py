@@ -79,9 +79,19 @@ def as_requests(probes, request_tuples=128, interval=1e-3):
 class TestShardedIndexService:
     @pytest.mark.parametrize("theta", [0.0, 1.0])
     @pytest.mark.parametrize("index_cls", [BinarySearchIndex, RadixSplineIndex])
-    def test_served_positions_match_generator_truth(self, theta, index_cls):
+    def test_served_positions_match_generator_truth(
+        self, theta, index_cls, monkeypatch
+    ):
         relation, probes = build_workload(theta=theta)
         service = build_service(relation, index_cls=index_cls)
+        windows = []
+        complete = service._complete
+
+        def spy(result, *args):
+            windows.append((result.window.shard_id, result.window.indices))
+            return complete(result, *args)
+
+        monkeypatch.setattr(service, "_complete", spy)
         requests = as_requests(probes)
         report = service.run(requests)
         assert report.rejected_requests == 0
@@ -91,6 +101,20 @@ class TestShardedIndexService:
             ]
             np.testing.assert_array_equal(outcome.positions, truth)
             assert outcome.latency is not None and outcome.latency > 0
+        # 128-key requests over 4 shards and 64-tuple windows: windows
+        # span several requests, and a request splits across shards and
+        # across windows -- every run of a window lands at its own
+        # request's offsets.  Request i owns stream [128 i, 128 i + 128).
+        owners = [(shard, set((indices // 128).tolist())) for shard, indices in windows]
+        assert any(len(ids) > 1 for _, ids in owners)
+        served_by = {}
+        for number, (shard, ids) in enumerate(owners):
+            for request_id in ids:
+                served_by.setdefault(request_id, set()).add((shard, number))
+        assert any(
+            len({shard for shard, _ in where}) > 1 and len(where) > 2
+            for where in served_by.values()
+        )
 
     def test_report_is_deterministic(self):
         relation, probes = build_workload()

@@ -132,6 +132,28 @@ class TestBadAxisValues:
             (["chaos", "--schedule", KILL_ONE, "--shards", "0"], "--shards"),
             (["chaos", "--schedule", KILL_ONE, "--shards", "-1"], "--shards"),
             (["chaos", "--schedule", KILL_ONE, "--replicas", "0"], "--replicas"),
+            (
+                ["chaos", "--schedule", KILL_ONE, "--window-kib", "0"],
+                "--window-kib",
+            ),
+            (
+                ["chaos", "--schedule", KILL_ONE, "--window-kib", "-4"],
+                "--window-kib",
+            ),
+            (["serve-bench", "--workers", "1", "--shards", "0"], "--shards"),
+            (
+                ["serve-bench", "--workers", "1", "--shards", "2", "-1"],
+                "--shards",
+            ),
+            (
+                ["serve-bench", "--workers", "1", "--window-kib", "0"],
+                "--window-kib",
+            ),
+            (
+                ["serve-bench", "--workers", "1", "--window-kib", "4", "-16"],
+                "--window-kib",
+            ),
+            (["serve-bench", "--workers", "1", "--replicas", "0"], "--replicas"),
         ],
     )
     def test_exits_2_naming_the_field(self, argv, field_name, capsys, monkeypatch):
