@@ -64,10 +64,8 @@ from .hardware import (
 from .engine import Pipeline, PlanChoice, QueryPlanner
 from .indexes import (
     ALL_INDEX_TYPES,
-    EXTENSION_INDEX_TYPES,
     BinarySearchIndex,
     BPlusTreeIndex,
-    FastTreeIndex,
     HarmoniaIndex,
     Index,
     RadixSplineIndex,
@@ -91,9 +89,7 @@ from .serve import (
     ServeReport,
     ShardedIndexService,
     ShardPlan,
-    fallback_shard,
     range_shard,
-    replicate,
 )
 
 __version__ = "1.0.0"
@@ -124,10 +120,8 @@ __all__ = [
     "TABLE1_INTERCONNECTS",
     "V100_NVLINK2",
     "ALL_INDEX_TYPES",
-    "EXTENSION_INDEX_TYPES",
     "BinarySearchIndex",
     "BPlusTreeIndex",
-    "FastTreeIndex",
     "HarmoniaIndex",
     "Index",
     "RadixSplineIndex",
@@ -154,7 +148,5 @@ __all__ = [
     "ServeReport",
     "ShardedIndexService",
     "ShardPlan",
-    "fallback_shard",
     "range_shard",
-    "replicate",
 ]

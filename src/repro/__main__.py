@@ -38,7 +38,7 @@ from .data.generator import WorkloadConfig
 from .errors import CapacityError, ConfigurationError, WorkloadError
 from .engine.planner import QueryPlanner
 from .hardware.spec import A100_PCIE4, GH200_C2C, MI250X_IF3, V100_NVLINK2
-from .indexes import ALL_INDEX_TYPES, EXTENSION_INDEX_TYPES
+from .indexes import ALL_INDEX_TYPES
 from .units import GB, GIB, KEY_BYTES, format_bytes
 
 MACHINES = {
@@ -62,12 +62,9 @@ def cmd_info(_args) -> int:
             f"{format_bytes(spec.cpu.memory_capacity_bytes)} CPU memory)"
         )
     print("\nindex structures:")
-    for cls in ALL_INDEX_TYPES + EXTENSION_INDEX_TYPES:
+    for cls in ALL_INDEX_TYPES:
         updates = "updates" if cls.supports_updates else "static"
-        extension = (
-            " [extension]" if cls in EXTENSION_INDEX_TYPES else ""
-        )
-        print(f"  {cls.name:>14}: {updates}{extension}")
+        print(f"  {cls.name:>14}: {updates}")
     print("\nsee DESIGN.md for the system inventory and EXPERIMENTS.md for")
     print("the paper-vs-measured record.")
     return 0

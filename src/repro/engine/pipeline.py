@@ -117,6 +117,13 @@ class WindowOperator(Operator):
     i.e., tumbling windows.  Closing the window occurs either when the
     window reaches its capacity, or no more tuples are available"
     (Section 5.1).
+
+    The open window lives on the operator between calls, so a push
+    stream (the serving layer's per-shard batcher) and a pull pipeline
+    drive the same rule: :meth:`push` returns the windows a batch
+    closes, :meth:`flush` closes the partial tail, and :meth:`process`
+    is one push per upstream batch followed by a flush.  ``len()`` is
+    the open window's tuple count.
     """
 
     def __init__(self, window_bytes: int):
@@ -125,38 +132,48 @@ class WindowOperator(Operator):
                 f"window must hold at least one tuple, got {window_bytes}"
             )
         self.window_tuples = max(1, window_bytes // KEY_BYTES)
+        self._keys: List[np.ndarray] = []
+        self._indices: List[np.ndarray] = []
+        self._pending = 0
+
+    def __len__(self) -> int:
+        return self._pending
+
+    def push(self, batch: TupleBatch) -> List[TupleBatch]:
+        """Append ``batch`` to the open window; return the windows that
+        reach capacity, in stream order."""
+        closed: List[TupleBatch] = []
+        keys, indices = batch.keys, batch.indices
+        while self._pending + len(keys) >= self.window_tuples:
+            take = self.window_tuples - self._pending
+            self._keys.append(keys[:take])
+            self._indices.append(indices[:take])
+            closed.append(self._close())
+            keys, indices = keys[take:], indices[take:]
+        if len(keys):
+            self._keys.append(keys)
+            self._indices.append(indices)
+            self._pending += len(keys)
+        return closed
+
+    def flush(self) -> List[TupleBatch]:
+        """Close the open window early: no more tuples are available."""
+        return [self._close()] if self._pending else []
+
+    def _close(self) -> TupleBatch:
+        keys, indices = self._keys, self._indices
+        self._keys, self._indices, self._pending = [], [], 0
+        if len(keys) == 1:
+            # The window is one contiguous slice: no copy.
+            return TupleBatch(keys=keys[0], indices=indices[0])
+        return TupleBatch(
+            keys=np.concatenate(keys), indices=np.concatenate(indices)
+        )
 
     def process(self, upstream: Iterator[TupleBatch]) -> Iterator[TupleBatch]:
-        pending_keys: List[np.ndarray] = []
-        pending_indices: List[np.ndarray] = []
-        pending = 0
         for batch in upstream:
-            keys, indices = batch.keys, batch.indices
-            while pending + len(keys) >= self.window_tuples:
-                take = self.window_tuples - pending
-                if pending_keys:
-                    pending_keys.append(keys[:take])
-                    pending_indices.append(indices[:take])
-                    yield TupleBatch(
-                        keys=np.concatenate(pending_keys),
-                        indices=np.concatenate(pending_indices),
-                    )
-                    pending_keys, pending_indices, pending = [], [], 0
-                else:
-                    # Window fills from one contiguous slice: no copy.
-                    yield TupleBatch(keys=keys[:take], indices=indices[:take])
-                keys, indices = keys[take:], indices[take:]
-            if len(keys):
-                pending_keys.append(keys)
-                pending_indices.append(indices)
-                pending += len(keys)
-        if len(pending_keys) == 1:
-            yield TupleBatch(keys=pending_keys[0], indices=pending_indices[0])
-        elif pending:
-            yield TupleBatch(
-                keys=np.concatenate(pending_keys),
-                indices=np.concatenate(pending_indices),
-            )
+            yield from self.push(batch)
+        yield from self.flush()
 
 
 class PartitionOperator(Operator):

@@ -19,7 +19,6 @@ from .base import Index, LookupResult, TraceRecorder
 from .binary_search import BinarySearchIndex
 from .btree import BPlusTreeIndex
 from .domain import clamped_int64
-from .fast_tree import FastTreeIndex
 from .harmonia import HarmoniaIndex
 from .radix_spline import RadixSplineIndex
 
@@ -31,20 +30,14 @@ ALL_INDEX_TYPES = (
     RadixSplineIndex,
 )
 
-#: Additional structures from the paper's related work (Section 2.2),
-#: implemented as extensions; not part of the paper's evaluated quartet.
-EXTENSION_INDEX_TYPES = (FastTreeIndex,)
-
 __all__ = [
     "Index",
     "LookupResult",
     "TraceRecorder",
     "BinarySearchIndex",
     "BPlusTreeIndex",
-    "FastTreeIndex",
     "HarmoniaIndex",
     "RadixSplineIndex",
     "ALL_INDEX_TYPES",
-    "EXTENSION_INDEX_TYPES",
     "clamped_int64",
 ]

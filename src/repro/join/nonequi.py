@@ -2,7 +2,7 @@
 
 Both operators are built on :meth:`Index.probe_range_batch` -- the
 per-key [start, end) span over the sorted base column -- so every index
-structure (B+tree, binary search, Harmonia, RadixSpline, FAST) supports
+structure (B+tree, binary search, Harmonia, RadixSpline) supports
 them without operator-specific traversal code:
 
 * **band join**: emit every (s, r) pair with ``|s.key - r.key| <=

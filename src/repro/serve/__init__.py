@@ -2,17 +2,17 @@
 
 The serving layer puts the paper's indexes behind a front door shaped
 like production traffic ("serve heavy traffic from millions of users",
-ROADMAP north star): the relation is range-sharded across N simulated
-GPUs (:mod:`.shard`), requests are buffered into per-shard tumbling
-windows that reuse the engine's window operator (:mod:`.batcher`),
-bounded backlogs apply backpressure (:mod:`.admission`), and a
-discrete-event loop over a logical clock (:mod:`.clock`,
-:mod:`.service`) schedules window execution priced by the perf replay
-model (:mod:`.executor`).  Each range carries K replicas -- K = 1 is
-the unreplicated deployment, and the copies may carry divergent index
-types (:mod:`.replica`) -- behind a cost-based router with failure
-detection (:mod:`.health`) and priced background rebuilds
-(:mod:`.recovery`).  Online updates land in a per-shard sorted delta
+ROADMAP north star): one :class:`ShardPlan` range-shards the relation
+across N simulated GPUs, K copies per range plus a whole-relation
+fallback (:mod:`.shard`); requests are buffered into per-shard tumbling
+windows, each shard's stream one engine window operator
+(:mod:`.batcher`); bounded backlogs apply backpressure
+(:mod:`.admission`); and a discrete-event loop over a logical clock
+(:mod:`.clock`, :mod:`.service`) schedules window execution priced by
+the perf replay model (:mod:`.executor`).  K = 1 is the unreplicated
+deployment, and the copies of a range may carry divergent index types,
+behind a cost-based router with failure detection (:mod:`.health`) and
+priced background rebuilds (:mod:`.recovery`).  Online updates land in a per-shard sorted delta
 tier merged into every probe (:mod:`.delta`), folded back into the base
 index by policy-driven compactions priced in the same simulated
 currency.  ``repro serve-bench`` (:mod:`.bench`) sweeps the
@@ -43,7 +43,6 @@ from .recovery import (
     price_compaction,
     price_rebuild,
 )
-from .replica import Replica, ReplicaSet, ReplicatedPlan, replicate
 from .service import (
     ProbeRequest,
     RequestOutcome,
@@ -51,7 +50,7 @@ from .service import (
     ShardStats,
     ShardedIndexService,
 )
-from .shard import Shard, ShardPlan, fallback_shard, range_shard
+from .shard import Shard, ShardPlan, range_shard
 
 __all__ = [
     "AdmissionController",
@@ -65,9 +64,6 @@ __all__ = [
     "PROBATION",
     "ProbeRequest",
     "RebuildCost",
-    "Replica",
-    "ReplicaSet",
-    "ReplicatedPlan",
     "ReplicatedShardExecutor",
     "RequestOutcome",
     "ServeReport",
@@ -81,11 +77,9 @@ __all__ = [
     "WindowDeferred",
     "WindowResult",
     "delta_search_steps",
-    "fallback_shard",
     "merge_newest_wins",
     "price_compaction",
     "price_rebuild",
     "range_shard",
     "read_amplification",
-    "replicate",
 ]

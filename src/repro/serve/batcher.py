@@ -3,25 +3,22 @@
 The batcher is the serving-layer counterpart of the paper's Section 5
 windowed partitioning: each shard's probe stream is cut into disjoint
 fixed-size tumbling windows, closed when they reach capacity or when the
-stream ends.  Window boundaries are not re-implemented -- the batcher
-*drives* the engine's :class:`~repro.engine.pipeline.WindowOperator`
-over its pending batches, so serving windows and pipeline windows can
-never drift apart.  (``WindowOperator`` always emits its final partial
-window because a pull stream cannot distinguish "stream ended" from
-"more later"; the batcher, which does know, retains a trailing partial
-window until :meth:`flush`.)
+stream ends.  Window boundaries are not re-implemented -- each shard's
+stream is one engine :class:`~repro.engine.pipeline.WindowOperator`
+holding that shard's open window, so serving windows and pipeline
+windows can never drift apart.  The batcher adds only what a pipeline
+stream lacks: a window kind, and an early close when the kind changes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
 from ..engine.pipeline import TupleBatch, WindowOperator
 from ..errors import ConfigurationError
-from ..units import KEY_BYTES
 
 
 @dataclass
@@ -62,24 +59,16 @@ class ShardBatcher:
             raise ConfigurationError(
                 f"batcher needs at least one shard, got {num_shards}"
             )
-        if window_bytes < KEY_BYTES:
-            raise ConfigurationError(
-                f"window must hold at least one tuple, got {window_bytes}"
-            )
         self.num_shards = num_shards
-        self.window_bytes = window_bytes
-        self.window_tuples = max(1, window_bytes // KEY_BYTES)
-        self._pending: Dict[int, List[TupleBatch]] = {
-            shard: [] for shard in range(num_shards)
-        }
-        self._pending_tuples = np.zeros(num_shards, dtype=np.int64)
-        self._pending_kind: Dict[int, str] = {
-            shard: "probe" for shard in range(num_shards)
-        }
+        self._operators = [
+            WindowOperator(window_bytes) for _ in range(num_shards)
+        ]
+        #: Kind of each shard's open window.
+        self._kinds = ["probe"] * num_shards
 
     def pending_tuples(self, shard_id: int) -> int:
         """Tuples buffered for ``shard_id`` in its open window."""
-        return int(self._pending_tuples[shard_id])
+        return len(self._operators[shard_id])
 
     def push(
         self,
@@ -106,21 +95,21 @@ class ShardBatcher:
         if len(keys) == 0:
             return []
         windows: List[Window] = []
-        if self._pending[shard_id] and self._pending_kind[shard_id] != kind:
-            windows.extend(self._cut(shard_id, ended=True))
-        self._pending_kind[shard_id] = kind
-        self._pending[shard_id].append(
-            TupleBatch(keys=keys, indices=np.asarray(indices, dtype=np.int64))
+        if self._kinds[shard_id] != kind:
+            windows.extend(self.flush(shard_id))
+            self._kinds[shard_id] = kind
+        batch = TupleBatch(
+            keys=keys, indices=np.asarray(indices, dtype=np.int64)
         )
-        self._pending_tuples[shard_id] += len(keys)
-        if self._pending_tuples[shard_id] >= self.window_tuples:
-            windows.extend(self._cut(shard_id, ended=False))
+        windows.extend(
+            self._windows(shard_id, self._operators[shard_id].push(batch))
+        )
         return windows
 
     def flush(self, shard_id: int) -> List[Window]:
         """Close the shard's open window early ("no more tuples are
         available on the probe-side", Section 5.1)."""
-        return self._cut(shard_id, ended=True)
+        return self._windows(shard_id, self._operators[shard_id].flush())
 
     def flush_all(self) -> List[Window]:
         """End-of-stream flush of every shard, in shard order."""
@@ -129,34 +118,17 @@ class ShardBatcher:
             windows.extend(self.flush(shard_id))
         return windows
 
-    def _cut(self, shard_id: int, ended: bool) -> List[Window]:
-        """Run the engine's WindowOperator over pending batches.
-
-        Full windows are emitted; the operator's unconditional trailing
-        partial window is retained as the new pending state unless the
-        stream has ended.
-        """
-        pending = self._pending[shard_id]
-        if not pending:
-            return []
-        operator = WindowOperator(self.window_bytes)
-        cut = list(operator.process(iter(pending)))
-        self._pending[shard_id] = []
-        self._pending_tuples[shard_id] = 0
-        windows: List[Window] = []
-        for batch in cut:
-            if len(batch) < self.window_tuples and not ended:
-                # The open tail: put it back for the next push.
-                self._pending[shard_id] = [batch]
-                self._pending_tuples[shard_id] = len(batch)
-                break
-            windows.append(
-                Window(
-                    shard_id=shard_id,
-                    keys=batch.keys,
-                    indices=batch.indices,
-                    full=len(batch) >= self.window_tuples,
-                    kind=self._pending_kind[shard_id],
-                )
+    def _windows(
+        self, shard_id: int, batches: List[TupleBatch]
+    ) -> List[Window]:
+        window_tuples = self._operators[shard_id].window_tuples
+        return [
+            Window(
+                shard_id=shard_id,
+                keys=batch.keys,
+                indices=batch.indices,
+                full=len(batch) >= window_tuples,
+                kind=self._kinds[shard_id],
             )
-        return windows
+            for batch in batches
+        ]

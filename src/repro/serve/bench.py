@@ -14,8 +14,8 @@ stream, the sorted-array-with-updates oracle), so the bench doubles as
 an end-to-end differential test of the sharded path.
 
 Every point serves through one driver, :func:`serve_point`, which the
-chaos harness (:mod:`repro.resilience.chaos`) shares: the plan is always
-a replica set per range, with ``--replicas 1`` (the default) as the
+chaos harness (:mod:`repro.resilience.chaos`) shares: the plan always
+holds K copies per range, with ``--replicas 1`` (the default) as the
 unreplicated deployment.
 """
 
@@ -46,9 +46,8 @@ from ..workloads.updates import (
     make_update_stream,
 )
 from .executor import KERNELS_PER_WINDOW, ReplicatedShardExecutor
-from .replica import replicate
 from .service import ProbeRequest, ServeReport, ShardedIndexService
-from .shard import CALIBRATION_SIM, fallback_shard
+from .shard import CALIBRATION_SIM, range_shard
 
 #: CLI index names (the four paper indexes).
 INDEX_BY_NAME: Dict[str, Type] = {
@@ -214,11 +213,10 @@ def _updates_block(executor: ReplicatedShardExecutor) -> Dict[str, object]:
     for event in executor.compactions:
         strategy = str(event["strategy"])
         by_strategy[strategy] = by_strategy.get(strategy, 0) + 1
-    plan = executor.plan
     depths = {
-        f"{shard_id}:{replica.replica_id}": replica.shard.delta.num_tuples
-        for shard_id in range(plan.num_shards)
-        for replica in plan.replicas(shard_id)
+        f"{shard_id}:{replica_id}": shard.delta.num_tuples
+        for shard_id, copies in enumerate(executor.plan.replicas)
+        for replica_id, shard in enumerate(copies)
     }
     return {
         "update_windows": executor.update_windows,
@@ -292,12 +290,9 @@ def serve_point(
     executor, the service report and the arrival spacing (seconds).
     """
     window_tuples = max(1, window_kib * KIB // KEY_BYTES)
-    plan = replicate(relation, num_shards, index_classes)
-    executor = ReplicatedShardExecutor(
-        plan, fallback_shard(relation, index_classes[0]), chaos=chaos
-    )
+    plan = range_shard(relation, num_shards, index_classes)
+    executor = ReplicatedShardExecutor(plan, chaos=chaos)
     service = ShardedIndexService(
-        plan,
         executor,
         window_bytes=window_kib * KIB,
         max_backlog_tuples=(

@@ -18,8 +18,8 @@ Reads over a deep delta pay for the extra binary search -- the *read
 amplification* the :class:`CompactionPolicy` trades against the priced
 cost of folding the delta back into the base index
 (:func:`~repro.serve.recovery.price_compaction`): B+tree/Harmonia
-absorb cheaply, the RadixSpline must retrain, binary-search/FAST
-rebuild.  Compaction is scheduled on the simulated clock exactly like
+absorb cheaply, the RadixSpline must retrain, binary search
+rebuilds.  Compaction is scheduled on the simulated clock exactly like
 a PR-7 recovery rebuild.
 """
 

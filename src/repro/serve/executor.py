@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -56,8 +56,7 @@ from .recovery import (
     price_compaction,
     price_rebuild,
 )
-from .replica import ReplicatedPlan
-from .shard import CALIBRATION_SIM, Shard
+from .shard import CALIBRATION_SIM, Shard, ShardPlan
 
 #: Fault-injection site checked before every replica probe attempt.
 #: Labels name the replica, ``shard{s}r{k}``, so ``match=shard1``
@@ -108,6 +107,20 @@ class WindowDeferred:
 
     window: Window
     ready_at: float
+
+
+class _WindowCost(NamedTuple):
+    """One copy's charge for one window (see ``_window_cost``)."""
+
+    price: float
+    counters: PerfCounters
+    delta_seconds: float
+    delta: Optional[PerfCounters]
+
+    @property
+    def seconds(self) -> float:
+        """The routing price: base window plus delta stage."""
+        return self.price + self.delta_seconds
 
 
 def _fallback_probe(fallback: Shard, window: Window) -> np.ndarray:
@@ -166,16 +179,16 @@ def _update_counters(
 
 @dataclass
 class ReplicatedShardExecutor:
-    """Cost-routed window execution over replica sets with recovery.
+    """Cost-routed window execution over a plan's copies with recovery.
 
+    The plan supplies every copy of every range and the fallback.
     ``chaos`` is an optional scripted fault source (duck-typed against
     :class:`repro.resilience.chaos.ChaosController`): ``check_probe``
     is consulted before every replica probe attempt and ``on_restart``
     is notified when a rebuilt replica rejoins.
     """
 
-    plan: ReplicatedPlan
-    fallback: Shard
+    plan: ShardPlan
     spec: SystemSpec = V100_NVLINK2
     sim: SimulationConfig = CALIBRATION_SIM
     policy: Optional[RetryPolicy] = None
@@ -234,19 +247,30 @@ class ReplicatedShardExecutor:
     # Pricing and routing.
     # ------------------------------------------------------------------
 
-    def _base_window(
-        self, shard: Shard, key: Tuple[int, int, int]
-    ) -> Tuple[float, PerfCounters]:
-        """Memoized price (probe stage plus launches) of ``shard``'s base
-        window and the replayed counters it was priced from.
+    def _window_cost(
+        self, shard_id: int, replica_id: int, window_tuples: int
+    ) -> _WindowCost:
+        """What one copy charges for one window: the memoized base price
+        and counters, plus a fresh delta-reconciliation stage.
 
-        ``key`` is (shard, replica, window tuples), or (-1, -1, window
-        tuples) for the fallback.  The counters are shared with the
-        memo: copy before mutating.
+        ``replica_id`` -1 is the fallback, memoized under (-1, -1,
+        window tuples).  The delta stage is priced on every call because
+        delta depth changes with every update window: a replica carrying
+        a deep delta is genuinely more expensive to route to, which is
+        how reads feel the pressure that the compaction policy relieves.
+        The base counters are shared with the memo: copy before
+        mutating.
         """
+        if replica_id < 0:
+            shard, key = self.plan.fallback, (-1, -1, window_tuples)
+        else:
+            shard = self.plan.replicas[shard_id][replica_id]
+            key = (shard_id, replica_id, window_tuples)
         entry = self._window_memo.get(key)
         if entry is None:
-            counters = shard.window_counters(key[2], self.spec, self.sim)
+            counters = shard.window_counters(
+                window_tuples, self.spec, self.sim
+            )
             price = (
                 self._cost.probe_stage_time(counters)
                 + KERNELS_PER_WINDOW
@@ -254,78 +278,48 @@ class ReplicatedShardExecutor:
             )
             entry = (price, counters)
             self._window_memo[key] = entry
-        return entry
-
-    def window_price(
-        self, shard_id: int, replica_id: int, window_tuples: int
-    ) -> float:
-        """Simulated seconds for one replica to serve one window.
-
-        The memoized base price plus a fresh delta-reconciliation
-        stage: a replica carrying a deep delta is genuinely more
-        expensive to route to, which is how reads feel the pressure
-        that the compaction policy relieves.
-        """
-        shard = self.plan.replica(shard_id, replica_id).shard
-        price, _ = self._base_window(
-            shard, (shard_id, replica_id, window_tuples)
+        delta = shard.delta.read_counters(window_tuples)
+        delta_seconds = (
+            0.0 if delta is None else self._cost.probe_stage_time(delta)
         )
-        return price + self._delta_stage_seconds(shard, window_tuples)
-
-    def fallback_price(self, window_tuples: int) -> float:
-        price, _ = self._base_window(self.fallback, (-1, -1, window_tuples))
-        return price + self._delta_stage_seconds(self.fallback, window_tuples)
-
-    def _delta_stage_seconds(
-        self, shard: Shard, window_tuples: int
-    ) -> float:
-        """Priced delta-reconciliation stage of one window (0 if empty)."""
-        counters = shard.delta.read_counters(window_tuples)
-        if counters is None:
-            return 0.0
-        return self._cost.probe_stage_time(counters)
+        return _WindowCost(entry[0], entry[1], delta_seconds, delta)
 
     def rebuild_cost(self, shard_id: int, replica_id: int) -> RebuildCost:
         key = (shard_id, replica_id)
         if key not in self._rebuild_memo:
-            shard = self.plan.replica(shard_id, replica_id).shard
             self._rebuild_memo[key] = price_rebuild(
-                shard, self.spec, self._cost.constants
+                self.plan.replicas[shard_id][replica_id],
+                self.spec,
+                self._cost.constants,
             )
         return self._rebuild_memo[key]
 
-    def route(self, shard_id: int, window_tuples: int) -> List[int]:
-        """Serving candidates for one window, best first.
+    def route(
+        self, shard_id: int, window_tuples: int
+    ) -> List[Tuple[int, _WindowCost]]:
+        """Serving candidates for one window and their costs, best first.
 
         Probation replicas lead (the half-open trial: a shard executes
         one window at a time, so probation-first ordering is exactly
         one in-flight trial); within a tier the cheapest priced replica
         wins, with replica id as the deterministic tiebreak.
         """
-        ranked: List[Tuple[int, float, int]] = []
-        for replica in self.plan.replicas(shard_id):
-            if self.health.is_dead(shard_id, replica.replica_id):
+        ranked: List[Tuple[int, float, int, _WindowCost]] = []
+        for replica_id in range(self.plan.replicas_per_shard):
+            if self.health.is_dead(shard_id, replica_id):
                 continue
-            if (shard_id, replica.replica_id) in self._compacting:
+            if (shard_id, replica_id) in self._compacting:
                 # Mid-merge: the replica's index is being rewritten.
                 continue
             tier = (
                 0
-                if self.health.state(shard_id, replica.replica_id)
-                == PROBATION
+                if self.health.state(shard_id, replica_id) == PROBATION
                 else 1
             )
-            ranked.append(
-                (
-                    tier,
-                    self.window_price(
-                        shard_id, replica.replica_id, window_tuples
-                    ),
-                    replica.replica_id,
-                )
-            )
-        ranked.sort()
-        return [replica_id for _, _, replica_id in ranked]
+            cost = self._window_cost(shard_id, replica_id, window_tuples)
+            ranked.append((tier, cost.seconds, replica_id, cost))
+        ranked.sort(key=lambda entry: entry[:3])
+        return [(replica_id, cost) for _, _, replica_id, cost in ranked]
 
     # ------------------------------------------------------------------
     # Failure, recovery, and the service-facing hooks.
@@ -388,18 +382,17 @@ class ReplicatedShardExecutor:
         the genuine defer-or-fallback cost decision.  Dead replicas
         compact freely: the merge is a host-side content operation.
         """
-        replicas = list(self.plan.replicas(shard_id))
+        replicas = self.plan.replicas[shard_id]
         available = sum(
             1
-            for replica in replicas
-            if not self.health.is_dead(shard_id, replica.replica_id)
-            and (shard_id, replica.replica_id) not in self._compacting
+            for replica_id in range(len(replicas))
+            if not self.health.is_dead(shard_id, replica_id)
+            and (shard_id, replica_id) not in self._compacting
         )
-        for replica in replicas:
-            key = (shard_id, replica.replica_id)
+        for replica_id, shard in enumerate(replicas):
+            key = (shard_id, replica_id)
             if key in self._compacting:
                 continue
-            shard = replica.shard
             depth = shard.delta.num_tuples
             if depth == 0:
                 continue
@@ -418,7 +411,7 @@ class ReplicatedShardExecutor:
                 cost.seconds,
             ):
                 continue
-            routable = not self.health.is_dead(shard_id, replica.replica_id)
+            routable = not self.health.is_dead(shard_id, replica_id)
             if routable and available <= 1 and len(replicas) > 1:
                 continue
             self._schedule_compaction(key, cost, depth, amp, now)
@@ -441,7 +434,7 @@ class ReplicatedShardExecutor:
             {
                 "shard": shard_id,
                 "replica": replica_id,
-                "index": self.plan.replica(shard_id, replica_id).index_name,
+                "index": self.plan.replicas[shard_id][replica_id].index.name,
                 "strategy": cost.strategy,
                 "delta_tuples": depth,
                 "read_amplification": round(amp, 6),
@@ -472,8 +465,7 @@ class ReplicatedShardExecutor:
         key = (shard_id, replica_id)
         if self._compacting.pop(key, None) is None:
             return False
-        shard = self.plan.replica(shard_id, replica_id).shard
-        merged = shard.compact()
+        merged = self.plan.replicas[shard_id][replica_id].compact()
         # The base slice changed: stale prices and counters must not
         # serve routing or a window's charge.
         self._window_memo = {
@@ -498,13 +490,13 @@ class ReplicatedShardExecutor:
 
     @property
     def failed_shards(self) -> List[int]:
-        """Shards whose entire replica set is currently dead."""
+        """Shards whose every copy is currently dead."""
         return [
             shard_id
             for shard_id in range(self.plan.num_shards)
             if all(
-                self.health.is_dead(shard_id, replica.replica_id)
-                for replica in self.plan.replicas(shard_id)
+                self.health.is_dead(shard_id, replica_id)
+                for replica_id in range(self.plan.replicas_per_shard)
             )
         ]
 
@@ -538,8 +530,8 @@ class ReplicatedShardExecutor:
         served_by = -1
         assert self.policy is not None  # set in __post_init__
 
-        for replica_id in self.route(shard_id, len(window)):
-            shard = self.plan.replica(shard_id, replica_id).shard
+        for replica_id, cost in self.route(shard_id, len(window)):
+            shard = self.plan.replicas[shard_id][replica_id]
             label = f"shard{shard_id}r{replica_id}"
 
             def probe(
@@ -586,35 +578,31 @@ class ReplicatedShardExecutor:
                     )
 
         self.failovers += failovers
-        degraded = False
+        degraded = positions is None
         if positions is None:
             deferred = self._maybe_defer(window, now, seq)
             if deferred is not None:
                 return deferred
-            positions = _fallback_probe(self.fallback, window)
+            positions = _fallback_probe(self.plan.fallback, window)
             self.fallback_windows += 1
-            degraded = True
             self.health.note(now, shard_id, -1, "fallback", f"window={seq}")
+            cost = self._window_cost(shard_id, -1, len(window))
 
-        if degraded:
-            active, memo_key = self.fallback, (-1, -1, len(window))
-        else:
-            active = self.plan.replica(shard_id, served_by).shard
-            memo_key = (shard_id, served_by, len(window))
-        price, base = self._base_window(active, memo_key)
-        counters = copy.copy(base)
-        service = price + sum(delays)
-        delta_counters = active.delta.read_counters(len(window))
-        if delta_counters is not None:
+        # ``cost`` is the serving copy's: the fallback's, or the routed
+        # replica's (probing changes neither its memo entry nor its
+        # delta depth, so the routing cost still holds).
+        counters = copy.copy(cost.counters)
+        service = cost.price + sum(delays)
+        if cost.delta is not None:
             # Serial reconciliation stage; its seconds are the "rent"
             # the compaction policy's priced trigger accumulates.
-            delta_seconds = self._cost.probe_stage_time(delta_counters)
-            service += delta_seconds
-            counters.add(delta_counters)
+            service += cost.delta_seconds
+            counters.add(cost.delta)
             if not degraded:
                 key = (shard_id, served_by)
                 self._delta_read_seconds[key] = (
-                    self._delta_read_seconds.get(key, 0.0) + delta_seconds
+                    self._delta_read_seconds.get(key, 0.0)
+                    + cost.delta_seconds
                 )
             self._evaluate_compaction(shard_id, now)
         if obs.enabled():
@@ -650,10 +638,10 @@ class ReplicatedShardExecutor:
         values = _update_window_values(window)
         shard_id = window.shard_id
         depth = 0
-        for replica in self.plan.replicas(shard_id):
-            replica.shard.apply_updates(window.keys, values)
-            depth = replica.shard.delta.num_tuples
-        self.fallback.apply_updates(window.keys, values)
+        for shard in self.plan.replicas[shard_id]:
+            shard.apply_updates(window.keys, values)
+            depth = shard.delta.num_tuples
+        self.plan.fallback.apply_updates(window.keys, values)
         self.update_windows += 1
         self.update_tuples += len(window)
         self.delta_peak = max(self.delta_peak, depth)
@@ -702,10 +690,9 @@ class ReplicatedShardExecutor:
             return None
         ready_at, replica_id = min(candidates)
         wait = max(0.0, ready_at - now)
-        rebuilt_price = self.window_price(
-            window.shard_id, replica_id, len(window)
-        )
-        if wait + rebuilt_price >= self.fallback_price(len(window)):
+        rebuilt = self._window_cost(window.shard_id, replica_id, len(window))
+        fallback = self._window_cost(window.shard_id, -1, len(window))
+        if wait + rebuilt.seconds >= fallback.seconds:
             return None
         window.deferrals += 1
         self.deferrals += 1

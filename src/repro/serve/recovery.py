@@ -40,7 +40,6 @@ REBUILD_KIND_BY_INDEX: Dict[str, str] = {
     "binary search": "slice_copy",
     "B+tree": "bulk_load",
     "Harmonia": "bulk_load",
-    "FAST tree": "bulk_load",
     "RadixSpline": "retrain",
 }
 
@@ -117,13 +116,12 @@ def price_rebuild(
 #: paper calls out ("Harmonia/B+tree if the index must support inserts
 #: and updates"): trees absorb delta tuples through traversal +
 #: leaf-write, the RadixSpline must retrain over the merged keys, and
-#: implicit-array structures (binary search, FAST's cache-line layout)
-#: rebuild outright.  Unknown types rebuild (conservative).
+#: the implicit-array structure (binary search's sorted slice) rebuilds
+#: outright.  Unknown types rebuild (conservative).
 COMPACTION_STRATEGY_BY_INDEX: Dict[str, str] = {
     "binary search": "rebuild",
     "B+tree": "absorb",
     "Harmonia": "absorb",
-    "FAST tree": "rebuild",
     "RadixSpline": "retrain",
 }
 
@@ -160,7 +158,7 @@ def price_compaction(
       scaling with tree height, no touch of the base slice.
     * ``retrain`` (RadixSpline): the merged key run must be re-fit; two
       passes over ``n + d`` keys plus writing the model arrays.
-    * ``rebuild`` (binary search, FAST, unknown): merge-write the new
+    * ``rebuild`` (binary search, unknown): merge-write the new
       sorted slice and rebuild the structure over ``n + d`` tuples.
     """
     if delta_tuples <= 0:

@@ -5,9 +5,10 @@ requests arrive on a simulated timeline; each is routed to the shards
 owning its keys, admitted whole or rejected whole by the backlog bound,
 and buffered into per-shard tumbling windows.  Closed windows queue FIFO
 per shard; each shard is one simulated GPU that executes one window at a
-time, its service time priced by the cost model.  Every range is a
-replica set -- K = 1 for an unreplicated deployment -- executed by
-:class:`~repro.serve.executor.ReplicatedShardExecutor`.  The event loop
+time, its service time priced by the cost model.  Every range has K
+copies -- K = 1 for an unreplicated deployment -- executed by
+:class:`~repro.serve.executor.ReplicatedShardExecutor`, whose plan the
+service routes and batches by.  The event loop
 is a plain discrete-event simulation over a :class:`SimulatedClock` --
 the executor's scheduled rebuilds and compactions, completions and
 arrivals interleave on the heap; at equal timestamps recoveries run
@@ -35,7 +36,6 @@ from .admission import AdmissionController
 from .batcher import ShardBatcher, Window
 from .clock import SimulatedClock
 from .executor import ReplicatedShardExecutor, WindowDeferred, WindowResult
-from .replica import ReplicatedPlan
 
 #: Heap ranks: recoveries before completions before arrivals at equal
 #: timestamps.  A replica rejoining at time t must be visible to a
@@ -179,26 +179,24 @@ class ServeReport:
 
 
 class ShardedIndexService:
-    """Discrete-event serving simulation over a shard plan."""
+    """Discrete-event serving simulation over the executor's plan."""
 
     def __init__(
         self,
-        plan: ReplicatedPlan,
         executor: ReplicatedShardExecutor,
         window_bytes: int,
         max_backlog_tuples: int,
     ):
-        self.plan = plan
         self.executor = executor
-        self.batcher = ShardBatcher(plan.num_shards, window_bytes)
-        self.admission = AdmissionController(
-            plan.num_shards, max_backlog_tuples
-        )
+        self.plan = executor.plan
+        num_shards = self.plan.num_shards
+        self.batcher = ShardBatcher(num_shards, window_bytes)
+        self.admission = AdmissionController(num_shards, max_backlog_tuples)
         self.clock = SimulatedClock()
         self._queues: List[Deque[Tuple[Window, float]]] = [
-            deque() for _ in range(plan.num_shards)
+            deque() for _ in range(num_shards)
         ]
-        self._busy: List[bool] = [False] * plan.num_shards
+        self._busy: List[bool] = [False] * num_shards
         self._seq = 0
         #: Makespan excludes trailing recovery events: a rebuild that
         #: completes after the last tuple was served extends the event

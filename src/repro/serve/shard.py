@@ -17,13 +17,15 @@ of the paper's radix routing.  Each shard owns:
 
 Shard-local lookup positions are offset by the shard's base position, so
 service responses are *global* R positions, directly comparable to the
-unsharded oracle.
+unsharded oracle.  A :class:`ShardPlan` is the whole layout -- K copies
+of every range shard plus one whole-relation fallback -- and
+:func:`range_shard` is its one builder.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple, Type, Union
 
 import numpy as np
 
@@ -261,20 +263,36 @@ class Shard:
 
 
 class ShardPlan:
-    """A range-sharded layout of one relation across N simulated GPUs."""
+    """A range-sharded layout of one relation across N simulated GPUs.
 
-    def __init__(self, shards: List[Shard]):
-        if not shards:
+    ``replicas[s][r]`` is copy ``r`` of range shard ``s``: every copy of
+    a range serves the same key slice (each from its own relation and
+    index, possibly of a different index type), so any copy returns the
+    same global positions.  ``fallback`` is one shard over the whole
+    relation, the degraded path when no copy of a range can serve.
+    Routing and splitting read only the key bounds, which every copy
+    shares.
+    """
+
+    def __init__(self, replicas: List[List[Shard]], fallback: Shard):
+        if not replicas:
             raise ConfigurationError("a shard plan needs at least one shard")
-        self.shards = shards
+        self.replicas = replicas
+        self.fallback = fallback
+        #: Replica 0 of every range shard, in shard order.
+        self.shards = [copies[0] for copies in replicas]
         #: Lower key bound of each shard; routing searchsorts this.
         self._lower_bounds = np.asarray(
-            [shard.lower_key for shard in shards], dtype=np.uint64
+            [shard.lower_key for shard in self.shards], dtype=np.uint64
         )
 
     @property
     def num_shards(self) -> int:
         return len(self.shards)
+
+    @property
+    def replicas_per_shard(self) -> int:
+        return len(self.replicas[0])
 
     def route(self, keys: np.ndarray) -> np.ndarray:
         """Shard id of each probe key (vectorized).
@@ -316,17 +334,27 @@ class ShardPlan:
 def range_shard(
     relation: Relation,
     num_shards: int,
-    index_cls: type,
+    index_classes: Union[Type, Sequence[Type]],
     max_tuples: int = 2**22,
 ) -> ShardPlan:
     """Range-shard ``relation`` into ``num_shards`` per-shard indexes.
 
     Shard boundaries are equal position splits of the sorted column
-    (equal data per simulated GPU).  Shard columns are materialized
-    slices, so any :mod:`repro.indexes` class works per shard;
-    ``max_tuples`` guards against accidentally materializing a
-    paper-scale virtual column.
+    (equal data per simulated GPU).  Every range gets one copy per entry
+    of ``index_classes`` -- entry ``k`` is replica ``k``'s index type on
+    every shard, and a single class (or a one-entry list) is the
+    unreplicated deployment.  The column is materialized once; each copy
+    gets its own relation over its key slice, because a relation is
+    placed in one simulated machine only.  The fallback spans the whole
+    relation with replica 0's index class.  ``max_tuples`` guards
+    against accidentally materializing a paper-scale virtual column.
     """
+    if isinstance(index_classes, type):
+        index_classes = [index_classes]
+    if not index_classes:
+        raise ConfigurationError(
+            "range_shard() needs at least one index class"
+        )
     if num_shards < 1:
         raise ConfigurationError(
             f"shard count must be >= 1, got {num_shards}"
@@ -338,51 +366,27 @@ def range_shard(
             f"refusing to materialize {n} tuples for sharding "
             f"(max_tuples={max_tuples}); serve benches use reduced R"
         )
+    keys = column.key_at(np.arange(n, dtype=np.int64))
     num_shards = min(num_shards, n)
     cuts = [(n * s) // num_shards for s in range(num_shards + 1)]
-    shards: List[Shard] = []
-    for shard_id in range(num_shards):
-        lo, hi = cuts[shard_id], cuts[shard_id + 1]
-        keys = column.key_at(np.arange(lo, hi, dtype=np.int64))
+
+    def copy_of(shard_id: int, index_cls: Type, lo: int, hi: int) -> Shard:
+        name = f"shard{shard_id}" if shard_id >= 0 else "fallback"
         sub_relation = Relation(
-            name=f"{relation.name}.shard{shard_id}",
-            column=MaterializedColumn(keys),
+            name=f"{relation.name}.{name}",
+            column=MaterializedColumn(keys[lo:hi]),
         )
-        upper = (
-            int(column.key_at(np.asarray([hi]))[0])
-            if hi < n
-            else int(keys[-1]) + 1
+        return Shard(
+            shard_id=shard_id,
+            relation=sub_relation,
+            index=index_cls(sub_relation),
+            base_position=lo,
+            lower_key=int(keys[lo]),
+            upper_key=int(keys[hi]) if hi < n else int(keys[-1]) + 1,
         )
-        shards.append(
-            Shard(
-                shard_id=shard_id,
-                relation=sub_relation,
-                index=index_cls(sub_relation),
-                base_position=lo,
-                lower_key=int(keys[0]),
-                upper_key=upper,
-            )
-        )
-    return ShardPlan(shards)
 
-
-def fallback_shard(relation: Relation, index_cls: type) -> Shard:
-    """A single shard over the whole relation: the degraded path.
-
-    When a shard fails permanently, its traffic falls back to this
-    unsharded index -- slower (taller structure, whole-relation span)
-    but correct, so results never change under degradation.
-    """
-    column = relation.column
-    keys = column.key_at(np.arange(len(column), dtype=np.int64))
-    full = Relation(
-        name=f"{relation.name}.fallback", column=MaterializedColumn(keys)
-    )
-    return Shard(
-        shard_id=-1,
-        relation=full,
-        index=index_cls(full),
-        base_position=0,
-        lower_key=int(keys[0]),
-        upper_key=int(keys[-1]) + 1,
-    )
+    grid = [
+        [copy_of(shard_id, cls, lo, hi) for cls in index_classes]
+        for shard_id, (lo, hi) in enumerate(zip(cuts, cuts[1:]))
+    ]
+    return ShardPlan(grid, copy_of(-1, index_classes[0], 0, n))

@@ -71,8 +71,8 @@ def maintenance_cost(
     Updates run CPU-side (the index lives in CPU memory; Section 3.2).
     Updateable trees pay, per key, a traversal plus a leaf write --
     ``height + 2`` random cacheline accesses.  Static structures
-    (RadixSpline, binary search's sorted array, the FAST layout) must
-    rebuild: a streaming pass over the data plus writing the structure.
+    (RadixSpline, binary search's sorted array) must rebuild: a
+    streaming pass over the data plus writing the structure.
     """
     if batch_size <= 0:
         raise ConfigurationError(

@@ -20,6 +20,14 @@ from repro.join.base import reference_join
 from repro.partition.bits import choose_partition_bits
 from repro.partition.radix import RadixPartitioner
 
+try:
+    from hypothesis import given
+    from hypothesis import strategies as st
+
+    HAVE_HYPOTHESIS = True
+except ImportError:  # pragma: no cover - property tests skip themselves
+    HAVE_HYPOTHESIS = False
+
 
 def drain(operator, upstream):
     return list(operator.process(iter(upstream)))
@@ -140,6 +148,52 @@ class TestWindowOperator:
     def test_zero_batch_upstream_yields_nothing(self):
         operator = WindowOperator(window_bytes=4 * 8)
         assert drain(operator, []) == []
+
+    def test_open_window_persists_between_pushes(self):
+        operator = WindowOperator(window_bytes=4 * 8)
+        assert operator.push(batch_of([1, 2, 3])) == []
+        assert len(operator) == 3
+        closed = operator.push(batch_of([4, 5], start=3))
+        assert [b.keys.tolist() for b in closed] == [[1, 2, 3, 4]]
+        assert len(operator) == 1
+        tail = operator.flush()
+        assert [b.indices.tolist() for b in tail] == [[4]]
+        assert len(operator) == 0
+        assert operator.flush() == []
+
+
+if HAVE_HYPOTHESIS:
+
+    @given(
+        size=st.integers(min_value=0, max_value=40),
+        window_tuples=st.integers(min_value=1, max_value=10),
+        cuts=st.lists(st.integers(min_value=0, max_value=40), max_size=8),
+    )
+    def test_push_and_flush_over_any_split_equal_process(
+        size, window_tuples, cuts
+    ):
+        """Pushing any split of a stream (empty batches included), then
+        flushing, yields exactly the windows ``process()`` yields over
+        the whole stream or over the same split."""
+        keys = np.arange(size, dtype=np.uint64) * 5
+        bounds = [0] + sorted(min(cut, size) for cut in cuts) + [size]
+        split = [
+            batch_of(keys[lo:hi], start=lo)
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+        window_bytes = window_tuples * 8
+        operator = WindowOperator(window_bytes)
+        pushed = [w for batch in split for w in operator.push(batch)]
+        pushed += operator.flush()
+        assert len(operator) == 0
+        for upstream in ([batch_of(keys)], split):
+            processed = drain(WindowOperator(window_bytes), upstream)
+            assert [w.keys.tolist() for w in pushed] == [
+                w.keys.tolist() for w in processed
+            ]
+            assert [w.indices.tolist() for w in pushed] == [
+                w.indices.tolist() for w in processed
+            ]
 
 
 class TestProbeAndMaterialize:

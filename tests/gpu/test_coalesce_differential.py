@@ -33,13 +33,12 @@ from repro.data.zipf import scatter_ranks, zipf_sample
 from repro.gpu.executor import LookupTrace, MachineModel
 from repro.hardware.memory import MemorySpace, SystemMemory
 from repro.hardware.spec import V100_NVLINK2
-from repro.indexes import ALL_INDEX_TYPES, EXTENSION_INDEX_TYPES
+from repro.indexes import ALL_INDEX_TYPES
 from repro.indexes.base import TraceRecorder
 
 from ..hardware import oracles
 
-INDEX_TYPES = ALL_INDEX_TYPES + EXTENSION_INDEX_TYPES
-INDEX_IDS = [cls.__name__ for cls in INDEX_TYPES]
+INDEX_IDS = [cls.__name__ for cls in ALL_INDEX_TYPES]
 
 #: The default (one wave for every batch here), a 2^14-lane wave, a width
 #: that splits warps across waves, and one lane per wave.
@@ -62,7 +61,7 @@ def indexes():
     memory = SystemMemory(V100_NVLINK2)
     relation.place(memory, MemorySpace.HOST)
     placed = {}
-    for cls in INDEX_TYPES:
+    for cls in ALL_INDEX_TYPES:
         index = cls(relation)
         index.place(memory)
         placed[cls] = index
@@ -121,13 +120,13 @@ def batches(draw):
     return keys
 
 
-@pytest.mark.parametrize("index_cls", INDEX_TYPES, ids=INDEX_IDS)
+@pytest.mark.parametrize("index_cls", ALL_INDEX_TYPES, ids=INDEX_IDS)
 @given(keys=batches())
 def test_traced_batches_match_per_lane(indexes, index_cls, keys):
     assert_lookup_matches(indexes[index_cls], keys)
 
 
-@pytest.mark.parametrize("index_cls", INDEX_TYPES, ids=INDEX_IDS)
+@pytest.mark.parametrize("index_cls", ALL_INDEX_TYPES, ids=INDEX_IDS)
 def test_skewed_window_sample_matches_per_lane(indexes, index_cls):
     """A Fig. 8-style sample: 4 x 2^14 sorted Zipf-1.25 lanes over a few
     hundred keys, so the pair layout runs, at 2^14 in several waves."""

@@ -17,7 +17,7 @@ from repro.data.relation import Relation
 from repro.errors import SimulationError
 from repro.hardware.memory import MemorySpace, SystemMemory
 from repro.hardware.spec import V100_NVLINK2
-from repro.indexes import ALL_INDEX_TYPES, EXTENSION_INDEX_TYPES
+from repro.indexes import ALL_INDEX_TYPES
 
 INDEX_IDS = [cls.__name__ for cls in ALL_INDEX_TYPES]
 
@@ -137,8 +137,8 @@ class TestTracing:
 
 @pytest.mark.parametrize(
     "index_cls",
-    ALL_INDEX_TYPES + EXTENSION_INDEX_TYPES,
-    ids=[cls.__name__ for cls in ALL_INDEX_TYPES + EXTENSION_INDEX_TYPES],
+    ALL_INDEX_TYPES,
+    ids=[cls.__name__ for cls in ALL_INDEX_TYPES],
 )
 @pytest.mark.parametrize("shape", [(), (8, 8), (2, 1, 3)], ids=str)
 def test_trace_rejects_non_1d_batches(

@@ -55,9 +55,9 @@ class TestClampedInt64:
         assert exported is clamped_int64
 
     @pytest.mark.parametrize("power", [0, 1, 13, 37, 62, 63])
-    def test_fast_tree_log2_domain_is_exact(self, power):
-        # The FastTree lower-bound extraction: log2 of a power of two
-        # in [1, 2^63] must come back as exactly that power.
+    def test_log2_of_a_power_of_two_is_exact(self, power):
+        # A lower-bound extraction by log2: a power of two in [1, 2^63]
+        # must come back as exactly that power.
         block = np.array([np.uint64(1) << np.uint64(power)])
         shift = clamped_int64(np.log2(block.astype(np.float64)), 0.0, 63.0)
         np.testing.assert_array_equal(

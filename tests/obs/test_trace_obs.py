@@ -19,13 +19,11 @@ from repro.hardware.memory import MemorySpace, SystemMemory
 from repro.hardware.spec import V100_NVLINK2
 from repro.indexes import (
     ALL_INDEX_TYPES,
-    EXTENSION_INDEX_TYPES,
     BPlusTreeIndex,
     HarmoniaIndex,
 )
 from repro.indexes.base import TraceRecorder
 
-INDEX_TYPES = ALL_INDEX_TYPES + EXTENSION_INDEX_TYPES
 #: The indexes that report ``index.node_visits``, one node per level.
 TREE_TYPES = (BPlusTreeIndex, HarmoniaIndex)
 
@@ -70,7 +68,7 @@ def test_btree_node_visits_count_every_lane(traced):
 
 
 @pytest.mark.parametrize(
-    "index_cls", INDEX_TYPES, ids=[cls.__name__ for cls in INDEX_TYPES]
+    "index_cls", ALL_INDEX_TYPES, ids=[cls.__name__ for cls in ALL_INDEX_TYPES]
 )
 @pytest.mark.parametrize("make_keys", [repeated_keys, uneven_keys])
 def test_counters_equal_a_per_lane_trace(index_cls, make_keys, traced):
@@ -92,7 +90,7 @@ def test_counters_equal_a_per_lane_trace(index_cls, make_keys, traced):
 
 
 @pytest.mark.parametrize(
-    "index_cls", INDEX_TYPES, ids=[cls.__name__ for cls in INDEX_TYPES]
+    "index_cls", ALL_INDEX_TYPES, ids=[cls.__name__ for cls in ALL_INDEX_TYPES]
 )
 def test_node_visits_agree_across_entry_points(index_cls, traced):
     index = placed(index_cls)

@@ -9,7 +9,6 @@ from repro.errors import ConfigurationError
 from repro.indexes import (
     BinarySearchIndex,
     BPlusTreeIndex,
-    FastTreeIndex,
     HarmoniaIndex,
     RadixSplineIndex,
 )
@@ -26,7 +25,12 @@ from repro.serve.recovery import (
     COMPACTION_STRATEGY_BY_INDEX,
     price_compaction,
 )
-from repro.serve.shard import fallback_shard
+from repro.serve.shard import range_shard
+
+
+def whole_shard(relation, index_cls):
+    """One shard over the whole relation."""
+    return range_shard(relation, 1, index_cls).shards[0]
 
 
 def keys_of(*values):
@@ -171,12 +175,11 @@ class TestPriceCompaction:
             (HarmoniaIndex, "absorb"),
             (RadixSplineIndex, "retrain"),
             (BinarySearchIndex, "rebuild"),
-            (FastTreeIndex, "rebuild"),
         ],
     )
     def test_strategy_follows_index_type(self, index_cls, strategy):
         assert COMPACTION_STRATEGY_BY_INDEX[index_cls.name] == strategy
-        shard = fallback_shard(
+        shard = whole_shard(
             Relation("R", VirtualSortedColumn(2**12)), index_cls
         )
         cost = price_compaction(shard, delta_tuples=256)
@@ -190,15 +193,15 @@ class TestPriceCompaction:
         paper's Section 6 update guidance rests on."""
         relation = Relation("R", VirtualSortedColumn(2**12))
         absorb = price_compaction(
-            fallback_shard(relation, BPlusTreeIndex), delta_tuples=16
+            whole_shard(relation, BPlusTreeIndex), delta_tuples=16
         )
         retrain = price_compaction(
-            fallback_shard(relation, RadixSplineIndex), delta_tuples=16
+            whole_shard(relation, RadixSplineIndex), delta_tuples=16
         )
         assert absorb.seconds < retrain.seconds
 
     def test_price_scales_with_delta(self):
-        shard = fallback_shard(
+        shard = whole_shard(
             Relation("R", VirtualSortedColumn(2**12)), BPlusTreeIndex
         )
         small = price_compaction(shard, delta_tuples=16)
@@ -206,7 +209,7 @@ class TestPriceCompaction:
         assert large.seconds > small.seconds
 
     def test_rejects_empty_delta(self):
-        shard = fallback_shard(
+        shard = whole_shard(
             Relation("R", VirtualSortedColumn(2**10)), BPlusTreeIndex
         )
         with pytest.raises(ConfigurationError):

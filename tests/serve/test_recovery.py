@@ -24,9 +24,8 @@ from repro.serve.executor import (
     WindowResult,
 )
 from repro.serve.recovery import price_rebuild
-from repro.serve.replica import replicate
 from repro.serve.service import ProbeRequest, ShardedIndexService
-from repro.serve.shard import fallback_shard, range_shard
+from repro.serve.shard import range_shard
 from repro.units import KEY_BYTES
 
 
@@ -108,10 +107,8 @@ class TestFailoverVersusWait:
 
     @pytest.fixture
     def dead_shard_setup(self, small_relation, small_probes):
-        plan = replicate(small_relation, 2, [BinarySearchIndex])
-        executor = ReplicatedShardExecutor(
-            plan, fallback_shard(small_relation, BinarySearchIndex)
-        )
+        plan = range_shard(small_relation, 2, BinarySearchIndex)
+        executor = ReplicatedShardExecutor(plan)
         keys = small_probes.keys[:256]
         shard_id, shard_keys, indices = plan.split(
             keys, np.arange(len(keys))
@@ -156,10 +153,8 @@ class TestFailoverVersusWait:
     def test_no_pending_rebuild_degrades(
         self, small_relation, small_probes
     ):
-        plan = replicate(small_relation, 2, [BinarySearchIndex])
-        executor = ReplicatedShardExecutor(
-            plan, fallback_shard(small_relation, BinarySearchIndex)
-        )
+        plan = range_shard(small_relation, 2, BinarySearchIndex)
+        executor = ReplicatedShardExecutor(plan)
         keys = small_probes.keys[:256]
         shard_id, shard_keys, indices = plan.split(
             keys, np.arange(len(keys))
@@ -176,7 +171,7 @@ class TestFailoverVersusWait:
     def test_fallback_answers_match_the_replica(self, dead_shard_setup):
         executor, window, shard_id = dead_shard_setup
         degraded = executor.execute(window, now=0.0)
-        truth = executor.plan.replica(shard_id, 0).shard.probe(window.keys)
+        truth = executor.plan.replicas[shard_id][0].probe(window.keys)
         assert np.array_equal(degraded.positions, truth)
 
     def test_rebuild_completion_restores_routing(self, dead_shard_setup):
@@ -188,7 +183,9 @@ class TestFailoverVersusWait:
         assert executor.handle_recovery(key, ready_at)
         assert executor.recoveries == 1
         # Probation replica leads the route; a served window heals it.
-        assert executor.route(shard_id, len(window)) == [0]
+        assert [
+            replica for replica, _ in executor.route(shard_id, len(window))
+        ] == [0]
         result = executor.execute(window, now=ready_at)
         assert isinstance(result, WindowResult)
         assert not result.degraded
@@ -220,8 +217,7 @@ class TestDeathMidRetry:
 
     def two_replica_executor(self, relation):
         return ReplicatedShardExecutor(
-            replicate(relation, 2, [BinarySearchIndex] * 2),
-            fallback_shard(relation, BinarySearchIndex),
+            range_shard(relation, 2, [BinarySearchIndex] * 2),
             policy=RetryPolicy(max_attempts=3, jitter=0.0),
         )
 
@@ -255,7 +251,6 @@ class TestDeathMidRetry:
     ):
         executor = self.two_replica_executor(small_relation)
         service = ShardedIndexService(
-            executor.plan,
             executor,
             window_bytes=64 * KEY_BYTES,
             max_backlog_tuples=10_000,

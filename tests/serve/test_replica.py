@@ -1,4 +1,4 @@
-"""Replica sets: aligned range cuts, divergent index types, routing."""
+"""Replicated plans: aligned range cuts, divergent index types, routing."""
 
 from __future__ import annotations
 
@@ -11,18 +11,12 @@ from repro.indexes import (
     BPlusTreeIndex,
     RadixSplineIndex,
 )
-from repro.serve.replica import (
-    Replica,
-    ReplicaSet,
-    ReplicatedPlan,
-    replicate,
-)
 from repro.serve.shard import range_shard
 
 
 @pytest.fixture
 def divergent_plan(small_relation):
-    return replicate(
+    return range_shard(
         small_relation, 2, [BinarySearchIndex, BPlusTreeIndex]
     )
 
@@ -32,10 +26,10 @@ class TestReplicate:
         assert divergent_plan.num_shards == 2
         assert divergent_plan.replicas_per_shard == 2
         for shard_id in range(2):
-            replica_set = divergent_plan.replicas(shard_id)
-            assert [replica.replica_id for replica in replica_set] == [0, 1]
-            assert replica_set[0].index_name == "binary search"
-            assert replica_set[1].index_name == "B+tree"
+            copies = divergent_plan.replicas[shard_id]
+            assert [shard.shard_id for shard in copies] == [shard_id] * 2
+            assert copies[0].index.name == "binary search"
+            assert copies[1].index.name == "B+tree"
 
     def test_replicas_cover_identical_key_slices(self, divergent_plan):
         # Range cuts depend only on (tuple count, shard count), so every
@@ -44,12 +38,12 @@ class TestReplicate:
         for shard_id in range(divergent_plan.num_shards):
             slices = {
                 (
-                    replica.shard.base_position,
-                    replica.shard.lower_key,
-                    replica.shard.upper_key,
-                    replica.shard.num_tuples,
+                    shard.base_position,
+                    shard.lower_key,
+                    shard.upper_key,
+                    shard.num_tuples,
                 )
-                for replica in divergent_plan.replicas(shard_id)
+                for shard in divergent_plan.replicas[shard_id]
             }
             assert len(slices) == 1
 
@@ -61,84 +55,43 @@ class TestReplicate:
             keys, np.arange(len(keys))
         ):
             answers = [
-                replica.shard.probe(shard_keys)
-                for replica in divergent_plan.replicas(shard_id)
+                shard.probe(shard_keys)
+                for shard in divergent_plan.replicas[shard_id]
             ]
             assert np.array_equal(answers[0], answers[1])
 
     def test_homogeneous_fleet(self, small_relation):
-        plan = replicate(small_relation, 2, [RadixSplineIndex] * 3)
+        plan = range_shard(small_relation, 2, [RadixSplineIndex] * 3)
         assert plan.replicas_per_shard == 3
-        names = {
-            replica.index_name for replica in plan.replicas(0)
-        }
+        names = {shard.index.name for shard in plan.replicas[0]}
         assert names == {"RadixSpline"}
 
     def test_empty_index_classes_rejected(self, small_relation):
         with pytest.raises(ConfigurationError):
-            replicate(small_relation, 2, [])
+            range_shard(small_relation, 2, [])
 
+    def test_copies_are_independent_in_replica_order(self, small_relation):
+        plan = range_shard(small_relation, 1, [BinarySearchIndex] * 3)
+        copies = plan.replicas[0]
+        assert len(copies) == 3
+        assert plan.shards == [copies[0]]
+        # Each copy is its own relation and index: placing or compacting
+        # one never touches another.
+        assert len({id(shard.relation) for shard in copies}) == 3
+        assert len({id(shard.index) for shard in copies}) == 3
 
-class TestReplicaSet:
-    def shard(self, relation):
-        return range_shard(relation, 1, BinarySearchIndex).shards[0]
-
-    def test_replica_ids_must_be_dense(self, small_relation):
-        shard = self.shard(small_relation)
-        with pytest.raises(ConfigurationError):
-            ReplicaSet(0, [Replica(replica_id=1, shard=shard)])
-
-    def test_empty_set_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ReplicaSet(0, [])
-
-    def test_iteration_in_replica_order(self, small_relation):
-        shard = self.shard(small_relation)
-        replica_set = ReplicaSet(
-            0,
-            [Replica(replica_id=i, shard=shard) for i in range(3)],
-        )
-        assert len(replica_set) == 3
-        assert [replica.replica_id for replica in replica_set] == [0, 1, 2]
-        assert replica_set[2].replica_id == 2
-
-
-class TestReplicatedPlan:
-    def test_set_count_must_match_shards(self, small_relation):
-        base = range_shard(small_relation, 2, BinarySearchIndex)
-        sets = [
-            ReplicaSet(0, [Replica(replica_id=0, shard=base.shards[0])])
-        ]
-        with pytest.raises(ConfigurationError):
-            ReplicatedPlan(base, sets)
-
-    def test_replica_sets_must_share_width(self, small_relation):
-        base = range_shard(small_relation, 2, BinarySearchIndex)
-        sets = [
-            ReplicaSet(
-                0,
-                [
-                    Replica(replica_id=i, shard=base.shards[0])
-                    for i in range(2)
-                ],
-            ),
-            ReplicaSet(1, [Replica(replica_id=0, shard=base.shards[1])]),
-        ]
-        with pytest.raises(ConfigurationError):
-            ReplicatedPlan(base, sets)
-
-    def test_routing_delegates_to_base_plan(
-        self, divergent_plan, small_probes
+    def test_routing_matches_the_unreplicated_plan(
+        self, divergent_plan, small_relation, small_probes
     ):
-        base = divergent_plan.base
+        single = range_shard(small_relation, 2, BinarySearchIndex)
         keys = small_probes.keys[:256]
         assert np.array_equal(
-            divergent_plan.route(keys), base.route(keys)
+            divergent_plan.route(keys), single.route(keys)
         )
         ours = divergent_plan.split(keys, np.arange(len(keys)))
-        theirs = base.split(keys, np.arange(len(keys)))
+        theirs = single.split(keys, np.arange(len(keys)))
         assert [shard_id for shard_id, _, _ in ours] == [
             shard_id for shard_id, _, _ in theirs
         ]
-        assert divergent_plan.num_shards == base.num_shards
-        assert divergent_plan.shards is base.shards
+        assert divergent_plan.num_shards == single.num_shards
+        assert single.replicas_per_shard == 1

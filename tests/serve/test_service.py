@@ -17,8 +17,7 @@ from repro.serve import (
     ProbeRequest,
     ReplicatedShardExecutor,
     ShardedIndexService,
-    fallback_shard,
-    replicate,
+    range_shard,
 )
 from repro.units import KEY_BYTES
 
@@ -52,12 +51,9 @@ def build_service(
     policy=None,
     replicas=1,
 ):
-    plan = replicate(relation, num_shards, [index_cls] * replicas)
-    executor = ReplicatedShardExecutor(
-        plan, fallback_shard(relation, index_cls), policy=policy
-    )
+    plan = range_shard(relation, num_shards, [index_cls] * replicas)
+    executor = ReplicatedShardExecutor(plan, policy=policy)
     return ShardedIndexService(
-        plan,
         executor,
         window_bytes=window_tuples * KEY_BYTES,
         max_backlog_tuples=max_backlog_tuples,

@@ -8,8 +8,8 @@ import pytest
 from repro.data.column import MaterializedColumn
 from repro.data.relation import Relation
 from repro.errors import ConfigurationError
-from repro.indexes import ALL_INDEX_TYPES, BinarySearchIndex
-from repro.serve.shard import fallback_shard, range_shard
+from repro.indexes import ALL_INDEX_TYPES, BinarySearchIndex, BPlusTreeIndex
+from repro.serve.shard import range_shard
 
 
 def relation_of(keys):
@@ -127,10 +127,20 @@ class TestRangeShard:
         np.testing.assert_array_equal(parts[0], [1, 3, 5])
         np.testing.assert_array_equal(parts[1], [0, 2, 4])
 
-    def test_fallback_shard_spans_whole_relation(self):
+    def test_fallback_spans_whole_relation(self):
         keys = np.arange(0, 1000, 7, dtype=np.uint64)
-        shard = fallback_shard(relation_of(keys), BinarySearchIndex)
+        plan = range_shard(
+            relation_of(keys), 3, [BinarySearchIndex, BPlusTreeIndex]
+        )
+        shard = plan.fallback
         assert shard.shard_id == -1
+        assert shard.relation.name == "R.fallback"
+        assert [s.relation.name for s in plan.shards] == [
+            "R.shard0", "R.shard1", "R.shard2"
+        ]
+        # Built with replica 0's index class.
+        assert isinstance(shard.index, BinarySearchIndex)
+        assert (shard.base_position, shard.num_tuples) == (0, len(keys))
         probes = np.asarray([0, 7, 994, 995], dtype=np.uint64)
         np.testing.assert_array_equal(
             shard.probe(probes), oracle(keys, probes)

@@ -143,7 +143,7 @@ class TestInterleavedStreamsMatchOracle:
         plan = range_shard(
             Relation(name="R", column=MaterializedColumn(base_keys)),
             num_shards=min(3, len(base_keys)),
-            index_cls=index_cls,
+            index_classes=[index_cls],
         )
         oracle = SortedArrayOracle(base_keys)
         for kind, keys, values in steps:
@@ -173,7 +173,7 @@ class TestInterleavedStreamsMatchOracle:
         plan = range_shard(
             Relation(name="R", column=MaterializedColumn(base_keys)),
             num_shards=1,
-            index_cls=BinarySearchIndex,
+            index_classes=[BinarySearchIndex],
         )
         shard = plan.shards[0]
         for kind, keys, values in steps:

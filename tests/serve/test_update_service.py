@@ -22,8 +22,7 @@ from repro.serve import (
     ReplicatedShardExecutor,
     ShardBatcher,
     ShardedIndexService,
-    fallback_shard,
-    replicate,
+    range_shard,
 )
 from repro.serve.bench import run_serve_bench, run_sweep_point
 from repro.units import KEY_BYTES
@@ -172,12 +171,11 @@ class TestMixedServiceSingleCopy:
 
     def test_mixed_stream_matches_oracle(self):
         relation, probes = build_workload()
-        plan = replicate(relation, 2, [BinarySearchIndex])
         executor = ReplicatedShardExecutor(
-            plan, fallback_shard(relation, BinarySearchIndex)
+            range_shard(relation, 2, BinarySearchIndex)
         )
         service = ShardedIndexService(
-            plan, executor, window_bytes=512, max_backlog_tuples=10_000
+            executor, window_bytes=512, max_backlog_tuples=10_000
         )
         base_keys, stream, requests = mixed_requests(
             relation, probes, num_requests=16, request_tuples=64
@@ -189,12 +187,11 @@ class TestMixedServiceSingleCopy:
 
     def test_probe_stats_exclude_update_traffic(self):
         relation, probes = build_workload()
-        plan = replicate(relation, 1, [BinarySearchIndex])
         executor = ReplicatedShardExecutor(
-            plan, fallback_shard(relation, BinarySearchIndex)
+            range_shard(relation, 1, BinarySearchIndex)
         )
         service = ShardedIndexService(
-            plan, executor, window_bytes=512, max_backlog_tuples=10_000
+            executor, window_bytes=512, max_backlog_tuples=10_000
         )
         _, stream, requests = mixed_requests(
             relation, probes, num_requests=16, request_tuples=64
@@ -213,13 +210,11 @@ class TestMixedServiceReplicated:
     def run_mixed(self, replicas=2, policy=None, num_requests=24,
                   update_fraction=0.5, index_cls=BPlusTreeIndex):
         relation, probes = build_workload()
-        plan = replicate(relation, 2, [index_cls] * replicas)
+        plan = range_shard(relation, 2, [index_cls] * replicas)
         kwargs = {} if policy is None else {"compaction_policy": policy}
-        executor = ReplicatedShardExecutor(
-            plan, fallback_shard(relation, index_cls), **kwargs
-        )
+        executor = ReplicatedShardExecutor(plan, **kwargs)
         service = ShardedIndexService(
-            plan, executor, window_bytes=512, max_backlog_tuples=10_000
+            executor, window_bytes=512, max_backlog_tuples=10_000
         )
         base_keys, stream, requests = mixed_requests(
             relation, probes, num_requests=num_requests,
@@ -262,15 +257,9 @@ class TestMixedServiceReplicated:
         content (the merge is content-determined)."""
         _, _, _, _, executor, plan = self.run_mixed()
         assert executor.compactions_completed > 0
-        for shard_id in range(plan.num_shards):
-            replicas = plan.replicas(shard_id)
-            probe = np.asarray(
-                [replicas[0].shard.lower_key], dtype=KEY_DTYPE
-            )
-            answers = {
-                int(replica.shard.probe(probe.copy())[0])
-                for replica in replicas
-            }
+        for copies in plan.replicas:
+            probe = np.asarray([copies[0].lower_key], dtype=KEY_DTYPE)
+            answers = {int(shard.probe(probe.copy())[0]) for shard in copies}
             assert len(answers) == 1
 
     def test_size_cap_policy_forces_early_compaction(self):

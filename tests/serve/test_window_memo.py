@@ -6,6 +6,9 @@ served window copies those counters and adds its own delta stage, so the
 charge must equal a fresh ``Shard.window_counters`` derivation, the memo
 must never see a window's delta, and a completed compaction must drop
 its replica's entries so the next window prices the recalibrated shard.
+The delta stage priced at routing is also the served replica's
+compaction rent, and it counts on both sides of the wait-or-degrade
+decision.
 """
 
 from __future__ import annotations
@@ -18,11 +21,14 @@ from repro.indexes import BPlusTreeIndex
 from repro.serve import (
     CompactionPolicy,
     ReplicatedShardExecutor,
-    fallback_shard,
-    replicate,
+    range_shard,
 )
 from repro.serve.batcher import Window
-from repro.serve.executor import KERNELS_PER_WINDOW, WindowResult
+from repro.serve.executor import (
+    KERNELS_PER_WINDOW,
+    WindowDeferred,
+    WindowResult,
+)
 
 WIDTH = 256
 
@@ -42,10 +48,8 @@ def workload():
 
 
 def executor_for(relation, replicas, policy):
-    plan = replicate(relation, 1, [BPlusTreeIndex] * replicas)
     return ReplicatedShardExecutor(
-        plan,
-        fallback_shard(relation, BPlusTreeIndex),
+        range_shard(relation, 1, [BPlusTreeIndex] * replicas),
         compaction_policy=policy,
     )
 
@@ -74,7 +78,7 @@ def update_window(keys, first_row):
 def test_equal_windows_charge_the_base_plus_their_own_delta(workload):
     relation, probes = workload
     executor = executor_for(relation, replicas=1, policy=NEVER)
-    shard = executor.plan.replica(0, 0).shard
+    shard = executor.plan.replicas[0][0]
     cost = executor._cost
     base_keys = relation.column.key_at(np.arange(relation.num_tuples))
     for step, count in enumerate((16, 200)):
@@ -111,7 +115,7 @@ def test_completed_compaction_reprices_the_recalibrated_shard(workload):
     executor = executor_for(
         relation, replicas=2, policy=CompactionPolicy(max_delta_tuples=1)
     )
-    shard = executor.plan.replica(0, 0).shard
+    shard = executor.plan.replicas[0][0]
     executor.execute(probe_window(probes, 0))
     stale = executor._window_memo[(0, 0, WIDTH)][1].as_dict()
     # Inserting a new key beside every member doubles the shard, which
@@ -131,3 +135,42 @@ def test_completed_compaction_reprices_the_recalibrated_shard(workload):
     assert fresh != stale
     assert result.counters.as_dict() == fresh
     assert executor._window_memo[(0, 0, WIDTH)][1].as_dict() == fresh
+
+
+def test_served_delta_stage_accrues_as_compaction_rent(workload):
+    relation, probes = workload
+    executor = executor_for(relation, replicas=1, policy=NEVER)
+    shard = executor.plan.replicas[0][0]
+    base_keys = relation.column.key_at(np.arange(relation.num_tuples))
+    executor.execute(update_window(base_keys[:64] + np.uint64(1), 10**6))
+    stage = executor._cost.probe_stage_time(shard.delta.read_counters(WIDTH))
+    rent = 0.0
+    for step in range(3):
+        result = executor.execute(probe_window(probes, WIDTH * step))
+        assert isinstance(result, WindowResult) and result.replica == 0
+        rent += stage
+        assert executor._delta_read_seconds[(0, 0)] == rent
+
+
+def test_waiting_weighs_the_fallback_delta_stage(workload):
+    """Only the fallback carries a delta (replicas compact, it never
+    does): waiting must beat it once its delta stage counts, even where
+    its base window alone would be cheaper than the wait."""
+    relation, probes = workload
+    executor = executor_for(relation, replicas=1, policy=NEVER)
+    base_keys = relation.column.key_at(np.arange(relation.num_tuples))
+    executor.plan.fallback.apply_updates(
+        base_keys + np.uint64(1),
+        np.arange(len(base_keys), dtype=np.int64) + 10**6,
+    )
+    executor.health.force_dead(0, 0, 0.0)
+    executor._on_dead(0, 0, 0.0)
+    ready_at, _ = executor.health.next_rebuild_ready(0)
+    rebuilt = executor._window_cost(0, 0, WIDTH)
+    degraded = executor._window_cost(0, -1, WIDTH)
+    assert rebuilt.delta is None and degraded.delta_seconds > 0
+    # Halfway between the fallback's base price and its full price.
+    wait = (degraded.price + degraded.seconds) / 2 - rebuilt.seconds
+    assert wait > 0
+    outcome = executor.execute(probe_window(probes, 0), now=ready_at - wait)
+    assert isinstance(outcome, WindowDeferred)

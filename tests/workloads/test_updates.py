@@ -10,7 +10,6 @@ from repro.hardware.spec import V100_NVLINK2
 from repro.indexes import (
     BinarySearchIndex,
     BPlusTreeIndex,
-    FastTreeIndex,
     HarmoniaIndex,
     RadixSplineIndex,
 )
@@ -35,7 +34,7 @@ class TestMaintenanceCost:
             assert cost.strategy == "in-place"
 
     def test_static_indexes_rebuild(self):
-        for index_cls in (RadixSplineIndex, BinarySearchIndex, FastTreeIndex):
+        for index_cls in (RadixSplineIndex, BinarySearchIndex):
             cost = maintenance_cost(index_over(index_cls), 10_000, CPU)
             assert cost.strategy == "rebuild"
 
