@@ -33,7 +33,7 @@ from ..resilience import checkpoint as checkpoint_mod
 from ..resilience import faults
 from ..resilience.report import ExperimentFailure, RunReport
 from ..resilience import retry as retry_mod
-from ..resilience.retry import RetryPolicy
+from ..resilience.retry import RetryPolicy, point_timeout_setting
 from . import (
     cache,
     claims,
@@ -387,7 +387,8 @@ def add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--point-timeout", type=float, default=None, metavar="SECONDS",
         help="seconds before a pooled sweep point is declared lost and "
-             "requeued (default 300, or REPRO_POINT_TIMEOUT; 0 disables)",
+             "requeued (default 300, or REPRO_POINT_TIMEOUT; 0 disables; "
+             "negative, NaN and infinite values are rejected)",
     )
     parser.add_argument(
         "--checkpoint-dir", default=None, metavar="DIR",
@@ -421,8 +422,8 @@ def policy_from_args(args) -> RetryPolicy:
     if getattr(args, "retries", None) is not None:
         overrides["max_attempts"] = args.retries
     if getattr(args, "point_timeout", None) is not None:
-        overrides["point_timeout"] = (
-            args.point_timeout if args.point_timeout > 0 else None
+        overrides["point_timeout"] = point_timeout_setting(
+            args.point_timeout, "--point-timeout"
         )
     if overrides:
         from dataclasses import replace

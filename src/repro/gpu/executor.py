@@ -146,11 +146,13 @@ def _coalesce_lanes(lines: np.ndarray, warp: int) -> tuple:
     by_warp.sort(axis=1)
     flat = by_warp.reshape(-1)
     active = flat >= 0
+    issued = int(np.count_nonzero(active))
     first = np.empty_like(active)
     np.not_equal(flat[1:], flat[:-1], out=first[1:])
     first.reshape(-1, warp)[:, 0] = True
     first &= active
-    return flat[first], int(np.count_nonzero(active))
+    del active
+    return flat[first], issued
 
 
 def _coalesce_pairs(
@@ -324,15 +326,23 @@ class MachineModel:
         ``replay.simulate`` span plus ``replay.*`` counters sourced from
         the very :class:`PerfCounters` returned, so traced counters equal
         the returned ones exactly.
+
+        Each stage drops its input once the next one owns the data
+        (DESIGN.md §10, *Working set*): the trace after coalescing, the
+        stream after the L2.  A caller that passes the trace as a
+        temporary leaves the replay its only reference, so the step
+        matrix is freed before the L2 runs.
         """
+        lookups = trace.num_lookups
+        # Hand the trace on without keeping a reference in this frame.
+        traces = [trace]
+        del trace
         if not obs.enabled():
-            return self._replay(trace, simulate_tlb, shuffle)
+            return self._replay(traces.pop(), simulate_tlb, shuffle)
         with obs.span(
-            "replay.simulate",
-            lookups=trace.num_lookups,
-            event_tlb=simulate_tlb,
+            "replay.simulate", lookups=lookups, event_tlb=simulate_tlb
         ):
-            counters = self._replay(trace, simulate_tlb, shuffle)
+            counters = self._replay(traces.pop(), simulate_tlb, shuffle)
         obs.add("replay.batches")
         obs.add_perf_counters("replay", counters)
         return counters
@@ -340,33 +350,40 @@ class MachineModel:
     def _replay(
         self, trace: LookupTrace, simulate_tlb: bool, shuffle: bool
     ) -> PerfCounters:
-        stream, issued = self.coalesced_lines(trace)
-        if shuffle and len(stream) > 0:
-            rng = np.random.default_rng(self.sim.seed ^ 0x5A)
-            stream = rng.permutation(stream)
         counters = PerfCounters()
         counters.lookups = float(trace.num_lookups)
+        stream, issued = self.coalesced_lines(trace)
+        del trace
         counters.memory_accesses = float(issued)
         if len(stream) == 0:
             return counters
+        if shuffle:
+            # ``rng.permutation``'s draw, applied in place: the stream is
+            # fresh, so nothing else sees it move.
+            np.random.default_rng(self.sim.seed ^ 0x5A).shuffle(stream)
+        transactions = len(stream)
         tlb_misses = 0
         try:
             l2_hit_mask = self.l2.access_batch(stream)
+            # The L2 folds from ``stream`` until it is reset, and nothing
+            # reads its end state: reset it now, so the stream goes before
+            # the TLB stage.
+            self.l2.reset()
             l2_hits = int(np.count_nonzero(l2_hit_mask))
-            remote = len(stream) - l2_hits
+            remote = transactions - l2_hits
             if simulate_tlb and remote:
-                page_line_shift = self._page_shift - self._line_shift
-                pages = stream[~l2_hit_mask] >> page_line_shift
+                pages = stream[~l2_hit_mask]
+                del stream, l2_hit_mask
+                pages >>= self._page_shift - self._line_shift
                 tlb_hit_mask = self.tlb.access_batch(pages)
                 tlb_misses = remote - int(np.count_nonzero(tlb_hit_mask))
             counters.tlb_cold_misses = float(self.tlb.cold_misses)
         finally:
             # Nothing reads the end state.  Dropping it keeps an idle
-            # machine small (the L2 folds a cold replay's state only when
-            # read) and lets the next call start cold.
+            # machine small and lets the next call start cold.
             self.l2.reset()
             self.tlb.reset()
-        counters.l1_hits = float(issued - len(stream))
+        counters.l1_hits = float(issued - transactions)
         counters.l2_hits = float(l2_hits)
         counters.remote_accesses = float(remote)
         counters.remote_bytes = float(remote * self.spec.gpu.cacheline_bytes)

@@ -16,10 +16,11 @@ key -- its reuse (Mattson stack) distance is below the capacity.
   capacity`` -- a stack-distance test resolved with two cumulative bounds
   and an exact dominance count for the few accesses between the bounds.
 * :class:`VectorSetAssociativeCache` -- set-associative LRU.  One kernel
-  (:func:`_reuse_hits`) resolves every set at once: the batch is grouped
-  per set behind the set's residents, previous occurrences come from one
-  packed sort, trivial classes settle most accesses outright, and only the
-  rest count their reuse distance with lag gathers.
+  resolves every set at once: the batch is grouped per set behind the
+  set's residents, previous occurrences come from one packed sort
+  (:func:`_previous_touches`), and in :func:`_reuse_hits` trivial classes
+  settle most accesses outright and only the rest count their reuse
+  distance with lag gathers.
 * :class:`VectorLruTlb` -- :class:`VectorLruCache` plus first-touch (cold
   miss) tracking.
 
@@ -164,7 +165,9 @@ def _lru_replay(batch: np.ndarray, capacity: int, stack: np.ndarray):
     evaluation.
     """
     n = len(batch)
-    packed = np.sort((batch << _POS_BITS) | np.arange(n, dtype=np.int64))
+    packed = batch << _POS_BITS
+    packed |= np.arange(n, dtype=np.int64)
+    packed.sort()
     pos = packed & (_POS_CAP - 1)
     packed >>= _POS_BITS
     group_start = np.ones(n, bool)
@@ -184,8 +187,12 @@ def _lru_replay(batch: np.ndarray, capacity: int, stack: np.ndarray):
         last = np.sort(pos[np.append(group_start[1:], True)])[::-1]
         return hits, np.concatenate([batch[last], idle]), distinct
     # Dense ids: batch keys index ``distinct``, idle residents follow.
+    ids = np.cumsum(group_start)
+    del group_start
+    ids -= 1
     keys = np.empty(n, np.int64)
-    keys[pos] = np.cumsum(group_start) - 1
+    keys[pos] = ids
+    del pos, ids
     id_to_key = np.concatenate([distinct, idle])
     stack = np.where(in_batch, slot, len(distinct) + np.cumsum(~in_batch) - 1)
     umax = len(id_to_key)
@@ -294,7 +301,9 @@ class VectorSetAssociativeCache:
     *cold*: no residents to prepend and no state to write.  The cache keeps
     the batch and folds its end state into the array on the first read
     (:meth:`contains`, :meth:`resident_lines`, :attr:`occupancy` or the
-    next non-empty batch); :meth:`reset` drops it unbuilt.
+    next non-empty batch); :meth:`reset` drops it unbuilt.  It keeps the
+    caller's array, not a copy: until the cache is read or reset, the
+    caller must not write to a batch it passed.
     """
 
     #: See :attr:`VectorLruCache.obs_name`.
@@ -340,7 +349,7 @@ class VectorSetAssociativeCache:
             return np.zeros(0, bool)
         if self._blank and self._pending is None and n <= _POS_CAP:
             hit_mask = self._replay(lines, cold=True)
-            self._pending = lines.copy()
+            self._pending = lines
         else:
             self._fold()
             hit_mask = np.empty(n, bool)
@@ -365,19 +374,19 @@ class VectorSetAssociativeCache:
         ``cold`` (an empty cache, whose end state waits for :meth:`_fold`)."""
         ways = self.ways
         n = len(lines)
-        sets = lines % self.num_sets
+        order = lines % self.num_sets
         if cold:
-            stream, order = lines, sets
+            stream = lines
         else:
             # Each touched set's residents go first, LRU to MRU, as
             # pseudo-accesses, so carried state needs no special casing.
             touched = np.flatnonzero(
-                np.bincount(sets, minlength=self.num_sets)
+                np.bincount(order, minlength=self.num_sets)
             )
             rows = self._tags[touched]
             held = rows >= 0
             stream = np.concatenate([rows[held], lines])
-            order = np.concatenate([np.repeat(touched, held.sum(axis=1)), sets])
+            order = np.concatenate([np.repeat(touched, held.sum(axis=1)), order])
         total = len(stream)
         prior = total - n
         bits = total.bit_length()
@@ -390,33 +399,42 @@ class VectorSetAssociativeCache:
         s = stream[rank]
         # A repeat of the set's previous line is a guaranteed hit on the MRU
         # way and leaves the LRU order unchanged -- drop it up front.  Equal
-        # lines share a set, so this never pairs two sets.
+        # lines share a set, so this never pairs two sets and never drops
+        # a set's first access: the set starts survive the drop.
         keep = np.ones(total, bool)
         keep[1:] = s[1:] != s[:-1]
+        seg_start = np.ones(total, bool)
+        seg_start[1:] = order[1:] != order[:-1]
+        del order
+        starts = np.flatnonzero(seg_start[keep])
+        del seg_start
         s = s[keep]
         rank = rank[keep]
-        group = order[keep]
-        del order, keep
-        seg_start = np.ones(len(s), bool)
-        seg_start[1:] = group[1:] != group[:-1]
-        hit, last = _reuse_hits(s, np.flatnonzero(seg_start), ways, not cold)
+        del keep
+        pv, last = _previous_touches(s, not cold)
+        del s  # its buffer held the sort
+        hit = _reuse_hits(pv, starts, ways)
+        del pv
+        missed = rank[~hit]
+        del hit
+        out = np.ones(n, bool)
+        out[missed[missed >= prior] - prior] = False
+        del missed
         if not cold:
             # New state per set: its ways most recently used distinct
             # lines, read off the last touches (ascending positions stay
             # set-grouped).
             last_pos = np.flatnonzero(last)
-            last_set = group[last_pos]
+            last_line = stream[rank[last_pos]]
+            last_set = last_line % self.num_sets
             ends = np.cumsum(np.bincount(last_set, minlength=self.num_sets))
             from_end = ends[last_set] - 1 - np.arange(len(last_pos))
             kept = from_end < ways
             self._tags[touched] = -1
             self._tags[last_set[kept], ways - 1 - from_end[kept]] = (
-                s[last_pos[kept]]
+                last_line[kept]
             )
             self._blank = False
-        missed = rank[~hit]
-        out = np.ones(n, bool)
-        out[missed[missed >= prior] - prior] = False
         return out
 
     # -- scalar compatibility ------------------------------------------
@@ -456,13 +474,44 @@ class VectorSetAssociativeCache:
         return self.hits / total
 
 
-def _reuse_hits(s: np.ndarray, starts: np.ndarray, ways: int, with_last: bool):
-    """Exact per-set LRU outcomes of a set-grouped stream.
+def _previous_touches(s: np.ndarray, with_last: bool):
+    """Each access's previous touch of its line, from one packed sort.
 
-    ``s`` holds each set's accesses contiguously, the segments beginning at
-    ``starts``; a line maps to one set, so a previous occurrence and the
-    window since then never leave the line's segment.  Access ``i`` with
-    previous occurrence ``pv(i)`` hits iff its reuse distance
+    Returns ``(pv, last)``: ``pv[i]`` is the position of the access before
+    ``i`` to line ``s[i]`` (-1 for a first touch) and, ``with_last``,
+    ``last`` masks each line's last access (else None).  Consumes ``s``:
+    its buffer holds the packed ``(line, position)`` sort, then the
+    sorted positions.
+    """
+    m = len(s)
+    bits = m.bit_length()
+    s <<= bits
+    s |= np.arange(m)
+    s.sort()
+    lines = s >> bits
+    same = lines[1:] == lines[:-1]
+    del lines
+    pos = s
+    pos &= (1 << bits) - 1
+    prev = pos[:-1][same]
+    pv = np.full(m, -1, np.int32)
+    pv[pos[1:][same]] = prev
+    last = None
+    if with_last:
+        last = np.ones(m, bool)
+        last[prev] = False
+    return pv, last
+
+
+def _reuse_hits(pv: np.ndarray, starts: np.ndarray, ways: int) -> np.ndarray:
+    """Exact per-set LRU hit mask of a set-grouped stream.
+
+    The stream holds each set's accesses contiguously, the segments
+    beginning at ``starts``, and ``pv`` is each access's previous touch of
+    its line (:func:`_previous_touches`); a line maps to one set, so a
+    previous occurrence and the window since then never leave the line's
+    segment.  Access ``i`` with previous occurrence ``pv(i)`` hits iff its
+    reuse distance
 
         d(i) = #{j in (pv(i), i) : pv(j) < pv(i)}
 
@@ -473,37 +522,21 @@ def _reuse_hits(s: np.ndarray, starts: np.ndarray, ways: int, with_last: bool):
     window holding ``ways`` first-ever touches misses.  The rest count d
     with lag gathers and retire once the count reaches ``ways`` (a miss) or
     the window is covered; see DESIGN.md section 10.
-
-    Returns ``(hit, last)``: the hit mask and, ``with_last``, the mask of
-    each line's last occurrence (else None).
     """
-    m = len(s)
-    bits = m.bit_length()
-    packed = s << bits
-    packed |= np.arange(m)
-    packed.sort()
-    pos = packed & ((1 << bits) - 1)
-    packed >>= bits
-    same = packed[1:] == packed[:-1]
-    del packed
-    prev = pos[:-1][same]
-    pv = np.full(m, -1, np.int32)
-    pv[pos[1:][same]] = prev
-    last = None
-    if with_last:
-        last = np.ones(m, bool)
-        last[prev] = False
-    del pos, same, prev
+    m = len(pv)
     first = pv < 0
     cold = np.cumsum(first, dtype=np.int32)  # first touches in [0, i]
     window = np.arange(-1, m - 1, dtype=np.int32) - pv  # i - pv(i) - 1
     seen = cold - np.repeat(cold[starts] - 1, np.diff(np.append(starts, m)))
     hit = ~first & ((window < ways) | (seen <= ways))
+    del seen
     q = np.flatnonzero(~(first | hit))
+    del first
     q = q[cold[q] - cold[pv[q]] < ways]
-    del seen, first, cold
+    del cold
     pq = pv[q]
     wq = window[q]
+    del window
     d = np.zeros(len(q), np.int32)
     lag = 0
     while len(q):
@@ -529,7 +562,7 @@ def _reuse_hits(s: np.ndarray, starts: np.ndarray, ways: int, with_last: bool):
         hit[q[done & ~reached]] = True
         live = ~done
         q, pq, wq, d = q[live], pq[live], wq[live], d[live]
-    return hit, last
+    return hit
 
 
 class VectorLruTlb:

@@ -32,6 +32,7 @@ ranks, decides where its search may end.
 from __future__ import annotations
 
 import abc
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -174,6 +175,23 @@ class LookupResult:
     positions: np.ndarray
     trace: LookupTrace
     simt: SimtCost
+
+
+def traced_build(init):
+    """Run an index constructor inside one ``index.build`` span.
+
+    The span carries the index name and the column's key count; while
+    tracing is off it is the shared no-op span.
+    """
+
+    @functools.wraps(init)
+    def build(self, relation: Relation, *args, **kwargs) -> None:
+        with obs.span(
+            "index.build", index=self.name, keys=len(relation.column)
+        ):
+            init(self, relation, *args, **kwargs)
+
+    return build
 
 
 class Index(abc.ABC):

@@ -20,7 +20,7 @@ from ..data.relation import Relation
 from ..hardware.memory import SystemMemory
 from ..perf.analytic import midtree_sweep_pages
 from ..units import KEY_BYTES
-from .base import Index, TraceRecorder, replay_bisection
+from .base import Index, TraceRecorder, replay_bisection, traced_build
 
 
 class BinarySearchIndex(Index):
@@ -32,6 +32,7 @@ class BinarySearchIndex(Index):
     # at 111 GiB over ~13 last-level misses per lookup.
     tlb_replay_factor = 8.0
 
+    @traced_build
     def __init__(self, relation: Relation):
         super().__init__(relation)
         self._placed = False

@@ -46,6 +46,7 @@ from .base import (
     padded_upper,
     replay_bisection,
     slots_below,
+    traced_build,
 )
 
 
@@ -59,6 +60,7 @@ class BPlusTreeIndex(Index):
     tlb_replay_factor = 8.0
     reports_node_visits = True
 
+    @traced_build
     def __init__(
         self,
         relation: Relation,

@@ -33,7 +33,7 @@ from ..gpu.simt import SimtCost, subwarp_lookup_cost
 from ..hardware.memory import MemorySpace, SystemMemory
 from ..perf.analytic import level_sweep_pages
 from ..units import KEY_BYTES
-from .base import Index, TraceRecorder, padded_upper, slots_below
+from .base import Index, TraceRecorder, padded_upper, slots_below, traced_build
 
 #: Bytes per prefix-sum child-array entry.
 _CHILD_ENTRY_BYTES = 4
@@ -50,6 +50,7 @@ class HarmoniaIndex(Index):
     tlb_replay_factor = 14.0
     reports_node_visits = True
 
+    @traced_build
     def __init__(
         self,
         relation: Relation,

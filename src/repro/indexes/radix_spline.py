@@ -47,7 +47,7 @@ from ..errors import ConfigurationError, SimulationError
 from ..hardware.memory import MemorySpace, SystemMemory
 from ..perf.analytic import level_sweep_pages
 from ..units import KEY_BYTES
-from .base import Index, TraceRecorder, replay_bisection, slots_below
+from .base import Index, TraceRecorder, replay_bisection, slots_below, traced_build
 from .domain import clamped_int64
 
 #: Bytes per spline point: 8 B key + 8 B position.
@@ -173,6 +173,7 @@ class RadixSplineIndex(Index):
     supports_updates = False
     tlb_replay_factor = 6.0
 
+    @traced_build
     def __init__(
         self,
         relation: Relation,

@@ -173,11 +173,16 @@ def sampled_lookup_counters(
     adds :func:`sweep_tlb_counters` instead.
     """
     lookup = index.trace_lookups(keys)
+    simt = lookup.simt
+    # Popped into the call, the trace has no reference here: the replay
+    # frees its step matrix once coalesced (DESIGN.md §10, *Working set*).
+    traces = [lookup.trace]
+    del lookup
     raw = machine.simulate_lookups(
-        lookup.trace, simulate_tlb=random_order, shuffle=random_order
+        traces.pop(), simulate_tlb=random_order, shuffle=random_order
     )
-    raw.simt_instructions = lookup.simt.warp_instructions
-    raw.divergence_replays = lookup.simt.divergence_replays
+    raw.simt_instructions = simt.warp_instructions
+    raw.divergence_replays = simt.divergence_replays
     return machine.scale_lookup_counters(
         raw, float(lookups), replay_factor=index.tlb_replay_factor
     )

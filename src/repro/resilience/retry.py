@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 import random
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -51,8 +52,10 @@ class RetryPolicy:
         seed: jitter RNG seed (combined with the call label).
         point_timeout: seconds a pooled point may run before it is
             declared lost (covers both hangs and worker crashes, whose
-            results simply never arrive).  ``None`` disables timeouts --
-            only safe when faults cannot occur.
+            results simply never arrive), at most
+            ``threading.TIMEOUT_MAX``, the longest wait a lock accepts.
+            ``None`` disables timeouts -- only safe when faults cannot
+            occur.
         max_pool_restarts: pool rebuilds tolerated before the sweep
             degrades to serial execution for the remaining points.
     """
@@ -76,9 +79,12 @@ class RetryPolicy:
             raise ConfigurationError(
                 f"jitter must be within [0, 1], got {self.jitter}"
             )
-        if self.point_timeout is not None and self.point_timeout <= 0:
+        if self.point_timeout is not None and not (
+            0 < self.point_timeout <= threading.TIMEOUT_MAX
+        ):
             raise ConfigurationError(
-                f"point_timeout must be positive, got {self.point_timeout}"
+                "point_timeout must be positive and at most "
+                f"{threading.TIMEOUT_MAX:.0f} s, got {self.point_timeout}"
             )
         if self.max_pool_restarts < 0:
             raise ConfigurationError(
@@ -92,8 +98,9 @@ class RetryPolicy:
         if os.environ.get(RETRIES_ENV):
             kwargs["max_attempts"] = int(os.environ[RETRIES_ENV])
         if os.environ.get(POINT_TIMEOUT_ENV):
-            timeout = float(os.environ[POINT_TIMEOUT_ENV])
-            kwargs["point_timeout"] = timeout if timeout > 0 else None
+            kwargs["point_timeout"] = point_timeout_setting(
+                float(os.environ[POINT_TIMEOUT_ENV]), POINT_TIMEOUT_ENV
+            )
         if os.environ.get(POOL_RESTARTS_ENV):
             kwargs["max_pool_restarts"] = int(os.environ[POOL_RESTARTS_ENV])
         if os.environ.get(BASE_DELAY_ENV):
@@ -125,6 +132,25 @@ class RetryPolicy:
             rng = random.Random(f"{self.seed}:{label}:{attempt}")
             delay *= 1 - self.jitter + self.jitter * rng.random()
         return delay
+
+
+def point_timeout_setting(seconds: float, source: str) -> Optional[float]:
+    """The :attr:`RetryPolicy.point_timeout` a flag or variable asks for.
+
+    ``0`` disables the timeout (``None``).  Any other value must be a
+    positive number of seconds no larger than ``threading.TIMEOUT_MAX``;
+    a negative, NaN, infinite or larger one raises
+    :class:`ConfigurationError` naming ``source``, before any pool
+    starts.
+    """
+    if seconds == 0:
+        return None
+    if not 0 < seconds <= threading.TIMEOUT_MAX:  # NaN fails both tests
+        raise ConfigurationError(
+            f"{source} must be 0 (no timeout) or a number of seconds in "
+            f"(0, {threading.TIMEOUT_MAX:.0f}], got {seconds}"
+        )
+    return seconds
 
 
 # Run-scoped default policy: the runner/bench CLI installs the policy it

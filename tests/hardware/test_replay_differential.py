@@ -185,6 +185,30 @@ def test_each_reader_folds_a_cold_batch(reader):
         ]
 
 
+def test_cold_batch_folds_from_the_callers_array():
+    """The cache keeps the caller's batch, not a copy, until a read folds
+    it: a write to the batch before that read is what the fold sees.  So
+    a caller leaves its batch untouched until it reads or resets the
+    cache; ``MachineModel`` resets the L2 right after the L2 stage."""
+    rng = np.random.default_rng(0xF01E)
+    num_sets, ways = 6, 4
+    stream = rng.integers(0, 90, 500)
+    capacity = num_sets * ways * LINE_BYTES
+
+    def end_state(lines):
+        oracle = SetAssociativeCache(capacity, LINE_BYTES, ways=ways)
+        for line in lines.tolist():
+            oracle.access(line)
+        return [list(cache_set) for cache_set in oracle._sets]
+
+    kernel = VectorSetAssociativeCache(capacity, LINE_BYTES, ways=ways)
+    kernel.access_batch(stream)
+    as_passed = end_state(stream)
+    stream[:] = stream[::-1].copy()
+    as_folded = [kernel.resident_lines(i).tolist() for i in range(num_sets)]
+    assert as_folded == end_state(stream) != as_passed
+
+
 class TestLongerThanOnePass:
     """A batch longer than one kernel pass reaches an empty model through
     the stateful kernels, one pass after another; every shorter first

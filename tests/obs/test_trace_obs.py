@@ -4,7 +4,7 @@
 but every counter it feeds describes the lanes: a batch of 4,096 lanes
 over 64 distinct keys visits as many nodes, and issues as many accesses,
 as 4,096 separate lookups, and so does a batch whose runs have uneven
-lengths.
+lengths.  A traced index build records one ``index.build`` span.
 """
 
 from __future__ import annotations
@@ -58,6 +58,20 @@ def index_counters(index):
         name: obs.counter(f"index.{name}", index=index.name)
         for name in ("node_visits", "traced_lookups", "trace_accesses", "trace_steps")
     }
+
+
+@pytest.mark.parametrize(
+    "index_cls", ALL_INDEX_TYPES, ids=[cls.__name__ for cls in ALL_INDEX_TYPES]
+)
+def test_build_records_one_span(index_cls, traced):
+    placed(index_cls)
+    builds = [
+        span for span in obs.tracer().finished_spans()
+        if span["name"] == "index.build"
+    ]
+    assert [span["attrs"] for span in builds] == [
+        {"index": index_cls.name, "keys": COLUMN_KEYS}
+    ]
 
 
 def test_btree_node_visits_count_every_lane(traced):

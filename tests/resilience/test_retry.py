@@ -1,5 +1,7 @@
 """Retry policy: deterministic backoff, budgets, error classification."""
 
+import threading
+
 import pytest
 
 from repro.errors import (
@@ -65,6 +67,20 @@ class TestBackoff:
         with pytest.raises(ConfigurationError):
             RetryPolicy(max_pool_restarts=-1)
 
+    @pytest.mark.parametrize(
+        "seconds",
+        [-1.0, float("nan"), float("inf"), 1e300, threading.TIMEOUT_MAX * 2],
+    )
+    def test_point_timeout_must_be_a_lock_wait(self, seconds):
+        """A pool waits on each point with a lock timeout: a NaN, infinite
+        or over-long one would only fail there, once per point."""
+        with pytest.raises(ConfigurationError, match="point_timeout"):
+            RetryPolicy(point_timeout=seconds)
+
+    def test_longest_lock_wait_is_accepted(self):
+        policy = RetryPolicy(point_timeout=threading.TIMEOUT_MAX)
+        assert policy.point_timeout == threading.TIMEOUT_MAX
+
 
 class TestWithRetry:
     def test_transient_failures_retried(self):
@@ -120,6 +136,12 @@ class TestConfiguration:
     def test_zero_timeout_disables(self, monkeypatch):
         monkeypatch.setenv(retry.POINT_TIMEOUT_ENV, "0")
         assert RetryPolicy.from_env().point_timeout is None
+
+    @pytest.mark.parametrize("text", ["-3", "nan", "inf", "-inf", "1e300"])
+    def test_bad_timeout_names_the_variable(self, monkeypatch, text):
+        monkeypatch.setenv(retry.POINT_TIMEOUT_ENV, text)
+        with pytest.raises(ConfigurationError, match=retry.POINT_TIMEOUT_ENV):
+            RetryPolicy.from_env()
 
     def test_configured_scope(self):
         policy = RetryPolicy(max_attempts=9)
