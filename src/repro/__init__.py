@@ -61,7 +61,7 @@ from .hardware import (
     TABLE1_INTERCONNECTS,
     V100_NVLINK2,
 )
-from .engine import Pipeline, PlanChoice, QueryPlanner
+from .engine import PlanChoice, QueryPlanner
 from .indexes import (
     ALL_INDEX_TYPES,
     BinarySearchIndex,
@@ -75,7 +75,6 @@ from .join import (
     IndexNestedLoopJoin,
     JoinResult,
     MultiValueHashTable,
-    PartitionedHashJoin,
     PartitionedINLJ,
     QueryEnvironment,
     WindowedINLJ,
@@ -129,12 +128,10 @@ __all__ = [
     "IndexNestedLoopJoin",
     "JoinResult",
     "MultiValueHashTable",
-    "PartitionedHashJoin",
     "PartitionedINLJ",
     "QueryEnvironment",
     "WindowedINLJ",
     "reference_join",
-    "Pipeline",
     "PlanChoice",
     "QueryPlanner",
     "PartitionBits",

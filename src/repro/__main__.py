@@ -39,6 +39,7 @@ from .errors import CapacityError, ConfigurationError, WorkloadError
 from .engine.planner import QueryPlanner
 from .hardware.spec import A100_PCIE4, GH200_C2C, MI250X_IF3, V100_NVLINK2
 from .indexes import ALL_INDEX_TYPES
+from .resilience import faults
 from .units import GB, GIB, KEY_BYTES, format_bytes
 
 MACHINES = {
@@ -370,6 +371,9 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        # A bad REPRO_FAULTS spec is a usage error, raised before any
+        # work starts rather than inside the first fault check.
+        faults.env_plans()
         if args.command == "info":
             return cmd_info(args)
         if args.command == "experiments":

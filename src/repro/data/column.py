@@ -76,18 +76,13 @@ class Column:
         """Exact positions of the given keys; -1 where a key is absent."""
         raise NotImplementedError
 
-    def lower_bound_hint(self, keys: ArrayLike) -> np.ndarray:
-        """Approximate position of each key and a guaranteed error bound.
-
-        Returns an int64 array ``est`` such that the true lower-bound
-        position of every key lies within ``[est - error_bound(),
-        est + error_bound()]`` clamped to the column.  Learned indexes
-        (RadixSpline) build on this for virtual columns.
-        """
-        raise NotImplementedError
-
     def hint_error_bound(self) -> int:
-        """Error bound accompanying :meth:`lower_bound_hint`."""
+        """How many positions a key's arithmetic rank estimate can be off
+        its true lower bound (0 where ranks are exact).
+
+        Learned indexes (RadixSpline) take it as their error bound on
+        virtual columns.
+        """
         raise NotImplementedError
 
     def bound_positions(self, keys: ArrayLike, side: str = "left") -> np.ndarray:
@@ -110,21 +105,6 @@ class Column:
     @property
     def max_key(self) -> int:
         return int(self.key_at(np.asarray([len(self) - 1]))[0])
-
-    def validate_sample(self, rng: np.random.Generator, samples: int = 4096) -> None:
-        """Spot-check monotonicity on a random sample of adjacent pairs.
-
-        Full validation of a virtual 2^34-key column is infeasible;
-        sampling catches parameterization bugs cheaply.
-        """
-        n = len(self)
-        if n < 2:
-            return
-        positions = rng.integers(0, n - 1, size=min(samples, n - 1))
-        left = self.key_at(positions)
-        right = self.key_at(positions + 1)
-        if not np.all(left < right):
-            raise WorkloadError("column is not strictly increasing")
 
 
 class MaterializedColumn(Column):
@@ -165,12 +145,8 @@ class MaterializedColumn(Column):
         positions[~found] = -1
         return positions
 
-    def lower_bound_hint(self, keys: ArrayLike) -> np.ndarray:
-        # A materialized column answers exactly; hint == truth, error 0.
-        keys = np.asarray(keys, dtype=KEY_DTYPE)
-        return np.searchsorted(self._keys, keys).astype(np.int64)
-
     def hint_error_bound(self) -> int:
+        # A materialized column answers ranks exactly.
         return 0
 
     def bound_positions(self, keys: ArrayLike, side: str = "left") -> np.ndarray:
@@ -280,10 +256,6 @@ class VirtualSortedColumn(Column):
         else:
             counts = at_estimate <= keys
         return estimate + (inside & counts)
-
-    def lower_bound_hint(self, keys: ArrayLike) -> np.ndarray:
-        keys = np.atleast_1d(np.asarray(keys, dtype=KEY_DTYPE))
-        return np.minimum(self._rank_estimate(keys), self.num_keys - 1)
 
     def hint_error_bound(self) -> int:
         # key(i) lies in [offset + i*stride, offset + i*stride + stride - 2],

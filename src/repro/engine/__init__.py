@@ -1,43 +1,14 @@
-"""Query-engine layer: streaming operators and access-path planning.
+"""Query-engine layer: access-path planning.
 
 The paper argues that with a fast interconnect "the GPU can select an
 index scan instead of a full table scan" (Section 6) -- a *plan choice*.
-This package supplies the surrounding machinery a DBMS would use:
-
-* :mod:`repro.engine.pipeline` -- pull-based streaming operators over
-  tuple batches (scan, filter, tumbling window, radix partition, index
-  probe, materialize), mirroring how the windowed INLJ embeds into a
-  query plan without materializing its inputs;
-* :mod:`repro.engine.planner` -- a cost-based access-path planner that
-  estimates every candidate (hash join, naive/partitioned/windowed INLJ
-  over every available index) with the simulation layer and picks the
-  cheapest, reproducing the paper's selectivity-threshold guidance.
+:mod:`repro.engine.planner` is the cost-based access-path planner a DBMS
+would use: it estimates every candidate (hash join, naive/partitioned/
+windowed INLJ over every available index) with the simulation layer and
+picks the cheapest, reproducing the paper's selectivity-threshold
+guidance.
 """
 
-from .pipeline import (
-    FilterOperator,
-    IndexProbeOperator,
-    MaterializeOperator,
-    Operator,
-    PartitionOperator,
-    Pipeline,
-    ScanOperator,
-    TupleBatch,
-    WindowOperator,
-)
 from .planner import AccessPath, PlanChoice, QueryPlanner
 
-__all__ = [
-    "FilterOperator",
-    "IndexProbeOperator",
-    "MaterializeOperator",
-    "Operator",
-    "PartitionOperator",
-    "Pipeline",
-    "ScanOperator",
-    "TupleBatch",
-    "WindowOperator",
-    "AccessPath",
-    "PlanChoice",
-    "QueryPlanner",
-]
+__all__ = ["AccessPath", "PlanChoice", "QueryPlanner"]

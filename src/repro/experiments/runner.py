@@ -149,31 +149,6 @@ def run_report(
     return report
 
 
-def run_all(
-    names,
-    quick: bool = False,
-    stream=None,
-    output_dir=None,
-    charts: bool = False,
-    workers: int = 1,
-    checkpoint_dir=None,
-    resume: bool = False,
-    policy: RetryPolicy = None,
-) -> dict:
-    """Backward-compatible wrapper: results by name (see :func:`run_report`)."""
-    return run_report(
-        names,
-        quick=quick,
-        stream=stream,
-        output_dir=output_dir,
-        charts=charts,
-        workers=workers,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
-        policy=policy,
-    ).results
-
-
 def _run_all(names, quick, stream, output_dir, charts, workers, report):
     wanted = set(names) if names else None
     results = report.results
@@ -458,6 +433,7 @@ def main(argv=None) -> int:
     add_trace_arguments(parser)
     args = parser.parse_args(argv)
     try:
+        faults.env_plans()
         report = run_report(
             args.experiments,
             quick=args.quick,

@@ -9,7 +9,7 @@ those execution-side behaviours; the memory side lives in
 
 from .simt import SimtCost, divergent_cost, subwarp_lookup_cost, warps_needed
 from .streams import StageTiming, overlapped_pipeline_time, serial_pipeline_time
-from .executor import AccessKind, LookupTrace, MachineModel
+from .executor import LookupTrace, MachineModel
 
 __all__ = [
     "SimtCost",
@@ -19,7 +19,6 @@ __all__ = [
     "StageTiming",
     "overlapped_pipeline_time",
     "serial_pipeline_time",
-    "AccessKind",
     "LookupTrace",
     "MachineModel",
 ]

@@ -27,7 +27,6 @@ callers scale by ``SimulationConfig.scale_factor`` and sum.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Optional
 
@@ -40,13 +39,6 @@ from ..hardware.counters import PerfCounters
 from ..hardware.fastlru import VectorLruTlb, VectorSetAssociativeCache
 from ..hardware.memory import SystemMemory
 from ..hardware.spec import SystemSpec
-
-
-class AccessKind(enum.Enum):
-    """Which memory an access targets."""
-
-    HOST = "host"
-    DEVICE = "device"
 
 
 @dataclass

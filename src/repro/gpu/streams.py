@@ -74,26 +74,3 @@ def overlapped_pipeline_time(windows: Sequence[StageTiming]) -> float:
         )
     return probe_done
 
-
-def uniform_windows(
-    num_windows: int,
-    partition_seconds: float,
-    probe_seconds: float,
-    launch_overhead: float = 0.0,
-) -> list:
-    """Identical stage timings for ``num_windows`` windows.
-
-    Probe streams are uniform in the paper's workloads (fixed window size,
-    uniform keys), so experiments mostly schedule homogeneous windows; the
-    last, possibly short window is the caller's responsibility.
-    """
-    if num_windows < 0:
-        raise ConfigurationError(
-            f"window count must be non-negative, got {num_windows}"
-        )
-    timing = StageTiming(
-        partition=partition_seconds,
-        probe=probe_seconds,
-        launch_overhead=launch_overhead,
-    )
-    return [timing] * num_windows

@@ -59,16 +59,6 @@ class InterconnectModel:
     # Transfer times.
     # ------------------------------------------------------------------
 
-    def sequential_time(self, num_bytes: float) -> float:
-        """Seconds to stream ``num_bytes`` sequentially."""
-        if num_bytes < 0:
-            raise ConfigurationError(
-                f"byte count must be non-negative, got {num_bytes}"
-            )
-        if num_bytes == 0:
-            return 0.0
-        return self.spec.latency_seconds + num_bytes / self.sequential_bandwidth
-
     def random_time(self, num_accesses: float) -> float:
         """Seconds to service ``num_accesses`` random cacheline fetches."""
         if num_accesses < 0:
@@ -79,14 +69,6 @@ class InterconnectModel:
             return 0.0
         bytes_moved = num_accesses * self.cacheline_bytes
         return self.spec.latency_seconds + bytes_moved / self.random_bandwidth
-
-    def random_bytes(self, num_accesses: float) -> float:
-        """Bytes moved by ``num_accesses`` random cacheline fetches."""
-        if num_accesses < 0:
-            raise ConfigurationError(
-                f"access count must be non-negative, got {num_accesses}"
-            )
-        return num_accesses * self.cacheline_bytes
 
     def translation_time(self, num_requests: float, concurrency: float) -> float:
         """Seconds spent on address-translation round trips.

@@ -130,19 +130,6 @@ class SystemMemory:
         self.allocations.append(allocation)
         return allocation
 
-    def free(self, allocation: Allocation) -> None:
-        """Release an allocation's capacity (addresses are not reused)."""
-        if allocation not in self.allocations:
-            raise ConfigurationError(
-                f"allocation '{allocation.label}' is not live in this memory"
-            )
-        alignment = self._alignment(allocation.space)
-        aligned_size = (
-            (allocation.size + alignment - 1) // alignment * alignment
-        )
-        self._used[allocation.space] -= aligned_size
-        self.allocations.remove(allocation)
-
     def used(self, space: MemorySpace) -> int:
         """Bytes currently reserved in a space (aligned sizes)."""
         return self._used[space]

@@ -21,10 +21,6 @@ Layout per 4 KiB node:
   memory.  ``leaf_payload_bytes=8`` switches to payload-bearing 16-byte
   entries (halving leaf capacity and doubling the footprint); the
   capacity ablation uses it to show where such a tree stops fitting.
-
-For a materialized column the same class also supports appends/inserts at
-laptop scale (``insert_keys``), reflecting the paper's Section 6 remark
-that tree indexes remain the choice when updates are required.
 """
 
 from __future__ import annotations
@@ -34,7 +30,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..config import DEFAULT_BTREE_NODE_BYTES
-from ..data.column import KEY_DTYPE, MaterializedColumn
+from ..data.column import KEY_DTYPE
 from ..data.relation import Relation
 from ..errors import ConfigurationError, SimulationError
 from ..hardware.memory import MemorySpace, SystemMemory
@@ -206,39 +202,6 @@ class BPlusTreeIndex(Index):
         # The descent ends on the leaf entry at the lower rank, and that
         # entry holds the probe exactly when the probe is a member.
         return np.where(upper > lower, lower, np.int64(-1))
-
-    # ------------------------------------------------------------------
-    # Updates (materialized columns only).
-    # ------------------------------------------------------------------
-
-    def insert_keys(self, new_keys: np.ndarray) -> "BPlusTreeIndex":
-        """Insert keys, returning a new index over the merged column.
-
-        The implicit representation makes inserts a merge-and-rebuild:
-        adequate for validating update semantics at laptop scale (the
-        shape of bulk-loaded B+trees after batch inserts), not a
-        node-splitting engine.  Only materialized columns support it.
-        """
-        if not isinstance(self.column, MaterializedColumn):
-            raise SimulationError(
-                "inserts require a materialized column; virtual columns are "
-                "immutable by construction"
-            )
-        new_keys = np.asarray(new_keys, dtype=KEY_DTYPE)
-        merged = np.union1d(self.column.keys, new_keys)
-        if len(merged) != len(self.column) + len(np.unique(new_keys)):
-            raise ConfigurationError(
-                "duplicate keys are not allowed: R holds unique keys "
-                "(paper Section 3.2)"
-            )
-        relation = Relation(
-            name=self.relation.name, column=MaterializedColumn(merged)
-        )
-        return BPlusTreeIndex(
-            relation,
-            node_bytes=self.node_bytes,
-            leaf_payload_bytes=self.leaf_payload_bytes,
-        )
 
     # ------------------------------------------------------------------
     # Analytic locality.

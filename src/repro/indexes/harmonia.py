@@ -209,36 +209,6 @@ class HarmoniaIndex(Index):
         )
 
     # ------------------------------------------------------------------
-    # Updates.
-    # ------------------------------------------------------------------
-
-    def insert_keys(self, new_keys: np.ndarray) -> "HarmoniaIndex":
-        """Merge-and-rebuild insert, as for the B+tree (laptop scale)."""
-        from ..data.column import MaterializedColumn
-
-        if not isinstance(self.column, MaterializedColumn):
-            raise SimulationError(
-                "inserts require a materialized column; virtual columns are "
-                "immutable by construction"
-            )
-        new_keys = np.asarray(new_keys, dtype=KEY_DTYPE)
-        merged = np.union1d(self.column.keys, new_keys)
-        if len(merged) != len(self.column) + len(np.unique(new_keys)):
-            raise ConfigurationError(
-                "duplicate keys are not allowed: R holds unique keys "
-                "(paper Section 3.2)"
-            )
-        relation = Relation(
-            name=self.relation.name, column=MaterializedColumn(merged)
-        )
-        return HarmoniaIndex(
-            relation,
-            node_keys=self.node_keys,
-            subwarp_size=self.subwarp_size,
-            warp_size=self.warp_size,
-        )
-
-    # ------------------------------------------------------------------
     # Analytic locality.
     # ------------------------------------------------------------------
 

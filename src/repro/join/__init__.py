@@ -10,10 +10,9 @@
   pipelined, without materializing either input.
 * :class:`~repro.join.hash_join.HashJoin` -- the WarpCore-style
   multi-value hash join baseline of Section 3.2.
-* :class:`~repro.join.nonequi.BandJoin` /
-  :class:`~repro.join.nonequi.KNNJoin` (and their windowed variants) --
-  non-equi joins over the range primitive: band predicate
-  ``|r.key - s.key| <= epsilon`` and 1-D k-nearest-neighbour probes.
+* :class:`~repro.join.nonequi.BandJoin` (and its windowed variant) --
+  the non-equi join over the range primitive: band predicate
+  ``|r.key - s.key| <= epsilon``.
 
 Each operator has a functional ``join`` (exact results, laptop scale) and a
 simulated ``estimate`` (cost-model throughput at paper scale).
@@ -22,9 +21,8 @@ simulated ``estimate`` (cost-model throughput at paper scale).
 from .base import JoinResult, QueryEnvironment, expand_spans, reference_join
 from .hash_join import HashJoin, MultiValueHashTable
 from .inlj import IndexNestedLoopJoin
-from .nonequi import BandJoin, KNNJoin, WindowedBandJoin, WindowedKNNJoin
+from .nonequi import BandJoin, WindowedBandJoin
 from .partitioned import PartitionedINLJ
-from .partitioned_hash import PartitionedHashJoin
 from .window import WindowedINLJ
 
 __all__ = [
@@ -36,10 +34,7 @@ __all__ = [
     "MultiValueHashTable",
     "IndexNestedLoopJoin",
     "PartitionedINLJ",
-    "PartitionedHashJoin",
     "WindowedINLJ",
     "BandJoin",
-    "KNNJoin",
     "WindowedBandJoin",
-    "WindowedKNNJoin",
 ]

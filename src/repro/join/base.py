@@ -65,7 +65,7 @@ class JoinResult:
 
         The one order every cross-algorithm comparison uses.  The
         secondary sort on build position makes the order well-defined
-        for multi-match results too (band and KNN joins emit several
+        for multi-match results too (band joins emit several
         pairs per probe); equi-joins over unique keys are the
         one-pair-per-probe special case.
         """
@@ -75,15 +75,11 @@ class JoinResult:
             build_positions=self.build_positions[order],
         )
 
-    def sorted_by_probe(self) -> "JoinResult":
-        """Historical name for :meth:`canonical`."""
-        return self.canonical()
-
     def equals(self, other: "JoinResult") -> bool:
         """Multiset equality regardless of pair order.
 
         Compares the canonical forms element-wise, so results with
-        several matches per probe key (band/KNN joins) compare exactly;
+        several matches per probe key (band joins) compare exactly;
         no single-match assumption is made.
         """
         mine = self.canonical()

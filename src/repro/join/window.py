@@ -43,10 +43,9 @@ _WINDOW_TUPLE_BYTES = 16
 class WindowedJoin:
     """Tumbling-window driver and cost pipeline of every windowed join.
 
-    Subclasses provide :meth:`join` and three pricing hooks:
-    :attr:`probe_scale`, :meth:`_result_bytes` and
-    :meth:`_extra_counters`.  The window schedule, partition stage and
-    overlap model are shared.
+    Subclasses provide :meth:`join` and two pricing hooks:
+    :attr:`probe_scale` and :meth:`_result_bytes`.  The window
+    schedule, partition stage and overlap model are shared.
     """
 
     #: Index traversals per probe: 1 for a point probe, 2 for a range
@@ -97,12 +96,6 @@ class WindowedJoin:
         """Result materialization volume of the whole probe side."""
         return env.result_bytes()
 
-    def _extra_counters(
-        self, env: QueryEnvironment, probes: int
-    ) -> PerfCounters:
-        """Operator-specific additions to the probe stage of ``probes``."""
-        return PerfCounters()
-
     def _window_probe_counters(self, env: QueryEnvironment) -> PerfCounters:
         """Counters of one window's probe kernel (event sim + analytic TLB)."""
         window = min(self.window_tuples, env.workload.s_tuples)
@@ -115,7 +108,6 @@ class WindowedJoin:
                 self._result_bytes(env) * window_fraction
             )
         )
-        counters.add(self._extra_counters(env, window))
         return counters
 
     def estimate(self, env: QueryEnvironment) -> QueryCost:

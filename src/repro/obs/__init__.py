@@ -29,14 +29,15 @@ Typical use::
 
     obs.write_manifest("metrics.json", run_info={"experiments": ["fig6"]})
 
-Pooled sweep workers hold their own registry; fold a worker's
-:func:`snapshot` back into the parent with :func:`merge_snapshot`.
+Pooled sweep workers hold their own registry and keep their counters
+local (see :func:`repro.experiments.runner.run_report`); a
+fully-accounted manifest needs a serial run.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, Mapping, Optional, Union
+from typing import Dict, Optional, Union
 
 from . import manifest as manifest_mod
 from .metrics import Drift, Histogram, MetricsRegistry, metric_key
@@ -60,7 +61,6 @@ __all__ = [
     "enable",
     "enabled",
     "gauge",
-    "merge_snapshot",
     "metric_key",
     "observe",
     "phase",
@@ -196,11 +196,6 @@ def counter(name: str, **labels: object) -> float:
 def snapshot() -> dict:
     """Deterministic dump of the registry (see ``MetricsRegistry``)."""
     return _registry.snapshot()
-
-
-def merge_snapshot(other: Mapping[str, object]) -> None:
-    """Fold another process's snapshot into this registry."""
-    _registry.merge_snapshot(other)
 
 
 def build_manifest(

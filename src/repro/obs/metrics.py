@@ -84,26 +84,6 @@ class Histogram:
             },
         }
 
-    def merge_dict(self, other: Mapping[str, object]) -> None:
-        """Fold a :meth:`to_dict` summary from another registry into this."""
-        self.count += int(other.get("count", 0) or 0)
-        self.total += float(other.get("sum", 0.0) or 0.0)
-        for bound in ("min", "max"):
-            value = other.get(bound)
-            if value is None:
-                continue
-            current = getattr(self, bound)
-            if current is None:
-                setattr(self, bound, float(value))
-            elif bound == "min":
-                self.min = min(current, float(value))
-            else:
-                self.max = max(current, float(value))
-        buckets = other.get("buckets") or {}
-        if isinstance(buckets, Mapping):
-            for label, count in buckets.items():
-                self._buckets[label] = self._buckets.get(label, 0) + int(count)
-
 
 @dataclass(frozen=True)
 class Drift:
@@ -163,8 +143,7 @@ class MetricsRegistry:
     """Counters, gauges, and histograms with per-phase attribution.
 
     Not thread-safe by design: the simulators are single-threaded per
-    process, and pooled sweep workers each hold their own registry whose
-    snapshot can be folded back with :meth:`merge_snapshot`.
+    process, and pooled sweep workers each hold their own registry.
     """
 
     def __init__(self) -> None:
@@ -255,39 +234,6 @@ class MetricsRegistry:
         }
 
     # -- combination ---------------------------------------------------
-
-    def merge_snapshot(self, snapshot: Mapping[str, object]) -> None:
-        """Fold another registry's snapshot into this one (sums counters).
-
-        Used to aggregate pooled sweep workers' registries into the
-        parent's before the run manifest is written.
-        """
-        counters = snapshot.get("counters") or {}
-        if isinstance(counters, Mapping):
-            for key, value in counters.items():
-                self._counters[key] = self._counters.get(key, 0.0) + float(
-                    value  # type: ignore[arg-type]
-                )
-        gauges = snapshot.get("gauges") or {}
-        if isinstance(gauges, Mapping):
-            for key, value in gauges.items():
-                self._gauges[key] = float(value)  # type: ignore[arg-type]
-        histograms = snapshot.get("histograms") or {}
-        if isinstance(histograms, Mapping):
-            for key, summary in histograms.items():
-                histogram = self._histograms.get(key)
-                if histogram is None:
-                    histogram = self._histograms[key] = Histogram()
-                histogram.merge_dict(summary)  # type: ignore[arg-type]
-        phases = snapshot.get("phases") or {}
-        if isinstance(phases, Mapping):
-            for phase, counters in phases.items():
-                bucket = self._phase_counters.setdefault(str(phase), {})
-                if isinstance(counters, Mapping):
-                    for key, value in counters.items():
-                        bucket[key] = bucket.get(key, 0.0) + float(
-                            value  # type: ignore[arg-type]
-                        )
 
     @staticmethod
     def diff(

@@ -12,17 +12,15 @@ The temporal half of the observability layer.  Two granularities:
   (:data:`NULL_SPAN`), which keeps the hot path branch-cheap.
 
 Finished spans accumulate in memory (bounded; overflow is counted, not
-stored) and export as JSONL -- one JSON object per line -- or as a
-deterministic-by-name aggregate for the run manifest.  Span *timings*
+stored) and export as a deterministic-by-name aggregate for the run
+manifest.  Span *timings*
 never gate CI; only op counters do.
 """
 
 from __future__ import annotations
 
-import io
-import json
 import time
-from typing import IO, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 
 class NullSpan:
@@ -234,28 +232,3 @@ class Tracer:
             entry["count"] += 1
             entry["total_seconds"] += record["wall_seconds"]
         return {name: totals[name] for name in sorted(totals)}
-
-    # -- export --------------------------------------------------------
-
-    def export_jsonl(self, target: Union[str, IO[str]]) -> int:
-        """Write finished spans as JSONL; returns the span count.
-
-        ``target`` is a path or a text file object.  One JSON object per
-        line, in completion order, each carrying ``seq``, ``name``,
-        ``phase``, ``depth``, ``wall_seconds``, and ``attrs`` when set.
-        """
-        own = isinstance(target, str)
-        handle: IO[str] = (
-            # Streaming sink: spans are appended one line at a time, so
-            # whole-file atomic replace does not apply here.
-            io.open(target, "w", encoding="utf-8")  # repro: noqa[RES001]
-            if isinstance(target, str)
-            else target
-        )
-        try:
-            for record in self._finished:
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
-        finally:
-            if own:
-                handle.close()
-        return len(self._finished)

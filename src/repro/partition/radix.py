@@ -15,7 +15,7 @@ arrival order).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -43,9 +43,6 @@ class PartitionOutput:
     @property
     def num_partitions(self) -> int:
         return len(self.offsets) - 1
-
-    def partition_slice(self, partition: int) -> slice:
-        return slice(int(self.offsets[partition]), int(self.offsets[partition + 1]))
 
 
 class RadixPartitioner:
@@ -146,16 +143,3 @@ class RadixPartitioner:
         counters.gpu_memory_bytes = num_tuples * tuple_bytes * passes
         return counters
 
-
-def partition_and_verify(
-    partitioner: RadixPartitioner, keys: np.ndarray
-) -> Tuple[PartitionOutput, bool]:
-    """Partition and check the partition-id ordering invariant.
-
-    Returns (output, ok).  Exposed for tests and examples; the join
-    operators trust :meth:`RadixPartitioner.partition` directly.
-    """
-    output = partitioner.partition(keys)
-    ids = partitioner.bits.partition_of(output.keys)
-    ok = bool(np.all(ids[:-1] <= ids[1:]))
-    return output, ok

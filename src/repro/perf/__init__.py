@@ -13,15 +13,8 @@ from .analytic import (
     midtree_sweep_pages,
     uniform_lru_misses,
 )
-from .charts import ascii_chart, chart_experiment, sparkline
-from .cpu import CpuCostModel
-from .export import (
-    load_result_json,
-    result_to_csv,
-    result_to_json,
-    result_to_rows,
-    write_result,
-)
+from .charts import ascii_chart, chart_experiment
+from .export import result_to_csv, result_to_json, result_to_rows, write_result
 from .model import CostModel, QueryCost
 from .report import Series, format_series_table, format_table
 
@@ -32,14 +25,11 @@ __all__ = [
     "uniform_lru_misses",
     "ascii_chart",
     "chart_experiment",
-    "sparkline",
-    "load_result_json",
     "result_to_csv",
     "result_to_json",
     "result_to_rows",
     "write_result",
     "CostModel",
-    "CpuCostModel",
     "QueryCost",
     "Series",
     "format_series_table",

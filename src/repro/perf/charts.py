@@ -2,12 +2,9 @@
 
 The benchmark harness prints figure-shaped tables; for quick visual
 comparison against the paper's plots it also helps to *see* the curves.
-This module renders series as terminal charts without any plotting
-dependency:
-
-* :func:`sparkline` -- a one-line unicode profile of a series;
-* :func:`ascii_chart` -- a multi-series scatter/line chart on a character
-  grid, with optional log axes (the paper's figures are log-log).
+:func:`ascii_chart` renders series as a multi-series scatter/line chart
+on a character grid, with optional log axes (the paper's figures are
+log-log), without any plotting dependency.
 """
 
 from __future__ import annotations
@@ -18,28 +15,8 @@ from typing import List, Sequence
 from ..errors import ConfigurationError
 from .report import Series
 
-#: Eight-level block characters for sparklines.
-_BLOCKS = "▁▂▃▄▅▆▇█"
-
 #: Symbols assigned to series, in order.
 _MARKERS = "ox+*#@%&"
-
-
-def sparkline(values: Sequence[float]) -> str:
-    """One-line profile of a value sequence, e.g. ``▁▂▄█``."""
-    values = list(values)
-    if not values:
-        return ""
-    if any(v < 0 for v in values):
-        raise ConfigurationError("sparklines render non-negative values only")
-    top = max(values)
-    if top <= 0:
-        return _BLOCKS[0] * len(values)
-    scaled = [
-        _BLOCKS[min(len(_BLOCKS) - 1, int(v / top * (len(_BLOCKS) - 1) + 0.5))]
-        for v in values
-    ]
-    return "".join(scaled)
 
 
 def _transform(value: float, log: bool) -> float:

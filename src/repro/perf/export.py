@@ -74,7 +74,3 @@ def write_result(result, output_dir) -> List[Path]:
     atomic_write_text(str(json_path), result_to_json(result))
     return [csv_path, json_path]
 
-
-def load_result_json(path) -> dict:
-    """Read back a JSON export (for diffing runs in tests/tools)."""
-    return json.loads(Path(path).read_text(encoding="utf-8"))

@@ -1,6 +1,6 @@
 """Append-only JSONL checkpoints for sweep runs (``--resume``).
 
-A killed ``runner.run_all`` used to throw away every completed sweep
+A killed ``runner.run_report`` used to throw away every completed sweep
 point.  With checkpointing enabled, :func:`repro.experiments.common.
 map_standard_points` appends each finished point to a JSONL file as soon
 as it completes, and a rerun with ``--resume`` loads the file and
@@ -174,7 +174,7 @@ class SweepCheckpoint:
 
 # ----------------------------------------------------------------------
 # Run-scoped configuration: the runner sets a checkpoint directory for
-# the duration of one ``run_all`` and every standard sweep inside picks
+# the duration of one ``run_report`` and every standard sweep inside picks
 # it up without threading parameters through each figure module.
 # ----------------------------------------------------------------------
 

@@ -9,13 +9,15 @@ reproducible place, so the retry/requeue/checkpoint machinery in
 A :class:`FaultPlan` names a *kind* of fault and a *site* at which to
 fire.  Sites are labelled check-points sprinkled through the stack:
 
-* ``point`` -- checked by :func:`repro.experiments.common.run_standard_point`
-  before simulating one sweep point (serial path and worker processes);
-* ``batch`` -- checked by :meth:`repro.engine.pipeline.Pipeline.run` for
-  every batch pulled through the sink;
+* ``point`` -- checked before simulating one sweep point (serial path
+  and worker processes) by the standard, non-equi and serve sweeps;
 * ``experiment`` -- checked by the runner before each experiment;
 * ``checkpoint`` -- consulted by the sweep checkpoint writer (the
-  ``corrupt`` kind mangles the serialized record).
+  ``corrupt`` kind mangles the serialized record);
+* ``replica`` -- checked by the replicated serve executor before every
+  replica probe attempt.
+
+A plan naming any other site is refused: it could never fire.
 
 Kinds:
 
@@ -29,7 +31,8 @@ Kinds:
   (used for checkpoint records; :func:`check` ignores it).
 
 Plans are installed programmatically with :func:`install` or from the
-``REPRO_FAULTS`` environment variable, e.g.::
+``REPRO_FAULTS`` environment variable (which the CLI parses before any
+work starts, so a bad spec is a usage error), e.g.::
 
     REPRO_FAULTS="raise@point:2"            # 3rd sweep point raises once
     REPRO_FAULTS="crash@point:0,count=2"    # workers crash on their 1st point
@@ -43,10 +46,11 @@ process* attempts -- deterministic under fork and spawn alike.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from ..errors import ConfigurationError, InjectedFault
 
@@ -54,6 +58,15 @@ from ..errors import ConfigurationError, InjectedFault
 FAULTS_ENV = "REPRO_FAULTS"
 
 _KINDS = ("raise", "hang", "crash", "corrupt")
+
+#: Site checked before every replica probe attempt of the serve
+#: executor.  Labels name the replica, ``shard{s}r{k}``, so
+#: ``match=shard1`` selects every replica of shard 1 and
+#: ``match=shard1r0`` one copy.
+REPLICA_SITE = "replica"
+
+#: Every site the stack checks (see the module docstring).
+SITES = ("point", "experiment", "checkpoint", REPLICA_SITE)
 
 #: Exit status used by injected worker crashes (distinctive in waitpid).
 CRASH_EXIT_CODE = 117
@@ -66,8 +79,7 @@ class FaultPlan:
 
     Attributes:
         kind: one of ``raise | hang | crash | corrupt``.
-        site: the check-point name (``point``, ``batch``, ``experiment``,
-            ``checkpoint``, or any site a caller invents).
+        site: the check-point name, one of :data:`SITES`.
         at: index of the first matching check that fires (0-based).
         count: maximum number of fires per process.
         match: only checks whose label contains this substring count
@@ -91,16 +103,32 @@ class FaultPlan:
             raise ConfigurationError(
                 f"unknown fault kind {self.kind!r}; expected one of {_KINDS}"
             )
+        if self.site not in SITES:
+            raise ConfigurationError(
+                f"unknown fault site {self.site!r}; expected one of {SITES}"
+            )
         if self.at < 0:
             raise ConfigurationError(f"fault 'at' must be >= 0, got {self.at}")
         if self.count < 1:
             raise ConfigurationError(
                 f"fault 'count' must be >= 1, got {self.count}"
             )
-        if self.hang_seconds <= 0:
+        if not (math.isfinite(self.hang_seconds) and self.hang_seconds > 0):
             raise ConfigurationError(
-                f"fault 'hang' must be positive, got {self.hang_seconds}"
+                "fault 'hang' must be a positive, finite number of "
+                f"seconds, got {self.hang_seconds}"
             )
+
+
+def _number(cast: Callable[[str], object], text: str, what: str, spec: str):
+    """``cast(text)``, or a :class:`ConfigurationError` naming ``what``."""
+    try:
+        return cast(text)
+    except ValueError:
+        kind = "an integer" if cast is int else "a number"
+        raise ConfigurationError(
+            f"bad fault spec {spec!r}: {what} must be {kind}, got {text!r}"
+        ) from None
 
 
 def parse_plan(spec: str) -> FaultPlan:
@@ -115,7 +143,9 @@ def parse_plan(spec: str) -> FaultPlan:
     site, _, at_text = target.partition(":")
     if not site:
         raise ConfigurationError(f"bad fault spec {spec!r}: missing site")
-    kwargs: Dict[str, object] = {"at": int(at_text) if at_text else 0}
+    kwargs: Dict[str, object] = {
+        "at": _number(int, at_text, "'at'", spec) if at_text else 0
+    }
     if options:
         for item in options.split(","):
             key, sep, value = item.partition("=")
@@ -125,13 +155,13 @@ def parse_plan(spec: str) -> FaultPlan:
                     f"bad fault option {item!r} in {spec!r}"
                 )
             if key == "count":
-                kwargs["count"] = int(value)
+                kwargs["count"] = _number(int, value, "'count'", spec)
             elif key == "match":
                 kwargs["match"] = value
             elif key == "hang":
-                kwargs["hang_seconds"] = float(value)
+                kwargs["hang_seconds"] = _number(float, value, "'hang'", spec)
             elif key == "seed":
-                kwargs["seed"] = int(value)
+                kwargs["seed"] = _number(int, value, "'seed'", spec)
             else:
                 raise ConfigurationError(
                     f"unknown fault option {key!r} in {spec!r}"
@@ -144,6 +174,19 @@ def parse_plans(text: str) -> Tuple[FaultPlan, ...]:
     return tuple(
         parse_plan(part) for part in text.split(";") if part.strip()
     )
+
+
+def env_plans() -> Tuple[FaultPlan, ...]:
+    """The plans ``REPRO_FAULTS`` asks for, without installing them.
+
+    A bad spec raises :class:`ConfigurationError` naming the variable;
+    the CLI calls this before dispatching, so no work starts under a
+    plan that cannot parse (or never fires).
+    """
+    try:
+        return parse_plans(os.environ.get(FAULTS_ENV, ""))
+    except ConfigurationError as error:
+        raise ConfigurationError(f"{FAULTS_ENV}: {error}") from None
 
 
 # ----------------------------------------------------------------------
@@ -206,9 +249,7 @@ def _load_env() -> None:
     if _env_loaded:
         return
     _env_loaded = True
-    text = os.environ.get(FAULTS_ENV, "")
-    if text:
-        _plans.extend(parse_plans(text))
+    _plans.extend(env_plans())
 
 
 def _matching(site: str, label: str, kinds: Tuple[str, ...]):
@@ -230,7 +271,7 @@ def check(site: str, label: str = "") -> None:
     """Fire any due ``raise``/``hang``/``crash`` fault at this site.
 
     The fast path (no plans installed) is a tuple check -- cheap enough
-    to call per pipeline batch.
+    to call per replica probe attempt.
     """
     if not _plans and _env_loaded:
         return

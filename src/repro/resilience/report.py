@@ -1,6 +1,6 @@
 """Structured failure capture for the experiment runner.
 
-One failing experiment used to abort the whole ``run_all`` with a bare
+One failing experiment used to abort the whole run with a bare
 traceback; chart errors were swallowed into a one-line string.  This
 module gives both a durable shape: an :class:`ExperimentFailure` records
 what failed, how, and how far it got, and a :class:`RunReport` carries
@@ -96,7 +96,7 @@ class ExperimentFailure:
 
 @dataclass
 class RunReport:
-    """Everything one ``run_all`` produced: results, timings, failures.
+    """Everything one ``run_report`` produced: results, timings, failures.
 
     ``timings`` maps each experiment guard name to its wall time in
     seconds, sourced from the observability layer's always-on phase

@@ -17,7 +17,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Type
+from typing import Any, Callable, Dict, Optional, Tuple, Type
 
 from .. import obs
 from ..errors import (
@@ -73,8 +73,11 @@ class RetryPolicy:
             raise ConfigurationError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
             )
-        if self.base_delay < 0 or self.max_delay < 0:
-            raise ConfigurationError("backoff delays must be non-negative")
+        if not (self.base_delay >= 0 and self.max_delay >= 0):  # NaN fails
+            raise ConfigurationError(
+                "backoff delays must be non-negative numbers, got "
+                f"base_delay={self.base_delay}, max_delay={self.max_delay}"
+            )
         if not 0 <= self.jitter <= 1:
             raise ConfigurationError(
                 f"jitter must be within [0, 1], got {self.jitter}"
@@ -93,18 +96,36 @@ class RetryPolicy:
 
     @classmethod
     def from_env(cls) -> "RetryPolicy":
-        """Policy with defaults overridden by ``REPRO_*`` variables."""
-        kwargs = {}
-        if os.environ.get(RETRIES_ENV):
-            kwargs["max_attempts"] = int(os.environ[RETRIES_ENV])
-        if os.environ.get(POINT_TIMEOUT_ENV):
-            kwargs["point_timeout"] = point_timeout_setting(
-                float(os.environ[POINT_TIMEOUT_ENV]), POINT_TIMEOUT_ENV
-            )
-        if os.environ.get(POOL_RESTARTS_ENV):
-            kwargs["max_pool_restarts"] = int(os.environ[POOL_RESTARTS_ENV])
-        if os.environ.get(BASE_DELAY_ENV):
-            kwargs["base_delay"] = float(os.environ[BASE_DELAY_ENV])
+        """Policy with defaults overridden by ``REPRO_*`` variables.
+
+        A value that does not parse, or that the policy refuses, raises
+        :class:`ConfigurationError` naming its variable.
+        """
+        kwargs: Dict[str, Any] = {}
+        fields: Tuple[Tuple[str, str, Callable[[str], Any]], ...] = (
+            (RETRIES_ENV, "max_attempts", int),
+            (POINT_TIMEOUT_ENV, "point_timeout", float),
+            (POOL_RESTARTS_ENV, "max_pool_restarts", int),
+            (BASE_DELAY_ENV, "base_delay", float),
+        )
+        for name, field, cast in fields:
+            text = os.environ.get(name)
+            if not text:
+                continue
+            try:
+                value = cast(text)
+            except ValueError:
+                kind = "an integer" if cast is int else "a number"
+                raise ConfigurationError(
+                    f"{name} must be {kind}, got {text!r}"
+                ) from None
+            if field == "point_timeout":
+                value = point_timeout_setting(value, name)
+            try:
+                cls(**{field: value})
+            except ConfigurationError as error:
+                raise ConfigurationError(f"{name}: {error}") from None
+            kwargs[field] = value
         return cls(**kwargs)
 
     def backoff(self, attempt: int, label: str = "") -> float:

@@ -37,10 +37,6 @@ class AdmissionController:
         self.admitted_requests = 0
         self.rejected_requests = 0
 
-    def backlog(self, shard_id: int) -> int:
-        """Tuples currently queued or executing on ``shard_id``."""
-        return int(self._backlog[shard_id])
-
     def try_admit(self, parts: List[Tuple[int, np.ndarray, np.ndarray]]) -> bool:
         """Admit a split request whole, or reject it whole.
 

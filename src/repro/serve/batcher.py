@@ -3,22 +3,108 @@
 The batcher is the serving-layer counterpart of the paper's Section 5
 windowed partitioning: each shard's probe stream is cut into disjoint
 fixed-size tumbling windows, closed when they reach capacity or when the
-stream ends.  Window boundaries are not re-implemented -- each shard's
-stream is one engine :class:`~repro.engine.pipeline.WindowOperator`
-holding that shard's open window, so serving windows and pipeline
-windows can never drift apart.  The batcher adds only what a pipeline
-stream lacks: a window kind, and an early close when the kind changes.
+stream ends.  Each shard's stream is one :class:`WindowOperator`
+holding that shard's open window; the batcher adds a window kind, and
+an early close when the kind changes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Iterable, Iterator, List, Optional
 
 import numpy as np
 
-from ..engine.pipeline import TupleBatch, WindowOperator
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, WorkloadError
+from ..units import KEY_BYTES
+
+
+@dataclass
+class TupleBatch:
+    """A batch of probe tuples: keys plus each one's stream position.
+
+    Attributes:
+        keys: probe keys.
+        indices: each tuple's position in the original stream (the
+            payload join results refer to).
+    """
+
+    keys: np.ndarray
+    indices: np.ndarray
+
+    def __post_init__(self) -> None:
+        if len(self.keys) != len(self.indices):
+            raise WorkloadError(
+                "keys and indices must have equal length: "
+                f"{len(self.keys)} != {len(self.indices)}"
+            )
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+
+class WindowOperator:
+    """Tumbling windows: regroup a stream into fixed-size batches.
+
+    "We divide the stream on-the-fly into disjoint, fixed-size batches,
+    i.e., tumbling windows.  Closing the window occurs either when the
+    window reaches its capacity, or no more tuples are available"
+    (Section 5.1).
+
+    The open window lives on the operator between calls: :meth:`push`
+    returns the windows a batch closes, :meth:`flush` closes the partial
+    tail, and :meth:`process` is one push per upstream batch followed by
+    a flush.  ``len()`` is the open window's tuple count.
+    """
+
+    def __init__(self, window_bytes: int):
+        if window_bytes < KEY_BYTES:
+            raise ConfigurationError(
+                f"window must hold at least one tuple, got {window_bytes}"
+            )
+        self.window_tuples = max(1, window_bytes // KEY_BYTES)
+        self._keys: List[np.ndarray] = []
+        self._indices: List[np.ndarray] = []
+        self._pending = 0
+
+    def __len__(self) -> int:
+        return self._pending
+
+    def push(self, batch: TupleBatch) -> List[TupleBatch]:
+        """Append ``batch`` to the open window; return the windows that
+        reach capacity, in stream order."""
+        closed: List[TupleBatch] = []
+        keys, indices = batch.keys, batch.indices
+        while self._pending + len(keys) >= self.window_tuples:
+            take = self.window_tuples - self._pending
+            self._keys.append(keys[:take])
+            self._indices.append(indices[:take])
+            closed.append(self._close())
+            keys, indices = keys[take:], indices[take:]
+        if len(keys):
+            self._keys.append(keys)
+            self._indices.append(indices)
+            self._pending += len(keys)
+        return closed
+
+    def flush(self) -> List[TupleBatch]:
+        """Close the open window early: no more tuples are available."""
+        return [self._close()] if self._pending else []
+
+    def _close(self) -> TupleBatch:
+        keys, indices = self._keys, self._indices
+        self._keys, self._indices, self._pending = [], [], 0
+        if len(keys) == 1:
+            # The window is one contiguous slice: no copy.
+            return TupleBatch(keys=keys[0], indices=indices[0])
+        return TupleBatch(
+            keys=np.concatenate(keys), indices=np.concatenate(indices)
+        )
+
+    def process(self, upstream: Iterable[TupleBatch]) -> Iterator[TupleBatch]:
+        for batch in upstream:
+            yield from self.push(batch)
+        yield from self.flush()
 
 
 @dataclass

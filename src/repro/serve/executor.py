@@ -58,10 +58,6 @@ from .recovery import (
 )
 from .shard import CALIBRATION_SIM, Shard, ShardPlan
 
-#: Fault-injection site checked before every replica probe attempt.
-#: Labels name the replica, ``shard{s}r{k}``, so ``match=shard1``
-#: selects every replica of shard 1 and ``match=shard1r0`` one copy.
-REPLICA_FAULT_SITE = "replica"
 
 #: A window executes as two serial kernels, mirroring the windowed
 #: INLJ's partition-then-probe stage pair (Section 5).
@@ -544,7 +540,7 @@ class ReplicatedShardExecutor:
                         self.chaos.check_probe(  # type: ignore[attr-defined]
                             shard_id, replica_id, now, seq
                         )
-                    faults.check(REPLICA_FAULT_SITE, label=label)
+                    faults.check(faults.REPLICA_SITE, label=label)
                     out = shard.probe(window.keys)
                 except Exception:
                     # The threshold can trip mid-retry; a later attempt

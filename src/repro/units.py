@@ -46,19 +46,6 @@ def format_bytes(num_bytes: float) -> str:
     return f"{num_bytes:.0f} B"
 
 
-def format_seconds(seconds: float) -> str:
-    """Render a duration with a sensible unit, e.g. ``'3.0 us'``."""
-    if seconds < 0:
-        raise ValueError(f"duration must be non-negative, got {seconds}")
-    if seconds >= 1.0:
-        return f"{seconds:.2f} s"
-    if seconds >= 1e-3:
-        return f"{seconds * 1e3:.2f} ms"
-    if seconds >= 1e-6:
-        return f"{seconds * 1e6:.2f} us"
-    return f"{seconds * 1e9:.1f} ns"
-
-
 def format_throughput(queries_per_second: float) -> str:
     """Render a query throughput the way the paper's figures do (Q/s)."""
     if queries_per_second < 0:
@@ -67,20 +54,3 @@ def format_throughput(queries_per_second: float) -> str:
         )
     return f"{queries_per_second:.2f} Q/s"
 
-
-def tuples_to_bytes(num_tuples: int, tuple_bytes: int = KEY_BYTES) -> int:
-    """Size in bytes of a relation with ``num_tuples`` fixed-width tuples."""
-    if num_tuples < 0:
-        raise ValueError(f"tuple count must be non-negative, got {num_tuples}")
-    if tuple_bytes <= 0:
-        raise ValueError(f"tuple width must be positive, got {tuple_bytes}")
-    return num_tuples * tuple_bytes
-
-
-def bytes_to_tuples(num_bytes: int, tuple_bytes: int = KEY_BYTES) -> int:
-    """Number of fixed-width tuples that fit in ``num_bytes`` (floor)."""
-    if num_bytes < 0:
-        raise ValueError(f"byte count must be non-negative, got {num_bytes}")
-    if tuple_bytes <= 0:
-        raise ValueError(f"tuple width must be positive, got {tuple_bytes}")
-    return num_bytes // tuple_bytes

@@ -1,45 +1,20 @@
 """Workload studies beyond single read-only joins.
 
-The paper evaluates read-only joins and closes with operational guidance
-(Section 6): choose the RadixSpline for static data, Harmonia (or a
-B+tree) "if the index must support inserts and updates".  This package
-quantifies that guidance:
-
-* :mod:`repro.workloads.updates` -- batched-insert cost for each index
-  structure, functionally (merge-based inserts on real data) and under
-  the cost model (maintenance seconds per batch at paper scale), plus
-  mixed read/write request streams (:func:`make_update_stream`) and the
-  sorted-array-with-updates reference (:class:`SortedArrayOracle`) the
-  serving layer's delta tier is checked against.
-* :mod:`repro.workloads.nonequi` -- seeded band/KNN probe streams for
-  the non-equi joins: member keys jittered inside the band (or key gap),
-  uniform or Zipf-scattered like the equi stream.
+* :mod:`repro.workloads.updates` -- mixed read/write request streams
+  (:func:`make_update_stream`) and the sorted-array-with-updates
+  reference (:class:`SortedArrayOracle`) the serving layer's delta tier
+  is checked against.
+* :mod:`repro.workloads.nonequi` -- the band width that gives the
+  non-equi sweep its target selectivity
+  (:func:`band_epsilon_for_matches`).
 """
 
-from .nonequi import (
-    NonEquiProbeSet,
-    band_epsilon_for_matches,
-    make_band_probe_keys,
-    make_knn_probe_keys,
-)
-from .updates import (
-    SortedArrayOracle,
-    UpdateCost,
-    UpdateStream,
-    functional_insert_throughput,
-    maintenance_cost,
-    make_update_stream,
-)
+from .nonequi import band_epsilon_for_matches
+from .updates import SortedArrayOracle, UpdateStream, make_update_stream
 
 __all__ = [
-    "NonEquiProbeSet",
     "band_epsilon_for_matches",
-    "make_band_probe_keys",
-    "make_knn_probe_keys",
     "SortedArrayOracle",
-    "UpdateCost",
     "UpdateStream",
-    "functional_insert_throughput",
-    "maintenance_cost",
     "make_update_stream",
 ]

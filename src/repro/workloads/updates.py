@@ -1,140 +1,25 @@
-"""Index maintenance under insert batches.
+"""Mixed read/write request streams and their reference semantics.
 
-Two views of the same question ("what does it cost to keep the index
-fresh?"):
-
-* :func:`functional_insert_throughput` -- actually insert key batches
-  into a materialized index (merge-based, as the implicit structures
-  rebuild) and report inserts/second achieved in this process.  Useful
-  for validating semantics, not for absolute rates.
-* :func:`maintenance_cost` -- cost-model seconds per insert batch at
-  paper scale.  Tree indexes absorb a batch with per-key traversals and
-  localized writes; the RadixSpline has no incremental form and must
-  refit, paying a full scan of R -- which is exactly why the paper
-  recommends Harmonia when updates matter (Section 6).
-
-The serving layer's online-update path adds a third view: a mixed
-read/write *request stream* (:func:`make_update_stream`) served through
-the delta tier, checked element-for-element against
-:class:`SortedArrayOracle` -- an intentionally naive
-sorted-array-with-updates reference whose only job is to be obviously
-correct.
+The paper closes with operational guidance (Section 6): choose Harmonia
+(or a B+tree) "if the index must support inserts and updates".  The
+serving layer's online-update path answers it with a mixed read/write
+*request stream* (:func:`make_update_stream`) served through the delta
+tier, checked element-for-element against :class:`SortedArrayOracle`
+-- an intentionally naive sorted-array-with-updates reference whose
+only job is to be obviously correct.
 """
 
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
-from typing import Optional, Tuple, Type
+from typing import Optional, Tuple
 
 import numpy as np
 
-from ..data.column import KEY_DTYPE, MaterializedColumn
-from ..data.relation import Relation
-from ..errors import ConfigurationError, WorkloadError
-from ..hardware.spec import CpuSpec
-from ..indexes.base import Index
-from ..indexes.btree import BPlusTreeIndex
-from ..indexes.harmonia import HarmoniaIndex
-from ..perf.cpu import CpuCostModel
-from ..units import KEY_BYTES
+from ..data.column import KEY_DTYPE
+from ..errors import ConfigurationError
 
-
-@dataclass(frozen=True)
-class UpdateCost:
-    """Maintenance estimate for one insert batch.
-
-    Attributes:
-        seconds_per_batch: modeled time to absorb the batch.
-        strategy: "in-place" (tree insert paths) or "rebuild" (refit the
-            whole structure).
-        amortized_seconds_per_insert: seconds_per_batch / batch_size.
-    """
-
-    seconds_per_batch: float
-    strategy: str
-
-    def amortized_seconds_per_insert(self, batch_size: int) -> float:
-        if batch_size <= 0:
-            raise ConfigurationError(
-                f"batch size must be positive, got {batch_size}"
-            )
-        return self.seconds_per_batch / batch_size
-
-
-def maintenance_cost(
-    index: Index, batch_size: int, cpu: CpuSpec
-) -> UpdateCost:
-    """Cost-model seconds for one insert batch into ``index``.
-
-    Updates run CPU-side (the index lives in CPU memory; Section 3.2).
-    Updateable trees pay, per key, a traversal plus a leaf write --
-    ``height + 2`` random cacheline accesses.  Static structures
-    (RadixSpline, binary search's sorted array) must rebuild: a
-    streaming pass over the data plus writing the structure.
-    """
-    if batch_size <= 0:
-        raise ConfigurationError(
-            f"batch size must be positive, got {batch_size}"
-        )
-    model = CpuCostModel(cpu)
-    if index.supports_updates:
-        accesses = float(batch_size) * (index.height + 2)
-        return UpdateCost(
-            seconds_per_batch=model.random_time(accesses),
-            strategy="in-place",
-        )
-    data_bytes = float(len(index.column)) * KEY_BYTES
-    rebuild = model.scan_time(data_bytes) + model.scan_time(
-        float(index.footprint_bytes)
-    )
-    return UpdateCost(seconds_per_batch=rebuild, strategy="rebuild")
-
-
-def functional_insert_throughput(
-    index_cls: Type, base_tuples: int, batch_size: int, batches: int = 3,
-    seed: int = 0,
-) -> float:
-    """Measured inserts/second for merge-based inserts on real data.
-
-    Only meaningful for update-capable indexes (B+tree, Harmonia); static
-    ones raise, mirroring their lack of an insert path.
-    """
-    if index_cls not in (BPlusTreeIndex, HarmoniaIndex):
-        raise WorkloadError(
-            f"{index_cls.__name__} has no insert path; Section 6 reserves "
-            "update workloads for the tree indexes"
-        )
-    if base_tuples <= 0 or batch_size <= 0 or batches <= 0:
-        raise ConfigurationError("sizes must be positive")
-    # Base keys on even positions of a wide domain leave odd gaps free
-    # for inserts.
-    base_keys = np.arange(0, base_tuples * 4, 4, dtype=KEY_DTYPE)
-    index = index_cls(Relation("R", MaterializedColumn(base_keys)))
-    inserted = 0
-    # Measured wall-clock throughput *is* this function's deliverable
-    # (like the bench harness); the clock never feeds model state.
-    started = time.perf_counter()  # repro: noqa[DET002]
-    top = base_tuples * 4
-    for batch in range(batches):
-        offset = top + batch * batch_size * 4
-        new_keys = (
-            offset + np.arange(batch_size, dtype=np.int64) * 4 + 1
-        ).astype(KEY_DTYPE)
-        index = index.insert_keys(new_keys)
-        inserted += batch_size
-        # Every batch must remain fully queryable.
-        found = index.lookup(new_keys)
-        if np.any(found < 0):
-            raise WorkloadError("inserted keys not found after merge")
-    elapsed = time.perf_counter() - started  # repro: noqa[DET002]
-    return inserted / elapsed if elapsed > 0 else float("inf")
-
-
-# ----------------------------------------------------------------------
-# Mixed read/write request streams and their reference semantics.
-# ----------------------------------------------------------------------
 
 #: Probability an update tuple is an insert (vs. an upsert of an
 #: existing key).
@@ -166,10 +51,6 @@ class UpdateStream:
     @property
     def num_requests(self) -> int:
         return len(self.kinds)
-
-    @property
-    def update_requests(self) -> int:
-        return sum(1 for kind in self.kinds if kind == "update")
 
     @property
     def update_tuples(self) -> int:

@@ -96,8 +96,7 @@ def test_suppressions_stay_rare(self_run):
     # per-level loops via justified noqa markers is that rule's design
     # (see repro/analysis/rules/perf.py), so its markers are bounded
     # but expected: per-level descents, build-time geometry, and the
-    # O(|S|/W) window drivers (the non-equi drivers add the KNN
-    # walk-out and two window loops).
+    # O(|S|/W) window drivers (the windowed band join adds one).
     perf = [f for f in self_run.suppressed if f.rule_id == "PERF001"]
     other = [f for f in self_run.suppressed if f.rule_id != "PERF001"]
     assert len(other) <= 10

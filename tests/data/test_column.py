@@ -16,6 +16,13 @@ from . import oracles
 MAX_KEY = 2**64 - 1
 
 
+def stride_estimate(column, keys):
+    """Each key's rank as ``(key - offset) // stride``, clamped into the
+    column: the estimate that ``hint_error_bound`` bounds."""
+    shifted = [max(int(key) - column.offset, 0) // column.stride for key in keys]
+    return np.minimum(np.asarray(shifted, dtype=np.int64), len(column) - 1)
+
+
 class TestMaterializedColumn:
     def test_basic(self):
         column = MaterializedColumn(np.array([1, 5, 9], dtype=np.uint64))
@@ -39,7 +46,7 @@ class TestMaterializedColumn:
     def test_hint_is_exact(self):
         column = MaterializedColumn(np.array([1, 5, 9], dtype=np.uint64))
         assert column.hint_error_bound() == 0
-        assert column.lower_bound_hint(np.array([6]))[0] == 2
+        assert column.bound_positions(np.array([6]))[0] == 2
 
     def test_rejects_unsorted(self):
         with pytest.raises(ConfigurationError):
@@ -104,16 +111,11 @@ class TestVirtualSortedColumn:
         assert column.rank_of(np.array([0, 999, 10**9]))[0] == -1
 
     def test_regression_hint_for_keys_at_or_above_2_63(self):
-        """An int64 cast wrapped these keys negative, clipping the hint to
-        0 while the true lower bound is the column length."""
+        """An int64 cast wrapped these keys negative, clipping the stride
+        estimate to 0 while the true lower bound is the column length."""
         column = VirtualSortedColumn(1000, stride=4)
         keys = np.asarray([2**63, 2**63 + 5, MAX_KEY], dtype=np.uint64)
-        hints = column.lower_bound_hint(keys)
-        assert hints.tolist() == [999, 999, 999]
-        assert np.all(
-            np.abs(column.bound_positions(keys) - hints)
-            <= column.hint_error_bound()
-        )
+        assert column.bound_positions(keys).tolist() == [1000, 1000, 1000]
 
     def test_bound_positions_rejects_unknown_side(self):
         with pytest.raises(ConfigurationError):
@@ -126,7 +128,7 @@ class TestVirtualSortedColumn:
     def test_hint_within_bound(self):
         column = VirtualSortedColumn(10_000, stride=4, seed=3)
         positions = np.arange(10_000)
-        hints = column.lower_bound_hint(column.key_at(positions))
+        hints = stride_estimate(column, column.key_at(positions))
         assert np.all(np.abs(hints - positions) <= column.hint_error_bound())
 
     def test_offset(self):
@@ -155,9 +157,6 @@ class TestVirtualSortedColumn:
     def test_rejects_domain_overflow(self):
         with pytest.raises(ConfigurationError):
             VirtualSortedColumn(2**61, stride=8)
-
-    def test_validate_sample(self, rng):
-        VirtualSortedColumn(10_000, stride=4).validate_sample(rng)
 
     def test_sample_positions(self, rng):
         column = VirtualSortedColumn(1000)
@@ -209,7 +208,7 @@ def test_virtual_column_properties(num_keys, stride, offset, seed):
     if num_keys > 1:
         assert np.all(keys[:-1] < keys[1:])
     assert np.array_equal(column.rank_of(keys), positions)
-    hints = column.lower_bound_hint(keys)
+    hints = stride_estimate(column, keys)
     assert np.all(np.abs(hints - positions) <= column.hint_error_bound())
 
 

@@ -22,7 +22,7 @@ from repro.experiments import (
     nonequi,
     table1,
 )
-from repro.experiments.runner import run_all
+from repro.experiments.runner import run_report
 from repro.hardware.spec import A100_PCIE4, V100_NVLINK2
 from repro.indexes import HarmoniaIndex, RadixSplineIndex
 from repro.perf.report import Series
@@ -238,28 +238,9 @@ class TestNonEqui:
         assert labels[0] == "nonequi:naive:1048576:m4:w0:z0"
 
 
-class TestCpuGpu:
-    def test_three_regimes_reported(self):
-        from repro.experiments import cpu_gpu
-
-        result = cpu_gpu.run(r_sizes_gib=(2.0, 16.0), sim=TINY_SIM)
-        assert len(result.series) == 3
-        assert all(len(series) == 2 for series in result.series)
-        assert any("faster than the CPU" in note for note in result.notes)
-
-    def test_gpu_inlj_advantage_grows(self):
-        from repro.experiments import cpu_gpu
-
-        result = cpu_gpu.run(r_sizes_gib=(2.0, 32.0), sim=TINY_SIM)
-        by_label = result.series_by_label()
-        cpu = by_label["CPU hash join"].as_dict()
-        inlj = by_label["GPU windowed INLJ (RadixSpline)"].as_dict()
-        assert inlj[32.0] / cpu[32.0] > inlj[2.0] / cpu[2.0]
-
-
 class TestRunner:
     def test_subset_run(self):
         stream = io.StringIO()
-        results = run_all(["table1"], quick=True, stream=stream)
+        results = run_report(["table1"], quick=True, stream=stream).results
         assert "table1" in results
         assert "NVLink" in stream.getvalue()

@@ -7,8 +7,16 @@ from repro.gpu.streams import (
     StageTiming,
     overlapped_pipeline_time,
     serial_pipeline_time,
-    uniform_windows,
 )
+
+
+def uniform_windows(num_windows, partition, probe, launch_overhead=0.0):
+    """``num_windows`` identical stage timings, as the windowed joins
+    schedule them."""
+    timing = StageTiming(
+        partition=partition, probe=probe, launch_overhead=launch_overhead
+    )
+    return [timing] * num_windows
 
 
 class TestSerial:
@@ -72,10 +80,3 @@ class TestValidation:
     def test_negative_overhead_rejected(self):
         with pytest.raises(ConfigurationError):
             StageTiming(partition=1.0, probe=1.0, launch_overhead=-0.1)
-
-    def test_uniform_windows_rejects_negative_count(self):
-        with pytest.raises(ConfigurationError):
-            uniform_windows(-1, 1.0, 1.0)
-
-    def test_uniform_windows_zero(self):
-        assert uniform_windows(0, 1.0, 1.0) == []

@@ -32,24 +32,6 @@ class TestBandwidths:
         assert nvlink.random_bandwidth > 2 * pcie.random_bandwidth
 
 
-class TestSequentialTime:
-    def test_zero_bytes(self, nvlink):
-        assert nvlink.sequential_time(0) == 0.0
-
-    def test_proportional(self, nvlink):
-        one = nvlink.sequential_time(75 * GB)
-        two = nvlink.sequential_time(150 * GB)
-        assert two > one
-        assert (two - one) == pytest.approx(1.0, rel=1e-6)
-
-    def test_includes_latency(self, nvlink):
-        assert nvlink.sequential_time(1) >= NVLINK2.latency_seconds
-
-    def test_rejects_negative(self, nvlink):
-        with pytest.raises(ConfigurationError):
-            nvlink.sequential_time(-1)
-
-
 class TestRandomTime:
     def test_zero_accesses(self, nvlink):
         assert nvlink.random_time(0) == 0.0
@@ -65,16 +47,14 @@ class TestRandomTime:
     def test_random_slower_than_sequential_per_byte(self, nvlink):
         bytes_moved = 10 * GB
         accesses = bytes_moved / 128
-        assert nvlink.random_time(accesses) > nvlink.sequential_time(bytes_moved)
-
-    def test_random_bytes(self, nvlink):
-        assert nvlink.random_bytes(10) == 1280
+        streamed = NVLINK2.latency_seconds + bytes_moved / (
+            nvlink.sequential_bandwidth
+        )
+        assert nvlink.random_time(accesses) > streamed
 
     def test_rejects_negative(self, nvlink):
         with pytest.raises(ConfigurationError):
             nvlink.random_time(-1)
-        with pytest.raises(ConfigurationError):
-            nvlink.random_bytes(-1)
 
 
 class TestTranslationTime:

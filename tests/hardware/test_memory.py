@@ -75,20 +75,6 @@ class TestAllocation:
         assert memory.available(MemorySpace.DEVICE) < before
 
 
-class TestFree:
-    def test_free_returns_capacity(self, memory):
-        allocation = memory.allocate(GIB, MemorySpace.DEVICE, "g")
-        used = memory.used(MemorySpace.DEVICE)
-        memory.free(allocation)
-        assert memory.used(MemorySpace.DEVICE) == used - GIB
-
-    def test_double_free_rejected(self, memory):
-        allocation = memory.allocate(GIB, MemorySpace.DEVICE, "g")
-        memory.free(allocation)
-        with pytest.raises(ConfigurationError):
-            memory.free(allocation)
-
-
 class TestAddressing:
     def test_address_of(self, memory):
         allocation = memory.allocate(100, MemorySpace.HOST, "x")

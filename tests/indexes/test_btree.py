@@ -97,38 +97,6 @@ class TestCapacity:
 
 
 class TestInserts:
-    def test_insert_merges(self):
-        keys = np.arange(0, 1000, 4, dtype=np.uint64)
-        relation = Relation("R", MaterializedColumn(keys))
-        index = BPlusTreeIndex(relation)
-        new_keys = np.array([1, 5, 2001], dtype=np.uint64)
-        updated = index.insert_keys(new_keys)
-        assert updated.lookup(new_keys).tolist() == [
-            int(updated.relation.column.rank_of(np.array([k]))[0])
-            for k in new_keys
-        ]
-        # Old keys remain findable.
-        assert np.all(updated.lookup(keys) >= 0)
-
-    def test_insert_rejects_duplicates(self):
-        keys = np.arange(0, 100, 4, dtype=np.uint64)
-        relation = Relation("R", MaterializedColumn(keys))
-        index = BPlusTreeIndex(relation)
-        with pytest.raises(ConfigurationError):
-            index.insert_keys(np.array([4], dtype=np.uint64))
-
-    def test_insert_requires_materialized(self, virtual_relation):
-        index = BPlusTreeIndex(virtual_relation)
-        with pytest.raises(SimulationError):
-            index.insert_keys(np.array([1], dtype=np.uint64))
-
-    def test_insert_preserves_node_size(self):
-        keys = np.arange(0, 100, 4, dtype=np.uint64)
-        relation = Relation("R", MaterializedColumn(keys))
-        index = BPlusTreeIndex(relation, node_bytes=1024)
-        updated = index.insert_keys(np.array([1], dtype=np.uint64))
-        assert updated.node_bytes == 1024
-
     def test_supports_updates_flag(self):
         assert BPlusTreeIndex.supports_updates is True
 

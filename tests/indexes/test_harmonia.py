@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.config import DEFAULT_HARMONIA_NODE_KEYS
-from repro.data.column import MaterializedColumn, VirtualSortedColumn
+from repro.data.column import VirtualSortedColumn
 from repro.data.relation import Relation
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.hardware.memory import MemorySpace, SystemMemory
 from repro.hardware.spec import V100_NVLINK2
 from repro.indexes.harmonia import HarmoniaIndex
@@ -96,25 +96,6 @@ class TestTraversal:
 
 
 class TestInserts:
-    def test_insert_merges(self):
-        keys = np.arange(0, 1000, 4, dtype=np.uint64)
-        relation = Relation("R", MaterializedColumn(keys))
-        index = HarmoniaIndex(relation)
-        updated = index.insert_keys(np.array([5, 2001], dtype=np.uint64))
-        assert np.all(updated.lookup(np.array([5, 2001], dtype=np.uint64)) >= 0)
-
-    def test_insert_requires_materialized(self, virtual_relation):
-        with pytest.raises(SimulationError):
-            HarmoniaIndex(virtual_relation).insert_keys(
-                np.array([1], dtype=np.uint64)
-            )
-
-    def test_insert_rejects_duplicates(self):
-        keys = np.arange(0, 100, 4, dtype=np.uint64)
-        relation = Relation("R", MaterializedColumn(keys))
-        with pytest.raises(ConfigurationError):
-            HarmoniaIndex(relation).insert_keys(np.array([4], dtype=np.uint64))
-
     def test_supports_updates_flag(self):
         # Section 6: "Harmonia is a good alternative if the index must
         # support inserts and updates."

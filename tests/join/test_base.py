@@ -114,19 +114,6 @@ class TestMultiMatchResults:
         )
         assert not a.equals(c)
 
-    def test_sorted_by_probe_is_canonical(self):
-        result = JoinResult(
-            probe_indices=np.array([2, 1]), build_positions=np.array([0, 3])
-        )
-        sorted_result = result.sorted_by_probe()
-        canonical = result.canonical()
-        np.testing.assert_array_equal(
-            sorted_result.probe_indices, canonical.probe_indices
-        )
-        np.testing.assert_array_equal(
-            sorted_result.build_positions, canonical.build_positions
-        )
-
     def test_expand_spans_flattens_in_canonical_order(self):
         probe, positions = expand_spans(
             sources=np.array([0, 1, 2]),

@@ -4,7 +4,7 @@ Each case prices one operator over one index on one machine point and
 compares ``QueryCost.seconds``, the breakdown and every counter with
 ``==`` against ``estimate_pins.json``.  The cases cover both INLJ probe
 orders, the partitioned INLJ, the windowed INLJ, the naive and windowed
-band and KNN joins, each over the four paper indexes, on a V100/NVLink
+band joins, each over the four paper indexes, on a V100/NVLink
 point past the 32 GiB TLB range and an A100/PCIe4 point below it, at
 Zipf 0 and 1; plus ``Shard.window_counters`` for two index classes.
 
@@ -35,12 +35,7 @@ from repro.indexes import (
 )
 from repro.join.base import QueryEnvironment
 from repro.join.inlj import IndexNestedLoopJoin
-from repro.join.nonequi import (
-    BandJoin,
-    KNNJoin,
-    WindowedBandJoin,
-    WindowedKNNJoin,
-)
+from repro.join.nonequi import BandJoin, WindowedBandJoin
 from repro.join.partitioned import PartitionedINLJ
 from repro.join.window import WindowedINLJ
 from repro.partition.bits import choose_partition_bits
@@ -53,7 +48,6 @@ FIXTURE = Path(__file__).with_name("estimate_pins.json")
 S_TUPLES = 2**19
 WINDOW_BYTES = 1 * MIB
 EPSILON = 64
-K = 4
 
 #: (machine, R tuples, sample).  The V100 point sits past the 32 GiB TLB
 #: range with a sample large enough for binary search's stream-order
@@ -91,12 +85,8 @@ OPERATORS = {
         env.index, _partitioner(env), window_bytes=WINDOW_BYTES
     ),
     "band": lambda env: BandJoin(env.index, EPSILON),
-    "knn": lambda env: KNNJoin(env.index, K),
     "windowed-band": lambda env: WindowedBandJoin(
         env.index, _partitioner(env), EPSILON, window_bytes=WINDOW_BYTES
-    ),
-    "windowed-knn": lambda env: WindowedKNNJoin(
-        env.index, _partitioner(env), K, window_bytes=WINDOW_BYTES
     ),
 }
 

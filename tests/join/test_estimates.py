@@ -17,12 +17,7 @@ from repro.indexes import HarmoniaIndex, RadixSplineIndex
 from repro.join.base import QueryEnvironment
 from repro.join.hash_join import HashJoin
 from repro.join.inlj import IndexNestedLoopJoin
-from repro.join.nonequi import (
-    BandJoin,
-    KNNJoin,
-    WindowedBandJoin,
-    WindowedKNNJoin,
-)
+from repro.join.nonequi import BandJoin, WindowedBandJoin
 from repro.join.partitioned import PartitionedINLJ
 from repro.join.window import WindowedINLJ
 from repro.partition.bits import choose_partition_bits
@@ -51,12 +46,8 @@ SAMPLED_OPERATORS = {
     "partitioned": PartitionedINLJ,
     "windowed": WindowedINLJ,
     "band": lambda index, _: BandJoin(index, epsilon=4),
-    "knn": lambda index, _: KNNJoin(index, k=2),
     "windowed-band": lambda index, partitioner: WindowedBandJoin(
         index, partitioner, epsilon=4
-    ),
-    "windowed-knn": lambda index, partitioner: WindowedKNNJoin(
-        index, partitioner, k=2
     ),
 }
 

@@ -1,18 +1,13 @@
-"""Property-based differential suite: non-equi joins vs brute force.
+"""Property-based differential suite: the band join vs brute force.
 
-Band and KNN joins run over :meth:`Index.probe_range_batch`, so a bug in
-any index's range traversal (or in the span/walk-out plumbing above it)
-shows up here as a divergence from oracles that share *no* code with the
-index traversals:
+The band join runs over :meth:`Index.probe_range_batch`, so a bug in any
+index's range traversal (or in the span plumbing above it) shows up here
+as a divergence from an oracle that shares *no* code with the index
+traversals: it materializes the full ``|probes| x |keys|`` comparison
+matrix -- every pair with ``|s.key - r.key| <= epsilon`` in exact uint64
+arithmetic.
 
-* the **band oracle** materializes the full ``|probes| x |keys|``
-  comparison matrix -- every pair with ``|s.key - r.key| <= epsilon``
-  in exact uint64 arithmetic;
-* the **KNN oracle** computes the full distance matrix and takes each
-  row's ``k`` smallest by a stable argsort, which encodes the pinned
-  tie-break (equal distance -> smaller position -> smaller key -> LEFT).
-
-Each join runs in its naive and its windowed-partitioned variant, over
+The join runs in its naive and its windowed-partitioned variant, over
 every index type, through the same adversarial key regimes as the
 equi-join differential suite (float53 precision loss, int64 wrap,
 clustered gaps, duplicates, Zipf skew).  Results compare by
@@ -37,12 +32,7 @@ from repro.data.relation import Relation  # noqa: E402
 from repro.indexes import ALL_INDEX_TYPES  # noqa: E402
 from repro.indexes.domain import saturating_band  # noqa: E402
 from repro.join.base import JoinResult, reference_join  # noqa: E402
-from repro.join.nonequi import (  # noqa: E402
-    BandJoin,
-    KNNJoin,
-    WindowedBandJoin,
-    WindowedKNNJoin,
-)
+from repro.join.nonequi import BandJoin, WindowedBandJoin  # noqa: E402
 from repro.partition.bits import PartitionBits  # noqa: E402
 from repro.partition.radix import RadixPartitioner  # noqa: E402
 
@@ -60,10 +50,6 @@ EPSILONS = st.one_of(
     st.integers(min_value=2**40, max_value=2**44),
     st.just(2**63),
 )
-
-#: Neighbourhood sizes: small, and larger than most generated relations.
-KS = st.one_of(st.integers(min_value=1, max_value=8), st.just(300))
-
 
 def build_index(index_cls, keys: np.ndarray):
     return index_cls(Relation(name="R", column=MaterializedColumn(keys)))
@@ -83,26 +69,6 @@ def oracle_band(keys: np.ndarray, probes: np.ndarray, epsilon: int) -> JoinResul
     return JoinResult(
         probe_indices=probe.astype(np.int64),
         build_positions=positions.astype(np.int64),
-    )
-
-
-def oracle_knn(keys: np.ndarray, probes: np.ndarray, k: int) -> JoinResult:
-    """Full-matrix KNN join: each row's k smallest exact distances.
-
-    The stable argsort breaks equal-distance ties toward the smaller
-    position, i.e. the smaller key -- the LEFT candidate, exactly the
-    walk-out's documented tie-break.
-    """
-    k_eff = min(k, len(keys))
-    cols = keys[None, :]
-    rows = probes[:, None]
-    with np.errstate(over="ignore"):
-        distances = np.where(cols >= rows, cols - rows, rows - cols)
-    nearest = np.argsort(distances, axis=1, kind="stable")[:, :k_eff]
-    probe = np.repeat(np.arange(len(probes), dtype=np.int64), k_eff)
-    return JoinResult(
-        probe_indices=probe,
-        build_positions=nearest.reshape(-1).astype(np.int64),
     )
 
 
@@ -147,33 +113,6 @@ class TestBandJoinDifferential:
         column = MaterializedColumn(keys)
         assert reference_join(column, probes, epsilon=epsilon).equals(
             oracle_band(keys, probes, epsilon)
-        )
-
-
-@pytest.mark.parametrize("index_cls", ALL_INDEX_TYPES)
-class TestKnnJoinDifferential:
-    @given(workload=workloads(), k=KS)
-    def test_naive_matches_brute_force(self, index_cls, workload, k):
-        keys, probes = workload
-        index = build_index(index_cls, keys)
-        result = KNNJoin(index, k).join(probes)
-        assert result.equals(oracle_knn(keys, probes, k)), (
-            f"{index_cls.name} naive KNN join diverges at k={k}"
-        )
-
-    @given(workload=workloads(), k=KS)
-    @settings(max_examples=20)
-    def test_windowed_matches_brute_force(self, index_cls, workload, k):
-        keys, probes = workload
-        index = build_index(index_cls, keys)
-        join = WindowedKNNJoin(
-            index,
-            small_partitioner(),
-            k,
-            window_bytes=SMALL_WINDOW_BYTES,
-        )
-        assert join.join(probes).equals(oracle_knn(keys, probes, k)), (
-            f"{index_cls.name} windowed KNN join diverges at k={k}"
         )
 
 

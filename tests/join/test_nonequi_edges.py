@@ -1,14 +1,12 @@
-"""Edge-case pack for the non-equi joins and the range primitive's limits.
+"""Edge-case pack for the band join and the range primitive's limits.
 
-Each case pins one boundary of the band/KNN semantics:
+Each case pins one boundary of the band semantics:
 
 * ``epsilon == 0`` collapses the band join to the equi-INLJ --
   bit-identically, not just as a multiset;
-* ``k > |R|`` clamps the neighbourhood to the whole relation;
+* a negative ``epsilon`` is refused;
 * band ties AT ``epsilon``: the interval is closed, so a key exactly
   ``epsilon`` away is a match on both sides;
-* KNN equal-distance ties take the LEFT (smaller-key) candidate -- the
-  deterministic tie-break documented in ``_knn_positions``;
 * probes at the uint64 domain edges: ``key - epsilon`` saturates to 0
   and ``key + epsilon`` to ``2^64 - 1`` (never wraps), so boundary
   probes keep well-formed spans;
@@ -28,12 +26,7 @@ from repro.indexes import ALL_INDEX_TYPES, RadixSplineIndex
 from repro.indexes.domain import saturating_band
 from repro.join.base import reference_join
 from repro.join.inlj import IndexNestedLoopJoin
-from repro.join.nonequi import (
-    BandJoin,
-    KNNJoin,
-    WindowedBandJoin,
-    WindowedKNNJoin,
-)
+from repro.join.nonequi import BandJoin, WindowedBandJoin
 from repro.partition.bits import PartitionBits
 from repro.partition.radix import RadixPartitioner
 
@@ -72,38 +65,7 @@ class TestEpsilonZeroIsInlj:
         assert band.build_positions.dtype == inlj.build_positions.dtype
 
 
-class TestKnnClamping:
-    def test_k_larger_than_relation(self):
-        keys = np.asarray([10, 20, 30], dtype=np.uint64)
-        index = build_index(RadixSplineIndex, keys)
-        result = KNNJoin(index, 50).join(np.asarray([19, 31], dtype=np.uint64))
-        # k clamps to |R| = 3: every probe pairs with the whole relation.
-        assert len(result) == 6
-        by_probe = result.canonical()
-        np.testing.assert_array_equal(
-            by_probe.probe_indices, [0, 0, 0, 1, 1, 1]
-        )
-        np.testing.assert_array_equal(
-            by_probe.build_positions, [0, 1, 2, 0, 1, 2]
-        )
-
-    def test_k_larger_than_relation_windowed(self):
-        keys = np.asarray([10, 20, 30], dtype=np.uint64)
-        index = build_index(RadixSplineIndex, keys)
-        join = WindowedKNNJoin(
-            index, small_partitioner(), 50, window_bytes=64
-        )
-        naive = KNNJoin(index, 50)
-        probes = np.asarray([19, 31, 5], dtype=np.uint64)
-        assert join.join(probes).equals(naive.join(probes))
-
-    def test_invalid_k_rejected(self):
-        index = build_index(RadixSplineIndex, np.asarray([1], np.uint64))
-        with pytest.raises(ConfigurationError):
-            KNNJoin(index, 0)
-        with pytest.raises(ConfigurationError):
-            WindowedKNNJoin(index, small_partitioner(), -1)
-
+class TestBandValidation:
     def test_invalid_epsilon_rejected(self):
         index = build_index(RadixSplineIndex, np.asarray([1], np.uint64))
         with pytest.raises(ConfigurationError):
@@ -132,39 +94,6 @@ class TestTiesAtEpsilon:
         assert len(at) == 2
         assert len(inside) == 2
         assert len(outside) == 0
-
-
-class TestKnnTieBreak:
-    def test_equal_distance_takes_left(self):
-        """Probe 115 is exactly 5 from both 110 and 120: LEFT (110) wins
-        at k=1.  Pinned: this is the documented deterministic tie-break."""
-        keys = np.asarray([110, 120], dtype=np.uint64)
-        index = build_index(RadixSplineIndex, keys)
-        result = KNNJoin(index, 1).join(np.asarray([115], dtype=np.uint64))
-        np.testing.assert_array_equal(result.build_positions, [0])
-
-    def test_member_probe_takes_itself_first(self):
-        keys = np.asarray([110, 120, 130], dtype=np.uint64)
-        index = build_index(RadixSplineIndex, keys)
-        result = KNNJoin(index, 1).join(
-            np.asarray([110, 120, 130], dtype=np.uint64)
-        )
-        np.testing.assert_array_equal(result.build_positions, [0, 1, 2])
-
-    def test_walkout_order_is_distance_order(self):
-        """k=3 around 115 over [100, 110, 120, 140]: 110 (d=5, left tie),
-        then 120 (d=5), then 100 (d=15)."""
-        keys = np.asarray([100, 110, 120, 140], dtype=np.uint64)
-        index = build_index(RadixSplineIndex, keys)
-        result = KNNJoin(index, 3).join(np.asarray([115], dtype=np.uint64))
-        np.testing.assert_array_equal(result.build_positions, [1, 2, 0])
-
-    def test_windowed_tie_break_identical(self):
-        keys = np.asarray([110, 120], dtype=np.uint64)
-        index = build_index(RadixSplineIndex, keys)
-        join = WindowedKNNJoin(index, small_partitioner(), 1, window_bytes=64)
-        result = join.join(np.asarray([115], dtype=np.uint64))
-        np.testing.assert_array_equal(result.build_positions, [0])
 
 
 @pytest.mark.parametrize("index_cls", ALL_INDEX_TYPES)

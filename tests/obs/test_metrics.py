@@ -1,4 +1,4 @@
-"""MetricsRegistry: counters, gauges, histograms, snapshot/diff/merge."""
+"""MetricsRegistry: counters, gauges, histograms, snapshot/diff."""
 
 from __future__ import annotations
 
@@ -58,18 +58,6 @@ class TestHistogram:
         assert summary["max"] == 1024.0
         assert summary["buckets"] == {"<=2^0": 1, "<=2^10": 1, "<=2^2": 2}
 
-    def test_merge_dict(self):
-        left, right = Histogram(), Histogram()
-        left.observe(2.0)
-        right.observe(100.0)
-        right.observe(0.5)
-        left.merge_dict(right.to_dict())
-        summary = left.to_dict()
-        assert summary["count"] == 3
-        assert summary["sum"] == 102.5
-        assert summary["min"] == 0.5
-        assert summary["max"] == 100.0
-
 
 class TestRegistry:
     def test_add_and_read(self):
@@ -124,20 +112,6 @@ class TestRegistry:
             "histograms": {},
             "phases": {},
         }
-
-
-class TestMergeSnapshot:
-    def test_counters_sum_and_phases_fold(self):
-        parent, worker = MetricsRegistry(), MetricsRegistry()
-        parent.add("ops", 5.0, phase="fig5")
-        worker.add("ops", 7.0, phase="fig5")
-        worker.add("only.worker", 1.0)
-        worker.observe("batch", 8.0)
-        parent.merge_snapshot(worker.snapshot())
-        assert parent.counter("ops") == 12.0
-        assert parent.phase_counter("fig5", "ops") == 12.0
-        assert parent.counter("only.worker") == 1.0
-        assert parent.snapshot()["histograms"]["batch"]["count"] == 1
 
 
 class TestDiff:

@@ -1,6 +1,6 @@
 """Non-equi join observability: metric names, labels, and span counts.
 
-The ``join.band.*`` / ``join.knn.*`` counters and the range primitive's
+The ``join.band.*`` counters and the range primitive's
 ``index.range_*`` counters follow the repo metric contract (OBS001:
 literal lowercase dotted names, consistent label keys); this suite pins
 the values they report for a known workload so a renamed or mislabelled
@@ -16,7 +16,7 @@ from repro import obs
 from repro.data.column import MaterializedColumn
 from repro.data.relation import Relation
 from repro.indexes import RadixSplineIndex
-from repro.join.nonequi import BandJoin, KNNJoin, WindowedBandJoin
+from repro.join.nonequi import BandJoin, WindowedBandJoin
 from repro.partition.bits import PartitionBits
 from repro.partition.radix import RadixPartitioner
 
@@ -48,14 +48,6 @@ def test_windowed_band_join_metrics(traced, index):
     assert obs.counter("join.band.pairs", **labels) == float(len(result))
     # 16-byte windows hold two probes: two range kernel launches.
     assert obs.counter("index.range_kernels", index=index.name) == 2.0
-
-
-def test_knn_join_metrics(traced, index):
-    probes = np.asarray([7, 300], dtype=np.uint64)
-    KNNJoin(index, 3).join(probes)
-    labels = {"index": index.name, "variant": "naive"}
-    assert obs.counter("join.knn.probes", **labels) == 2.0
-    assert obs.counter("join.knn.pairs", **labels) == 6.0
 
 
 def test_metrics_silent_when_disabled(clean_obs, index):

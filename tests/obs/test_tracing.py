@@ -1,9 +1,7 @@
-"""Tracer: spans, phases, aggregates, JSONL export, overflow bounding."""
+"""Tracer: spans, phases, aggregates, overflow bounding."""
 
 from __future__ import annotations
 
-import io
-import json
 
 from repro import obs
 from repro.obs.tracing import NULL_SPAN, NullSpan, Tracer
@@ -105,19 +103,6 @@ class TestAggregateAndExport:
         self.fill()
         only_fig7 = obs.tracer().span_aggregate(phase="fig7")
         assert list(only_fig7) == ["partition.fanout"]
-
-    def test_export_jsonl_round_trips(self, traced):
-        self.fill()
-        buffer = io.StringIO()
-        count = obs.tracer().export_jsonl(buffer)
-        lines = buffer.getvalue().splitlines()
-        assert count == len(lines) == 3
-        records = [json.loads(line) for line in lines]
-        assert [record["seq"] for record in records] == [0, 1, 2]
-        assert {record["name"] for record in records} == {
-            "replay.simulate",
-            "partition.fanout",
-        }
 
 
 class TestOverflow:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.common import ExperimentResult
-from repro.perf.charts import ascii_chart, chart_experiment, sparkline
+from repro.perf.charts import ascii_chart, chart_experiment
 from repro.perf.report import Series
 
 
@@ -13,23 +13,6 @@ def make_series(label, points):
     for x, y in points:
         series.append(x, y)
     return series
-
-
-class TestSparkline:
-    def test_empty(self):
-        assert sparkline([]) == ""
-
-    def test_monotone(self):
-        line = sparkline([0, 1, 2, 3])
-        assert len(line) == 4
-        assert line[0] == "▁" and line[-1] == "█"
-
-    def test_flat_zero(self):
-        assert sparkline([0, 0]) == "▁▁"
-
-    def test_rejects_negative(self):
-        with pytest.raises(ConfigurationError):
-            sparkline([-1, 2])
 
 
 class TestAsciiChart:

@@ -2,13 +2,13 @@
 
 import csv
 import io
+import json
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.common import ExperimentResult
 from repro.perf.export import (
-    load_result_json,
     result_to_csv,
     result_to_json,
     result_to_rows,
@@ -73,7 +73,7 @@ class TestWrite:
 
     def test_load_back(self, result, tmp_path):
         write_result(result, tmp_path)
-        data = load_result_json(tmp_path / "fig0.json")
+        data = json.loads((tmp_path / "fig0.json").read_text())
         assert data["title"] == "demo"
 
     def test_creates_directory(self, result, tmp_path):

@@ -16,10 +16,10 @@ class TestParsing:
         assert plan.count == 1
 
     def test_full_spec(self):
-        plan = parse_plan("hang@batch:3,count=2,match=fig7,hang=1.5,seed=9")
+        plan = parse_plan("hang@replica:3,count=2,match=fig7,hang=1.5,seed=9")
         assert plan == FaultPlan(
             kind="hang",
-            site="batch",
+            site="replica",
             at=3,
             count=2,
             match="fig7",
@@ -43,10 +43,18 @@ class TestParsing:
             "raise@",                 # missing site
             "raise@point:0,bogus=1",  # unknown option
             "raise@point:0,count",    # malformed option
+            "raise@nowhere:0",        # unknown site
+            "raise@batch:0",          # a site nothing checks
+            "raise@point:x",          # non-integer 'at'
+            "raise@point:0,count=x",  # non-integer count
+            "raise@point:0,seed=1.5",  # non-integer seed
+            "hang@point:0,hang=x",    # non-numeric hang
+            "hang@point:0,hang=nan",  # NaN hang
+            "hang@point:0,hang=inf",  # unbounded hang
         ],
     )
     def test_bad_specs_rejected(self, spec):
-        with pytest.raises((ConfigurationError, ValueError)):
+        with pytest.raises(ConfigurationError):
             parse_plan(spec)
 
     def test_plan_validation(self):
@@ -56,6 +64,14 @@ class TestParsing:
             FaultPlan(kind="raise", site="point", count=0)
         with pytest.raises(ConfigurationError):
             FaultPlan(kind="hang", site="point", hang_seconds=0)
+        with pytest.raises(ConfigurationError):
+            FaultPlan(kind="hang", site="point", hang_seconds=float("nan"))
+        with pytest.raises(ConfigurationError, match="unknown fault site"):
+            FaultPlan(kind="raise", site="batch")
+
+    def test_every_site_is_accepted(self):
+        for site in faults.SITES:
+            assert FaultPlan(kind="raise", site=site).site == site
 
 
 class TestFiring:
@@ -75,7 +91,7 @@ class TestFiring:
 
     def test_other_sites_do_not_count(self):
         faults.install(FaultPlan(kind="raise", site="point", at=1))
-        faults.check("batch")
+        faults.check("replica")
         faults.check("experiment")
         faults.check("point")  # first matching check: index 0, no fire
         with pytest.raises(InjectedFault):
@@ -119,63 +135,6 @@ class TestFiring:
             faults.check("point")
 
 
-class TestPipelineBatchSite:
-    def test_batch_fault_fires_mid_stream(self):
-
-        from repro.engine.pipeline import (
-            IndexProbeOperator,
-            MaterializeOperator,
-            Pipeline,
-            ScanOperator,
-        )
-        from repro.data.generator import WorkloadConfig, make_workload
-        from repro.indexes import RadixSplineIndex
-
-        config = WorkloadConfig(
-            r_tuples=2**12, s_tuples=2**8, match_rate=0.9, seed=3
-        )
-        relation, probes = make_workload(config, probe_count=2**8)
-        pipeline = Pipeline(
-            [
-                ScanOperator(probes.keys, batch_tuples=64),
-                IndexProbeOperator(RadixSplineIndex(relation)),
-                MaterializeOperator(),
-            ]
-        )
-        faults.install(FaultPlan(kind="raise", site="batch", at=2))
-        with pytest.raises(InjectedFault):
-            pipeline.run()
-        faults.clear()
-        assert len(pipeline_rerun(relation, probes)) > 0
-
-    def test_no_fault_pipeline_unaffected(self):
-        from repro.data.generator import WorkloadConfig, make_workload
-
-        config = WorkloadConfig(
-            r_tuples=2**12, s_tuples=2**8, match_rate=0.9, seed=3
-        )
-        relation, probes = make_workload(config, probe_count=2**8)
-        assert len(pipeline_rerun(relation, probes)) > 0
-
-
-def pipeline_rerun(relation, probes):
-    from repro.engine.pipeline import (
-        IndexProbeOperator,
-        MaterializeOperator,
-        Pipeline,
-        ScanOperator,
-    )
-    from repro.indexes import RadixSplineIndex
-
-    return Pipeline(
-        [
-            ScanOperator(probes.keys, batch_tuples=64),
-            IndexProbeOperator(RadixSplineIndex(relation)),
-            MaterializeOperator(),
-        ]
-    ).run()
-
-
 class TestEnvironment:
     def test_env_plans_loaded_lazily(self, monkeypatch):
         monkeypatch.setenv(faults.FAULTS_ENV, "raise@point:0")
@@ -183,6 +142,18 @@ class TestEnvironment:
         assert [plan.kind for plan in faults.active()] == ["raise"]
         with pytest.raises(InjectedFault):
             faults.check("point")
+
+    def test_env_plans_parse_without_installing(self, monkeypatch):
+        monkeypatch.setenv(faults.FAULTS_ENV, "raise@point:0")
+        faults.install()
+        assert [plan.site for plan in faults.env_plans()] == ["point"]
+        faults.check("point")  # the explicit empty install still holds
+
+    @pytest.mark.parametrize("text", ["garbage", "raise@batch:0"])
+    def test_bad_env_spec_names_the_variable(self, monkeypatch, text):
+        monkeypatch.setenv(faults.FAULTS_ENV, text)
+        with pytest.raises(ConfigurationError, match=faults.FAULTS_ENV):
+            faults.env_plans()
 
     def test_install_overrides_env(self, monkeypatch):
         monkeypatch.setenv(faults.FAULTS_ENV, "raise@point:0")

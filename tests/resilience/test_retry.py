@@ -143,6 +143,30 @@ class TestConfiguration:
         with pytest.raises(ConfigurationError, match=retry.POINT_TIMEOUT_ENV):
             RetryPolicy.from_env()
 
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            (retry.RETRIES_ENV, "x"),
+            (retry.RETRIES_ENV, "2.5"),
+            (retry.RETRIES_ENV, "0"),
+            (retry.POINT_TIMEOUT_ENV, "abc"),
+            (retry.POOL_RESTARTS_ENV, "1.5"),
+            (retry.POOL_RESTARTS_ENV, "-1"),
+            (retry.BASE_DELAY_ENV, "soon"),
+            (retry.BASE_DELAY_ENV, "nan"),
+            (retry.BASE_DELAY_ENV, "-0.5"),
+        ],
+    )
+    def test_bad_value_names_the_variable(self, monkeypatch, name, text):
+        monkeypatch.setenv(name, text)
+        with pytest.raises(ConfigurationError, match=name):
+            RetryPolicy.from_env()
+
+    @pytest.mark.parametrize("field", ["base_delay", "max_delay"])
+    def test_nan_delay_refused(self, field):
+        with pytest.raises(ConfigurationError, match="backoff delays"):
+            RetryPolicy(**{field: float("nan")})
+
     def test_configured_scope(self):
         policy = RetryPolicy(max_attempts=9)
         assert retry.active_policy().max_attempts != 9

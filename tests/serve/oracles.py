@@ -9,8 +9,8 @@ only the batch and lands it in the strictly increasing run with one
 
 :class:`ShardBatcher` is the batcher as first written: it keeps each
 shard's pending batches itself and, on every cut, runs a fresh pull-only
-window pass (:func:`tumbling_windows`, the engine's original loop) over
-them, putting the open tail back.  The library's batcher keeps one
+window pass (:func:`tumbling_windows`, the window operator's original
+loop) over them, putting the open tail back.  The library's batcher keeps one
 stateful window operator per shard; the tests require the same windows
 and the same pending counts after every call.
 """
@@ -22,8 +22,7 @@ from typing import Dict, Iterable, List, Tuple
 import numpy as np
 
 from repro.data.column import KEY_DTYPE
-from repro.engine.pipeline import TupleBatch
-from repro.serve.batcher import Window
+from repro.serve.batcher import TupleBatch, Window
 from repro.units import KEY_BYTES
 
 

@@ -1,6 +1,6 @@
 """Property-based differential suite: the batcher against its first form.
 
-``ShardBatcher`` keeps one stateful engine ``WindowOperator`` per shard;
+``ShardBatcher`` keeps one stateful ``WindowOperator`` per shard;
 ``oracles.ShardBatcher`` is the batcher as first written, which kept each
 shard's pending batches itself and re-cut them with a fresh pull-only
 window pass on every push that filled a window.  Hypothesis drives both

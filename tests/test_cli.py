@@ -192,3 +192,45 @@ class TestBadAxisValues:
         monkeypatch.setattr("repro.experiments.runner.run_report", no_work)
         assert main(["experiments", "table1", "--quick"]) == 2
         assert "REPRO_POINT_TIMEOUT" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("REPRO_POINT_TIMEOUT", "abc"),
+            ("REPRO_RETRIES", "x"),
+            ("REPRO_MAX_POOL_RESTARTS", "1.5"),
+            ("REPRO_RETRY_BASE_DELAY", "nan"),
+        ],
+    )
+    def test_bad_retry_variable_exits_2(self, name, value, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started despite a bad retry variable")
+
+        monkeypatch.setenv(name, value)
+        monkeypatch.setattr("repro.experiments.runner.run_report", no_work)
+        assert main(["experiments", "table1", "--quick"]) == 2
+        assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            "garbage",
+            "raise@batch:0",
+            "raise@nowhere:0",
+            "raise@point:x",
+            "raise@point:0,count=x",
+            "hang@point:0,hang=nan",
+        ],
+    )
+    @pytest.mark.parametrize(
+        "argv", [["experiments", "table1", "--quick"], ["serve-bench"]]
+    )
+    def test_bad_faults_variable_exits_2(self, value, argv, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started despite a bad REPRO_FAULTS")
+
+        monkeypatch.setenv("REPRO_FAULTS", value)
+        monkeypatch.setattr("repro.experiments.runner.run_report", no_work)
+        monkeypatch.setattr("repro.serve.bench.run_serve_bench", no_work)
+        assert main(argv) == 2
+        assert "REPRO_FAULTS" in capsys.readouterr().err

@@ -2,8 +2,8 @@
 
 These tests exercise paths that span multiple subsystems -- the kind of
 seams unit tests miss: seed-to-result determinism across the whole stack,
-agreement between the planner's choice and direct estimates, and the
-pipeline layer driving the same operators the experiments use.
+agreement between the planner's choice and direct estimates, and
+counters that stay coherent across every operator estimate.
 """
 
 import numpy as np
@@ -11,7 +11,6 @@ import pytest
 
 from repro.config import SimulationConfig
 from repro.data.generator import WorkloadConfig, make_workload
-from repro.engine.pipeline import windowed_inlj_pipeline
 from repro.engine.planner import QueryPlanner
 from repro.experiments.common import (
     default_partitioner,
@@ -19,8 +18,8 @@ from repro.experiments.common import (
     make_environment,
 )
 from repro.hardware.spec import V100_NVLINK2
-from repro.indexes import ALL_INDEX_TYPES, RadixSplineIndex
-from repro.join.base import QueryEnvironment, reference_join
+from repro.indexes import RadixSplineIndex
+from repro.join.base import QueryEnvironment
 from repro.join.inlj import IndexNestedLoopJoin
 from repro.join.window import WindowedINLJ
 from repro.units import GIB, MIB
@@ -100,30 +99,6 @@ class TestPlannerConsistency:
         planner_cost = by_name["windowed INLJ over RadixSpline"].cost
         assert planner_cost.seconds == pytest.approx(
             direct.seconds, rel=1e-9
-        )
-
-
-class TestPipelineVsOperators:
-    @pytest.mark.parametrize(
-        "index_cls", ALL_INDEX_TYPES, ids=[c.__name__ for c in ALL_INDEX_TYPES]
-    )
-    def test_pipeline_equals_windowed_operator(self, index_cls):
-        """The explicit operator pipeline and the WindowedINLJ operator
-        are two implementations of the same Section 5 dataflow."""
-        config = WorkloadConfig(r_tuples=2**13, s_tuples=2**10, seed=5)
-        relation, probes = make_workload(config)
-        partitioner = default_partitioner(relation.column)
-        index = index_cls(relation)
-        via_operator = WindowedINLJ(
-            index, partitioner, window_bytes=2048
-        ).join(probes.keys)
-        via_pipeline = windowed_inlj_pipeline(
-            probes.keys, index, partitioner, window_bytes=2048,
-            batch_tuples=100,
-        ).run()
-        assert via_operator.equals(via_pipeline)
-        assert via_operator.equals(
-            reference_join(relation.column, probes.keys)
         )
 
 

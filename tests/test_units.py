@@ -5,15 +5,11 @@ import pytest
 from repro.units import (
     CACHELINE_BYTES,
     GIB,
-    KEY_BYTES,
     KIB,
     MIB,
     TIB,
-    bytes_to_tuples,
     format_bytes,
-    format_seconds,
     format_throughput,
-    tuples_to_bytes,
 )
 
 
@@ -41,24 +37,6 @@ class TestFormatBytes:
             format_bytes(-1)
 
 
-class TestFormatSeconds:
-    def test_seconds(self):
-        assert format_seconds(2.5) == "2.50 s"
-
-    def test_milliseconds(self):
-        assert format_seconds(0.0042) == "4.20 ms"
-
-    def test_microseconds(self):
-        assert format_seconds(3e-6) == "3.00 us"
-
-    def test_nanoseconds(self):
-        assert format_seconds(5e-9) == "5.0 ns"
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            format_seconds(-0.1)
-
-
 class TestFormatThroughput:
     def test_basic(self):
         assert format_throughput(1.9) == "1.90 Q/s"
@@ -66,35 +44,6 @@ class TestFormatThroughput:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             format_throughput(-1.0)
-
-
-class TestTupleConversions:
-    def test_round_trip(self):
-        assert bytes_to_tuples(tuples_to_bytes(1000)) == 1000
-
-    def test_paper_s_relation(self):
-        # S is 2^26 tuples of 8-byte keys = 512 MiB (Section 3.2).
-        assert tuples_to_bytes(2**26) == 512 * MIB
-
-    def test_floor_division(self):
-        assert bytes_to_tuples(KEY_BYTES + 1) == 1
-
-    def test_custom_width(self):
-        assert tuples_to_bytes(4, tuple_bytes=16) == 64
-
-    def test_negative_tuples_rejected(self):
-        with pytest.raises(ValueError):
-            tuples_to_bytes(-1)
-
-    def test_negative_bytes_rejected(self):
-        with pytest.raises(ValueError):
-            bytes_to_tuples(-1)
-
-    def test_zero_width_rejected(self):
-        with pytest.raises(ValueError):
-            tuples_to_bytes(1, tuple_bytes=0)
-        with pytest.raises(ValueError):
-            bytes_to_tuples(8, tuple_bytes=0)
 
 
 def test_cacheline_is_gpu_sized():

@@ -1,124 +1,16 @@
-"""Seeded non-equi probe streams: determinism, jitter bounds, inversion."""
+"""Band width for a target selectivity: inversion and degenerate cases."""
 
 import numpy as np
 import pytest
 
 from repro.data.column import MaterializedColumn
-from repro.data.generator import WorkloadConfig
 from repro.errors import WorkloadError
-from repro.indexes.domain import saturating_band
-from repro.workloads.nonequi import (
-    NonEquiProbeSet,
-    band_epsilon_for_matches,
-    make_band_probe_keys,
-    make_knn_probe_keys,
-)
+from repro.workloads.nonequi import band_epsilon_for_matches
 
 
 @pytest.fixture
 def column():
     return MaterializedColumn(np.arange(1, 2**12, 4, dtype=np.uint64))
-
-
-@pytest.fixture
-def config():
-    return WorkloadConfig(r_tuples=2**12, s_tuples=2**10, seed=9)
-
-
-class TestBandStream:
-    def test_deterministic(self, column, config):
-        a = make_band_probe_keys(column, config, epsilon=16)
-        b = make_band_probe_keys(column, config, epsilon=16)
-        np.testing.assert_array_equal(a.keys, b.keys)
-        assert a.kind == "band"
-        assert a.param == 16
-        assert len(a) == config.s_tuples
-
-    def test_probes_stay_within_epsilon_of_a_member(self, column, config):
-        epsilon = 16
-        probes = make_band_probe_keys(column, config, epsilon=epsilon)
-        lo, hi = saturating_band(probes.keys, epsilon)
-        keys = column.keys
-        starts = np.searchsorted(keys, lo, side="left")
-        ends = np.searchsorted(keys, hi, side="right")
-        # Every probe's band contains the member it was jittered from.
-        assert (ends > starts).all()
-
-    def test_independent_of_equi_stream(self, column, config):
-        from repro.data.generator import make_probe_keys
-
-        band = make_band_probe_keys(column, config, epsilon=4)
-        equi = make_probe_keys(column, config)
-        assert not np.array_equal(band.keys[: len(equi.keys)], equi.keys)
-
-    def test_zipf_changes_the_draw(self, column):
-        uniform = make_band_probe_keys(
-            column, WorkloadConfig(r_tuples=2**12, s_tuples=256, seed=9), 8
-        )
-        skewed = make_band_probe_keys(
-            column,
-            WorkloadConfig(
-                r_tuples=2**12, s_tuples=256, seed=9, zipf_theta=1.0
-            ),
-            8,
-        )
-        assert not np.array_equal(uniform.keys, skewed.keys)
-        # Skewed streams concentrate on fewer distinct keys.
-        assert len(np.unique(skewed.keys)) < len(np.unique(uniform.keys))
-
-    def test_invalid_arguments(self, column, config):
-        with pytest.raises(WorkloadError):
-            make_band_probe_keys(column, config, epsilon=-1)
-        with pytest.raises(WorkloadError):
-            make_band_probe_keys(column, config, epsilon=4, count=0)
-
-
-class TestKnnStream:
-    def test_deterministic_and_distinct_from_band(self, column, config):
-        a = make_knn_probe_keys(column, config, k=4)
-        b = make_knn_probe_keys(column, config, k=4)
-        np.testing.assert_array_equal(a.keys, b.keys)
-        assert a.kind == "knn"
-        assert a.param == 4
-        band = make_band_probe_keys(column, config, epsilon=4)
-        assert not np.array_equal(a.keys, band.keys)
-
-    def test_jitter_stays_within_one_stride(self, column, config):
-        probes = make_knn_probe_keys(column, config, k=2)
-        keys = column.keys
-        positions = np.searchsorted(keys, probes.keys)
-        clamped = np.minimum(positions, len(keys) - 1)
-        below = keys[np.maximum(clamped - 1, 0)]
-        at = keys[clamped]
-        stride = np.uint64(max(1, config.stride))
-
-        def distance(a, b):
-            return np.where(a >= b, a - b, b - a)
-
-        near = np.minimum(
-            distance(at, probes.keys), distance(probes.keys, below)
-        )
-        assert (near <= stride).all()
-
-    def test_invalid_arguments(self, column, config):
-        with pytest.raises(WorkloadError):
-            make_knn_probe_keys(column, config, k=0)
-        with pytest.raises(WorkloadError):
-            make_knn_probe_keys(column, config, k=2, count=-4)
-
-
-class TestProbeSetValidation:
-    def test_kind_validated(self):
-        with pytest.raises(WorkloadError):
-            NonEquiProbeSet(
-                keys=np.zeros(1, dtype=np.uint64), kind="range", param=1
-            )
-
-    def test_param_validated(self):
-        with pytest.raises(WorkloadError):
-            NonEquiProbeSet(
-                keys=np.zeros(1, dtype=np.uint64), kind="band", param=-1
-            )
 
 
 class TestEpsilonInversion:

@@ -1,99 +1,10 @@
-"""Index maintenance workloads."""
+"""Mixed read/write request streams and their sorted-array reference."""
 
 import numpy as np
 import pytest
 
-from repro.data.column import VirtualSortedColumn
-from repro.data.relation import Relation
-from repro.errors import ConfigurationError, WorkloadError
-from repro.hardware.spec import V100_NVLINK2
-from repro.indexes import (
-    BinarySearchIndex,
-    BPlusTreeIndex,
-    HarmoniaIndex,
-    RadixSplineIndex,
-)
-from repro.workloads.updates import (
-    SortedArrayOracle,
-    functional_insert_throughput,
-    maintenance_cost,
-    make_update_stream,
-)
-
-CPU = V100_NVLINK2.cpu
-
-
-def index_over(index_cls, n=2**28):
-    return index_cls(Relation("R", VirtualSortedColumn(n)))
-
-
-class TestMaintenanceCost:
-    def test_tree_indexes_update_in_place(self):
-        for index_cls in (BPlusTreeIndex, HarmoniaIndex):
-            cost = maintenance_cost(index_over(index_cls), 10_000, CPU)
-            assert cost.strategy == "in-place"
-
-    def test_static_indexes_rebuild(self):
-        for index_cls in (RadixSplineIndex, BinarySearchIndex):
-            cost = maintenance_cost(index_over(index_cls), 10_000, CPU)
-            assert cost.strategy == "rebuild"
-
-    def test_section6_guidance_quantified(self):
-        """Harmonia absorbs a batch orders of magnitude cheaper than a
-        RadixSpline refit at paper scale (Section 6)."""
-        harmonia = maintenance_cost(index_over(HarmoniaIndex), 10_000, CPU)
-        spline = maintenance_cost(index_over(RadixSplineIndex), 10_000, CPU)
-        assert (
-            spline.seconds_per_batch > 50 * harmonia.seconds_per_batch
-        )
-
-    def test_in_place_scales_with_batch(self):
-        small = maintenance_cost(index_over(BPlusTreeIndex), 1_000, CPU)
-        large = maintenance_cost(index_over(BPlusTreeIndex), 100_000, CPU)
-        assert large.seconds_per_batch == pytest.approx(
-            100 * small.seconds_per_batch, rel=0.01
-        )
-
-    def test_rebuild_independent_of_batch(self):
-        small = maintenance_cost(index_over(RadixSplineIndex), 1_000, CPU)
-        large = maintenance_cost(index_over(RadixSplineIndex), 100_000, CPU)
-        assert large.seconds_per_batch == pytest.approx(
-            small.seconds_per_batch
-        )
-
-    def test_amortized_cost(self):
-        cost = maintenance_cost(index_over(HarmoniaIndex), 1_000, CPU)
-        assert cost.amortized_seconds_per_insert(1_000) == pytest.approx(
-            cost.seconds_per_batch / 1_000
-        )
-
-    def test_rejects_bad_batch(self):
-        with pytest.raises(ConfigurationError):
-            maintenance_cost(index_over(HarmoniaIndex), 0, CPU)
-        cost = maintenance_cost(index_over(HarmoniaIndex), 10, CPU)
-        with pytest.raises(ConfigurationError):
-            cost.amortized_seconds_per_insert(0)
-
-
-class TestFunctionalInserts:
-    @pytest.mark.parametrize("index_cls", [BPlusTreeIndex, HarmoniaIndex])
-    def test_inserts_complete_and_queryable(self, index_cls):
-        rate = functional_insert_throughput(
-            index_cls, base_tuples=2**12, batch_size=256, batches=2
-        )
-        assert rate > 0
-
-    def test_static_index_rejected(self):
-        with pytest.raises(WorkloadError):
-            functional_insert_throughput(
-                RadixSplineIndex, base_tuples=1024, batch_size=16
-            )
-
-    def test_rejects_bad_sizes(self):
-        with pytest.raises(ConfigurationError):
-            functional_insert_throughput(
-                BPlusTreeIndex, base_tuples=0, batch_size=16
-            )
+from repro.errors import ConfigurationError
+from repro.workloads.updates import SortedArrayOracle, make_update_stream
 
 
 class TestMakeUpdateStream:
@@ -123,7 +34,7 @@ class TestMakeUpdateStream:
 
     def test_zero_fraction_is_pure_probe_slices(self):
         stream = self.make(update_fraction=0.0)
-        assert stream.update_requests == 0
+        assert "update" not in stream.kinds
         for i, keys in enumerate(stream.keys):
             np.testing.assert_array_equal(
                 keys, self.probe_keys[i * 64 : (i + 1) * 64]
