@@ -2,8 +2,8 @@
 
 Commands:
 
-* ``experiments [names...] [--quick] [--workers N]`` -- regenerate the
-  paper's tables and figures (same as ``python -m repro.experiments.runner``);
+* ``experiments [names...] [--quick] [--workers N] [--output-dir DIR]
+  [--charts]`` -- regenerate the paper's tables and figures;
 * ``bench [--json FILE] [--workers N]`` -- time the standard sweeps and
   record wall clocks plus key counters to a JSON report;
 * ``serve-bench [--shards N...] [--window-kib K...] [--zipf T...]
@@ -72,15 +72,14 @@ def cmd_info(_args) -> int:
 
 
 def cmd_experiments(args) -> int:
-    from .experiments.runner import policy_from_args, run_report
+    from .experiments.runner import run_report
 
     report = run_report(
         args.names,
         quick=args.quick,
+        output_dir=args.output_dir,
+        charts=args.charts,
         workers=args.workers,
-        checkpoint_dir=args.checkpoint_dir,
-        resume=args.resume,
-        policy=policy_from_args(args),
         trace=True if args.trace else None,
         trace_file=args.trace_file,
     )
@@ -212,21 +211,26 @@ def main(argv=None) -> int:
     experiments = subparsers.add_parser(
         "experiments", help="regenerate the paper's tables and figures"
     )
-    from .experiments.runner import (
-        EXPERIMENT_NAMES,
-        add_resilience_arguments,
-        add_trace_arguments,
-    )
+    from .experiments.runner import EXPERIMENT_NAMES, add_trace_arguments
 
     experiments.add_argument(
         "names", nargs="*", help=f"subset to run: {' '.join(EXPERIMENT_NAMES)}"
     )
-    experiments.add_argument("--quick", action="store_true")
+    experiments.add_argument(
+        "--quick", action="store_true", help="reduced sweeps"
+    )
     experiments.add_argument(
         "--workers", type=int, default=1,
         help="processes for the standard sweeps (results identical to serial)",
     )
-    add_resilience_arguments(experiments)
+    experiments.add_argument(
+        "--output-dir", default=None, metavar="DIR",
+        help="write each result as CSV + JSON into this directory",
+    )
+    experiments.add_argument(
+        "--charts", action="store_true",
+        help="append a terminal chart under every figure",
+    )
     add_trace_arguments(experiments)
 
     bench = subparsers.add_parser(

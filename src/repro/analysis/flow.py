@@ -33,9 +33,9 @@ edges to a per-lane origin graph:
 Findings are the source->sink paths of that graph, discovered by BFS
 (cycles in the call graph are handled by construction), and each
 finding's message carries the full call path.  Sinks are the payload
-surfaces every PR since PR 2 stakes bit-identity on: the
-:mod:`repro.ioutil` atomic writers, checkpoint JSONL appends,
-``MetricsRegistry`` recording, and ``json.dump``/``dumps``.
+surfaces every payload stakes bit-identity on: the
+:mod:`repro.ioutil` atomic writers, ``MetricsRegistry`` recording, and
+``json.dump``/``dumps``.
 
 The registry below is declarative on purpose: adding a source, sink,
 or sanitizer is a data edit, not an engine edit.
@@ -73,8 +73,6 @@ CONFIG_MODULES: Tuple[str, ...] = (
     "repro/config.py",
     "repro/obs/__init__.py",
     "repro/resilience/faults.py",
-    "repro/resilience/retry.py",
-    "repro/resilience/checkpoint.py",
     "repro/experiments/runner.py",
 )
 
@@ -186,10 +184,6 @@ DETERMINISM_SINKS: Tuple[SinkSpec, ...] = (
     SinkSpec(
         description="atomic payload write",
         names=("atomic_write_text", "atomic_write_json"),
-    ),
-    SinkSpec(
-        description="checkpoint append",
-        attrs=(("record", r"checkpoint"),),
     ),
     SinkSpec(
         description="metrics recording",

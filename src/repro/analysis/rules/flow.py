@@ -69,8 +69,7 @@ class DeterminismValueFlow(_FlowRule):
     severity = Severity.ERROR
     summary = (
         "interprocedural: unseeded-RNG / wall-clock / os.environ value "
-        "flows into a payload writer (atomic writers, checkpoints, "
-        "metrics, json)"
+        "flows into a payload writer (atomic writers, metrics, json)"
     )
     lane_name = "value"
 

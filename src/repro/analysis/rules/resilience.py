@@ -5,13 +5,11 @@ torn file: a half-written ``metrics.json`` fails the CI drift gate with
 a parse error instead of a clean diff, and a torn figure export looks
 like a bad run.  :func:`repro.ioutil.atomic_write_text` (tmp file in
 the same directory, flush+fsync, ``os.replace``) makes every durable
-write all-or-nothing, mirroring what the checkpoint layer achieves with
-per-line checksums.
+write all-or-nothing.
 
 Flagged: ``open``/``io.open`` with a ``"w"``/``"x"`` mode and
-``Path.write_text``/``write_bytes``.  Append-mode opens pass -- the
-checkpoint JSONL is append-only by design and verifies each record's
-checksum on load.
+``Path.write_text``/``write_bytes``.  Append-mode opens pass: an append
+never truncates what is already on disk.
 """
 
 from __future__ import annotations

@@ -32,19 +32,9 @@ class InjectedFault(ReproError):
     """A deterministic fault raised by :mod:`repro.resilience.faults`.
 
     Only ever raised when a fault plan is installed (via ``REPRO_FAULTS``
-    or programmatically); production runs never see it.  The resilience
-    layer treats it like any other transient point failure, which is the
-    point: tests drive every retry/requeue path through this one class.
-    """
-
-
-class SweepExecutionError(ReproError):
-    """A sweep point kept failing after exhausting its retry budget.
-
-    Carries the final underlying error as ``__cause__``; the experiment
-    runner catches this (and any other exception) per experiment and
-    converts it into a structured failure-report entry instead of
-    aborting the whole run.
+    or programmatically); production runs never see it.  It stands in
+    for any point or replica failure: tests drive the loud sweep failure
+    and the serve executor's retry and failover through this one class.
     """
 
 

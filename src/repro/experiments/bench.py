@@ -19,7 +19,6 @@ from typing import Optional, Sequence
 from ..config import SimulationConfig
 from ..ioutil import atomic_write_json
 from ..perf.alloc import tune_allocator
-from ..resilience.retry import active_policy
 from . import cache, fig3, fig5
 from .common import resolve_workers
 
@@ -53,11 +52,10 @@ def run_bench(
 
     One timed pass over the Fig. 3 + Fig. 5 sweeps with the session
     cache.  ``workers=0`` (the default) resolves to one sweep process
-    per CPU core through the resilient pool; figures are bit-identical
+    per CPU core through the process pool; figures are bit-identical
     at any worker count.
     """
     workers = resolve_workers(workers)
-    policy = active_policy()
     tune_allocator()
     with cache.session(True):
         cache.clear()
@@ -79,11 +77,6 @@ def run_bench(
         "probe_samples": {
             "naive": BENCH_NAIVE_SIM.probe_sample,
             "ordered": BENCH_ORDERED_SIM.probe_sample,
-        },
-        "resilience": {
-            "max_attempts": policy.max_attempts,
-            "point_timeout": policy.point_timeout,
-            "max_pool_restarts": policy.max_pool_restarts,
         },
         "platform": platform.platform(),
         "python": platform.python_version(),

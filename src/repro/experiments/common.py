@@ -8,7 +8,6 @@ the whole query.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Type
 
@@ -20,16 +19,13 @@ from ..config import (
 )
 from ..data.column import Column
 from ..data.generator import WorkloadConfig
-from ..errors import CapacityError, ConfigurationError, SweepExecutionError
+from ..errors import CapacityError, ConfigurationError
 from ..hardware.spec import SystemSpec
 from ..join.base import QueryEnvironment
 from ..partition.bits import choose_partition_bits
 from ..partition.radix import RadixPartitioner
 from ..perf.report import Series, format_series_table
-from ..resilience import checkpoint as checkpoint_mod
 from ..resilience import faults
-from ..resilience import retry as retry_mod
-from ..resilience.retry import RetryPolicy, with_retry
 from ..units import GIB, KEY_BYTES
 from . import cache
 
@@ -144,7 +140,7 @@ def run_point_or_skip(result: ExperimentResult, label: str, func) -> Optional[fl
 
 #: One standard sweep point: join kind, machine, R size, index, sim.
 #: ``index_cls`` is None for the hash join.  Tasks are plain tuples of
-#: picklable values so ``multiprocessing`` workers can receive them.
+#: picklable values so pool workers can receive them.
 PointTask = Tuple[str, SystemSpec, int, Optional[Type], SimulationConfig]
 
 
@@ -167,9 +163,9 @@ def run_standard_point(task: PointTask):
 
     A fault-injection check precedes the computation: with a
     ``*@point`` plan installed (see :mod:`repro.resilience.faults`) this
-    is where injected raises, hangs, and worker crashes happen -- in
-    exactly the process (serial parent or pool worker) executing the
-    point, which is what makes every recovery path reachable from tests.
+    is where injected raises and worker crashes happen -- in exactly the
+    process (serial parent or pool worker) executing the point, which is
+    what makes every failure path reachable from tests.
     """
     kind, spec, r_tuples, index_cls, sim = task
     faults.check("point", task_label(task))
@@ -229,30 +225,15 @@ def resolve_workers(workers) -> int:
     return validate_workers(workers)
 
 
-#: Diagnostics from the most recent :func:`map_standard_points` call in
-#: this process: resumed/computed point counts, retries, pool restarts,
-#: and whether the sweep degraded to serial.  Read by tests and by the
-#: runner's failure reports; never consulted for control flow.
+#: Diagnostics from the most recent :func:`map_tasks` call in this
+#: process: the sweep's point count and how many points completed.
+#: Read by tests and by the runner's failure reports; never consulted
+#: for control flow.
 LAST_SWEEP: dict = {}
 
 
-def _reset_sweep_stats(total: int) -> dict:
-    LAST_SWEEP.clear()
-    LAST_SWEEP.update(
-        {
-            "points": total,
-            "resumed": 0,
-            "computed": 0,
-            "requeued": 0,
-            "pool_restarts": 0,
-            "degraded": False,
-        }
-    )
-    return LAST_SWEEP
-
-
 def _merge_into_cache(task: PointTask, outcome) -> None:
-    """Re-insert a worker/checkpoint result into this process's cache."""
+    """Re-insert a worker's result into this process's cache."""
     if outcome[0] == "ok":
         cache.point(
             ("standard-point",) + tuple(task),
@@ -260,237 +241,67 @@ def _merge_into_cache(task: PointTask, outcome) -> None:
         )
 
 
-def _record(checkpoint, fingerprints, index, outcome) -> None:
-    if checkpoint is not None:
-        checkpoint.record(fingerprints[index], outcome)
-
-
-def _init_worker() -> None:
-    """Pool-worker initializer: fault counters restart from zero."""
-    faults.reset_for_worker()
-
-
-def _run_serial(run_task, label_fn, tasks, indices, results, policy,
-                checkpoint, fingerprints):
-    """Serial execution with retry; used directly and as the fallback."""
-    for index in indices:
-        outcome = with_retry(
-            lambda task=tasks[index]: run_task(task),
-            policy,
-            label=label_fn(tasks[index]),
-        )
-        results[index] = outcome
-        LAST_SWEEP["computed"] += 1
-        _record(checkpoint, fingerprints, index, outcome)
-
-
-def _run_pooled(run_task, label_fn, merge, tasks, pending, results, workers,
-                policy, checkpoint, fingerprints):
-    """Fan pending points across a pool, surviving crashes and hangs.
-
-    Every point is submitted individually and collected with a per-point
-    timeout, so a worker crash (its result never arrives) and a wedged
-    worker (ditto) look the same: a lost point.  Lost points are
-    requeued into a fresh pool -- the old one is terminated, which also
-    reaps wedged processes -- and after ``policy.max_pool_restarts``
-    rebuilds the sweep degrades gracefully to serial execution for
-    whatever is left.  Points that *raise* are retried up to
-    ``policy.max_attempts`` with backoff; a point that exhausts its
-    budget fails the sweep with :class:`SweepExecutionError` (the runner
-    isolates that per experiment).
-    """
-    import multiprocessing
-
-    attempts = {index: 0 for index in pending}
-    restarts = 0
-    while pending:
-        pool = multiprocessing.Pool(
-            min(workers, len(pending)), initializer=_init_worker
-        )
-        lost = False
-        requeue = []
-        try:
-            handles = [
-                (index, pool.apply_async(run_task, (tasks[index],)))
-                for index in pending
-            ]
-            for index, handle in handles:
-                label = label_fn(tasks[index])
-                try:
-                    outcome = handle.get(policy.point_timeout)
-                except multiprocessing.TimeoutError:
-                    # Crash or hang: the result will never arrive.
-                    lost = True
-                    attempts[index] += 1
-                    requeue.append(index)
-                    LAST_SWEEP["requeued"] += 1
-                except (CapacityError, ConfigurationError):
-                    raise  # non-retryable; bubble to the experiment
-                except Exception as error:
-                    attempts[index] += 1
-                    if attempts[index] >= policy.max_attempts:
-                        raise SweepExecutionError(
-                            f"{label} failed after {attempts[index]} "
-                            f"attempts: {type(error).__name__}: {error}"
-                        ) from error
-                    requeue.append(index)
-                    LAST_SWEEP["requeued"] += 1
-                    time.sleep(policy.backoff(attempts[index], label))
-                else:
-                    results[index] = outcome
-                    LAST_SWEEP["computed"] += 1
-                    if merge is not None:
-                        merge(tasks[index], outcome)
-                    _record(checkpoint, fingerprints, index, outcome)
-        finally:
-            # terminate (not close): reaps wedged/crashed workers too.
-            pool.terminate()
-            pool.join()
-        pending = requeue
-        if lost and pending:
-            restarts += 1
-            LAST_SWEEP["pool_restarts"] = restarts
-            if restarts > policy.max_pool_restarts:
-                # The pool keeps dying: finish the remaining points
-                # serially rather than flail (injected crash faults are
-                # inert in the parent process by design).
-                LAST_SWEEP["degraded"] = True
-                _run_serial(
-                    run_task, label_fn, tasks, pending, results, policy,
-                    checkpoint, fingerprints,
-                )
-                return
-
-
-def map_tasks(
-    run_task,
-    tasks: Sequence,
-    workers: int = 1,
-    policy: Optional[RetryPolicy] = None,
-    checkpoint: Optional[checkpoint_mod.SweepCheckpoint] = None,
-    resume: Optional[bool] = None,
-    label_fn=None,
-    merge=None,
-) -> list:
-    """Run picklable tasks resiliently, serially or across processes.
+def map_tasks(run_task, tasks: Sequence, workers: int = 1, merge=None) -> list:
+    """Run picklable tasks serially or across processes, in task order.
 
     The generic engine behind :func:`map_standard_points` (experiment
-    sweeps) and the serve-bench sweep.  Results come back in task order
-    either way, and each task runs through the same ``run_task``
-    function either way, so serial, parallel, retried, requeued, and
-    resumed runs all produce bit-identical output -- provided
-    ``run_task`` is a pure function of its task (derive every RNG stream
-    from the task itself).
+    sweeps), the non-equi sweep and the serve-bench sweep.  Each task
+    runs through the same ``run_task`` function either way, so serial
+    and pooled runs produce bit-identical output -- provided
+    ``run_task`` is a pure function of its task (derive every RNG
+    stream from the task itself).
 
     ``run_task`` must be a module-level function (pool workers receive
-    it by pickle).  ``label_fn`` names a task for logs and fault plans;
-    ``merge(task, outcome)`` runs in the parent for every pooled result,
-    letting callers re-insert worker results into parent-process caches.
+    it by pickle).  ``merge(task, outcome)`` runs in the parent for
+    every pooled result, in task order, letting callers re-insert
+    worker results into parent-process caches.
 
-    Resilience (see :mod:`repro.resilience`):
-
-    * failing tasks retry with exponential backoff + deterministic
-      jitter (``policy``, default :meth:`RetryPolicy.from_env`);
-    * pooled tasks carry a timeout; a crashed or wedged worker shows up
-      as a lost task, which is requeued into a fresh pool, and repeated
-      pool deaths degrade the sweep to serial execution;
-    * with a checkpoint active (explicit argument, the runner's
-      ``--checkpoint-dir``, or ``REPRO_CHECKPOINT_DIR``), completed
-      tasks append to a JSONL file keyed by the task list's config
-      hash, and a resumed run recomputes only the missing tasks.
-
-    ``resume`` overrides the checkpoint's resume mode only when a
-    checkpoint is constructed here (it is ignored for an explicitly
-    passed instance, which already chose its mode).
+    A failure is loud, never recovered: a task that raises fails the
+    sweep with its own exception, and a worker that dies fails it with
+    :class:`concurrent.futures.process.BrokenProcessPool`.  The runner
+    isolates either per experiment.
     """
     tasks = list(tasks)
-    if label_fn is None:
-        label_fn = repr
     if workers is not None:
         validate_workers(workers)
-    if policy is None:
-        policy = retry_mod.active_policy()
-    stats = _reset_sweep_stats(len(tasks))
-    if checkpoint is None:
-        checkpoint = checkpoint_mod.for_tasks(tasks)
-        if checkpoint is not None and resume is False:
-            checkpoint = checkpoint_mod.SweepCheckpoint(
-                checkpoint.path, resume=False
-            )
-    fingerprints = (
-        [checkpoint_mod.fingerprint(task) for task in tasks]
-        if checkpoint is not None
-        else None
-    )
-
-    results: list = [None] * len(tasks)
-    pending = []
-    for index, task in enumerate(tasks):
-        stored = (
-            checkpoint.get(fingerprints[index])
-            if checkpoint is not None
-            else None
-        )
-        if stored is not None:
-            results[index] = stored
-            stats["resumed"] += 1
-            if merge is not None:
-                merge(task, stored)
-        else:
-            pending.append(index)
-
+    LAST_SWEEP.clear()
+    LAST_SWEEP.update(points=len(tasks), computed=0)
+    results: list = []
     # Pooled workers collect obs counters in their own process and do not
     # report them back; traced sweeps that must account every op (e.g. the
     # CI bench-smoke manifest) run serially.
-    with obs.span(
-        "sweep.map",
-        points=len(tasks),
-        pending=len(pending),
-        workers=workers or 1,
-    ):
-        if workers is None or workers <= 1 or len(pending) <= 1:
-            _run_serial(
-                run_task, label_fn, tasks, pending, results, policy,
-                checkpoint, fingerprints,
-            )
+    with obs.span("sweep.map", points=len(tasks), workers=workers or 1):
+        if workers is None or workers <= 1 or len(tasks) <= 1:
+            for task in tasks:
+                results.append(run_task(task))
+                LAST_SWEEP["computed"] += 1
         else:
-            _run_pooled(
-                run_task, label_fn, merge, tasks, pending, results, workers,
-                policy, checkpoint, fingerprints,
-            )
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(
+                min(workers, len(tasks)), initializer=faults.reset_for_worker
+            ) as pool:
+                for task, outcome in zip(tasks, pool.map(run_task, tasks)):
+                    results.append(outcome)
+                    LAST_SWEEP["computed"] += 1
+                    if merge is not None:
+                        merge(task, outcome)
     if obs.enabled():
-        for key in (
-            "points", "resumed", "computed", "requeued", "pool_restarts"
-        ):
-            if stats[key]:
-                obs.add(f"sweep.{key}", float(stats[key]))
-        if stats["degraded"]:
-            obs.add("sweep.degraded")
+        for key in ("points", "computed"):
+            if LAST_SWEEP[key]:
+                obs.add(f"sweep.{key}", float(LAST_SWEEP[key]))
     return results
 
 
-def map_standard_points(
-    tasks: Sequence[PointTask],
-    workers: int = 1,
-    policy: Optional[RetryPolicy] = None,
-    checkpoint: Optional[checkpoint_mod.SweepCheckpoint] = None,
-    resume: Optional[bool] = None,
-) -> list:
-    """Run standard sweep points resiliently; see :func:`map_tasks`.
+def map_standard_points(tasks: Sequence[PointTask], workers: int = 1) -> list:
+    """Run standard sweep points; see :func:`map_tasks`.
 
     Each point is computed by :func:`run_standard_point` whichever
-    execution path runs it, so serial, parallel, retried, requeued, and
-    resumed runs all produce bit-identical figures.  Worker processes
-    each hold their own session cache; merged results are re-inserted
-    into the parent's cache so later figures still get their hits.
+    execution path runs it, so serial and pooled runs produce
+    bit-identical figures.  Worker processes each hold their own session
+    cache; merged results are re-inserted into the parent's cache so
+    later figures still get their hits.
     """
     return map_tasks(
-        run_standard_point,
-        tasks,
-        workers=workers,
-        policy=policy,
-        checkpoint=checkpoint,
-        resume=resume,
-        label_fn=task_label,
-        merge=_merge_into_cache,
+        run_standard_point, tasks, workers=workers, merge=_merge_into_cache
     )

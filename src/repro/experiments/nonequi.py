@@ -168,14 +168,11 @@ def run(
                 )
     series: dict = {}
     attribution: dict = {}
-    outcomes = map_tasks(
-        run_nonequi_point, tasks, workers=workers, label_fn=nonequi_task_label
-    )
+    outcomes = map_tasks(run_nonequi_point, tasks, workers=workers)
     for (series_label, m), task, outcome in zip(labels, tasks, outcomes):
-        if outcome is None or outcome[0] == "skip":
-            reason = outcome[1] if outcome else "lost"
+        if outcome[0] == "skip":
             result.notes.append(
-                f"{nonequi_task_label(task)}: skipped ({reason})"
+                f"{nonequi_task_label(task)}: skipped ({outcome[1]})"
             )
             continue
         payload = outcome[1]

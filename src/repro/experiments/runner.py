@@ -2,9 +2,9 @@
 
 Usage::
 
-    python -m repro.experiments.runner            # everything (minutes)
-    python -m repro.experiments.runner fig5 fig7  # a subset
-    python -m repro.experiments.runner --quick    # reduced sweeps (~1 min)
+    python -m repro experiments            # everything
+    python -m repro experiments fig5 fig7  # a subset
+    python -m repro experiments --quick    # reduced sweeps
 
 The output is the text the benchmark harness and EXPERIMENTS.md are built
 from: one figure-shaped table per experiment, with the paper's expectation
@@ -15,9 +15,8 @@ that raises is captured as a structured
 :class:`~repro.resilience.report.ExperimentFailure` (exception,
 traceback, elapsed time, sweep points completed), every *other*
 experiment still runs, and the run ends with a failure summary and -- via
-the CLI -- a nonzero exit code.  Checkpointing (``--checkpoint-dir`` /
-``--resume``) lets a killed run pick up where it stopped, recomputing
-only the missing sweep points.
+the CLI -- a nonzero exit code.  Nothing is retried or resumed: a whole
+run takes seconds, so a failure is cheaper to rerun than to recover.
 """
 
 from __future__ import annotations
@@ -29,11 +28,8 @@ import time
 
 from .. import obs
 from ..errors import ConfigurationError
-from ..resilience import checkpoint as checkpoint_mod
 from ..resilience import faults
 from ..resilience.report import ExperimentFailure, RunReport
-from ..resilience import retry as retry_mod
-from ..resilience.retry import RetryPolicy, point_timeout_setting
 from . import (
     cache,
     claims,
@@ -69,9 +65,6 @@ def run_report(
     output_dir=None,
     charts: bool = False,
     workers: int = 1,
-    checkpoint_dir=None,
-    resume: bool = False,
-    policy: RetryPolicy = None,
     trace: bool = None,
     trace_file=None,
 ) -> RunReport:
@@ -85,10 +78,7 @@ def run_report(
     ``stream`` defaults to the *current* sys.stdout (resolved per call,
     so redirected/captured stdout is honoured).  ``workers > 1`` fans the
     standard sweeps' points across that many processes; the figures are
-    bit-identical to a serial run.  ``checkpoint_dir`` persists completed
-    sweep points; with ``resume`` a rerun skips the points already on
-    disk (still bit-identical).  ``policy`` tunes retry/timeout behavior
-    for the sweeps (default: :meth:`RetryPolicy.from_env`).
+    bit-identical to a serial run.
 
     ``trace=True`` enables the observability layer (:mod:`repro.obs`)
     for this run, ``trace=False`` disables it, and ``None`` keeps the
@@ -115,9 +105,7 @@ def run_report(
 
     tune_allocator()
     report = RunReport()
-    with cache.session(), checkpoint_mod.configured(
-        checkpoint_dir, resume=resume
-    ), retry_mod.configured(policy):
+    with cache.session():
         _run_all(names, quick, stream, output_dir, charts, workers, report)
     report.timings.update(obs.phase_wall_seconds())
     run_summary = report.run_summary_text()
@@ -180,19 +168,15 @@ def _run_all(names, quick, stream, output_dir, charts, workers, report):
         section of the run manifest.
         """
         started = time.time()
-        sweep_before = dict(common.LAST_SWEEP)
+        # Emptied here, so sweep progress is attributed to a failure
+        # only if this experiment started a sweep.
+        common.LAST_SWEEP.clear()
         try:
             with obs.phase(name):
                 faults.check("experiment", name)
                 return func()
         except Exception as error:  # isolated: the run continues
-            # Only attribute sweep progress to this failure if this
-            # experiment actually advanced a sweep.
-            completed = (
-                common.LAST_SWEEP.get("computed")
-                if common.LAST_SWEEP != sweep_before
-                else None
-            )
+            completed = common.LAST_SWEEP.get("computed")
             elapsed = obs.tracer().phase_wall_seconds(name)
             if elapsed is None:
                 elapsed = time.time() - started
@@ -353,29 +337,6 @@ def _run_all(names, quick, stream, output_dir, charts, workers, report):
             emit(f"  [claims took {took('claims'):.1f}s]")
 
 
-def add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
-    """The shared retry/timeout/checkpoint CLI flags."""
-    parser.add_argument(
-        "--retries", type=int, default=None, metavar="N",
-        help="attempts per sweep point (default 3, or REPRO_RETRIES)",
-    )
-    parser.add_argument(
-        "--point-timeout", type=float, default=None, metavar="SECONDS",
-        help="seconds before a pooled sweep point is declared lost and "
-             "requeued (default 300, or REPRO_POINT_TIMEOUT; 0 disables; "
-             "negative, NaN and infinite values are rejected)",
-    )
-    parser.add_argument(
-        "--checkpoint-dir", default=None, metavar="DIR",
-        help="append completed sweep points to JSONL checkpoints in DIR",
-    )
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="with --checkpoint-dir (or REPRO_CHECKPOINT_DIR): skip sweep "
-             "points already checkpointed, recomputing only the missing ones",
-    )
-
-
 def add_trace_arguments(parser: argparse.ArgumentParser) -> None:
     """The shared observability CLI flags."""
     parser.add_argument(
@@ -388,69 +349,3 @@ def add_trace_arguments(parser: argparse.ArgumentParser) -> None:
         help="run-manifest path for --trace (default REPRO_TRACE_FILE, "
              "else metrics.json next to the exported results)",
     )
-
-
-def policy_from_args(args) -> RetryPolicy:
-    """A :class:`RetryPolicy` from parsed CLI flags over env defaults."""
-    policy = RetryPolicy.from_env()
-    overrides = {}
-    if getattr(args, "retries", None) is not None:
-        overrides["max_attempts"] = args.retries
-    if getattr(args, "point_timeout", None) is not None:
-        overrides["point_timeout"] = point_timeout_setting(
-            args.point_timeout, "--point-timeout"
-        )
-    if overrides:
-        from dataclasses import replace
-
-        policy = replace(policy, **overrides)
-    return policy
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "experiments",
-        nargs="*",
-        help=f"subset to run: {' '.join(EXPERIMENT_NAMES)}",
-    )
-    parser.add_argument(
-        "--quick", action="store_true", help="reduced sweeps (~1 minute)"
-    )
-    parser.add_argument(
-        "--output-dir", default=None,
-        help="write each result as CSV + JSON into this directory",
-    )
-    parser.add_argument(
-        "--charts", action="store_true",
-        help="append a terminal chart under every figure",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=1,
-        help="processes for the standard sweeps (results identical to serial)",
-    )
-    add_resilience_arguments(parser)
-    add_trace_arguments(parser)
-    args = parser.parse_args(argv)
-    try:
-        faults.env_plans()
-        report = run_report(
-            args.experiments,
-            quick=args.quick,
-            output_dir=args.output_dir,
-            charts=args.charts,
-            workers=args.workers,
-            checkpoint_dir=args.checkpoint_dir,
-            resume=args.resume,
-            policy=policy_from_args(args),
-            trace=True if args.trace else None,
-            trace_file=args.trace_file,
-        )
-    except ConfigurationError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    return report.exit_code()
-
-
-if __name__ == "__main__":
-    sys.exit(main())

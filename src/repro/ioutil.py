@@ -10,10 +10,6 @@ into a copy), flush and fsync, then ``os.replace`` -- which POSIX and
 Windows both guarantee to be atomic.  Readers observe either the old
 content or the new, never a prefix.
 
-Append-only logs (the resilience layer's checkpoint JSONL) do not use
-this helper on purpose: appends never truncate, and each record carries
-its own checksum so a torn tail line is detected and recomputed.
-
 ``repro lint`` enforces the contract statically (rule ``RES001``).
 """
 

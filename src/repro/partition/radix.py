@@ -15,8 +15,6 @@ arrival order).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from .. import obs
@@ -51,33 +49,9 @@ class RadixPartitioner:
     def __init__(self, bits: PartitionBits):
         self.bits = bits
 
-    def partition(
-        self, keys: np.ndarray, source_indices: Optional[np.ndarray] = None
-    ) -> PartitionOutput:
+    def partition(self, keys: np.ndarray) -> PartitionOutput:
         """Histogram + stable scatter (the SWWC algorithm's semantics)."""
         keys = np.asarray(keys, dtype=np.uint64)
-        if source_indices is None:
-            source_indices = np.arange(len(keys), dtype=np.int64)
-        else:
-            source_indices = np.asarray(source_indices, dtype=np.int64)
-            if len(source_indices) != len(keys):
-                raise ConfigurationError(
-                    "source_indices length must match keys: "
-                    f"{len(source_indices)} != {len(keys)}"
-                )
-        if not obs.enabled():
-            partitions = self.bits.partition_of(keys)
-            histogram = np.bincount(
-                partitions, minlength=self.bits.num_partitions
-            ).astype(np.int64)
-            offsets = np.zeros(self.bits.num_partitions + 1, dtype=np.int64)
-            np.cumsum(histogram, out=offsets[1:])
-            order = self._stable_order(partitions, len(keys))
-            return PartitionOutput(
-                keys=keys[order],
-                source_indices=source_indices[order],
-                offsets=offsets,
-            )
         with obs.span(
             "partition.fanout",
             partitions=self.bits.num_partitions,
@@ -90,17 +64,17 @@ class RadixPartitioner:
             offsets = np.zeros(self.bits.num_partitions + 1, dtype=np.int64)
             np.cumsum(histogram, out=offsets[1:])
             order = self._stable_order(partitions, len(keys))
-        obs.add("partition.batches")
-        obs.add("partition.tuples", float(len(keys)))
-        obs.add(
-            "partition.occupied_partitions",
-            float(int(np.count_nonzero(histogram))),
-        )
-        obs.observe("partition.batch_tuples", float(len(keys)))
+        if obs.enabled():
+            obs.add("partition.batches")
+            obs.add("partition.tuples", float(len(keys)))
+            obs.add(
+                "partition.occupied_partitions",
+                float(int(np.count_nonzero(histogram))),
+            )
+            obs.observe("partition.batch_tuples", float(len(keys)))
+        # The scatter order is each reordered key's original index.
         return PartitionOutput(
-            keys=keys[order],
-            source_indices=source_indices[order],
-            offsets=offsets,
+            keys=keys[order], source_indices=order, offsets=offsets
         )
 
     def _stable_order(self, partitions: np.ndarray, n: int) -> np.ndarray:

@@ -1,47 +1,36 @@
-"""Resilience layer: fault injection, retries, checkpoints, failure reports.
+"""Resilience layer: fault injection, chaos replay, failure reports.
 
-Long sweeps must survive what long sweeps hit: a point that raises, a
-worker that dies, a worker that wedges, a run that gets killed halfway.
-The submodules each own one concern and the experiment stack composes
-them:
+A sweep here runs for seconds, so a failure is cheaper to rerun than to
+recover: the experiment stack makes every failure loud and keeps one
+failing experiment from hiding the others.  The submodules each own one
+concern:
 
 * :mod:`~repro.resilience.faults` -- deterministic, seeded fault
   injection (``REPRO_FAULTS``) so every failure path is testable;
-* :mod:`~repro.resilience.retry` -- :class:`RetryPolicy`, exponential
-  backoff with deterministic jitter, per-point timeouts;
-* :mod:`~repro.resilience.checkpoint` -- append-only JSONL sweep
-  checkpoints keyed by config hash (``--resume``);
 * :mod:`~repro.resilience.chaos` -- declarative, replayable fault
   schedules against the replicated serving layer, with the
   result-invariance checker behind ``repro chaos``;
 * :mod:`~repro.resilience.report` -- :class:`ExperimentFailure` /
   :class:`RunReport`, the runner's structured failure summary.
 
-The invariant threaded through all of it: recovery never changes
-figures.  Retried, requeued, degraded-to-serial, and resumed runs all
-produce bit-identical output to a clean serial run.
+Serving is the one place that recovers: a failed replica probe retries
+on the serve executor's own fixed schedule in simulated time, then
+fails over (:mod:`repro.serve.executor`).
 """
 
-from . import chaos, checkpoint, faults, report, retry
+from . import chaos, faults, report
 from .chaos import ChaosController, ChaosEvent, ChaosSchedule
-from .checkpoint import SweepCheckpoint
 from .faults import FaultPlan
 from .report import ExperimentFailure, RunReport
-from .retry import RetryPolicy, with_retry
 
 __all__ = [
     "chaos",
-    "checkpoint",
     "faults",
     "report",
-    "retry",
     "ChaosController",
     "ChaosEvent",
     "ChaosSchedule",
     "FaultPlan",
-    "SweepCheckpoint",
     "ExperimentFailure",
     "RunReport",
-    "RetryPolicy",
-    "with_retry",
 ]

@@ -1,10 +1,10 @@
 """Deterministic, seeded fault injection for the experiment stack.
 
-Long-running sweeps die in practice from three causes: a point raises, a
-worker process crashes, or a worker wedges.  This module lets tests (and
-chaos-style CI jobs) provoke each of those failure modes at an exact,
-reproducible place, so the retry/requeue/checkpoint machinery in
-:mod:`repro.experiments.common` can be exercised deterministically.
+A sweep fails in practice in one of two ways: a point raises, or a
+worker process dies.  This module lets tests (and CI smoke jobs) provoke
+either at an exact, reproducible place, so the loud-failure contract in
+:mod:`repro.experiments.common` and the serve executor's retry and
+failover can be exercised deterministically.
 
 A :class:`FaultPlan` names a *kind* of fault and a *site* at which to
 fire.  Sites are labelled check-points sprinkled through the stack:
@@ -12,8 +12,6 @@ fire.  Sites are labelled check-points sprinkled through the stack:
 * ``point`` -- checked before simulating one sweep point (serial path
   and worker processes) by the standard, non-equi and serve sweeps;
 * ``experiment`` -- checked by the runner before each experiment;
-* ``checkpoint`` -- consulted by the sweep checkpoint writer (the
-  ``corrupt`` kind mangles the serialized record);
 * ``replica`` -- checked by the replicated serve executor before every
   replica probe attempt.
 
@@ -22,13 +20,9 @@ A plan naming any other site is refused: it could never fire.
 Kinds:
 
 * ``raise`` -- raise :class:`~repro.errors.InjectedFault`;
-* ``hang`` -- sleep for ``hang_seconds`` (a *bounded* hang, so injected
-  wedges cannot deadlock a test run that exercises the timeout path);
 * ``crash`` -- ``os._exit`` the process, but **only** inside a
   multiprocessing worker; in the coordinating process it is ignored,
-  so an injected crash can never take down the test harness itself;
-* ``corrupt`` -- mangle a payload passed through :func:`corrupt_text`
-  (used for checkpoint records; :func:`check` ignores it).
+  so an injected crash can never take down the test harness itself.
 
 Plans are installed programmatically with :func:`install` or from the
 ``REPRO_FAULTS`` environment variable (which the CLI parses before any
@@ -36,7 +30,7 @@ work starts, so a bad spec is a usage error), e.g.::
 
     REPRO_FAULTS="raise@point:2"            # 3rd sweep point raises once
     REPRO_FAULTS="crash@point:0,count=2"    # workers crash on their 1st point
-    REPRO_FAULTS="hang@point:1,hang=2.5;raise@experiment:0,match=fig7"
+    REPRO_FAULTS="raise@point:1;raise@experiment:0,match=fig7"
 
 Each plan counts only the site checks whose label matches it, per
 process; counters restart in every pool worker (see
@@ -46,18 +40,16 @@ process* attempts -- deterministic under fork and spawn alike.
 
 from __future__ import annotations
 
-import math
 import os
-import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 from ..errors import ConfigurationError, InjectedFault
 
 #: Environment variable holding semicolon-separated fault specs.
 FAULTS_ENV = "REPRO_FAULTS"
 
-_KINDS = ("raise", "hang", "crash", "corrupt")
+_KINDS = ("raise", "crash")
 
 #: Site checked before every replica probe attempt of the serve
 #: executor.  Labels name the replica, ``shard{s}r{k}``, so
@@ -66,7 +58,7 @@ _KINDS = ("raise", "hang", "crash", "corrupt")
 REPLICA_SITE = "replica"
 
 #: Every site the stack checks (see the module docstring).
-SITES = ("point", "experiment", "checkpoint", REPLICA_SITE)
+SITES = ("point", "experiment", REPLICA_SITE)
 
 #: Exit status used by injected worker crashes (distinctive in waitpid).
 CRASH_EXIT_CODE = 117
@@ -78,16 +70,12 @@ class FaultPlan:
     check of ``site`` (0-based), at most ``count`` times per process.
 
     Attributes:
-        kind: one of ``raise | hang | crash | corrupt``.
+        kind: one of ``raise | crash``.
         site: the check-point name, one of :data:`SITES`.
         at: index of the first matching check that fires (0-based).
         count: maximum number of fires per process.
         match: only checks whose label contains this substring count
             toward ``at`` (empty string matches everything).
-        hang_seconds: sleep duration for ``hang`` faults.  Bounded by
-            design -- an injected hang always eventually returns.
-        seed: reserved for corruption/randomized variants; keeps byte
-            mangling reproducible.
     """
 
     kind: str
@@ -95,8 +83,6 @@ class FaultPlan:
     at: int = 0
     count: int = 1
     match: str = ""
-    hang_seconds: float = 30.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -113,21 +99,15 @@ class FaultPlan:
             raise ConfigurationError(
                 f"fault 'count' must be >= 1, got {self.count}"
             )
-        if not (math.isfinite(self.hang_seconds) and self.hang_seconds > 0):
-            raise ConfigurationError(
-                "fault 'hang' must be a positive, finite number of "
-                f"seconds, got {self.hang_seconds}"
-            )
 
 
-def _number(cast: Callable[[str], object], text: str, what: str, spec: str):
-    """``cast(text)``, or a :class:`ConfigurationError` naming ``what``."""
+def _integer(text: str, what: str, spec: str) -> int:
+    """``int(text)``, or a :class:`ConfigurationError` naming ``what``."""
     try:
-        return cast(text)
+        return int(text)
     except ValueError:
-        kind = "an integer" if cast is int else "a number"
         raise ConfigurationError(
-            f"bad fault spec {spec!r}: {what} must be {kind}, got {text!r}"
+            f"bad fault spec {spec!r}: {what} must be an integer, got {text!r}"
         ) from None
 
 
@@ -144,7 +124,7 @@ def parse_plan(spec: str) -> FaultPlan:
     if not site:
         raise ConfigurationError(f"bad fault spec {spec!r}: missing site")
     kwargs: Dict[str, object] = {
-        "at": _number(int, at_text, "'at'", spec) if at_text else 0
+        "at": _integer(at_text, "'at'", spec) if at_text else 0
     }
     if options:
         for item in options.split(","):
@@ -155,13 +135,9 @@ def parse_plan(spec: str) -> FaultPlan:
                     f"bad fault option {item!r} in {spec!r}"
                 )
             if key == "count":
-                kwargs["count"] = _number(int, value, "'count'", spec)
+                kwargs["count"] = _integer(value, "'count'", spec)
             elif key == "match":
                 kwargs["match"] = value
-            elif key == "hang":
-                kwargs["hang_seconds"] = _number(float, value, "'hang'", spec)
-            elif key == "seed":
-                kwargs["seed"] = _number(int, value, "'seed'", spec)
             else:
                 raise ConfigurationError(
                     f"unknown fault option {key!r} in {spec!r}"
@@ -252,55 +228,28 @@ def _load_env() -> None:
     _plans.extend(env_plans())
 
 
-def _matching(site: str, label: str, kinds: Tuple[str, ...]):
-    """Yield (index, plan) for plans due to fire at this check."""
-    _load_env()
-    for index, plan in enumerate(_plans):
-        if plan.site != site or plan.kind not in kinds:
-            continue
-        if plan.match and plan.match not in label:
-            continue
-        seen = _seen.get(index, 0)
-        _seen[index] = seen + 1
-        if seen >= plan.at and _fired.get(index, 0) < plan.count:
-            _fired[index] = _fired.get(index, 0) + 1
-            yield index, plan
-
-
 def check(site: str, label: str = "") -> None:
-    """Fire any due ``raise``/``hang``/``crash`` fault at this site.
+    """Fire any due ``raise``/``crash`` fault at this site.
 
     The fast path (no plans installed) is a tuple check -- cheap enough
     to call per replica probe attempt.
     """
     if not _plans and _env_loaded:
         return
-    for _, plan in _matching(site, label, ("raise", "hang", "crash")):
+    _load_env()
+    for index, plan in enumerate(_plans):
+        if plan.site != site or (plan.match and plan.match not in label):
+            continue
+        seen = _seen.get(index, 0)
+        _seen[index] = seen + 1
+        if seen < plan.at or _fired.get(index, 0) >= plan.count:
+            continue
+        _fired[index] = _fired.get(index, 0) + 1
         if plan.kind == "raise":
             raise InjectedFault(
                 f"injected fault at {site}[{plan.at}] ({label or 'unlabelled'})"
             )
-        if plan.kind == "hang":
-            time.sleep(plan.hang_seconds)
-        elif plan.kind == "crash":
-            # Never take down the coordinating process: crashes only make
-            # sense as *worker* deaths the pool must survive.
-            if is_worker_process():
-                os._exit(CRASH_EXIT_CODE)
-
-
-def corrupt_text(site: str, label: str, text: str) -> str:
-    """Pass ``text`` through any due ``corrupt`` fault at this site.
-
-    On fire, the payload is deterministically mangled (a seed-positioned
-    byte splice), modelling a torn or bit-flipped on-disk record.  With
-    no due fault the text passes through unchanged.
-    """
-    if not _plans and _env_loaded:
-        return text
-    for _, plan in _matching(site, label, ("corrupt",)):
-        if not text:
-            return "\x00"
-        position = plan.seed % len(text)
-        return text[:position] + "\x00CORRUPT\x00" + text[position + 1:]
-    return text
+        # A crash: never take down the coordinating process -- crashes
+        # only make sense as *worker* deaths that fail the sweep.
+        if is_worker_process():
+            os._exit(CRASH_EXIT_CODE)

@@ -403,7 +403,7 @@ def run_sweep_point(
     }
 
 
-#: One serve sweep point as a picklable task for the resilient pool:
+#: One serve sweep point as a picklable task for the process pool:
 #: (num_shards, window_kib, zipf_theta, index_name, r_tuples, requests,
 #: request_tuples, seed, replicas, replica_indexes, chaos_text,
 #: update_fraction); ``replica_indexes`` names every replica level.
@@ -484,7 +484,7 @@ def _serve_workload(
 
 
 def run_serve_point_task(task: ServeTask) -> dict:
-    """Serve one sweep task; the resilient pool's unit of work.
+    """Serve one sweep task; the process pool's unit of work.
 
     Deterministic given the task alone: the workload derives from the
     task's seed and the serving simulation reads no ambient state, so
@@ -565,7 +565,7 @@ def run_serve_bench(
 ) -> dict:
     """Run the full sweep; returns the JSON-ready payload.
 
-    Sweep points fan out across the resilient worker pool
+    Sweep points fan out across the worker pool
     (:func:`repro.experiments.common.map_tasks`): ``workers=0`` (the
     default) resolves to one process per CPU core, ``1`` forces the
     serial path, and either way the payload is bit-identical -- rows
@@ -625,12 +625,7 @@ def run_serve_bench(
         for num_shards in shards
         for kib in window_kib
     ]
-    sweeps = map_tasks(
-        run_serve_point_task,
-        tasks,
-        workers=resolved,
-        label_fn=serve_task_label,
-    )
+    sweeps = map_tasks(run_serve_point_task, tasks, workers=resolved)
     return {
         "benchmark": "repro-serve",
         "index": index,

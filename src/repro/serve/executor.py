@@ -5,9 +5,10 @@ questions: *what are the positions* (by actually probing the simulated
 index) and *how long did it take* (by pricing the shard's replayed
 window counters through the cost model -- simulated seconds, never wall
 clock).  Failures are injected through the fault sites and absorbed by
-the resilience layer's retry policy; backoff sleeps are captured into
-*simulated* delay instead of sleeping, so fault plans stretch latency
-without touching the wall clock.
+the executor's own fixed retry schedule (:data:`PROBE_ATTEMPTS`,
+:func:`retry_backoff`); backoff is added to *simulated* delay instead
+of sleeping, so fault plans stretch latency without touching the wall
+clock, and no environment variable can change it.
 
 :class:`ReplicatedShardExecutor` serves K replicas per range behind a
 cost-based router; an unreplicated deployment is simply K = 1.  A
@@ -29,6 +30,7 @@ invariance the chaos harness checks.
 from __future__ import annotations
 
 import copy
+import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple, Union
 
@@ -36,12 +38,11 @@ import numpy as np
 
 from .. import obs
 from ..config import SimulationConfig
-from ..errors import ConfigurationError, SweepExecutionError
+from ..errors import CapacityError, ConfigurationError
 from ..hardware.counters import PerfCounters
 from ..hardware.spec import SystemSpec, V100_NVLINK2
 from ..perf.model import CostModel
 from ..resilience import faults
-from ..resilience.retry import RetryPolicy, active_policy, with_retry
 from ..units import KEY_BYTES
 from .batcher import Window
 from .delta import (
@@ -68,6 +69,30 @@ KERNELS_PER_WINDOW = 2
 #: schedules that keep re-killing the recovering replica.
 MAX_WINDOW_DEFERRALS = 2
 
+#: Probe attempts one replica gets per window before it is declared
+#: dead and the window fails over.
+PROBE_ATTEMPTS = 3
+
+#: Backoff before retry ``k`` is ``min(BASE * 2**(k-1), CAP)`` simulated
+#: seconds, scaled by a jitter factor in [0.5, 1) (see
+#: :func:`retry_backoff`).
+BACKOFF_BASE_SECONDS = 0.05
+BACKOFF_CAP_SECONDS = 2.0
+
+
+def retry_backoff(shard_id: int, replica_id: int, attempt: int) -> float:
+    """Simulated seconds a failed probe waits before retry ``attempt``.
+
+    Exponential in the 1-based attempt number, capped, with jitter
+    drawn from a generator seeded by the replica and the attempt: the
+    same retry always waits the same time, while retries on different
+    replicas decorrelate.  A str seed hashes stably (sha512), so the
+    schedule reproduces across processes.
+    """
+    delay = min(BACKOFF_BASE_SECONDS * 2.0 ** (attempt - 1), BACKOFF_CAP_SECONDS)
+    jitter = random.Random(f"0:serve.shard{shard_id}r{replica_id}:{attempt}")
+    return delay * (0.5 + 0.5 * jitter.random())
+
 
 @dataclass
 class WindowResult:
@@ -75,7 +100,7 @@ class WindowResult:
 
     ``service_seconds`` is pure simulated time: the cost model's price
     for the window's replayed counters, two kernel launches, and any
-    retry backoff (captured, not slept).
+    retry backoff (:func:`retry_backoff`, added, not slept).
     """
 
     window: Window
@@ -187,15 +212,12 @@ class ReplicatedShardExecutor:
     plan: ShardPlan
     spec: SystemSpec = V100_NVLINK2
     sim: SimulationConfig = CALIBRATION_SIM
-    policy: Optional[RetryPolicy] = None
     failure_threshold: int = DEFAULT_FAILURE_THRESHOLD
     chaos: Optional[object] = None
     compaction_policy: CompactionPolicy = DEFAULT_COMPACTION_POLICY
     _cost: CostModel = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.policy is None:
-            self.policy = active_policy()
         self._cost = CostModel(self.spec)
         self.health = HealthTracker(
             self.plan.num_shards,
@@ -505,12 +527,12 @@ class ReplicatedShardExecutor:
     ) -> Union[WindowResult, WindowDeferred]:
         """Serve one window at simulated time ``now``.
 
-        Walks the routed candidates; each candidate gets the full retry
-        budget, and one that exhausts it is declared dead (rebuild
-        scheduled) before the window fails over to the next.  With no
-        candidate left, the failover-vs-wait decision runs: defer to
-        the earliest rebuild when waiting is priced cheaper than the
-        fallback probe, else degrade.
+        Walks the routed candidates; each candidate gets
+        :data:`PROBE_ATTEMPTS` tries, and one that spends them is
+        declared dead (rebuild scheduled) before the window fails over
+        to the next.  With no candidate left, the failover-vs-wait
+        decision runs: defer to the earliest rebuild when waiting is
+        priced cheaper than the fallback probe, else degrade.
 
         Update windows take their own path: host-authoritative delta
         application to every replica, no routing, no fault injection.
@@ -524,54 +546,22 @@ class ReplicatedShardExecutor:
         failovers = 0
         positions: Optional[np.ndarray] = None
         served_by = -1
-        assert self.policy is not None  # set in __post_init__
 
         for replica_id, cost in self.route(shard_id, len(window)):
-            shard = self.plan.replicas[shard_id][replica_id]
-            label = f"shard{shard_id}r{replica_id}"
-
-            def probe(
-                replica_id: int = replica_id,
-                shard: Shard = shard,
-                label: str = label,
-            ) -> np.ndarray:
-                try:
-                    if self.chaos is not None:
-                        self.chaos.check_probe(  # type: ignore[attr-defined]
-                            shard_id, replica_id, now, seq
-                        )
-                    faults.check(faults.REPLICA_SITE, label=label)
-                    out = shard.probe(window.keys)
-                except Exception:
-                    # The threshold can trip mid-retry; a later attempt
-                    # may still answer, but the replica stays dead until
-                    # the rebuild scheduled here brings it back.
-                    if self.health.record_failure(shard_id, replica_id, now):
-                        self._on_dead(shard_id, replica_id, now)
-                    raise
-                self.health.record_success(shard_id, replica_id, now)
-                return out
-
-            try:
-                positions = with_retry(
-                    probe,
-                    self.policy,
-                    label=f"serve.{label}",
-                    sleep=delays.append,
-                )
+            positions = self._probe(window, replica_id, now, seq, delays)
+            if positions is not None:
                 served_by = replica_id
                 break
-            except SweepExecutionError:
-                if self.health.force_dead(shard_id, replica_id, now):
-                    self._on_dead(shard_id, replica_id, now)
-                failovers += 1
-                self.health.note(
-                    now, shard_id, replica_id, "failover", f"window={seq}"
+            if self.health.force_dead(shard_id, replica_id, now):
+                self._on_dead(shard_id, replica_id, now)
+            failovers += 1
+            self.health.note(
+                now, shard_id, replica_id, "failover", f"window={seq}"
+            )
+            if obs.enabled():
+                obs.add(
+                    "serve.failovers", shard=shard_id, replica=replica_id
                 )
-                if obs.enabled():
-                    obs.add(
-                        "serve.failovers", shard=shard_id, replica=replica_id
-                    )
 
         self.failovers += failovers
         degraded = positions is None
@@ -616,6 +606,46 @@ class ReplicatedShardExecutor:
             replica=served_by,
             failovers=failovers,
         )
+
+    def _probe(
+        self,
+        window: Window,
+        replica_id: int,
+        now: float,
+        seq: int,
+        delays: List[float],
+    ) -> Optional[np.ndarray]:
+        """Probe one replica with retries; None once its attempts are spent.
+
+        Each retry's backoff is appended to ``delays``.  Every failure
+        counts toward the replica's health threshold, which can trip
+        mid-retry: a later attempt may still answer, but the replica
+        stays dead until the rebuild scheduled here brings it back.
+        :class:`CapacityError` and :class:`ConfigurationError` propagate
+        at once -- retrying cannot fix them.
+        """
+        shard_id = window.shard_id
+        shard = self.plan.replicas[shard_id][replica_id]
+        label = f"shard{shard_id}r{replica_id}"
+        for attempt in range(PROBE_ATTEMPTS):
+            if attempt:
+                delays.append(retry_backoff(shard_id, replica_id, attempt))
+            try:
+                if self.chaos is not None:
+                    self.chaos.check_probe(  # type: ignore[attr-defined]
+                        shard_id, replica_id, now, seq
+                    )
+                faults.check(faults.REPLICA_SITE, label=label)
+                positions = shard.probe(window.keys)
+            except Exception as error:
+                if self.health.record_failure(shard_id, replica_id, now):
+                    self._on_dead(shard_id, replica_id, now)
+                if isinstance(error, (CapacityError, ConfigurationError)):
+                    raise
+                continue
+            self.health.record_success(shard_id, replica_id, now)
+            return positions
+        return None
 
     def _execute_update(
         self, window: Window, now: float

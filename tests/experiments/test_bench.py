@@ -29,7 +29,6 @@ class TestBenchPayload:
             "benchmark",
             "r_sizes_gib",
             "probe_samples",
-            "resilience",
             "platform",
             "python",
             "fast",

@@ -9,15 +9,11 @@ import pytest
 
 from repro.__main__ import main as repro_main
 from repro.errors import ConfigurationError
-from repro.experiments import runner
 from repro.experiments.runner import EXPERIMENT_NAMES, run_report
 
 
-@pytest.mark.parametrize(
-    "entry", [lambda argv: repro_main(["experiments", *argv]), runner.main]
-)
-def test_unknown_name_exits_2_and_lists_the_valid_names(entry, capsys):
-    assert entry(["fig3", "fig42"]) == 2
+def test_unknown_name_exits_2_and_lists_the_valid_names(capsys):
+    assert repro_main(["experiments", "fig3", "fig42"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""  # nothing ran, not even fig3
     assert "fig42" in captured.err

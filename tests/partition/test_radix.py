@@ -52,28 +52,15 @@ class TestPartition:
     def test_stability_within_partition(self, partitioner):
         """The linear allocator hands out slots in arrival order."""
         keys = np.array([16, 18, 17, 16], dtype=np.uint64)  # all partition 1
-        source = np.arange(4, dtype=np.int64)
-        output = partitioner.partition(keys, source_indices=source)
+        output = partitioner.partition(keys)
         assert output.keys.tolist() == [16, 18, 17, 16]
         assert output.source_indices.tolist() == [0, 1, 2, 3]
 
     def test_source_indices_track_keys(self, partitioner, rng):
         keys = random_keys(rng)
         output = partitioner.partition(keys)
+        assert output.source_indices.dtype == np.int64
         assert np.array_equal(keys[output.source_indices], output.keys)
-
-    def test_custom_source_indices(self, partitioner, rng):
-        keys = random_keys(rng, 100)
-        source = np.arange(1000, 1100, dtype=np.int64)
-        output = partitioner.partition(keys, source_indices=source)
-        assert set(output.source_indices.tolist()) == set(source.tolist())
-
-    def test_length_mismatch_rejected(self, partitioner):
-        with pytest.raises(ConfigurationError):
-            partitioner.partition(
-                np.zeros(3, dtype=np.uint64),
-                source_indices=np.zeros(2, dtype=np.int64),
-            )
 
     def test_empty_input(self, partitioner):
         output = partitioner.partition(np.empty(0, dtype=np.uint64))

@@ -6,31 +6,13 @@ import pytest
 
 from repro.experiments import cache
 from repro.resilience import faults
-from repro.resilience.checkpoint import CHECKPOINT_DIR_ENV, RESUME_ENV
 from repro.resilience.faults import FAULTS_ENV
-from repro.resilience.retry import (
-    BASE_DELAY_ENV,
-    POINT_TIMEOUT_ENV,
-    POOL_RESTARTS_ENV,
-    RETRIES_ENV,
-)
-
-_ENV_VARS = (
-    FAULTS_ENV,
-    CHECKPOINT_DIR_ENV,
-    RESUME_ENV,
-    RETRIES_ENV,
-    POINT_TIMEOUT_ENV,
-    POOL_RESTARTS_ENV,
-    BASE_DELAY_ENV,
-)
 
 
 @pytest.fixture(autouse=True)
 def _clean_resilience(monkeypatch):
-    """Each test starts with no plans, no cache, and no ``REPRO_*`` env."""
-    for name in _ENV_VARS:
-        monkeypatch.delenv(name, raising=False)
+    """Each test starts with no plans, no cache, and no ``REPRO_FAULTS``."""
+    monkeypatch.delenv(FAULTS_ENV, raising=False)
     faults.clear()
     cache.clear()
     yield

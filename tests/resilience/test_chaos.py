@@ -362,6 +362,23 @@ class TestHarness:
         assert chaotic.fallback_windows > 0
         assert len(chaotic.positions) == len(clean.positions)
 
+    def test_output_ignores_the_retired_retry_variables(
+        self, capsys, monkeypatch
+    ):
+        """The serve retry is the executor's own fixed schedule: no
+        environment variable reaches a chaos payload."""
+        argv = [
+            "chaos", "--schedule", os.path.join(SCHEDULE_DIR, "kill-one.json")
+        ]
+        assert cli_main(argv) == 0
+        unset = capsys.readouterr().out
+        monkeypatch.setenv("REPRO_RETRIES", "1")
+        monkeypatch.setenv("REPRO_RETRY_BASE_DELAY", "0")
+        assert cli_main(argv) == 0
+        assert capsys.readouterr().out == unset
+        assert "injections=3" in unset
+        assert "clean makespan 0.000140787s, chaotic 0.119898700s" in unset
+
     def test_replay_is_bit_identical(self):
         schedule = ChaosSchedule(
             events=(ChaosEvent(kind="kill", at=0.0, shard=0, replica=0),)

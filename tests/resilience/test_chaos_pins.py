@@ -9,9 +9,10 @@ arguments -- to ``chaos_pins.json`` with ``==``: the health timeline,
 the injections, the makespan, the fallback, failover, recovery,
 deferral and compaction counts, and a sha256 of the served positions.
 
-The pinned timelines include the retry policy's 0.05 s backoff, charged
-in simulated serve time (``kill-one`` reads 0.119898700 s chaotic
-against 0.000140787 s clean).  A change to that charge is a named model
+The pinned timelines include the serve executor's fixed retry backoff
+(0.05 s base, ``repro.serve.executor.retry_backoff``), charged in
+simulated serve time (``kill-one`` reads 0.119898700 s chaotic against
+0.000140787 s clean).  A change to that charge is a named model
 change that re-records this file, as is any other intended change:
 
     PYTHONPATH=src python tests/resilience/test_chaos_pins.py

@@ -16,15 +16,9 @@ class TestParsing:
         assert plan.count == 1
 
     def test_full_spec(self):
-        plan = parse_plan("hang@replica:3,count=2,match=fig7,hang=1.5,seed=9")
+        plan = parse_plan("crash@replica:3,count=2,match=fig7")
         assert plan == FaultPlan(
-            kind="hang",
-            site="replica",
-            at=3,
-            count=2,
-            match="fig7",
-            hang_seconds=1.5,
-            seed=9,
+            kind="crash", site="replica", at=3, count=2, match="fig7"
         )
 
     def test_multiple_specs(self):
@@ -45,12 +39,13 @@ class TestParsing:
             "raise@point:0,count",    # malformed option
             "raise@nowhere:0",        # unknown site
             "raise@batch:0",          # a site nothing checks
+            "raise@checkpoint:0",     # retired site
             "raise@point:x",          # non-integer 'at'
             "raise@point:0,count=x",  # non-integer count
-            "raise@point:0,seed=1.5",  # non-integer seed
-            "hang@point:0,hang=x",    # non-numeric hang
-            "hang@point:0,hang=nan",  # NaN hang
-            "hang@point:0,hang=inf",  # unbounded hang
+            "raise@point:0,seed=1.5",  # retired option
+            "hang@point:0,hang=x",    # retired kind
+            "hang@point:0,hang=nan",  # retired kind
+            "hang@point:0,hang=inf",  # retired kind
         ],
     )
     def test_bad_specs_rejected(self, spec):
@@ -62,10 +57,8 @@ class TestParsing:
             FaultPlan(kind="raise", site="point", at=-1)
         with pytest.raises(ConfigurationError):
             FaultPlan(kind="raise", site="point", count=0)
-        with pytest.raises(ConfigurationError):
-            FaultPlan(kind="hang", site="point", hang_seconds=0)
-        with pytest.raises(ConfigurationError):
-            FaultPlan(kind="hang", site="point", hang_seconds=float("nan"))
+        with pytest.raises(ConfigurationError, match="unknown fault kind"):
+            FaultPlan(kind="corrupt", site="point")
         with pytest.raises(ConfigurationError, match="unknown fault site"):
             FaultPlan(kind="raise", site="batch")
 
@@ -116,16 +109,6 @@ class TestFiring:
         faults.install(FaultPlan(kind="crash", site="point", at=0))
         faults.check("point")  # still alive
 
-    def test_hang_sleeps_bounded(self):
-        import time
-
-        faults.install(
-            FaultPlan(kind="hang", site="point", at=0, hang_seconds=0.05)
-        )
-        started = time.perf_counter()
-        faults.check("point")
-        assert time.perf_counter() - started >= 0.05
-
     def test_reset_for_worker_restarts_counters(self):
         faults.install(FaultPlan(kind="raise", site="point", at=0))
         with pytest.raises(InjectedFault):
@@ -160,19 +143,3 @@ class TestEnvironment:
         faults.clear()
         faults.install()  # explicit empty install: no faults
         faults.check("point")
-
-
-class TestCorruption:
-    def test_corrupt_text_mangles_once(self):
-        faults.install(
-            FaultPlan(kind="corrupt", site="checkpoint", at=0, seed=3)
-        )
-        mangled = faults.corrupt_text("checkpoint", "rec", "hello world")
-        assert mangled != "hello world"
-        assert "CORRUPT" in mangled
-        # budget spent: passthrough afterwards
-        assert faults.corrupt_text("checkpoint", "rec", "second") == "second"
-
-    def test_corrupt_does_not_fire_for_check(self):
-        faults.install(FaultPlan(kind="corrupt", site="point", at=0))
-        faults.check("point")  # corrupt plans never raise/hang/crash

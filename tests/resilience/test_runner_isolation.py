@@ -5,7 +5,6 @@ import io
 import pytest
 
 from repro.__main__ import main as cli_main
-from repro.experiments.runner import main as runner_main
 from repro.experiments.runner import run_report
 from repro.resilience import faults
 from repro.resilience.faults import FaultPlan
@@ -49,19 +48,8 @@ class TestRunReportIsolation:
     def test_points_completed_attributed_to_sweep_failures(self):
         # Fail the sweep itself (not the experiment guard) so the
         # failure report can see how far the sweep got.
-        faults.install(
-            FaultPlan(kind="raise", site="point", at=1, count=10**6)
-        )
-        import os
-
-        os.environ["REPRO_RETRIES"] = "1"
-        try:
-            stream = io.StringIO()
-            report = run_report(
-                ["fig3"], quick=True, stream=stream
-            )
-        finally:
-            del os.environ["REPRO_RETRIES"]
+        faults.install(FaultPlan(kind="raise", site="point", at=1))
+        report = run_report(["fig3"], quick=True, stream=io.StringIO())
         assert not report.ok()
         failure = report.failures[0]
         assert failure.name == "fig3+fig4"
@@ -121,19 +109,21 @@ class TestCliExitCodes:
         assert cli_main(["experiments", "table1", "--workers", "0"]) == 2
         assert "workers" in capsys.readouterr().err
 
-    def test_runner_module_main_matches(self, capsys, monkeypatch):
-        monkeypatch.setenv(
-            faults.FAULTS_ENV, "raise@experiment:0,match=table1"
-        )
-        faults.clear()
-        assert runner_main(["table1"]) == 1
-        capsys.readouterr()
+    @pytest.mark.parametrize(
+        "flag",
+        ["--retries=2", "--point-timeout=30", "--checkpoint-dir=ckpt", "--resume"],
+    )
+    def test_recovery_flags_are_refused(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["experiments", "table1", flag])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_resume_flags_accepted(self, tmp_path, capsys):
-        args = [
-            "experiments", "table1",
-            "--checkpoint-dir", str(tmp_path),
-            "--resume", "--retries", "2", "--point-timeout", "30",
+    def test_output_dir_and_charts(self, tmp_path, capsys):
+        argv = [
+            "experiments", "fig9", "--output-dir", str(tmp_path), "--charts",
         ]
-        assert cli_main(args) == 0
-        capsys.readouterr()
+        assert cli_main(argv) == 0
+        assert (tmp_path / "fig9.csv").is_file()
+        assert (tmp_path / "fig9.json").is_file()
+        assert "o RadixSpline [NVLink 2.0]" in capsys.readouterr().out

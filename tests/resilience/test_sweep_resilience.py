@@ -1,222 +1,61 @@
-"""End-to-end sweep resilience: the figures survive injected faults.
+"""The loud-failure contract of the sweep runner.
 
-The invariant under test everywhere: recovery never changes figures.
-A sweep that hit retries, worker crashes, wedged workers, degradation
-to serial, or a checkpoint resume produces output bit-identical to a
-clean serial run.
+A sweep is never recovered: a point that raises fails its experiment
+with the point's own exception, and a worker that dies fails it with
+``BrokenProcessPool``.  Either way the runner isolates the failure to
+that experiment, reports how far its sweep got, and exits nonzero,
+while every other experiment of the run still completes.
 """
+
+import io
+import multiprocessing
 
 import pytest
 
-from repro.config import SimulationConfig
-from repro.errors import SweepExecutionError
-from repro.experiments import common, fig3
-from repro.hardware.spec import V100_NVLINK2
-from repro.indexes import RadixSplineIndex
-from repro.resilience import checkpoint as cp
-from repro.resilience import faults, retry
+from repro.__main__ import main as cli_main
+from repro.experiments.runner import run_report
+from repro.resilience import faults
 from repro.resilience.faults import FaultPlan
-from repro.resilience.retry import RetryPolicy
-
-TINY_SIM = SimulationConfig(probe_sample=2**10)
-TINY_SIZES = (0.5, 1.0)
-TINY_INDEXES = (RadixSplineIndex,)
-
-#: Fast-failure policy for tests: small backoff, short timeouts, one
-#: pool rebuild before degrading to serial.
-FAST_POLICY = RetryPolicy(
-    max_attempts=3,
-    base_delay=0.01,
-    max_delay=0.05,
-    point_timeout=0.5,
-    max_pool_restarts=0,
-)
 
 
-def series_dump(result):
-    return [(s.label, list(s.x), list(s.y)) for s in result.series]
-
-
-def tiny_tasks():
-    """Four standard points: 2 INLJ + 2 hash-join tasks."""
-    tasks = []
-    for gib in TINY_SIZES:
-        r_tuples = common.gib_to_tuples(gib)
-        tasks.append(("inlj", V100_NVLINK2, r_tuples, RadixSplineIndex, TINY_SIM))
-        tasks.append(("hash", V100_NVLINK2, r_tuples, None, TINY_SIM))
-    return tasks
-
-
-@pytest.fixture(scope="module")
-def clean_baseline():
-    """A fault-free serial fig3 run; every resilient run must match it."""
-    faults.clear()
-    throughput, requests = fig3.run(
-        r_sizes_gib=TINY_SIZES, sim=TINY_SIM, index_types=TINY_INDEXES
+@pytest.mark.parametrize("workers", [1, 2])
+def test_raising_point_fails_only_its_experiment(workers):
+    # Serially the first point raises; pooled, every worker's first
+    # point does, so task 0 fails whichever worker takes it.
+    faults.install(FaultPlan(kind="raise", site="point", at=0))
+    stream = io.StringIO()
+    report = run_report(
+        ["table1", "fig3", "fig4"], quick=True, stream=stream, workers=workers
     )
-    return series_dump(throughput), series_dump(requests)
+    assert "table1" in report.results
+    assert "fig3" not in report.results and "fig4" not in report.results
+    [failure] = report.failures
+    assert failure.name == "fig3+fig4"
+    assert failure.error_type == "InjectedFault"
+    assert failure.points_completed == 0
+    assert report.exit_code() == 1
+    assert "FAILURE SUMMARY" in stream.getvalue()
 
 
-def assert_matches_baseline(run_result, clean_baseline):
-    throughput, requests = run_result
-    assert series_dump(throughput) == clean_baseline[0]
-    assert series_dump(requests) == clean_baseline[1]
+def test_raising_point_exits_one_from_the_cli(capsys, monkeypatch):
+    monkeypatch.setenv(faults.FAULTS_ENV, "raise@point:0")
+    faults.clear()  # pick the plan up from the environment
+    argv = ["experiments", "table1", "fig3", "--quick", "--workers", "2"]
+    assert cli_main(argv) == 1
+    out = capsys.readouterr().out
+    assert "FAILURE SUMMARY" in out
+    assert "InjectedFault" in out
 
 
-class TestInjectedExceptions:
-    def test_serial_retry_recovers(self, clean_baseline):
-        faults.install(FaultPlan(kind="raise", site="point", at=0))
-        with retry.configured(FAST_POLICY):
-            result = fig3.run(
-                r_sizes_gib=TINY_SIZES, sim=TINY_SIM, index_types=TINY_INDEXES
-            )
-        assert_matches_baseline(result, clean_baseline)
-
-    def test_parallel_requeue_recovers(self, clean_baseline):
-        # Each pool worker raises on its second point; the coordinator
-        # requeues and the rerun succeeds (the plan's budget is spent).
-        faults.install(FaultPlan(kind="raise", site="point", at=1))
-        with retry.configured(FAST_POLICY):
-            result = fig3.run(
-                r_sizes_gib=TINY_SIZES,
-                sim=TINY_SIM,
-                index_types=TINY_INDEXES,
-                workers=2,
-            )
-        assert_matches_baseline(result, clean_baseline)
-
-    def test_exhausted_budget_raises_sweep_error(self):
-        # count is effectively unlimited: every attempt fails.
-        faults.install(
-            FaultPlan(kind="raise", site="point", at=0, count=10**6)
-        )
-        policy = RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0)
-        with pytest.raises(SweepExecutionError) as excinfo:
-            common.map_standard_points(tiny_tasks(), policy=policy)
-        assert "2 attempts" in str(excinfo.value)
-
-
-class TestWorkerCrash:
-    def test_crashed_workers_recovered(self, clean_baseline):
-        # Every pool worker dies (os._exit) on its first point: all
-        # points are lost, the pool is rebuilt, dies again, and the
-        # sweep degrades to serial -- where crash faults are inert by
-        # design.  The figures must not change.
-        faults.install(
-            FaultPlan(kind="crash", site="point", at=0, count=10**6)
-        )
-        with retry.configured(FAST_POLICY):
-            result = fig3.run(
-                r_sizes_gib=TINY_SIZES,
-                sim=TINY_SIM,
-                index_types=TINY_INDEXES,
-                workers=2,
-            )
-        assert_matches_baseline(result, clean_baseline)
-        assert common.LAST_SWEEP["degraded"] is True
-        assert common.LAST_SWEEP["pool_restarts"] >= 1
-        assert common.LAST_SWEEP["requeued"] >= 1
-
-
-class TestWorkerHang:
-    def test_wedged_workers_recovered(self, clean_baseline):
-        # Workers wedge (bounded sleep) past the point timeout: lost
-        # points are requeued, the wedged pool is terminated, and the
-        # sweep eventually degrades to serial and completes.
-        faults.install(
-            FaultPlan(
-                kind="hang", site="point", at=0, count=10**6,
-                hang_seconds=2.0,
-            )
-        )
-        with retry.configured(FAST_POLICY):
-            result = fig3.run(
-                r_sizes_gib=TINY_SIZES,
-                sim=TINY_SIM,
-                index_types=TINY_INDEXES,
-                workers=2,
-            )
-        assert_matches_baseline(result, clean_baseline)
-        assert common.LAST_SWEEP["degraded"] is True
-
-
-class TestCheckpointResume:
-    def test_resume_recomputes_only_missing_points(self, tmp_path):
-        tasks = tiny_tasks()
-        clean = common.map_standard_points(tasks)
-
-        # First run: the third point keeps failing with no retry budget,
-        # killing the sweep after two completed points -- the moral
-        # equivalent of a SIGKILL halfway through.
-        faults.install(
-            FaultPlan(kind="raise", site="point", at=2, count=10**6)
-        )
-        policy = RetryPolicy(max_attempts=1, base_delay=0.0, jitter=0.0)
-        with cp.configured(str(tmp_path)):
-            with pytest.raises(SweepExecutionError):
-                common.map_standard_points(tasks, policy=policy)
-        assert common.LAST_SWEEP["computed"] == 2
-
-        store = cp.SweepCheckpoint(
-            cp.sweep_path(str(tmp_path), tasks), resume=True
-        )
-        assert store.stats["loaded"] == 2
-
-        # Resumed run: only the two missing points are recomputed, and
-        # the outcomes are bit-identical to a clean run.
-        faults.clear()
-        with cp.configured(str(tmp_path), resume=True):
-            resumed = common.map_standard_points(tasks)
-        assert resumed == clean
-        assert common.LAST_SWEEP["resumed"] == 2
-        assert common.LAST_SWEEP["computed"] == 2
-
-    def test_resume_off_recomputes_everything(self, tmp_path):
-        tasks = tiny_tasks()
-        with cp.configured(str(tmp_path)):
-            first = common.map_standard_points(tasks)
-        with cp.configured(str(tmp_path), resume=False):
-            second = common.map_standard_points(tasks)
-        assert first == second
-        assert common.LAST_SWEEP["resumed"] == 0
-        assert common.LAST_SWEEP["computed"] == len(tasks)
-
-    def test_corrupted_checkpoint_degrades_to_recompute(self, tmp_path):
-        tasks = tiny_tasks()
-        # Checkpoint a full run, with the second record's bytes mangled
-        # in flight (a torn write / bit rot).
-        faults.install(
-            FaultPlan(kind="corrupt", site="checkpoint", at=1, seed=11)
-        )
-        with cp.configured(str(tmp_path)):
-            clean = common.map_standard_points(tasks)
-        faults.clear()
-
-        with cp.configured(str(tmp_path), resume=True):
-            resumed = common.map_standard_points(tasks)
-        assert resumed == clean  # corruption cost a recompute, not figures
-        assert common.LAST_SWEEP["resumed"] == len(tasks) - 1
-        assert common.LAST_SWEEP["computed"] == 1
-
-    def test_parallel_run_checkpoints_and_resumes(self, tmp_path):
-        tasks = tiny_tasks()
-        clean = common.map_standard_points(tasks)
-        with cp.configured(str(tmp_path)):
-            parallel = common.map_standard_points(tasks, workers=2)
-        assert parallel == clean
-        # Everything is checkpointed: a resume computes nothing.
-        with cp.configured(str(tmp_path), resume=True):
-            resumed = common.map_standard_points(tasks)
-        assert resumed == clean
-        assert common.LAST_SWEEP["resumed"] == len(tasks)
-        assert common.LAST_SWEEP["computed"] == 0
-
-
-class TestEnvDriven:
-    def test_env_fault_and_retry_knobs(self, monkeypatch):
-        monkeypatch.setenv(faults.FAULTS_ENV, "raise@point:0")
-        monkeypatch.setenv(retry.RETRIES_ENV, "3")
-        monkeypatch.setenv(retry.BASE_DELAY_ENV, "0.01")
-        faults.clear()  # reload plans from the patched environment
-        outcomes = common.map_standard_points(tiny_tasks())
-        assert all(outcome[0] == "ok" for outcome in outcomes)
+def test_dead_worker_fails_the_sweep_loudly():
+    # Every worker exits on its first point; the pool must say so at once.
+    faults.install(FaultPlan(kind="crash", site="point", at=0))
+    stream = io.StringIO()
+    report = run_report(["fig3"], quick=True, stream=stream, workers=2)
+    [failure] = report.failures
+    assert failure.name == "fig3+fig4"
+    assert failure.error_type == "BrokenProcessPool"
+    assert failure.elapsed_seconds < 30
+    assert report.exit_code() == 1
+    assert "BrokenProcessPool" in stream.getvalue()
+    assert multiprocessing.active_children() == []

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.indexes import (
     BinarySearchIndex,
     BPlusTreeIndex,
@@ -15,13 +16,13 @@ from repro.indexes import (
 )
 from repro.resilience import faults
 from repro.resilience.faults import FaultPlan
-from repro.resilience.retry import RetryPolicy
 from repro.serve.batcher import Window
 from repro.serve.executor import (
     MAX_WINDOW_DEFERRALS,
     ReplicatedShardExecutor,
     WindowDeferred,
     WindowResult,
+    retry_backoff,
 )
 from repro.serve.recovery import price_rebuild
 from repro.serve.service import ProbeRequest, ShardedIndexService
@@ -193,6 +194,54 @@ class TestFailoverVersusWait:
         assert executor.health.state(shard_id, 0) == "healthy"
 
 
+class TestRetrySchedule:
+    """The serve executor's fixed retry schedule, in simulated seconds."""
+
+    #: (shard, replica, retry) -> backoff, as the schedule has priced
+    #: it since serving first retried: min(0.05 * 2**(k-1), 2) scaled
+    #: by a jitter factor in [0.5, 1).
+    PINNED = {
+        (0, 0, 1): 0.029563110481471356,
+        (0, 0, 2): 0.09022494390916809,
+        (1, 0, 1): 0.047374276990844115,
+        (1, 1, 2): 0.09039174438457634,
+        (3, 1, 1): 0.044956541251366146,
+        (2, 0, 7): 1.7950393450859088,
+    }
+
+    def test_backoff_is_pinned(self):
+        for key, seconds in self.PINNED.items():
+            assert retry_backoff(*key) == seconds, key
+
+    @pytest.mark.parametrize("retry", [1, 2, 3, 6, 7, 40])
+    def test_backoff_stays_in_its_jitter_band(self, retry):
+        delay = min(0.05 * 2.0 ** (retry - 1), 2.0)
+        for shard_id in range(4):
+            seconds = retry_backoff(shard_id, 1, retry)
+            assert 0.5 * delay <= seconds < delay
+
+    def test_configuration_errors_are_not_retried(
+        self, small_relation, small_probes, monkeypatch
+    ):
+        executor = ReplicatedShardExecutor(
+            range_shard(small_relation, 1, BinarySearchIndex)
+        )
+        calls = []
+
+        def broken(keys):
+            calls.append(len(keys))
+            raise ConfigurationError("unservable window")
+
+        monkeypatch.setattr(executor.plan.replicas[0][0], "probe", broken)
+        keys = small_probes.keys[:64]
+        window = Window(
+            shard_id=0, keys=keys, indices=np.arange(len(keys)), full=True
+        )
+        with pytest.raises(ConfigurationError):
+            executor.execute(window)
+        assert calls == [64]
+
+
 class TestDeathMidRetry:
     """The failure threshold (2) can trip inside one window's retry
     budget (3 attempts); a later attempt then answers, but the replica
@@ -217,8 +266,7 @@ class TestDeathMidRetry:
 
     def two_replica_executor(self, relation):
         return ReplicatedShardExecutor(
-            range_shard(relation, 2, [BinarySearchIndex] * 2),
-            policy=RetryPolicy(max_attempts=3, jitter=0.0),
+            range_shard(relation, 2, [BinarySearchIndex] * 2)
         )
 
     def test_death_schedules_exactly_one_rebuild(
@@ -232,11 +280,16 @@ class TestDeathMidRetry:
         window = Window(
             shard_id=shard_id, keys=shard_keys, indices=indices, full=True
         )
+        clean = self.two_replica_executor(small_relation).execute(window)
         self.two_transient_faults(shard_id)
         result = executor.execute(window, now=0.0)
         # The third attempt answered from the (already dead) replica.
         assert isinstance(result, WindowResult)
         assert (result.replica, result.retries) == (0, 2)
+        # Both retries' backoff is charged in simulated time.
+        assert result.service_seconds == clean.service_seconds + (
+            retry_backoff(shard_id, 0, 1) + retry_backoff(shard_id, 0, 2)
+        )
         assert not result.degraded and result.failovers == 0
         assert executor.health.is_dead(shard_id, 0)
         assert [key for _, key in executor.take_scheduled()] == [

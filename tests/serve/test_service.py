@@ -12,7 +12,6 @@ from repro.errors import ConfigurationError
 from repro.indexes import BinarySearchIndex, RadixSplineIndex
 from repro.resilience import faults
 from repro.resilience.faults import FaultPlan
-from repro.resilience.retry import RetryPolicy
 from repro.serve import (
     ProbeRequest,
     ReplicatedShardExecutor,
@@ -48,11 +47,10 @@ def build_service(
     window_tuples=64,
     index_cls=BinarySearchIndex,
     max_backlog_tuples=10_000,
-    policy=None,
     replicas=1,
 ):
     plan = range_shard(relation, num_shards, [index_cls] * replicas)
-    executor = ReplicatedShardExecutor(plan, policy=policy)
+    executor = ReplicatedShardExecutor(plan)
     return ShardedIndexService(
         executor,
         window_bytes=window_tuples * KEY_BYTES,
@@ -192,11 +190,7 @@ class TestShardedIndexService:
             faults.install(
                 FaultPlan(kind="raise", site="replica", at=1, count=2)
             )
-            report = build_service(
-                relation,
-                policy=RetryPolicy(max_attempts=3, jitter=0.0),
-                replicas=replicas,
-            ).run(requests)
+            report = build_service(relation, replicas=replicas).run(requests)
             total_retries = sum(
                 stats.retries for stats in report.shard_stats.values()
             )
@@ -228,11 +222,7 @@ class TestShardedIndexService:
                     match="shard2",
                 )
             )
-            service = build_service(
-                relation,
-                policy=RetryPolicy(max_attempts=2, jitter=0.0),
-                replicas=replicas,
-            )
+            service = build_service(relation, replicas=replicas)
             report = service.run(requests)
             stats = report.shard_stats
             assert stats[2].windows > 0
