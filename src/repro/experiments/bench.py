@@ -106,7 +106,6 @@ def main(json_path: Optional[str] = None, workers: int = 0) -> dict:
         f"fast sweep: fig3 {fast['fig3_seconds']:.1f}s + "
         f"fig5 {fast['fig5_seconds']:.1f}s = {fast['total_seconds']:.1f}s "
         f"(workers={fast['workers']}, cache hits: "
-        f"{fast['cache_stats']['point_hits']} points, "
         f"{fast['cache_stats']['environment_hits']} environments)"
     )
     if json_path:

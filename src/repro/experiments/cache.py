@@ -1,23 +1,18 @@
-"""Session-scoped environment and point-result cache for sweeps.
+"""Session-scoped environment and probe-sample cache for sweeps.
 
 The benchmark harness and the experiment runner evaluate many sweep
 points that share expensive setup: the same (R size, index) environment
 is rebuilt by Figs. 3/4/6, the skew sweep rebuilds one 100 GiB index per
 Zipf exponent, and the ablations rebuild identical environments back to
-back.  This module memoizes three layers:
+back.  This module memoizes two layers:
 
 * **environments** -- :func:`environment` returns one shared
   :class:`~repro.join.base.QueryEnvironment` per (spec, workload, index,
   sim, index kwargs).  Environments differing only in ``zipf_theta``
   share the built relation and index (skew affects probe sampling, not
   the build side), so a Zipf sweep builds each index once.  Sharing is
-  safe for the experiment call pattern: every replay starts on an empty
-  cache hierarchy and leaves it empty, and ``estimate()`` allocates no
-  new memory.
-* **points** -- :func:`point` memoizes one simulated sweep point (a
-  :class:`~repro.perf.model.QueryCost`) under a caller-provided key.
-  Values are deep-copied in and out, so callers may mutate what they
-  get back.
+  safe for the experiment call pattern: the L2 and TLB models keep no
+  state between replays, and ``estimate()`` allocates no new memory.
 * **probe samples** -- every environment of a session draws its ordered
   probe samples through one shared
   :class:`~repro.join.base.SampleStore`, so the index classes probing
@@ -46,8 +41,7 @@ from ..join.base import QueryEnvironment, SampleStore
 
 _enabled = False
 _environments: dict = {}
-_points: dict = {}
-_hits = {"environments": 0, "points": 0}
+_hits = {"environments": 0}
 _samples = SampleStore()
 
 
@@ -62,12 +56,10 @@ def is_enabled() -> bool:
 
 
 def clear() -> None:
-    """Drop all cached environments, points and samples; reset hit counters."""
+    """Drop all cached environments and samples; reset hit counters."""
     _environments.clear()
-    _points.clear()
     _samples.clear()
     _hits["environments"] = 0
-    _hits["points"] = 0
 
 
 def stats() -> dict:
@@ -75,9 +67,7 @@ def stats() -> dict:
     return {
         "enabled": _enabled,
         "environments": len(_environments),
-        "points": len(_points),
         "environment_hits": _hits["environments"],
-        "point_hits": _hits["points"],
         "samples": len(_samples),
         "sample_hits": _samples.hits,
     }
@@ -186,9 +176,9 @@ def _cached_environment(
         # Same build, different skew and/or sim: share the relation,
         # index, and machine, swapping in this point's workload and
         # replay parameters.  The machine is shallow-copied so its
-        # ``sim`` (interleave width, seed, sample scaling) matches;
-        # hierarchy state is shared, which is safe because every
-        # ``estimate()`` resets it on entry.
+        # ``sim`` (interleave width, seed, sample scaling) matches; its L2
+        # and TLB models are shared, which is safe because they keep no
+        # state between replays.
         env = copy.copy(cached)
         env.workload = workload
         env.sim = sim
@@ -198,18 +188,3 @@ def _cached_environment(
     _environments[full_key] = env
     return env
 
-
-def point(key, compute: Callable[[], object]):
-    """Memoize one sweep point under ``key``; deep-copied both ways."""
-    if not _enabled:
-        return compute()
-    try:
-        hash(key)
-    except TypeError:
-        return compute()
-    if key in _points:
-        _hits["points"] += 1
-        return copy.deepcopy(_points[key])
-    value = compute()
-    _points[key] = copy.deepcopy(value)
-    return value

@@ -157,9 +157,7 @@ def run_standard_point(task: PointTask):
     This is the single code path behind both the serial and the parallel
     sweep runners -- determinism across the two is by construction, since
     every point derives its RNG streams from the task's ``sim.seed``
-    alone.  Points are memoized through the session cache under a key
-    built only from the task, so identical (index, R size, sample
-    config) points simulate once across figures.
+    alone.
 
     A fault-injection check precedes the computation: with a
     ``*@point`` plan installed (see :mod:`repro.resilience.faults`) this
@@ -169,28 +167,25 @@ def run_standard_point(task: PointTask):
     """
     kind, spec, r_tuples, index_cls, sim = task
     faults.check("point", task_label(task))
-
-    def compute():
+    try:
         if kind == "inlj":
             from ..join.inlj import IndexNestedLoopJoin
 
             env = make_environment(spec, r_tuples, index_cls=index_cls, sim=sim)
-            return IndexNestedLoopJoin(env.index).estimate(env)
-        if kind == "partitioned":
+            cost = IndexNestedLoopJoin(env.index).estimate(env)
+        elif kind == "partitioned":
             from ..join.partitioned import PartitionedINLJ
 
             env = make_environment(spec, r_tuples, index_cls=index_cls, sim=sim)
             partitioner = default_partitioner(env.column)
-            return PartitionedINLJ(env.index, partitioner).estimate(env)
-        if kind == "hash":
+            cost = PartitionedINLJ(env.index, partitioner).estimate(env)
+        elif kind == "hash":
             from ..join.hash_join import HashJoin
 
             env = make_environment(spec, r_tuples, sim=sim)
-            return HashJoin(env.relation).estimate(env)
-        raise ConfigurationError(f"unknown point kind: {kind!r}")
-
-    try:
-        cost = cache.point(("standard-point",) + task, compute)
+            cost = HashJoin(env.relation).estimate(env)
+        else:
+            raise ConfigurationError(f"unknown point kind: {kind!r}")
     except CapacityError as error:
         return ("skip", str(error))
     return ("ok", cost)
@@ -232,29 +227,18 @@ def resolve_workers(workers) -> int:
 LAST_SWEEP: dict = {}
 
 
-def _merge_into_cache(task: PointTask, outcome) -> None:
-    """Re-insert a worker's result into this process's cache."""
-    if outcome[0] == "ok":
-        cache.point(
-            ("standard-point",) + tuple(task),
-            lambda value=outcome[1]: value,
-        )
-
-
-def map_tasks(run_task, tasks: Sequence, workers: int = 1, merge=None) -> list:
+def map_tasks(run_task, tasks: Sequence, workers: int = 1) -> list:
     """Run picklable tasks serially or across processes, in task order.
 
-    The generic engine behind :func:`map_standard_points` (experiment
-    sweeps), the non-equi sweep and the serve-bench sweep.  Each task
+    The one engine behind the experiment sweeps (``run_standard_point``),
+    the non-equi sweep and the serve-bench sweep.  Each task
     runs through the same ``run_task`` function either way, so serial
     and pooled runs produce bit-identical output -- provided
     ``run_task`` is a pure function of its task (derive every RNG
     stream from the task itself).
 
     ``run_task`` must be a module-level function (pool workers receive
-    it by pickle).  ``merge(task, outcome)`` runs in the parent for
-    every pooled result, in task order, letting callers re-insert
-    worker results into parent-process caches.
+    it by pickle).
 
     A failure is loud, never recovered: a task that raises fails the
     sweep with its own exception, and a worker that dies fails it with
@@ -281,27 +265,12 @@ def map_tasks(run_task, tasks: Sequence, workers: int = 1, merge=None) -> list:
             with ProcessPoolExecutor(
                 min(workers, len(tasks)), initializer=faults.reset_for_worker
             ) as pool:
-                for task, outcome in zip(tasks, pool.map(run_task, tasks)):
+                for outcome in pool.map(run_task, tasks):
                     results.append(outcome)
                     LAST_SWEEP["computed"] += 1
-                    if merge is not None:
-                        merge(task, outcome)
     if obs.enabled():
         for key in ("points", "computed"):
             if LAST_SWEEP[key]:
                 obs.add(f"sweep.{key}", float(LAST_SWEEP[key]))
     return results
 
-
-def map_standard_points(tasks: Sequence[PointTask], workers: int = 1) -> list:
-    """Run standard sweep points; see :func:`map_tasks`.
-
-    Each point is computed by :func:`run_standard_point` whichever
-    execution path runs it, so serial and pooled runs produce
-    bit-identical figures.  Worker processes each hold their own session
-    cache; merged results are re-inserted into the parent's cache so
-    later figures still get their hits.
-    """
-    return map_tasks(
-        run_standard_point, tasks, workers=workers, merge=_merge_into_cache
-    )

@@ -22,7 +22,8 @@ from .common import (
     ExperimentResult,
     NAIVE_SIM,
     gib_to_tuples,
-    map_standard_points,
+    map_tasks,
+    run_standard_point,
 )
 
 PAPER_EXPECTATION = (
@@ -42,7 +43,7 @@ def run(
 
     ``workers > 1`` fans the independent (R size, index) points across
     that many processes; results are identical to a serial run (see
-    :func:`repro.experiments.common.map_standard_points`).
+    :func:`repro.experiments.common.map_tasks`).
     """
     throughput = ExperimentResult(
         name="fig3",
@@ -72,7 +73,7 @@ def run(
         tasks.append(("hash", spec, r_tuples, None, sim))
         labels.append((gib, None, f"hash join @ {gib} GiB"))
     for (gib, index_cls, label), outcome in zip(
-        labels, map_standard_points(tasks, workers)
+        labels, map_tasks(run_standard_point, tasks, workers)
     ):
         if outcome[0] == "skip":
             throughput.notes.append(f"{label}: skipped ({outcome[1]})")

@@ -22,7 +22,8 @@ from .common import (
     ExperimentResult,
     ORDERED_SIM,
     gib_to_tuples,
-    map_standard_points,
+    map_tasks,
+    run_standard_point,
 )
 
 PAPER_EXPECTATION = (
@@ -45,7 +46,7 @@ def run(
     index; :mod:`repro.experiments.fig6` combines it with Fig. 4's rates
     into the elimination percentages.  ``workers > 1`` fans the
     independent points across processes with bit-identical results (see
-    :func:`repro.experiments.common.map_standard_points`).
+    :func:`repro.experiments.common.map_tasks`).
     """
     throughput = ExperimentResult(
         name="fig5",
@@ -71,7 +72,7 @@ def run(
             tasks.append(("hash", spec, r_tuples, None, sim))
             labels.append((gib, None, f"hash join @ {gib} GiB"))
     for (gib, index_cls, label), outcome in zip(
-        labels, map_standard_points(tasks, workers)
+        labels, map_tasks(run_standard_point, tasks, workers)
     ):
         if outcome[0] == "skip":
             throughput.notes.append(f"{label}: skipped ({outcome[1]})")

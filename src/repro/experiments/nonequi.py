@@ -27,7 +27,6 @@ from ..join.nonequi import BandJoin, WindowedBandJoin
 from ..perf.report import Series
 from ..units import KEY_BYTES, MIB
 from ..workloads.nonequi import band_epsilon_for_matches
-from . import cache
 from ..resilience import faults
 from .common import (
     ExperimentResult,
@@ -74,13 +73,12 @@ def run_nonequi_point(task: NonEquiTask):
 
     The payload is a plain dict of floats (picklable, JSON-stable), and
     every RNG stream derives from the task alone -- the properties that
-    make serial and pooled sweeps bit-identical.  Points are memoized
-    through the session cache under a task-only key.
+    make serial and pooled sweeps bit-identical.
     """
     variant, spec, r_tuples, matches, window_tuples, theta = task
     faults.check("point", nonequi_task_label(task))
 
-    def compute():
+    try:
         if variant == "naive":
             env = make_environment(
                 spec, r_tuples, index_cls=RadixSplineIndex,
@@ -103,24 +101,21 @@ def run_nonequi_point(task: NonEquiTask):
         else:
             raise ConfigurationError(f"unknown variant: {variant!r}")
         cost = join.estimate(env)
-        counters = cost.counters
-        return {
-            "qps": cost.queries_per_second,
-            "epsilon": float(epsilon),
-            "tlb_misses_per_lookup": counters.tlb_misses / counters.lookups,
-            "translation_requests_per_lookup": (
-                counters.translation_requests / counters.lookups
-            ),
-            "divergence_replays_per_lookup": (
-                counters.divergence_replays / counters.lookups
-            ),
-            "tlb_cold_misses": counters.tlb_cold_misses,
-        }
-
-    try:
-        payload = cache.point(("nonequi-point",) + tuple(task), compute)
     except CapacityError as error:
         return ("skip", str(error))
+    counters = cost.counters
+    payload = {
+        "qps": cost.queries_per_second,
+        "epsilon": float(epsilon),
+        "tlb_misses_per_lookup": counters.tlb_misses / counters.lookups,
+        "translation_requests_per_lookup": (
+            counters.translation_requests / counters.lookups
+        ),
+        "divergence_replays_per_lookup": (
+            counters.divergence_replays / counters.lookups
+        ),
+        "tlb_cold_misses": counters.tlb_cold_misses,
+    }
     return ("ok", payload)
 
 

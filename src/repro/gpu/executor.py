@@ -193,8 +193,8 @@ def _coalesce_pairs(
 class MachineModel:
     """One simulated machine instance: memory spaces plus an L2 and a TLB.
 
-    The hierarchy is empty between calls: :meth:`simulate_lookups` replays
-    each trace on a cold L2 and TLB and empties them before returning.
+    The L2 and TLB models keep no state between calls, so
+    :meth:`simulate_lookups` replays each trace on an empty hierarchy.
     """
 
     def __init__(
@@ -209,9 +209,7 @@ class MachineModel:
         )
         self.tlb = VectorLruTlb(spec.tlb_entries)
         # Name the hierarchy levels for observability: a named model emits
-        # ``model.<name>.*`` counters from its batch entry points.  The
-        # VectorLruTlb's inner VectorLruCache stays unnamed on purpose --
-        # naming it would double-count every TLB access.
+        # ``model.<name>.*`` counters from its batch entry points.
         self.l2.obs_name = "l2"
         self.tlb.obs_name = "tlb"
         if gpu.cacheline_bytes & (gpu.cacheline_bytes - 1) != 0:
@@ -354,27 +352,17 @@ class MachineModel:
             # fresh, so nothing else sees it move.
             np.random.default_rng(self.sim.seed ^ 0x5A).shuffle(stream)
         transactions = len(stream)
+        l2_hit_mask = self.l2.access_batch(stream)
+        l2_hits = int(np.count_nonzero(l2_hit_mask))
+        remote = transactions - l2_hits
         tlb_misses = 0
-        try:
-            l2_hit_mask = self.l2.access_batch(stream)
-            # The L2 folds from ``stream`` until it is reset, and nothing
-            # reads its end state: reset it now, so the stream goes before
-            # the TLB stage.
-            self.l2.reset()
-            l2_hits = int(np.count_nonzero(l2_hit_mask))
-            remote = transactions - l2_hits
-            if simulate_tlb and remote:
-                pages = stream[~l2_hit_mask]
-                del stream, l2_hit_mask
-                pages >>= self._page_shift - self._line_shift
-                tlb_hit_mask = self.tlb.access_batch(pages)
-                tlb_misses = remote - int(np.count_nonzero(tlb_hit_mask))
+        if simulate_tlb and remote:
+            pages = stream[~l2_hit_mask]
+            del stream, l2_hit_mask
+            pages >>= self._page_shift - self._line_shift
+            tlb_hit_mask = self.tlb.access_batch(pages)
+            tlb_misses = remote - int(np.count_nonzero(tlb_hit_mask))
             counters.tlb_cold_misses = float(self.tlb.cold_misses)
-        finally:
-            # Nothing reads the end state.  Dropping it keeps an idle
-            # machine small and lets the next call start cold.
-            self.l2.reset()
-            self.tlb.reset()
         counters.l1_hits = float(issued - transactions)
         counters.l2_hits = float(l2_hits)
         counters.remote_accesses = float(remote)

@@ -7,42 +7,45 @@ identity: an access hits iff fewer than ``C`` distinct keys (per set, for a
 set-associative cache) were touched since the previous access to the same
 key -- its reuse (Mattson stack) distance is below the capacity.
 
-* :class:`VectorLruCache` -- fully associative LRU.  When the resident
-  stack and the batch's distinct keys fit in the capacity together, nothing
-  can be evicted and the batch resolves in one sort.  Otherwise it
-  processes the stream in chunks of at most ``min(capacity, 4096)``
-  accesses: within a chunk every re-access is a guaranteed hit, and
-  accesses to pre-chunk residents hit iff ``depth + new_distinct_before <
-  capacity`` -- a stack-distance test resolved with two cumulative bounds
-  and an exact dominance count for the few accesses between the bounds.
 * :class:`VectorSetAssociativeCache` -- set-associative LRU.  One kernel
-  resolves every set at once: the batch is grouped per set behind the
-  set's residents, previous occurrences come from one packed sort
-  (:func:`_previous_touches`), and in :func:`_reuse_hits` trivial classes
-  settle most accesses outright and only the rest count their reuse
-  distance with lag gathers.
-* :class:`VectorLruTlb` -- :class:`VectorLruCache` plus first-touch (cold
-  miss) tracking.
+  resolves every set at once: the stream is grouped per set, previous
+  occurrences come from one packed sort (:func:`_previous_touches`), and
+  in :func:`_reuse_hits` trivial classes settle most accesses outright
+  and only the rest count their reuse distance with lag gathers.
+* :class:`VectorLruTlb` -- fully associative LRU over pages, plus the
+  count of first-touch (cold) misses.  When the resident stack and the
+  pass's distinct pages fit in the capacity together, nothing can be
+  evicted and the pass resolves in one sort.  Otherwise it processes the
+  stream in chunks of at most ``min(capacity, 4096)`` accesses: within a
+  chunk every re-access is a guaranteed hit, and accesses to pre-chunk
+  residents hit iff ``depth + new_distinct_before < capacity`` -- a
+  stack-distance test resolved with two cumulative bounds and an exact
+  dominance count for the few accesses between the bounds.
+
+Both models replay each stream from empty and keep nothing between
+calls: ``access_batch`` returns the stream's hit mask on an empty cache.
+A stream longer than one kernel pass (``_POS_CAP`` accesses) replays pass
+by pass, carrying the resident state from one pass to the next inside
+the call.
 
 Exactness is the contract, not an aspiration: every model produces the
-same per-access hit/miss outcomes, the same eviction order, and the same
-counters as its ``OrderedDict`` oracle in ``tests/hardware/oracles.py``
-on any stream (see ``tests/hardware/test_fast_models.py`` and
-``tests/hardware/test_replay_differential.py``).  The scalar ``access``
-API shares the oracles' interface; the batch APIs are what the executor
-uses.
+same per-access hit/miss outcomes and counters as its ``OrderedDict``
+oracle in ``tests/hardware/oracles.py`` on any stream, and the state a
+pass carries is the oracle's LRU order (see
+``tests/hardware/test_fast_models.py`` and
+``tests/hardware/test_replay_differential.py``).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .. import obs
 from ..errors import ConfigurationError
 
-#: Chunk length for the fully-associative models.  Must not exceed the
+#: Chunk length of the TLB kernel's evicting path.  Must not exceed the
 #: capacity (the free-hit argument above needs it).  4096 balances the
 #: per-chunk numpy call overhead against the in-chunk ambiguity band,
 #: which grows superlinearly with the chunk length (measured fastest on
@@ -50,7 +53,8 @@ from ..errors import ConfigurationError
 _CHUNK = 4096
 
 #: Position bits packed next to a key when stable-sorting ``(key, pos)``
-#: pairs as one int64.  Bounds the batch length one packed sort can cover.
+#: pairs as one int64.  Bounds the batch length one packed sort can cover:
+#: a longer stream replays in passes of this many accesses.
 _POS_BITS = 21
 _POS_CAP = 1 << _POS_BITS
 
@@ -60,95 +64,6 @@ def _emit_model_counters(name: str, accesses: int, hits: int) -> None:
     obs.add(f"model.{name}.accesses", float(accesses))
     obs.add(f"model.{name}.hits", float(hits))
     obs.add(f"model.{name}.misses", float(accesses - hits))
-
-
-class VectorLruCache:
-    """Fully associative LRU over line numbers, batch-vectorized.
-
-    Adds :meth:`access_batch` and :meth:`resident_lines` to the scalar
-    ``access``/``contains`` interface.
-    """
-
-    #: Set by the owner (e.g. ``MachineModel`` names its levels "l2"/"tlb")
-    #: to emit ``model.<obs_name>.*`` counters from batch accesses while
-    #: tracing is on.  Unnamed models stay silent.
-    obs_name: Optional[str] = None
-
-    def __init__(self, capacity_bytes: int, line_bytes: int):
-        if capacity_bytes <= 0:
-            raise ConfigurationError(
-                f"cache capacity must be positive, got {capacity_bytes}"
-            )
-        if line_bytes <= 0:
-            raise ConfigurationError(
-                f"line size must be positive, got {line_bytes}"
-            )
-        if capacity_bytes < line_bytes:
-            raise ConfigurationError(
-                f"cache capacity {capacity_bytes} smaller than one line "
-                f"({line_bytes})"
-            )
-        self.capacity_lines = capacity_bytes // line_bytes
-        self.line_bytes = line_bytes
-        self._stack = np.empty(0, np.int64)  # resident keys, MRU first
-        self.hits = 0
-        self.misses = 0
-
-    def reset(self) -> None:
-        self._stack = np.empty(0, np.int64)
-        self.hits = 0
-        self.misses = 0
-
-    # -- batch path ----------------------------------------------------
-
-    def access_batch(self, lines: np.ndarray) -> np.ndarray:
-        """Touch a stream of lines; returns the per-access hit mask."""
-        return self._access(lines)[0]
-
-    def _access(self, lines: np.ndarray):
-        """:meth:`access_batch`, plus the sorted distinct lines of the
-        batch's last kernel pass (all of them when one pass covers it)."""
-        lines = np.ascontiguousarray(lines, dtype=np.int64)
-        n = len(lines)
-        if n == 0:
-            return np.zeros(0, bool), np.empty(0, np.int64)
-        hit_mask = np.empty(n, bool)
-        for lo in range(0, n, _POS_CAP):
-            hits, self._stack, distinct = _lru_replay(
-                lines[lo : lo + _POS_CAP], self.capacity_lines, self._stack
-            )
-            hit_mask[lo : lo + _POS_CAP] = hits
-        nhit = int(np.count_nonzero(hit_mask))
-        self.hits += nhit
-        self.misses += n - nhit
-        if self.obs_name is not None and obs.enabled():
-            _emit_model_counters(self.obs_name, n, nhit)
-        return hit_mask, distinct
-
-    # -- scalar compatibility ------------------------------------------
-
-    def access(self, line: int) -> bool:
-        """Touch one line; returns True on a hit, inserting on a miss."""
-        return bool(self.access_batch(np.array([line], np.int64))[0])
-
-    def contains(self, line: int) -> bool:
-        """Whether a line is resident, without touching LRU state."""
-        return bool(np.any(self._stack == line))
-
-    def resident_lines(self) -> np.ndarray:
-        """Resident lines in LRU-to-MRU order (OrderedDict iteration order)."""
-        return self._stack[::-1].copy()
-
-    @property
-    def occupancy(self) -> int:
-        return len(self._stack)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        if total == 0:
-            return 0.0
-        return self.hits / total
 
 
 def _lru_replay(batch: np.ndarray, capacity: int, stack: np.ndarray):
@@ -293,20 +208,18 @@ def _lru_replay(batch: np.ndarray, capacity: int, stack: np.ndarray):
 class VectorSetAssociativeCache:
     """Set-associative LRU over line numbers, batch-vectorized.
 
-    The set index is the line number modulo the set count.  State is one
-    ``(sets, ways)`` array holding each set's resident lines in LRU-to-MRU
-    order, right-aligned: empty ways are -1 and come first.
-
-    A batch that reaches an empty cache and fits one kernel pass replays
-    *cold*: no residents to prepend and no state to write.  The cache keeps
-    the batch and folds its end state into the array on the first read
-    (:meth:`contains`, :meth:`resident_lines`, :attr:`occupancy` or the
-    next non-empty batch); :meth:`reset` drops it unbuilt.  It keeps the
-    caller's array, not a copy: until the cache is read or reset, the
-    caller must not write to a batch it passed.
+    The set index is the line number modulo the set count.  Each call
+    replays its stream on an empty cache and keeps nothing.  A stream of
+    at most one kernel pass replays *cold*: no residents to prepend and
+    no state to write.  A longer one replays pass by pass through a
+    ``(sets, ways)`` tag array that exists only inside the call: each
+    set's resident lines in LRU-to-MRU order, right-aligned, empty ways
+    -1 and first.
     """
 
-    #: See :attr:`VectorLruCache.obs_name`.
+    #: Set by the owner (``MachineModel`` names its levels "l2"/"tlb") to
+    #: emit ``model.<obs_name>.*`` counters from each call while tracing
+    #: is on.  Unnamed models stay silent.
     obs_name: Optional[str] = None
 
     def __init__(self, capacity_bytes: int, line_bytes: int, ways: int = 16):
@@ -325,57 +238,40 @@ class VectorSetAssociativeCache:
         self.line_bytes = line_bytes
         self.ways = ways
         self.num_sets = max(1, capacity_lines // ways)
-        self._tags = np.full((self.num_sets, ways), -1, np.int64)
-        #: Whether ``_tags`` holds no line.
-        self._blank = True
-        #: The batch replayed cold, until a read folds it into ``_tags``.
-        self._pending: Optional[np.ndarray] = None
-        self.hits = 0
-        self.misses = 0
-
-    def reset(self) -> None:
-        if not self._blank:
-            self._tags.fill(-1)
-            self._blank = True
-        self._pending = None
-        self.hits = 0
-        self.misses = 0
 
     def access_batch(self, lines: np.ndarray) -> np.ndarray:
-        """Touch a stream of lines; returns the per-access hit mask."""
+        """Hit mask of a stream of lines replayed on an empty cache."""
         lines = np.ascontiguousarray(lines, dtype=np.int64)
         n = len(lines)
         if n == 0:
             return np.zeros(0, bool)
-        if self._blank and self._pending is None and n <= _POS_CAP:
-            hit_mask = self._replay(lines, cold=True)
-            self._pending = lines
+        if n <= _POS_CAP:
+            hit_mask = self._replay(lines)
         else:
-            self._fold()
+            tags = np.full((self.num_sets, self.ways), -1, np.int64)
             hit_mask = np.empty(n, bool)
             for lo in range(0, n, _POS_CAP):
                 batch = lines[lo : lo + _POS_CAP]
-                hit_mask[lo : lo + _POS_CAP] = self._replay(batch)
-        nhit = int(np.count_nonzero(hit_mask))
-        self.hits += nhit
-        self.misses += n - nhit
+                hit_mask[lo : lo + _POS_CAP] = self._replay(batch, tags)
         if self.obs_name is not None and obs.enabled():
-            _emit_model_counters(self.obs_name, n, nhit)
+            _emit_model_counters(
+                self.obs_name, n, int(np.count_nonzero(hit_mask))
+            )
         return hit_mask
 
-    def _fold(self) -> None:
-        """Write the end state of the batch replayed cold, if any."""
-        if self._pending is not None:
-            pending, self._pending = self._pending, None
-            self._replay(pending)
+    def _replay(
+        self, lines: np.ndarray, tags: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Hit mask of one kernel pass.
 
-    def _replay(self, lines: np.ndarray, cold: bool = False) -> np.ndarray:
-        """Hit mask of one kernel pass, written into the state unless
-        ``cold`` (an empty cache, whose end state waits for :meth:`_fold`)."""
+        Without ``tags`` the pass starts on an empty cache and writes no
+        state.  With them it starts from the ``(sets, ways)`` state carried
+        from the previous pass and writes its end state back in place.
+        """
         ways = self.ways
         n = len(lines)
         order = lines % self.num_sets
-        if cold:
+        if tags is None:
             stream = lines
         else:
             # Each touched set's residents go first, LRU to MRU, as
@@ -383,7 +279,7 @@ class VectorSetAssociativeCache:
             touched = np.flatnonzero(
                 np.bincount(order, minlength=self.num_sets)
             )
-            rows = self._tags[touched]
+            rows = tags[touched]
             held = rows >= 0
             stream = np.concatenate([rows[held], lines])
             order = np.concatenate([np.repeat(touched, held.sum(axis=1)), order])
@@ -411,7 +307,7 @@ class VectorSetAssociativeCache:
         s = s[keep]
         rank = rank[keep]
         del keep
-        pv, last = _previous_touches(s, not cold)
+        pv, last = _previous_touches(s, tags is not None)
         del s  # its buffer held the sort
         hit = _reuse_hits(pv, starts, ways)
         del pv
@@ -420,7 +316,7 @@ class VectorSetAssociativeCache:
         out = np.ones(n, bool)
         out[missed[missed >= prior] - prior] = False
         del missed
-        if not cold:
+        if tags is not None:
             # New state per set: its ways most recently used distinct
             # lines, read off the last touches (ascending positions stay
             # set-grouped).
@@ -430,48 +326,9 @@ class VectorSetAssociativeCache:
             ends = np.cumsum(np.bincount(last_set, minlength=self.num_sets))
             from_end = ends[last_set] - 1 - np.arange(len(last_pos))
             kept = from_end < ways
-            self._tags[touched] = -1
-            self._tags[last_set[kept], ways - 1 - from_end[kept]] = (
-                last_line[kept]
-            )
-            self._blank = False
+            tags[touched] = -1
+            tags[last_set[kept], ways - 1 - from_end[kept]] = last_line[kept]
         return out
-
-    # -- scalar compatibility ------------------------------------------
-
-    def access(self, line: int) -> bool:
-        """Touch one line; returns True on a hit, inserting on a miss."""
-        return bool(self.access_batch(np.array([line], np.int64))[0])
-
-    def access_sequence(self, lines: Iterable[int]) -> int:
-        """Touch a sequence of lines; returns the number of misses."""
-        arr = np.fromiter(lines, dtype=np.int64)
-        before = self.misses
-        self.access_batch(arr)
-        return self.misses - before
-
-    def contains(self, line: int) -> bool:
-        """Whether a line is resident, without touching LRU state."""
-        self._fold()
-        return bool(np.any(self._tags[int(line) % self.num_sets] == line))
-
-    def resident_lines(self, set_index: int) -> np.ndarray:
-        """One set's resident lines in LRU-to-MRU order."""
-        self._fold()
-        row = self._tags[set_index]
-        return row[row >= 0]
-
-    @property
-    def occupancy(self) -> int:
-        self._fold()
-        return int(np.count_nonzero(self._tags >= 0))
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        if total == 0:
-            return 0.0
-        return self.hits / total
 
 
 def _previous_touches(s: np.ndarray, with_last: bool):
@@ -566,16 +423,16 @@ def _reuse_hits(pv: np.ndarray, starts: np.ndarray, ways: int) -> np.ndarray:
 
 
 class VectorLruTlb:
-    """Exact LRU TLB with cold-miss tracking, batch-vectorized.
+    """Exact LRU TLB with cold-miss counting, batch-vectorized.
 
     Consumes page numbers (address >> page shift) in program order; the
     executor interleaves concurrent threads before calling it, which is
-    what makes inter-thread eviction (thrashing) visible.
+    what makes inter-thread eviction (thrashing) visible.  Each call
+    replays its stream on an empty TLB, pass by pass through a call-local
+    resident stack, and keeps only :attr:`cold_misses`.
     """
 
-    #: See :attr:`VectorLruCache.obs_name`.  The inner
-    #: :class:`VectorLruCache` stays unnamed so TLB accesses are not
-    #: double-counted.
+    #: See :attr:`VectorSetAssociativeCache.obs_name`.
     obs_name: Optional[str] = None
 
     def __init__(self, entries: int):
@@ -584,91 +441,27 @@ class VectorLruTlb:
                 f"TLB must have a positive number of entries, got {entries}"
             )
         self.entries = entries
-        self._cache = VectorLruCache(entries, 1)
-        self._seen = np.empty(0, np.int64)  # every page ever touched, sorted
+        #: First-touch misses of the last stream: its distinct pages.
         self.cold_misses = 0
-
-    def reset(self) -> None:
-        self._cache.reset()
-        self._seen = np.empty(0, np.int64)
-        self.cold_misses = 0
-
-    @property
-    def hits(self) -> int:
-        return self._cache.hits
-
-    @property
-    def misses(self) -> int:
-        return self._cache.misses
 
     def access_batch(self, pages: np.ndarray) -> np.ndarray:
-        """Touch a stream of pages; returns the per-access hit mask."""
+        """Hit mask of a stream of pages replayed on an empty TLB."""
         pages = np.ascontiguousarray(pages, dtype=np.int64)
-        if len(pages) == 0:
+        n = len(pages)
+        if n == 0:
+            self.cold_misses = 0
             return np.zeros(0, bool)
-        if len(self._seen) == 0 and len(pages) <= _POS_CAP:
-            # Nothing touched yet: the seen set is the batch's distinct
-            # pages, which the replay's own sort already produces.
-            hit_mask, self._seen = self._cache._access(pages)
-            fresh = len(self._seen)
-        else:
-            fresh = self._see(pages)
-            hit_mask = self._cache.access_batch(pages)
-        self.cold_misses += fresh
+        hit_mask = np.empty(n, bool)
+        stack = np.empty(0, np.int64)  # resident pages, MRU first
+        for lo in range(0, n, _POS_CAP):
+            hits, stack, distinct = _lru_replay(
+                pages[lo : lo + _POS_CAP], self.entries, stack
+            )
+            hit_mask[lo : lo + _POS_CAP] = hits
+            seen = distinct if lo == 0 else np.union1d(seen, distinct)
+        self.cold_misses = len(seen)
         if self.obs_name is not None and obs.enabled():
             nhit = int(np.count_nonzero(hit_mask))
-            _emit_model_counters(self.obs_name, len(pages), nhit)
-            if fresh:
-                obs.add(f"model.{self.obs_name}.cold_misses", float(fresh))
+            _emit_model_counters(self.obs_name, n, nhit)
+            obs.add(f"model.{self.obs_name}.cold_misses", float(self.cold_misses))
         return hit_mask
-
-    def _see(self, pages: np.ndarray) -> int:
-        """Merge the batch's new pages into the seen set; returns their count."""
-        ordered = np.sort(pages)  # np.unique's mergesort is far slower
-        distinct = np.ones(len(ordered), bool)
-        distinct[1:] = ordered[1:] != ordered[:-1]
-        candidates = ordered[distinct]
-        slot = np.searchsorted(self._seen, candidates)
-        known = np.zeros(len(candidates), bool)
-        inside = slot < len(self._seen)
-        known[inside] = self._seen[slot[inside]] == candidates[inside]
-        fresh = candidates[~known]
-        if len(fresh):
-            merged = np.empty(len(self._seen) + len(fresh), np.int64)
-            at = slot[~known] + np.arange(len(fresh))
-            merged[at] = fresh
-            keep = np.ones(len(merged), bool)
-            keep[at] = False
-            merged[keep] = self._seen
-            self._seen = merged
-        return len(fresh)
-
-    def access(self, page: int) -> bool:
-        """Touch one page; returns True on a TLB hit."""
-        return bool(self.access_batch(np.array([page], np.int64))[0])
-
-    def access_sequence(self, pages: Iterable[int]) -> int:
-        """Touch a sequence of pages; returns the number of misses."""
-        arr = np.fromiter(pages, dtype=np.int64)
-        before = self.misses
-        self.access_batch(arr)
-        return self.misses - before
-
-    def contains(self, page: int) -> bool:
-        """Whether a translation is cached, without touching LRU state."""
-        return self._cache.contains(page)
-
-    def resident_pages(self) -> np.ndarray:
-        """Cached translations in LRU-to-MRU order."""
-        return self._cache.resident_lines()
-
-    @property
-    def occupancy(self) -> int:
-        return self._cache.occupancy
-
-    @property
-    def miss_rate(self) -> float:
-        total = self.hits + self.misses
-        if total == 0:
-            return 0.0
-        return self.misses / total

@@ -15,20 +15,19 @@ accesses regardless of data size, which is why the paper finds the
 RadixSpline the fastest out-of-core index (1.1-1.8x over Harmonia,
 Section 6).
 
-Two builders:
+The column decides the builder:
 
-* ``fit="greedy"`` -- the real GreedySplineCorridor one-pass algorithm,
-  for materialized columns;
-* ``fit="uniform"`` -- spline points at fixed position intervals with the
-  actual maximum interpolation error measured (materialized) or bounded by
-  construction (virtual columns, whose per-segment linearity guarantees an
-  error of one position).
+* a materialized column gets the real GreedySplineCorridor one-pass
+  algorithm, with the interpolation error measured on its keys;
+* a virtual column gets an implicit spline: points at fixed position
+  intervals, never materialized, whose error is bounded by construction
+  (per-segment linearity guarantees one position).
 
 Spline density matters for out-of-core behaviour: on real uniform-random
 keys, the CDF deviates from a line like a random walk, so a corridor of
 width ``max_error`` collapses roughly every ``max_error**2`` positions.
 Virtual columns are piecewise-linear by construction and would admit an
-unrealistically sparse spline; ``uniform_interval`` therefore defaults to
+unrealistically sparse spline; their interval is therefore
 ``max_error**2``, giving the spline array the size (hundreds of MB at
 111 GiB) and the per-lookup access pattern a real build would have.
 """
@@ -41,7 +40,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .. import obs
-from ..data.column import KEY_DTYPE, MaterializedColumn, VirtualSortedColumn
+from ..data.column import KEY_DTYPE, VirtualSortedColumn
 from ..data.relation import Relation
 from ..errors import ConfigurationError, SimulationError
 from ..hardware.memory import MemorySpace, SystemMemory
@@ -143,29 +142,6 @@ def measure_spline_error(
     return int(np.ceil(np.abs(predicted - positions).max()))
 
 
-def uniform_spline(
-    column, interval: int
-) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Spline points at fixed position intervals, plus the achieved error.
-
-    For virtual columns the error is 1 by construction (piecewise-linear
-    keys with bounded noise); for materialized columns it is measured.
-    """
-    if interval < 2:
-        raise ConfigurationError(f"interval must be >= 2, got {interval}")
-    n = len(column)
-    positions = np.arange(0, n, interval, dtype=np.int64)
-    if positions[-1] != n - 1:
-        positions = np.append(positions, n - 1)
-    keys = column.key_at(positions)
-    if isinstance(column, VirtualSortedColumn):
-        return keys, positions, max(1, column.hint_error_bound())
-    # Measure the achieved interpolation error on the materialized data.
-    all_keys = column.key_at(np.arange(n, dtype=np.int64))
-    error = measure_spline_error(all_keys, keys, positions)
-    return keys, positions, max(1, error)
-
-
 class RadixSplineIndex(Index):
     """RadixSpline over a sorted column: radix table + spline points."""
 
@@ -179,37 +155,38 @@ class RadixSplineIndex(Index):
         relation: Relation,
         max_error: int = 32,
         radix_bits: int = 18,
-        fit: str = "auto",
-        uniform_interval: int = None,
     ):
         super().__init__(relation)
         if max_error < 1:
             raise ConfigurationError(f"max_error must be >= 1, got {max_error}")
-        if uniform_interval is None:
-            uniform_interval = max(2, max_error * max_error)
         if radix_bits < 1 or radix_bits > 28:
             raise ConfigurationError(
                 f"radix_bits must be in [1, 28], got {radix_bits}"
             )
-        if fit not in ("auto", "greedy", "uniform"):
-            raise ConfigurationError(f"unknown fit mode: {fit!r}")
         self.radix_bits = radix_bits
         self.max_error = max_error
-        if fit == "auto":
-            fit = (
-                "uniform"
-                if isinstance(self.column, VirtualSortedColumn)
-                else "greedy"
-            )
-        self.fit = fit
         #: Non-None selects the implicit (grid-positioned) spline.
         self._uniform_interval = None
-        if fit == "greedy":
-            if not isinstance(self.column, MaterializedColumn):
-                raise ConfigurationError(
-                    "greedy fitting needs a materialized column; use "
-                    "fit='uniform' for virtual columns"
-                )
+        if isinstance(self.column, VirtualSortedColumn):
+            # Implicit spline: points lie on a fixed position grid, so the
+            # (key, position) arrays -- hundreds of MB at 111 GiB -- are
+            # never materialized.  Gathers go through ``column.key_at`` on
+            # demand (see _spline_key_at), which keeps build time and
+            # resident memory proportional to the radix table instead of
+            # the spline.
+            n = len(self.column)
+            interval = min(max(2, max_error * max_error), max(2, n))
+            self._uniform_interval = interval
+            base_points = -(-n // interval)
+            aligned = interval * (base_points - 1) == n - 1
+            self._num_points = base_points if aligned else base_points + 1
+            self.spline_keys = None
+            self.spline_positions = None
+            # Report the configured bound, not the smaller one the column
+            # guarantees: a real spline over data this size would search a
+            # +-max_error window, and the access pattern should match.
+            self.error_bound = max(max_error, self.column.hint_error_bound())
+        else:
             self.spline_keys, self.spline_positions = greedy_spline_corridor(
                 self.column.keys, max_error
             )
@@ -222,31 +199,6 @@ class RadixSplineIndex(Index):
                     self.column.keys, self.spline_keys, self.spline_positions
                 ),
             )
-        else:
-            interval = min(uniform_interval, max(2, len(self.column)))
-            if isinstance(self.column, VirtualSortedColumn):
-                # Implicit spline: points lie on a fixed position grid, so
-                # the (key, position) arrays -- hundreds of MB at 111 GiB
-                # -- are never materialized.  Gathers go through
-                # ``column.key_at`` on demand (see _spline_key_at), which
-                # keeps build time and resident memory proportional to the
-                # radix table instead of the spline.
-                self._uniform_interval = interval
-                n = len(self.column)
-                base_points = -(-n // interval)
-                aligned = interval * (base_points - 1) == n - 1
-                self._num_points = base_points if aligned else base_points + 1
-                self.spline_keys = None
-                self.spline_positions = None
-                measured_error = max(1, self.column.hint_error_bound())
-            else:
-                self.spline_keys, self.spline_positions, measured_error = (
-                    uniform_spline(self.column, interval)
-                )
-            # Report the configured bound, not the (possibly smaller)
-            # measured one: a real spline over data this size would search
-            # a +-max_error window, and the access pattern should match.
-            self.error_bound = max(measured_error, max_error)
         self._build_radix_table()
         self._radix_allocation = None
         self._spline_allocation = None

@@ -30,8 +30,6 @@ REPO_ROOT = os.path.dirname(
 SRC_PACKAGE = os.path.join(REPO_ROOT, "src", "repro")
 ROOT_FILE_GLOBS = ("perfbench/*.py", "examples/*.py")
 
-_CACHE_STATE = "cache/TLB tests read the replay models' state through it"
-
 #: Dead definitions that stay, keyed ``module:qualname``.
 ALLOWED_DEAD: Dict[str, str] = {
     "repro.analysis.baseline:Baseline.unjustified": (
@@ -53,27 +51,6 @@ ALLOWED_DEAD: Dict[str, str] = {
     ),
     "repro.hardware.counters:PerfCounters.l2_hit_rate": (
         "counter tests check the derived rates"
-    ),
-    "repro.hardware.fastlru:VectorLruCache.access": _CACHE_STATE,
-    "repro.hardware.fastlru:VectorLruCache.contains": _CACHE_STATE,
-    "repro.hardware.fastlru:VectorLruCache.hit_rate": _CACHE_STATE,
-    "repro.hardware.fastlru:VectorLruCache.occupancy": _CACHE_STATE,
-    "repro.hardware.fastlru:VectorLruCache.resident_lines": _CACHE_STATE,
-    "repro.hardware.fastlru:VectorLruTlb.access": _CACHE_STATE,
-    "repro.hardware.fastlru:VectorLruTlb.access_sequence": _CACHE_STATE,
-    "repro.hardware.fastlru:VectorLruTlb.contains": _CACHE_STATE,
-    "repro.hardware.fastlru:VectorLruTlb.miss_rate": _CACHE_STATE,
-    "repro.hardware.fastlru:VectorLruTlb.occupancy": _CACHE_STATE,
-    "repro.hardware.fastlru:VectorLruTlb.resident_pages": _CACHE_STATE,
-    "repro.hardware.fastlru:VectorSetAssociativeCache.access": _CACHE_STATE,
-    "repro.hardware.fastlru:VectorSetAssociativeCache.access_sequence": (
-        _CACHE_STATE
-    ),
-    "repro.hardware.fastlru:VectorSetAssociativeCache.contains": _CACHE_STATE,
-    "repro.hardware.fastlru:VectorSetAssociativeCache.hit_rate": _CACHE_STATE,
-    "repro.hardware.fastlru:VectorSetAssociativeCache.occupancy": _CACHE_STATE,
-    "repro.hardware.fastlru:VectorSetAssociativeCache.resident_lines": (
-        _CACHE_STATE
     ),
     "repro.hardware.memory:Allocation.address_of": (
         "memory tests check allocation addresses"

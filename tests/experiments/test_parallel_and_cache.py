@@ -146,15 +146,6 @@ class TestSessionCache:
                 V100_NVLINK2, r_tuples, index_cls=BPlusTreeIndex, sim=TINY_SIM
             )
 
-    def test_point_results_isolated(self):
-        """Cached point values are deep-copied, so callers may mutate."""
-        cache.enable()
-        value = cache.point("key", lambda: {"x": [1, 2]})
-        value["x"].append(3)
-        again = cache.point("key", lambda: {"x": [1, 2]})
-        assert again == {"x": [1, 2]}
-        assert cache.stats()["point_hits"] == 1
-
     def test_cached_sweep_identical(self):
         plain = fig3.run(
             r_sizes_gib=(0.5,), sim=TINY_SIM, index_types=TINY_INDEXES

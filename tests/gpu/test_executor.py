@@ -203,13 +203,22 @@ class TestSimulateLookups:
         assert first.as_dict() == second.as_dict()
 
     def test_replay_retains_no_state(self, machine):
+        """No array outlives a replay in the hierarchy models: the session
+        cache keeps one machine per sweep point alive in every pool
+        worker, and machines that kept their last batch once peaked
+        `rsize-sweep` at 177.5 MiB (DESIGN.md §10)."""
         rng = np.random.default_rng(3)
         matrix = rng.integers(0, 2**34, size=(8, 512)).astype(np.int64)
         counters = machine.simulate_lookups(trace_from(matrix), shuffle=True)
         assert counters.l2_hits + counters.remote_accesses > 0
         assert counters.tlb_misses > 0
-        assert machine.l2.occupancy == 0
-        assert machine.tlb.occupancy == 0
+        for model in (machine.l2, machine.tlb):
+            held = [
+                name
+                for name, value in vars(model).items()
+                if isinstance(value, np.ndarray)
+            ]
+            assert held == []
 
     def test_empty_trace(self, machine):
         matrix = np.full((2, 32), -1, dtype=np.int64)

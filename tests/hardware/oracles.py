@@ -17,17 +17,24 @@ possible LRU: one ``OrderedDict`` per set, touched one access at a time.
   lane whatever the trace's run lengths.
 * :func:`replay` -- :meth:`MachineModel.simulate_lookups` rebuilt on
   these models, for end-to-end counter equality.
+* :func:`kernel_passes` and :func:`assert_replays_from_empty` -- cut the
+  vectorized models' pass length, so a short stream spans several
+  passes, and hold a model's replay to an oracle's hit mask at both
+  lengths.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterable
+from contextlib import contextmanager
+from typing import Iterable, Optional
+from unittest import mock
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.gpu.executor import LookupTrace, MachineModel
+from repro.hardware import fastlru
 from repro.hardware.counters import PerfCounters
 
 
@@ -275,3 +282,30 @@ def replay(machine: MachineModel, trace: LookupTrace) -> PerfCounters:
     counters.tlb_cold_misses = float(tlb.cold_misses)
     counters.translation_requests = tlb_misses * gpu.tlb_replay_factor
     return counters
+
+
+@contextmanager
+def kernel_passes(bits: int):
+    """Cut the vectorized models' kernel pass to ``2**bits`` accesses."""
+    with mock.patch.object(fastlru, "_POS_BITS", bits), mock.patch.object(
+        fastlru, "_POS_CAP", 1 << bits
+    ):
+        yield
+
+
+def assert_replays_from_empty(
+    model, stream, expected: np.ndarray, cold_misses: Optional[int] = None
+) -> None:
+    """``model.access_batch(stream)`` returns the oracle's hit mask.
+
+    The stream replays twice: in passes of the current length, then in
+    passes short enough for four or more.  With ``cold_misses`` (a TLB),
+    the model must hold that count after each call.
+    """
+    stream = np.asarray(stream, dtype=np.int64)
+    short = max(0, len(stream).bit_length() - 3)
+    for bits in (fastlru._POS_BITS, short):
+        with kernel_passes(bits):
+            np.testing.assert_array_equal(model.access_batch(stream), expected)
+        if cold_misses is not None:
+            assert model.cold_misses == cold_misses

@@ -1,9 +1,13 @@
 """Equivalence suite: vectorized models vs. the OrderedDict references.
 
 The fast replay engine's correctness contract is *exact* equality with the
-reference models -- per-access hit/miss outcomes, hit/miss/cold counters,
-and eviction (LRU) order -- on identical streams.  These tests drive both
-implementations with the same randomized streams and assert all of it.
+reference models on identical streams.  Each ``access_batch`` call replays
+its stream from empty, so its hit mask (and the TLB's cold-miss count)
+must equal the oracle's over the whole stream -- in one kernel pass, and
+again with the pass cut short so the call spans several.  Between passes
+a call carries the resident state, which must be the oracle's LRU order:
+the ``across_batches`` tests drive the kernels pass by pass and compare
+it after each one.
 """
 
 from __future__ import annotations
@@ -12,12 +16,18 @@ import numpy as np
 import pytest
 
 from repro.hardware.fastlru import (
-    VectorLruCache,
     VectorLruTlb,
     VectorSetAssociativeCache,
+    _lru_replay,
 )
 
-from .oracles import LruCache, LruTlb, SetAssociativeCache
+from .oracles import (
+    LruCache,
+    LruTlb,
+    SetAssociativeCache,
+    assert_replays_from_empty,
+    kernel_passes,
+)
 
 
 def reference_lru_hits(cache, keys):
@@ -52,42 +62,23 @@ def lru_stream_cases():
     ids=lambda value: str(value)[:24],
 )
 def test_vector_lru_matches_reference(capacity, stream):
-    line_bytes = 32
-    reference = LruCache(capacity * line_bytes, line_bytes)
-    vector = VectorLruCache(capacity * line_bytes, line_bytes)
+    """The TLB's kernel is a fully associative LRU over any keys."""
+    reference = LruCache(capacity * 32, 32)
     expected = reference_lru_hits(reference, stream)
-    actual = vector.access_batch(np.asarray(stream, dtype=np.int64))
-    np.testing.assert_array_equal(actual, expected)
-    assert vector.hits == reference.hits
-    assert vector.misses == reference.misses
-    assert vector.occupancy == reference.occupancy
-    # Eviction order: identical residency in identical LRU->MRU order.
-    np.testing.assert_array_equal(
-        vector.resident_lines(), np.fromiter(reference._lines, dtype=np.int64)
-    )
+    assert_replays_from_empty(VectorLruTlb(capacity), stream, expected)
 
 
 def test_vector_lru_matches_reference_across_batches():
+    """Pass by pass, the carried stack is the oracle's LRU order."""
     rng = np.random.default_rng(7)
     stream = rng.integers(0, 300, 3000).astype(np.int64)
     reference = LruCache(128 * 32, 32)
-    vector = VectorLruCache(128 * 32, 32)
-    expected = reference_lru_hits(reference, stream)
-    pieces = [vector.access_batch(part) for part in np.array_split(stream, 7)]
-    np.testing.assert_array_equal(np.concatenate(pieces), expected)
-    np.testing.assert_array_equal(
-        vector.resident_lines(), np.fromiter(reference._lines, dtype=np.int64)
-    )
-
-
-def test_vector_lru_scalar_api_and_contains():
-    reference = LruCache(4 * 64, 64)
-    vector = VectorLruCache(4 * 64, 64)
-    for line in [3, 1, 3, 9, 11, 1, 12, 3]:
-        assert vector.access(line) == reference.access(line)
-        assert vector.contains(line) and reference.contains(line)
-    assert not vector.contains(9)  # evicted
-    assert vector.hit_rate == reference.hit_rate
+    stack = np.empty(0, np.int64)
+    for part in np.array_split(stream, 7):
+        hits, stack, distinct = _lru_replay(part, 128, stack)
+        np.testing.assert_array_equal(hits, reference_lru_hits(reference, part))
+        assert stack[::-1].tolist() == list(reference._lines)
+        np.testing.assert_array_equal(distinct, np.unique(part))
 
 
 def set_assoc_cases():
@@ -126,39 +117,23 @@ def test_vector_set_associative_matches_reference(sets, ways, stream):
     vector = VectorSetAssociativeCache(capacity, line_bytes, ways=ways)
     assert vector.num_sets == reference.num_sets
     expected = reference_lru_hits(reference, stream)
-    actual = vector.access_batch(np.asarray(stream, dtype=np.int64))
-    np.testing.assert_array_equal(actual, expected)
-    assert vector.hits == reference.hits
-    assert vector.misses == reference.misses
-    assert vector.occupancy == reference.occupancy
-    for set_index in range(reference.num_sets):
-        np.testing.assert_array_equal(
-            vector.resident_lines(set_index),
-            np.fromiter(reference._sets[set_index], dtype=np.int64),
-        )
+    assert_replays_from_empty(vector, stream, expected)
 
 
 def test_vector_set_associative_across_batches():
+    """Pass by pass, the carried tags hold each set's oracle LRU order."""
     rng = np.random.default_rng(21)
     stream = rng.integers(0, 3000, 20000).astype(np.int64)
     reference = SetAssociativeCache(96 * 16 * 32, 32, ways=16)
     vector = VectorSetAssociativeCache(96 * 16 * 32, 32, ways=16)
-    expected = reference_lru_hits(reference, stream)
-    pieces = [vector.access_batch(part) for part in np.array_split(stream, 5)]
-    np.testing.assert_array_equal(np.concatenate(pieces), expected)
-    assert vector.hits == reference.hits
-
-
-def test_vector_set_associative_scalar_api():
-    reference = SetAssociativeCache(2 * 2 * 64, 64, ways=2)
-    vector = VectorSetAssociativeCache(2 * 2 * 64, 64, ways=2)
-    for line in [0, 2, 4, 0, 6, 2, 8, 0, 3, 1, 5]:
-        assert vector.access(line) == reference.access(line)
-        assert vector.contains(line) == reference.contains(line)
-    assert vector.access_sequence([1, 3, 5, 7]) == reference.access_sequence(
-        [1, 3, 5, 7]
-    )
-    assert vector.hit_rate == reference.hit_rate
+    tags = np.full((96, 16), -1, np.int64)
+    for part in np.array_split(stream, 5):
+        np.testing.assert_array_equal(
+            vector._replay(part, tags), reference_lru_hits(reference, part)
+        )
+        assert [row[row >= 0].tolist() for row in tags] == [
+            list(cache_set) for cache_set in reference._sets
+        ]
 
 
 def tlb_cases():
@@ -176,39 +151,36 @@ def tlb_cases():
 )
 def test_vector_tlb_matches_reference(entries, pages):
     reference = LruTlb(entries)
-    vector = VectorLruTlb(entries)
     expected = np.array([reference.access(int(p)) for p in pages], dtype=bool)
-    actual = vector.access_batch(np.asarray(pages, dtype=np.int64))
-    np.testing.assert_array_equal(actual, expected)
-    assert vector.hits == reference.hits
-    assert vector.misses == reference.misses
-    assert vector.cold_misses == reference.cold_misses
-    assert vector.miss_rate == reference.miss_rate
-    np.testing.assert_array_equal(
-        vector.resident_pages(), np.fromiter(reference._cached, dtype=np.int64)
+    assert_replays_from_empty(
+        VectorLruTlb(entries), pages, expected, reference.cold_misses
     )
 
 
 def test_vector_tlb_cold_misses_across_batches():
+    """A stream spanning several passes counts each page's first touch
+    once, and a later call counts only its own stream's pages."""
     rng = np.random.default_rng(3)
     stream = rng.integers(0, 500, 6000).astype(np.int64)
     reference = LruTlb(128)
-    vector = VectorLruTlb(128)
     for page in stream:
         reference.access(int(page))
-    for part in np.array_split(stream, 4):
-        vector.access_batch(part)
+    vector = VectorLruTlb(128)
+    with kernel_passes(10):
+        misses = np.count_nonzero(~vector.access_batch(stream))
     assert vector.cold_misses == reference.cold_misses
-    assert vector.misses == reference.misses
+    assert misses == reference.misses
+    vector.access_batch(np.array([7, 7, 9], np.int64))
+    assert vector.cold_misses == 2
 
 
 def test_vector_models_reject_bad_shapes():
     from repro.errors import ConfigurationError
 
     with pytest.raises(ConfigurationError):
-        VectorLruCache(0, 32)
+        VectorSetAssociativeCache(0, 32)
     with pytest.raises(ConfigurationError):
-        VectorLruCache(16, 32)
+        VectorSetAssociativeCache(16, 32, ways=1)
     with pytest.raises(ConfigurationError):
         VectorSetAssociativeCache(64, 32, ways=0)
     with pytest.raises(ConfigurationError):

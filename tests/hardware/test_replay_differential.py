@@ -1,11 +1,14 @@
 """Differential and metamorphic properties of the fast replay engine.
 
 The vectorized L2 kernel and TLB (``repro.hardware.fastlru``) must agree
-with the ``OrderedDict`` oracles access for access -- hit mask, counters,
-and each set's resident order -- on any geometry, stream, and split of
-the stream into ``access_batch`` calls (state carries across calls).
-Hypothesis generates all four; named regressions pin the stream shapes
-that exercise the kernel's rarer tiers.
+with the ``OrderedDict`` oracles access for access on any geometry and
+stream.  Each ``access_batch`` call replays its stream from empty, in one
+kernel pass and again in passes cut short, and its hit mask must equal
+the oracle's over the whole stream.  The kernels themselves are driven
+pass by pass over a split of the stream: after each pass, the state they
+carry to the next must be the oracle's LRU order.  Hypothesis generates
+geometry, stream and split; named regressions pin the stream shapes that
+exercise the kernel's rarer tiers.
 
 The metamorphic half pins LRU inclusion: on one stream, more ways at a
 fixed set count, more TLB entries, or coarser pages never add misses --
@@ -27,15 +30,26 @@ from repro.hardware import fastlru
 from repro.hardware.fastlru import VectorLruTlb, VectorSetAssociativeCache
 from repro.hardware.spec import V100_NVLINK2
 
-from .oracles import LruTlb, SetAssociativeCache, replay
+from .oracles import (
+    LruTlb,
+    SetAssociativeCache,
+    assert_replays_from_empty,
+    replay,
+)
 
 LINE_BYTES = 32
 
 
-def replay_in_batches(model, stream, cuts):
-    """Hit mask of ``stream`` fed to ``model`` as batches split at ``cuts``."""
-    parts = np.split(np.asarray(stream, dtype=np.int64), sorted(cuts))
-    return np.concatenate([model.access_batch(part) for part in parts])
+def oracle_hits(oracle, stream):
+    return np.array([oracle.access(int(key)) for key in stream], bool)
+
+
+def split_at(stream, cuts):
+    """``stream`` split at ``cuts`` into non-empty kernel passes, none
+    longer than ``_POS_CAP``."""
+    stream = np.asarray(stream, dtype=np.int64)
+    cuts = set(cuts) | set(range(0, len(stream), fastlru._POS_CAP))
+    return [part for part in np.split(stream, sorted(cuts)) if len(part)]
 
 
 def assert_l2_matches_oracle(num_sets, ways, stream, cuts=()):
@@ -43,33 +57,39 @@ def assert_l2_matches_oracle(num_sets, ways, stream, cuts=()):
     oracle = SetAssociativeCache(capacity, LINE_BYTES, ways=ways)
     kernel = VectorSetAssociativeCache(capacity, LINE_BYTES, ways=ways)
     assert kernel.num_sets == oracle.num_sets == num_sets
-    expected = np.array([oracle.access(int(line)) for line in stream], bool)
-    np.testing.assert_array_equal(replay_in_batches(kernel, stream, cuts), expected)
-    assert (kernel.hits, kernel.misses) == (oracle.hits, oracle.misses)
-    assert kernel.occupancy == oracle.occupancy
-    assert [kernel.resident_lines(i).tolist() for i in range(num_sets)] == [
-        list(cache_set) for cache_set in oracle._sets
-    ]
+    tags = np.full((num_sets, ways), -1, np.int64)
+    expected = []
+    for part in split_at(stream, cuts):
+        expected.append(oracle_hits(oracle, part))
+        np.testing.assert_array_equal(kernel._replay(part, tags), expected[-1])
+        assert [row[row >= 0].tolist() for row in tags] == [
+            list(cache_set) for cache_set in oracle._sets
+        ]
+    assert_replays_from_empty(kernel, stream, np.concatenate(expected))
 
 
 def assert_tlb_matches_oracle(entries, prior, stream, cuts=()):
+    """The TLB kernel, started from the stack ``prior`` leaves, carries
+    the oracle's LRU order from pass to pass; ``access_batch`` replays
+    ``prior`` then ``stream`` from empty to the oracle's hit mask."""
     oracle = LruTlb(entries)
-    kernel = VectorLruTlb(entries)
-    for page in prior:
-        oracle.access(int(page))
-    kernel.access_batch(np.asarray(prior, dtype=np.int64))
-    expected = np.array([oracle.access(int(page)) for page in stream], bool)
-    np.testing.assert_array_equal(replay_in_batches(kernel, stream, cuts), expected)
-    assert (kernel.hits, kernel.misses) == (oracle.hits, oracle.misses)
-    assert kernel.cold_misses == oracle.cold_misses
-    np.testing.assert_array_equal(
-        kernel.resident_pages(), np.fromiter(oracle._cached, dtype=np.int64)
+    expected = [oracle_hits(oracle, prior)]
+    stack = np.array(list(oracle._cached)[::-1], np.int64)
+    for part in split_at(stream, cuts):
+        expected.append(oracle_hits(oracle, part))
+        hits, stack, distinct = fastlru._lru_replay(part, entries, stack)
+        np.testing.assert_array_equal(hits, expected[-1])
+        assert stack[::-1].tolist() == list(oracle._cached)
+        np.testing.assert_array_equal(distinct, np.unique(part))
+    whole = np.concatenate([prior, stream]).astype(np.int64)
+    assert_replays_from_empty(
+        VectorLruTlb(entries), whole, np.concatenate(expected), oracle.cold_misses
     )
 
 
 @st.composite
 def streams(draw, max_universe=300, max_length=400):
-    """A stream over a drawn universe, plus batch cut points."""
+    """A stream over a drawn universe, plus cut points for kernel passes."""
     universe = draw(st.integers(min_value=1, max_value=max_universe))
     stream = draw(
         st.lists(
@@ -160,60 +180,11 @@ class TestL2KernelMatchesOracle:
         assert_l2_matches_oracle(4, 16, stream, cuts=(100,))
 
 
-@pytest.mark.parametrize("reader", ["occupancy", "resident_lines", "contains"])
-def test_each_reader_folds_a_cold_batch(reader):
-    """A batch replayed cold on an empty L2 keeps no state until read:
-    every reader, read first, sees the end state the oracle holds."""
-    rng = np.random.default_rng(0xF01D)
-    num_sets, ways = 6, 4
-    stream = rng.integers(0, 90, 500)
-    capacity = num_sets * ways * LINE_BYTES
-    kernel = VectorSetAssociativeCache(capacity, LINE_BYTES, ways=ways)
-    oracle = SetAssociativeCache(capacity, LINE_BYTES, ways=ways)
-    kernel.access_batch(stream)
-    for line in stream.tolist():
-        oracle.access(line)
-    if reader == "occupancy":
-        assert kernel.occupancy == oracle.occupancy
-    elif reader == "resident_lines":
-        assert [kernel.resident_lines(i).tolist() for i in range(num_sets)] == [
-            list(cache_set) for cache_set in oracle._sets
-        ]
-    else:
-        assert [kernel.contains(line) for line in range(90)] == [
-            oracle.contains(line) for line in range(90)
-        ]
-
-
-def test_cold_batch_folds_from_the_callers_array():
-    """The cache keeps the caller's batch, not a copy, until a read folds
-    it: a write to the batch before that read is what the fold sees.  So
-    a caller leaves its batch untouched until it reads or resets the
-    cache; ``MachineModel`` resets the L2 right after the L2 stage."""
-    rng = np.random.default_rng(0xF01E)
-    num_sets, ways = 6, 4
-    stream = rng.integers(0, 90, 500)
-    capacity = num_sets * ways * LINE_BYTES
-
-    def end_state(lines):
-        oracle = SetAssociativeCache(capacity, LINE_BYTES, ways=ways)
-        for line in lines.tolist():
-            oracle.access(line)
-        return [list(cache_set) for cache_set in oracle._sets]
-
-    kernel = VectorSetAssociativeCache(capacity, LINE_BYTES, ways=ways)
-    kernel.access_batch(stream)
-    as_passed = end_state(stream)
-    stream[:] = stream[::-1].copy()
-    as_folded = [kernel.resident_lines(i).tolist() for i in range(num_sets)]
-    assert as_folded == end_state(stream) != as_passed
-
-
 class TestLongerThanOnePass:
-    """A batch longer than one kernel pass reaches an empty model through
-    the stateful kernels, one pass after another; every shorter first
-    batch above replays cold.  The pass length is patched down so a short
-    stream spans several passes."""
+    """A stream longer than one kernel pass replays through the stateful
+    kernels, one pass after another, from empty.  The pass length is
+    patched down for the whole test, so the machine's replay spans
+    several passes too."""
 
     @pytest.fixture(autouse=True)
     def short_passes(self, monkeypatch):
@@ -266,8 +237,8 @@ class TestTlbMatchesOracle:
 
 
 def misses_with(model, stream):
-    model.access_batch(np.asarray(stream, dtype=np.int64))
-    return model.misses
+    hits = model.access_batch(np.asarray(stream, dtype=np.int64))
+    return int(np.count_nonzero(~hits))
 
 
 class TestLruInclusion:

@@ -13,11 +13,7 @@ from repro.errors import ConfigurationError
 from repro.hardware.memory import MemorySpace, SystemMemory
 from repro.hardware.spec import V100_NVLINK2
 from repro.indexes import TraceRecorder
-from repro.indexes.radix_spline import (
-    RadixSplineIndex,
-    greedy_spline_corridor,
-    uniform_spline,
-)
+from repro.indexes.radix_spline import RadixSplineIndex, greedy_spline_corridor
 from repro.units import GIB, KEY_BYTES
 
 from . import oracles
@@ -92,41 +88,52 @@ class TestGreedySplineCorridor:
             greedy_spline_corridor(np.array([], dtype=np.uint64), 4)
 
 
+def implicit_spline(index):
+    """Keys and positions of a virtual column's implicit spline points."""
+    points = np.arange(index.num_spline_points)
+    return index._spline_key_at(points), index._spline_position_at(points)
+
+
 class TestUniformSpline:
+    """The uniform spline a virtual column gets, and the measured error
+    bound a materialized column's spline gets instead."""
+
     def test_virtual_column_error_is_one(self):
         column = VirtualSortedColumn(2**16, stride=4)
-        __, __, error = uniform_spline(column, interval=1024)
-        assert error == 1
+        index = RadixSplineIndex(Relation(name="R", column=column))
+        assert index._uniform_interval == 1024
+        keys, positions = implicit_spline(index)
+        all_keys = column.key_at(np.arange(len(column)))
+        assert interpolation_error(all_keys, keys, positions) <= 1
 
     def test_materialized_error_measured(self, rng):
         gaps = rng.integers(1, 100, size=4096).astype(np.uint64)
         column = MaterializedColumn(np.cumsum(gaps).astype(np.uint64))
-        keys, positions, error = uniform_spline(column, interval=256)
-        assert interpolation_error(column.keys, keys, positions) <= error
+        index = RadixSplineIndex(Relation(name="R", column=column), max_error=4)
+        assert interpolation_error(
+            column.keys, index.spline_keys, index.spline_positions
+        ) <= index.error_bound
 
     def test_last_position_included(self):
         column = VirtualSortedColumn(1000, stride=4)
-        __, positions, __ = uniform_spline(column, interval=300)
+        index = RadixSplineIndex(Relation(name="R", column=column), max_error=17)
+        assert index._uniform_interval == 289
+        __, positions = implicit_spline(index)
         assert positions[-1] == 999
-
-    def test_rejects_tiny_interval(self):
-        column = VirtualSortedColumn(100)
-        with pytest.raises(ConfigurationError):
-            uniform_spline(column, interval=1)
 
 
 class TestRadixSplineIndex:
     def test_auto_fit_greedy_for_materialized(self, small_relation):
         index = RadixSplineIndex(small_relation)
-        assert index.fit == "greedy"
+        keys, positions = greedy_spline_corridor(small_relation.column.keys, 32)
+        np.testing.assert_array_equal(index.spline_keys, keys)
+        np.testing.assert_array_equal(index.spline_positions, positions)
+        assert index._uniform_interval is None
 
     def test_auto_fit_uniform_for_virtual(self, virtual_relation):
-        index = RadixSplineIndex(virtual_relation)
-        assert index.fit == "uniform"
-
-    def test_greedy_rejected_on_virtual(self, virtual_relation):
-        with pytest.raises(ConfigurationError):
-            RadixSplineIndex(virtual_relation, fit="greedy")
+        index = RadixSplineIndex(virtual_relation, max_error=32)
+        assert index._uniform_interval == 32**2
+        assert index.spline_keys is None and index.spline_positions is None
 
     def test_spline_density_is_realistic(self, virtual_relation):
         """Virtual columns must not get an unrealistically sparse spline
@@ -158,10 +165,6 @@ class TestRadixSplineIndex:
             RadixSplineIndex(small_relation, radix_bits=0)
         with pytest.raises(ConfigurationError):
             RadixSplineIndex(small_relation, radix_bits=40)
-
-    def test_rejects_bad_fit(self, small_relation):
-        with pytest.raises(ConfigurationError):
-            RadixSplineIndex(small_relation, fit="magic")
 
     def test_rejects_bad_max_error(self, small_relation):
         with pytest.raises(ConfigurationError):

@@ -69,10 +69,8 @@ CONFIGS = (
     (BPlusTreeIndex, {"node_bytes": 4096, "leaf_payload_bytes": 8}),
     (HarmoniaIndex, {"node_keys": 2}),
     (HarmoniaIndex, {"node_keys": 32}),
-    (RadixSplineIndex, {"fit": "greedy", "max_error": 1}),
-    (RadixSplineIndex, {"fit": "greedy", "max_error": 32}),
-    (RadixSplineIndex, {"fit": "uniform", "max_error": 1}),
-    (RadixSplineIndex, {"fit": "uniform", "max_error": 32}),
+    (RadixSplineIndex, {"max_error": 1}),
+    (RadixSplineIndex, {"max_error": 32}),
 )
 CONFIG_IDS = [
     cls.__name__ + "".join(f"-{k}={v}" for k, v in kwargs.items())
@@ -96,7 +94,7 @@ KEY_REGIMES = (
 #: Virtual column lengths, from one node past 2^14 keys to 100 GiB.
 VIRTUAL_SIZES = (2**14 + 1, 2**20, 2**31, 100 * GIB // KEY_BYTES)
 
-#: A uniform spline at max_error 1 has a point every two keys; its radix
+#: A virtual column's spline at max_error 1 has a point every two keys; its radix
 #: table build samples 1/64 of them, so it stays below this size.
 SMALL_SPLINE_KEYS = 2**20
 
@@ -229,12 +227,7 @@ def test_shards_match_the_bisection_oracle(config, data):
     assert_matches_oracle(index, data.draw(probe_batches(index.column)))
 
 
-@pytest.mark.parametrize(
-    "config",
-    [i for i, (cls, kwargs) in enumerate(CONFIGS) if kwargs.get("fit") != "greedy"],
-    ids=[name for name, (cls, kwargs) in zip(CONFIG_IDS, CONFIGS)
-         if kwargs.get("fit") != "greedy"],
-)
+@pytest.mark.parametrize("config", range(len(CONFIGS)), ids=CONFIG_IDS)
 @given(data=st.data())
 def test_virtual_columns_match_the_bisection_oracle(config, data):
     index = data.draw(virtual_indexes(config))
@@ -261,7 +254,7 @@ def test_radix_spline_search_stays_in_its_window():
     where the bisection stops, and read only inside it."""
     column = shard_column(2**14, 1, 0)
     index = RadixSplineIndex(
-        Relation(name="R", column=column), fit="greedy", max_error=1
+        Relation(name="R", column=column), max_error=1
     )
     memory = SystemMemory(ROOMY)
     index.relation.place(memory, MemorySpace.HOST)

@@ -8,7 +8,7 @@ Three contracts:
   global read per batch entry point);
 * tracing on emits op counters that *exactly* match an OrderedDict
   reference replay of the same stream -- counters are sourced from the
-  models' own hit/miss accounting, never re-derived.
+  hit mask each model call returns, never re-derived.
 """
 
 from __future__ import annotations
@@ -21,14 +21,17 @@ import pytest
 from repro import obs
 from repro.config import SimulationConfig
 from repro.gpu.executor import LookupTrace, MachineModel
-from repro.hardware.fastlru import (
-    VectorLruCache,
-    VectorLruTlb,
-    VectorSetAssociativeCache,
-)
+from repro.hardware import fastlru
+from repro.hardware.fastlru import VectorLruTlb, VectorSetAssociativeCache
 from repro.hardware.spec import V100_NVLINK2
 
-from ..hardware.oracles import LruCache, LruTlb, SetAssociativeCache, replay
+from ..hardware.oracles import (
+    LruCache,
+    LruTlb,
+    SetAssociativeCache,
+    kernel_passes,
+    replay,
+)
 
 
 def random_trace(steps=4, lookups=2048, seed=7, span_bytes=1 << 26):
@@ -69,8 +72,8 @@ class TestTracingDoesNotPerturbResults:
     def test_model_hit_masks_identical_traced_or_not(self):
         rng = np.random.default_rng(3)
         stream = rng.integers(0, 600, 20000)
-        plain = VectorLruCache(512 * 32, 32)
-        named = VectorLruCache(512 * 32, 32)
+        plain = VectorLruTlb(512)
+        named = VectorLruTlb(512)
         named.obs_name = "probe"
         baseline = plain.access_batch(stream)
         obs.enable()
@@ -125,7 +128,7 @@ class TestTracedCountersMatchOracle:
     def test_lru_cache_counters_exact(self, traced):
         rng = np.random.default_rng(11)
         stream = rng.integers(0, 700, 20000)
-        vector = VectorLruCache(512 * self.line_bytes, self.line_bytes)
+        vector = VectorLruTlb(512)
         vector.obs_name = "probe"
         vector.access_batch(stream)
         oracle = LruCache(512 * self.line_bytes, self.line_bytes)
@@ -148,28 +151,35 @@ class TestTracedCountersMatchOracle:
         assert obs.counter("model.probe.misses") == len(stream) - hits
 
     def test_tlb_counters_exact_including_cold(self, traced):
+        """In one kernel pass and across several: a stream's cold misses
+        count each of its pages once."""
         rng = np.random.default_rng(13)
         pages = rng.integers(0, 96, 8000)
-        vector = VectorLruTlb(64)
-        vector.obs_name = "probe"
-        vector.access_batch(pages)
         oracle = LruTlb(64)
         hits = reference_hits(oracle, pages)
-        assert obs.counter("model.probe.accesses") == len(pages)
-        assert obs.counter("model.probe.hits") == hits
-        assert obs.counter("model.probe.misses") == len(pages) - hits
-        assert obs.counter("model.probe.cold_misses") == oracle.cold_misses
+        for bits in (fastlru._POS_BITS, 10):
+            obs.reset()
+            vector = VectorLruTlb(64)
+            vector.obs_name = "tlb"
+            with kernel_passes(bits):
+                vector.access_batch(pages)
+            assert obs.counter("model.tlb.accesses") == len(pages)
+            assert obs.counter("model.tlb.hits") == hits
+            assert obs.counter("model.tlb.misses") == len(pages) - hits
+            assert obs.counter("model.tlb.cold_misses") == oracle.cold_misses
+            assert vector.cold_misses == oracle.cold_misses
 
     def test_batched_accesses_accumulate(self, traced):
         rng = np.random.default_rng(14)
         stream = rng.integers(0, 700, 6000)
-        vector = VectorLruCache(512 * self.line_bytes, self.line_bytes)
+        vector = VectorLruTlb(512)
         vector.obs_name = "probe"
+        hits = 0
         for lo in range(0, len(stream), 1000):
-            vector.access_batch(stream[lo : lo + 1000])
+            hits += int(np.count_nonzero(vector.access_batch(stream[lo : lo + 1000])))
         assert obs.counter("model.probe.accesses") == len(stream)
-        assert obs.counter("model.probe.hits") == vector.hits
-        assert obs.counter("model.probe.misses") == vector.misses
+        assert obs.counter("model.probe.hits") == hits
+        assert obs.counter("model.probe.misses") == len(stream) - hits
 
 
 class TestReplayCountersAcrossEngines:
