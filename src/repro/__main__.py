@@ -221,7 +221,7 @@ def main(argv=None) -> int:
     )
     experiments.add_argument(
         "--workers", type=int, default=1,
-        help="processes for the standard sweeps (results identical to serial)",
+        help="processes for every figure's sweep (results identical to serial)",
     )
     experiments.add_argument(
         "--output-dir", default=None, metavar="DIR",

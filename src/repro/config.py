@@ -96,12 +96,6 @@ class SimulationConfig:
         """Return a copy with a different base seed."""
         return replace(self, seed=seed)
 
-    def scale_factor(self, s_tuples: int) -> float:
-        """Factor by which sampled counters are scaled to the full relation."""
-        if s_tuples <= 0:
-            raise ConfigurationError(f"s_tuples must be positive, got {s_tuples}")
-        return max(1.0, s_tuples / self.probe_sample)
-
 
 #: Library-wide default configuration.  Experiments copy and tweak it; they
 #: never mutate it in place (the dataclass is frozen to enforce that).

@@ -154,29 +154,21 @@ class QueryPlanner:
             )
         )
         if include_variants:
-            env2 = QueryEnvironment(
-                self.spec, workload, index_cls=index_cls, sim=self.sim
-            )
-            naive = IndexNestedLoopJoin(env2.index)
+            naive = IndexNestedLoopJoin(env.index)
             candidates.append(
                 AccessPath(
                     name=f"naive INLJ over {index_cls.name}",
-                    cost=naive.estimate(env2),
+                    cost=naive.estimate(env),
                     index_name=index_cls.name,
                     supports_updates=index_cls.supports_updates,
                 )
             )
-            env3 = QueryEnvironment(
-                self.spec, workload, index_cls=index_cls, sim=self.sim
-            )
-            partitioned = PartitionedINLJ(
-                env3.index, self._partitioner(env3.column)
-            )
+            partitioned = PartitionedINLJ(env.index, partitioner)
             candidates.append(
                 AccessPath(
                     name=f"partitioned INLJ over {index_cls.name} "
                     "(materializing)",
-                    cost=partitioned.estimate(env3),
+                    cost=partitioned.estimate(env),
                     index_name=index_cls.name,
                     supports_updates=index_cls.supports_updates,
                 )

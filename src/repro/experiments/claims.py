@@ -9,30 +9,38 @@ The paper's discussion distills four quantitative claims:
    (Harmonia).
 
 This module measures each claim with the same machinery as the figures and
-reports paper-vs-measured pairs.
+reports paper-vs-measured pairs: the ten points of claims 1, 2 and 4 run
+as one sweep through :func:`~repro.experiments.common.run_point`, and
+claim 3 reads Fig. 9's sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, List
 
 from ..config import DEFAULT_S_TUPLES
+from ..errors import CapacityError
 from ..hardware.spec import SystemSpec, V100_NVLINK2
 from ..indexes import BinarySearchIndex, HarmoniaIndex, RadixSplineIndex
-from ..join.hash_join import HashJoin
-from ..join.inlj import IndexNestedLoopJoin
-from ..join.partitioned import PartitionedINLJ
-from ..join.window import WindowedINLJ
+from ..perf.model import QueryCost
 from ..units import GIB, MIB
 from .common import (
     NAIVE_SIM,
-    ORDERED_SIM,
-    default_partitioner,
+    Point,
     gib_to_tuples,
-    make_environment,
+    map_tasks,
+    run_point,
 )
 from . import fig9
+
+#: R (GiB) of claims 1 and 2 (the paper's 111 GiB) and of claim 4
+#: (Figs. 7 and 8's 100 GiB).
+CLAIM_R_GIB = 111.0
+RANKING_R_GIB = 100.0
+
+#: Indexes whose naive-vs-partitioned drop claim 2 measures.
+TLB_DROP_INDEXES = (BinarySearchIndex, HarmoniaIndex, RadixSplineIndex)
 
 
 @dataclass
@@ -53,28 +61,16 @@ class Claim:
         )
 
 
-def transfer_volume_claim(
-    spec: SystemSpec = V100_NVLINK2,
-    r_gib: float = 111.0,
-    sim=ORDERED_SIM,
-) -> Claim:
+def transfer_volume_claim(costs: Dict[object, QueryCost]) -> Claim:
     """Claim 1: index scans move far less data than table scans."""
-    r_tuples = gib_to_tuples(r_gib)
-    env = make_environment(spec, r_tuples, index_cls=RadixSplineIndex, sim=sim)
-    join = WindowedINLJ(
-        env.index, default_partitioner(env.column), window_bytes=32 * MIB
-    )
-    inlj_cost = join.estimate(env)
-    hash_env = make_environment(spec, r_tuples, sim=sim)
-    hash_cost = HashJoin(hash_env.relation).estimate(hash_env)
-    inlj_bytes = inlj_cost.counters.remote_bytes
-    scan_bytes = hash_cost.counters.remote_bytes
+    inlj_bytes = costs["indexed"].counters.remote_bytes
+    scan_bytes = costs["scanned"].counters.remote_bytes
     reduction = scan_bytes / inlj_bytes if inlj_bytes > 0 else float("inf")
     return Claim(
         name="index reduces interconnect transfer volume",
         paper="up to ~12x less transfer volume than a table scan",
         measured=(
-            f"{reduction:.1f}x at {r_gib:g} GiB "
+            f"{reduction:.1f}x at {CLAIM_R_GIB:g} GiB "
             f"({inlj_bytes / GIB:.1f} GiB indexed vs "
             f"{scan_bytes / GIB:.1f} GiB scanned)"
         ),
@@ -82,45 +78,34 @@ def transfer_volume_claim(
     )
 
 
-def tlb_drop_claim(
-    spec: SystemSpec = V100_NVLINK2,
-    r_gib: float = 111.0,
-    naive_sim=NAIVE_SIM,
-    ordered_sim=ORDERED_SIM,
-) -> Claim:
+def tlb_drop_claim(costs: Dict[object, QueryCost]) -> Claim:
     """Claim 2: TLB misses cost naive INLJs a large throughput factor."""
-    r_tuples = gib_to_tuples(r_gib)
     worst_drop = 0.0
     worst_index = ""
-    for index_cls in (BinarySearchIndex, HarmoniaIndex, RadixSplineIndex):
-        env = make_environment(spec, r_tuples, index_cls=index_cls, sim=naive_sim)
-        naive = IndexNestedLoopJoin(env.index).estimate(env)
-        env = make_environment(
-            spec, r_tuples, index_cls=index_cls, sim=ordered_sim
-        )
-        partitioned = PartitionedINLJ(
-            env.index, default_partitioner(env.column)
-        ).estimate(env)
-        if naive.queries_per_second > 0:
-            drop = partitioned.queries_per_second / naive.queries_per_second
+    for index_cls in TLB_DROP_INDEXES:
+        naive = costs["naive", index_cls].queries_per_second
+        if naive > 0:
+            drop = costs["partitioned", index_cls].queries_per_second / naive
             if drop > worst_drop:
                 worst_drop = drop
                 worst_index = index_cls.name
     return Claim(
         name="TLB misses cause the naive INLJ throughput drop",
         paper="throughput drop of up to 16.7x on large data",
-        measured=f"up to {worst_drop:.1f}x ({worst_index}) at {r_gib:g} GiB",
+        measured=(
+            f"up to {worst_drop:.1f}x ({worst_index}) at {CLAIM_R_GIB:g} GiB"
+        ),
         holds=worst_drop >= 8.0,
     )
 
 
-def selectivity_claim(spec: SystemSpec = V100_NVLINK2, sim=ORDERED_SIM) -> Claim:
+def selectivity_claim(spec: SystemSpec = V100_NVLINK2, workers: int = 1) -> Claim:
     """Claim 3: the INLJ wins below a selectivity threshold."""
     result = fig9.run(
         specs=(spec,),
         r_sizes_gib=(2.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0),
-        sim=sim,
         index_types=(RadixSplineIndex,),
+        workers=workers,
     )
     by_label = result.series_by_label()
     tag = spec.interconnect.name
@@ -143,34 +128,56 @@ def selectivity_claim(spec: SystemSpec = V100_NVLINK2, sim=ORDERED_SIM) -> Claim
     )
 
 
-def index_ranking_claim(
-    spec: SystemSpec = V100_NVLINK2,
-    r_gib: float = 100.0,
-    sim=ORDERED_SIM,
-) -> Claim:
+def index_ranking_claim(costs: Dict[object, QueryCost]) -> Claim:
     """Claim 4: RadixSpline beats Harmonia by 1.1-1.8x."""
-    r_tuples = gib_to_tuples(r_gib)
-    throughputs = {}
-    for index_cls in (RadixSplineIndex, HarmoniaIndex):
-        env = make_environment(spec, r_tuples, index_cls=index_cls, sim=sim)
-        join = WindowedINLJ(
-            env.index, default_partitioner(env.column), window_bytes=32 * MIB
-        )
-        throughputs[index_cls.name] = join.estimate(env).queries_per_second
-    ratio = throughputs["RadixSpline"] / throughputs["Harmonia"]
+    ratio = (
+        costs["ranking", RadixSplineIndex].queries_per_second
+        / costs["ranking", HarmoniaIndex].queries_per_second
+    )
     return Claim(
         name="RadixSpline is the fastest out-of-core index",
         paper="1.1-1.8x higher throughput than Harmonia",
-        measured=f"{ratio:.2f}x over Harmonia at {r_gib:g} GiB",
+        measured=f"{ratio:.2f}x over Harmonia at {RANKING_R_GIB:g} GiB",
         holds=1.05 <= ratio <= 2.5,
     )
 
 
-def run(spec: SystemSpec = V100_NVLINK2) -> List[Claim]:
-    """Measure all Section 6 claims."""
+def run(spec: SystemSpec = V100_NVLINK2, workers: int = 1) -> List[Claim]:
+    """Measure all Section 6 claims.
+
+    ``workers > 1`` fans the points across processes with bit-identical
+    results (see :func:`repro.experiments.common.map_tasks`).  A claim
+    needs every one of its points, so a point that does not fit the
+    machine raises :class:`~repro.errors.CapacityError`.
+    """
+    r_tuples = gib_to_tuples(CLAIM_R_GIB)
+    points = {
+        "indexed": Point(
+            "windowed", spec, r_tuples, RadixSplineIndex, window_bytes=32 * MIB
+        ),
+        "scanned": Point("hash", spec, r_tuples),
+    }
+    for index_cls in TLB_DROP_INDEXES:
+        points["naive", index_cls] = Point(
+            "inlj", spec, r_tuples, index_cls, NAIVE_SIM
+        )
+        points["partitioned", index_cls] = Point(
+            "partitioned", spec, r_tuples, index_cls
+        )
+    for index_cls in (RadixSplineIndex, HarmoniaIndex):
+        points["ranking", index_cls] = Point(
+            "windowed", spec, gib_to_tuples(RANKING_R_GIB), index_cls,
+            window_bytes=32 * MIB,
+        )
+    costs = {}
+    outcomes = map_tasks(run_point, list(points.values()), workers)
+    for key, (status, value) in zip(points, outcomes):
+        if status == "skip":
+            raise CapacityError(value)
+        costs[key] = value
     return [
-        transfer_volume_claim(spec),
-        tlb_drop_claim(spec),
-        selectivity_claim(spec),
-        index_ranking_claim(spec),
+        transfer_volume_claim(costs),
+        tlb_drop_claim(costs),
+        selectivity_claim(spec, workers=workers),
+        index_ranking_claim(costs),
     ]

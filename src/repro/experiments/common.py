@@ -9,7 +9,7 @@ the whole query.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Type
+from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple, Type
 
 from .. import obs
 from ..config import (
@@ -20,13 +20,20 @@ from ..config import (
 from ..data.column import Column
 from ..data.generator import WorkloadConfig
 from ..errors import CapacityError, ConfigurationError
-from ..hardware.spec import SystemSpec
+from ..hardware.spec import SystemSpec, V100_NVLINK2
 from ..join.base import QueryEnvironment
+from ..join.hash_join import HashJoin
+from ..join.inlj import IndexNestedLoopJoin
+from ..join.nonequi import BandJoin, WindowedBandJoin
+from ..join.partitioned import PartitionedINLJ
+from ..join.window import WindowedINLJ
 from ..partition.bits import choose_partition_bits
 from ..partition.radix import RadixPartitioner
+from ..perf.model import QueryCost
 from ..perf.report import Series, format_series_table
 from ..resilience import faults
 from ..units import GIB, KEY_BYTES
+from ..workloads.nonequi import band_epsilon_for_matches
 from . import cache
 
 #: R sizes (GiB) swept by Figs. 3-6.  The paper scales 0.5-120 GiB; the
@@ -119,76 +126,177 @@ class ExperimentResult:
         return "\n".join(parts)
 
 
-def run_point_or_skip(result: ExperimentResult, label: str, func) -> Optional[float]:
-    """Execute one data point, recording capacity-limit skips.
+@dataclass(frozen=True)
+class Point:
+    """One sweep point: a join priced on one machine at one R, window and skew.
 
-    The paper drops B+tree/Harmonia points past their memory limit
-    (Section 3.2); this helper mirrors that by catching
-    :class:`CapacityError` and noting the skip instead of failing the
-    whole experiment.
+    The unit of work of every figure.  It holds plain picklable values,
+    so pool workers receive it, and every RNG stream of the point
+    derives from ``sim.seed``, so pooled sweeps equal serial ones.
+    ``kind`` names the join: ``inlj`` (naive), ``partitioned``,
+    ``windowed``, ``hash``, ``band`` (naive) or ``windowed-band``;
+    ``index_cls`` is None for the hash join and ``matches`` (expected
+    band matches per probe) is read by the band joins only.
     """
-    try:
-        return func()
-    except CapacityError as error:
-        result.notes.append(f"{label}: skipped ({error})")
-        return None
 
+    kind: str
+    spec: SystemSpec
+    r_tuples: int
+    index_cls: Optional[Type] = None
+    sim: SimulationConfig = ORDERED_SIM
+    zipf_theta: float = 0.0
+    window_bytes: int = 0
+    matches: float = 0.0
 
-# ----------------------------------------------------------------------
-# Sweep points as picklable tasks (the parallel runner's unit of work).
-# ----------------------------------------------------------------------
+    @property
+    def label(self) -> str:
+        """Short name that ``match=`` fault plans select points by.
 
-#: One standard sweep point: join kind, machine, R size, index, sim.
-#: ``index_cls`` is None for the hash join.  Tasks are plain tuples of
-#: picklable values so pool workers can receive them.
-PointTask = Tuple[str, SystemSpec, int, Optional[Type], SimulationConfig]
-
-
-def task_label(task: PointTask) -> str:
-    """Short human/fault-matchable name for one sweep point."""
-    kind, _spec, r_tuples, index_cls, _sim = task
-    index_name = index_cls.__name__ if index_cls is not None else "none"
-    return f"{kind}:{index_name}:{r_tuples}"
-
-
-def run_standard_point(task: PointTask):
-    """Simulate one sweep point; returns ``("ok", cost) | ("skip", msg)``.
-
-    This is the single code path behind both the serial and the parallel
-    sweep runners -- determinism across the two is by construction, since
-    every point derives its RNG streams from the task's ``sim.seed``
-    alone.
-
-    A fault-injection check precedes the computation: with a
-    ``*@point`` plan installed (see :mod:`repro.resilience.faults`) this
-    is where injected raises and worker crashes happen -- in exactly the
-    process (serial parent or pool worker) executing the point, which is
-    what makes every failure path reachable from tests.
-    """
-    kind, spec, r_tuples, index_cls, sim = task
-    faults.check("point", task_label(task))
-    try:
-        if kind == "inlj":
-            from ..join.inlj import IndexNestedLoopJoin
-
-            env = make_environment(spec, r_tuples, index_cls=index_cls, sim=sim)
-            cost = IndexNestedLoopJoin(env.index).estimate(env)
-        elif kind == "partitioned":
-            from ..join.partitioned import PartitionedINLJ
-
-            env = make_environment(spec, r_tuples, index_cls=index_cls, sim=sim)
-            partitioner = default_partitioner(env.column)
-            cost = PartitionedINLJ(env.index, partitioner).estimate(env)
-        elif kind == "hash":
-            from ..join.hash_join import HashJoin
-
-            env = make_environment(spec, r_tuples, sim=sim)
-            cost = HashJoin(env.relation).estimate(env)
+        ``kind:IndexClass:r_tuples`` (``none`` for the hash join), then
+        ``:w<window bytes>`` and ``:z<theta>`` where set; band points
+        read ``nonequi:<naive|windowed>:r_tuples:m<matches>:w<window
+        tuples>:z<theta>``.  A machine other than the V100 appends
+        ``@<interconnect>``.
+        """
+        if self.kind in _BAND_VARIANTS:
+            label = (
+                f"nonequi:{_BAND_VARIANTS[self.kind]}:{self.r_tuples}"
+                f":m{self.matches:g}:w{self.window_bytes // KEY_BYTES}"
+                f":z{self.zipf_theta:g}"
+            )
         else:
-            raise ConfigurationError(f"unknown point kind: {kind!r}")
+            index_name = (
+                self.index_cls.__name__ if self.index_cls is not None else "none"
+            )
+            label = f"{self.kind}:{index_name}:{self.r_tuples}"
+            if self.window_bytes:
+                label += f":w{self.window_bytes}"
+            if self.zipf_theta:
+                label += f":z{self.zipf_theta:g}"
+        if self.spec != V100_NVLINK2:
+            label += f"@{self.spec.interconnect.name}"
+        return label
+
+
+#: Band point kinds and the variant their labels name.
+_BAND_VARIANTS = {"band": "naive", "windowed-band": "windowed"}
+
+#: The operator each point kind prices, built over the point's environment.
+_OPERATORS = {
+    "inlj": lambda env, point: IndexNestedLoopJoin(env.index),
+    "partitioned": lambda env, point: PartitionedINLJ(
+        env.index, default_partitioner(env.column)
+    ),
+    "windowed": lambda env, point: WindowedINLJ(
+        env.index, default_partitioner(env.column), point.window_bytes
+    ),
+    "hash": lambda env, point: HashJoin(env.relation),
+    "band": lambda env, point: BandJoin(
+        env.index, band_epsilon_for_matches(env.column, point.matches)
+    ),
+    "windowed-band": lambda env, point: WindowedBandJoin(
+        env.index,
+        default_partitioner(env.column),
+        band_epsilon_for_matches(env.column, point.matches),
+        point.window_bytes,
+    ),
+}
+
+
+def run_point(point: Point):
+    """Price one sweep point; returns ``("ok", cost) | ("skip", message)``.
+
+    The single code path behind every figure, serial or pooled.  A point
+    that does not fit the machine (:class:`CapacityError`) is a skip, as
+    the paper drops B+tree/Harmonia points past their memory limit
+    (Section 3.2).  Band points add their band half-width to the cost's
+    breakdown as ``band_epsilon``.
+
+    The ``point`` fault site fires first, with the point's label, so
+    injected raises and worker crashes (see :mod:`repro.resilience.faults`)
+    happen in exactly the process -- serial parent or pool worker --
+    pricing the point.
+    """
+    faults.check("point", point.label)
+    build = _OPERATORS.get(point.kind)
+    if build is None:
+        raise ConfigurationError(f"unknown point kind: {point.kind!r}")
+    try:
+        env = make_environment(
+            point.spec, point.r_tuples, point.index_cls, point.sim,
+            point.zipf_theta,
+        )
+        join = build(env, point)
+        cost = join.estimate(env)
     except CapacityError as error:
         return ("skip", str(error))
+    if point.kind in _BAND_VARIANTS:
+        cost.breakdown["band_epsilon"] = float(join.epsilon)
     return ("ok", cost)
+
+
+def price_points(
+    result: ExperimentResult,
+    points: Sequence[Tuple[Hashable, str, Point]],
+    workers: int = 1,
+) -> Iterator[Tuple[Hashable, Optional[QueryCost]]]:
+    """Price ``(key, label, point)`` triples in one sweep; yield ``(key, cost)``.
+
+    A skipped point yields ``(key, None)`` and appends ``"<label>: skipped
+    (<reason>)"`` to ``result.notes`` as the caller reaches it, so skips
+    interleave with the caller's own notes in sweep order.
+    """
+    outcomes = map_tasks(run_point, [point for _, _, point in points], workers)
+    for (key, label, _), (status, value) in zip(points, outcomes):
+        if status == "skip":
+            result.notes.append(f"{label}: skipped ({value})")
+            value = None
+        yield key, value
+
+
+def r_size_sweep(
+    kind: str,
+    throughput: ExperimentResult,
+    requests: ExperimentResult,
+    spec: SystemSpec,
+    r_sizes_gib: Sequence[float],
+    sim: SimulationConfig,
+    index_types: Sequence[Type],
+    include_hash_join: bool = True,
+    workers: int = 1,
+) -> None:
+    """The R x index sweep of one INLJ ``kind``, plus the hash join.
+
+    Behind Figs. 3/4 (``inlj``) and 5/6 (``partitioned``): fills
+    ``throughput`` with one Q/s series per index (then ``hash join``)
+    and ``requests`` with each index's translation requests per lookup.
+    """
+    index_series = {cls: Series(cls.name) for cls in index_types}
+    request_series = {cls: Series(cls.name) for cls in index_types}
+    hash_series = Series("hash join")
+    points = []
+    for gib in r_sizes_gib:
+        r_tuples = gib_to_tuples(gib)
+        for index_cls in index_types:
+            point = Point(kind, spec, r_tuples, index_cls, sim)
+            points.append(((gib, index_cls), f"{index_cls.name} @ {gib} GiB", point))
+        if include_hash_join:
+            point = Point("hash", spec, r_tuples, sim=sim)
+            points.append(((gib, None), f"hash join @ {gib} GiB", point))
+    for (gib, index_cls), cost in price_points(throughput, points, workers):
+        if cost is None:
+            continue
+        if index_cls is None:
+            hash_series.append(gib, cost.queries_per_second)
+            continue
+        index_series[index_cls].append(gib, cost.queries_per_second)
+        request_series[index_cls].append(
+            gib, cost.counters.translation_requests_per_lookup
+        )
+    throughput.series = [index_series[cls] for cls in index_types]
+    if include_hash_join:
+        throughput.series.append(hash_series)
+    requests.series = [request_series[cls] for cls in index_types]
 
 
 def validate_workers(workers) -> int:
@@ -220,22 +328,22 @@ def resolve_workers(workers) -> int:
     return validate_workers(workers)
 
 
-#: Diagnostics from the most recent :func:`map_tasks` call in this
-#: process: the sweep's point count and how many points completed.
-#: Read by tests and by the runner's failure reports; never consulted
-#: for control flow.
+#: Sweep diagnostics of this process since the last ``clear()``: points
+#: submitted to :func:`map_tasks` and points completed, summed over its
+#: calls (the runner clears it per experiment, so an experiment that runs
+#: two sweeps reports both).  Read by the runner's failure reports; never
+#: consulted for control flow.
 LAST_SWEEP: dict = {}
 
 
 def map_tasks(run_task, tasks: Sequence, workers: int = 1) -> list:
     """Run picklable tasks serially or across processes, in task order.
 
-    The one engine behind the experiment sweeps (``run_standard_point``),
-    the non-equi sweep and the serve-bench sweep.  Each task
-    runs through the same ``run_task`` function either way, so serial
-    and pooled runs produce bit-identical output -- provided
-    ``run_task`` is a pure function of its task (derive every RNG
-    stream from the task itself).
+    The one engine behind every figure's points (:func:`run_point`) and
+    the serve-bench sweep.  Each task runs through the same ``run_task``
+    function either way, so serial and pooled runs produce bit-identical
+    output -- provided ``run_task`` is a pure function of its task
+    (derive every RNG stream from the task itself).
 
     ``run_task`` must be a module-level function (pool workers receive
     it by pickle).
@@ -248,8 +356,8 @@ def map_tasks(run_task, tasks: Sequence, workers: int = 1) -> list:
     tasks = list(tasks)
     if workers is not None:
         validate_workers(workers)
-    LAST_SWEEP.clear()
-    LAST_SWEEP.update(points=len(tasks), computed=0)
+    LAST_SWEEP["points"] = LAST_SWEEP.get("points", 0) + len(tasks)
+    LAST_SWEEP.setdefault("computed", 0)
     results: list = []
     # Pooled workers collect obs counters in their own process and do not
     # report them back; traced sweeps that must account every op (e.g. the
@@ -268,9 +376,9 @@ def map_tasks(run_task, tasks: Sequence, workers: int = 1) -> list:
                 for outcome in pool.map(run_task, tasks):
                     results.append(outcome)
                     LAST_SWEEP["computed"] += 1
-    if obs.enabled():
-        for key in ("points", "computed"):
-            if LAST_SWEEP[key]:
-                obs.add(f"sweep.{key}", float(LAST_SWEEP[key]))
+    if obs.enabled() and tasks:
+        # Every task completed, or its exception ended the sweep above.
+        obs.add("sweep.points", float(len(tasks)))
+        obs.add("sweep.computed", float(len(results)))
     return results
 

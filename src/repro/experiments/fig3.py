@@ -7,7 +7,7 @@ scan.  At 111 GiB the hash join runs at ~0.2 Q/s.
 
 :func:`run` also returns the per-lookup translation-request series -- the
 same simulation produces Figure 4's data -- so the two figures share one
-(expensive) sweep; :mod:`repro.experiments.fig4` re-exports that view.
+(expensive) sweep.
 """
 
 from __future__ import annotations
@@ -16,14 +16,11 @@ from typing import Sequence, Tuple
 
 from ..hardware.spec import SystemSpec, V100_NVLINK2
 from ..indexes import ALL_INDEX_TYPES
-from ..perf.report import Series
 from .common import (
     DEFAULT_R_SIZES_GIB,
     ExperimentResult,
     NAIVE_SIM,
-    gib_to_tuples,
-    map_tasks,
-    run_standard_point,
+    r_size_sweep,
 )
 
 PAPER_EXPECTATION = (
@@ -61,34 +58,10 @@ def run(
             "at 111 GiB"
         ),
     )
-    index_series = {cls: Series(cls.name) for cls in index_types}
-    request_series = {cls: Series(cls.name) for cls in index_types}
-    hash_series = Series("hash join")
-    tasks, labels = [], []
-    for gib in r_sizes_gib:
-        r_tuples = gib_to_tuples(gib)
-        for index_cls in index_types:
-            tasks.append(("inlj", spec, r_tuples, index_cls, sim))
-            labels.append((gib, index_cls, f"{index_cls.name} @ {gib} GiB"))
-        tasks.append(("hash", spec, r_tuples, None, sim))
-        labels.append((gib, None, f"hash join @ {gib} GiB"))
-    for (gib, index_cls, label), outcome in zip(
-        labels, map_tasks(run_standard_point, tasks, workers)
-    ):
-        if outcome[0] == "skip":
-            throughput.notes.append(f"{label}: skipped ({outcome[1]})")
-            continue
-        cost = outcome[1]
-        if index_cls is None:
-            hash_series.append(gib, cost.queries_per_second)
-            continue
-        index_series[index_cls].append(gib, cost.queries_per_second)
-        request_series[index_cls].append(
-            gib, cost.counters.translation_requests_per_lookup
-        )
-    throughput.series = [index_series[cls] for cls in index_types]
-    throughput.series.append(hash_series)
-    requests.series = [request_series[cls] for cls in index_types]
+    r_size_sweep(
+        "inlj", throughput, requests, spec, r_sizes_gib, sim, index_types,
+        workers=workers,
+    )
     _annotate(throughput, requests)
     return throughput, requests
 

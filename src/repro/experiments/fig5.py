@@ -16,14 +16,11 @@ from typing import Sequence, Tuple
 
 from ..hardware.spec import SystemSpec, V100_NVLINK2
 from ..indexes import ALL_INDEX_TYPES
-from ..perf.report import Series
 from .common import (
     DEFAULT_R_SIZES_GIB,
     ExperimentResult,
     ORDERED_SIM,
-    gib_to_tuples,
-    map_tasks,
-    run_standard_point,
+    r_size_sweep,
 )
 
 PAPER_EXPECTATION = (
@@ -59,36 +56,10 @@ def run(
         title="Translation requests per lookup, partitioned",
         x_label="R (GiB)",
     )
-    index_series = {cls: Series(cls.name) for cls in index_types}
-    request_series = {cls: Series(cls.name) for cls in index_types}
-    hash_series = Series("hash join")
-    tasks, labels = [], []
-    for gib in r_sizes_gib:
-        r_tuples = gib_to_tuples(gib)
-        for index_cls in index_types:
-            tasks.append(("partitioned", spec, r_tuples, index_cls, sim))
-            labels.append((gib, index_cls, f"{index_cls.name} @ {gib} GiB"))
-        if include_hash_join:
-            tasks.append(("hash", spec, r_tuples, None, sim))
-            labels.append((gib, None, f"hash join @ {gib} GiB"))
-    for (gib, index_cls, label), outcome in zip(
-        labels, map_tasks(run_standard_point, tasks, workers)
-    ):
-        if outcome[0] == "skip":
-            throughput.notes.append(f"{label}: skipped ({outcome[1]})")
-            continue
-        cost = outcome[1]
-        if index_cls is None:
-            hash_series.append(gib, cost.queries_per_second)
-            continue
-        index_series[index_cls].append(gib, cost.queries_per_second)
-        request_series[index_cls].append(
-            gib, cost.counters.translation_requests_per_lookup
-        )
-    throughput.series = [index_series[cls] for cls in index_types]
-    if include_hash_join:
-        throughput.series.append(hash_series)
-    requests.series = [request_series[cls] for cls in index_types]
+    r_size_sweep(
+        "partitioned", throughput, requests, spec, r_sizes_gib, sim,
+        index_types, include_hash_join, workers,
+    )
     _annotate(throughput)
     return throughput, requests
 

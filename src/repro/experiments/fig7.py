@@ -13,16 +13,14 @@ from typing import Sequence
 
 from ..hardware.spec import SystemSpec, V100_NVLINK2
 from ..indexes import ALL_INDEX_TYPES
-from ..join.window import WindowedINLJ
 from ..perf.report import Series
 from ..units import KEY_BYTES, MIB
 from .common import (
     ExperimentResult,
     ORDERED_SIM,
-    default_partitioner,
+    Point,
     gib_to_tuples,
-    make_environment,
-    run_point_or_skip,
+    price_points,
 )
 
 PAPER_EXPECTATION = (
@@ -41,8 +39,13 @@ def run(
     window_tuples: Sequence[int] = DEFAULT_WINDOW_TUPLES,
     sim=ORDERED_SIM,
     index_types: Sequence[type] = ALL_INDEX_TYPES,
+    workers: int = 1,
 ) -> ExperimentResult:
-    """Sweep the window size at fixed R."""
+    """Sweep the window size at fixed R.
+
+    ``workers > 1`` fans the points across processes with bit-identical
+    results (see :func:`repro.experiments.common.map_tasks`).
+    """
     result = ExperimentResult(
         name="fig7",
         title=f"Windowed INLJ throughput vs window size, R = {r_gib:g} GiB (Q/s)",
@@ -51,27 +54,16 @@ def run(
     )
     r_tuples = gib_to_tuples(r_gib)
     series_by_index = {cls: Series(cls.name) for cls in index_types}
+    points = []
     for tuples in window_tuples:
         window_bytes = tuples * KEY_BYTES
         for index_cls in index_types:
-            def point(index_cls=index_cls, window_bytes=window_bytes):
-                env = make_environment(
-                    spec, r_tuples, index_cls=index_cls, sim=sim
-                )
-                join = WindowedINLJ(
-                    env.index,
-                    default_partitioner(env.column),
-                    window_bytes=window_bytes,
-                )
-                return join.estimate(env)
-
-            cost = run_point_or_skip(
-                result, f"{index_cls.name} @ {window_bytes // MIB} MiB", point
-            )
-            if cost is not None:
-                series_by_index[index_cls].append(
-                    window_bytes / MIB, cost.queries_per_second
-                )
+            label = f"{index_cls.name} @ {window_bytes // MIB} MiB"
+            point = Point("windowed", spec, r_tuples, index_cls, sim, window_bytes=window_bytes)
+            points.append(((index_cls, window_bytes / MIB), label, point))
+    for (index_cls, window_mib), cost in price_points(result, points, workers):
+        if cost is not None:
+            series_by_index[index_cls].append(window_mib, cost.queries_per_second)
     result.series = [series_by_index[cls] for cls in index_types]
     for series in result.series:
         if series.y:

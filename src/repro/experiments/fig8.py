@@ -14,17 +14,14 @@ from typing import Sequence
 from ..data.zipf import zipf_top_mass
 from ..hardware.spec import SystemSpec, V100_NVLINK2
 from ..indexes import ALL_INDEX_TYPES
-from ..join.hash_join import HashJoin
-from ..join.window import WindowedINLJ
 from ..perf.report import Series
 from ..units import MIB
 from .common import (
     ExperimentResult,
     ORDERED_SIM,
-    default_partitioner,
+    Point,
     gib_to_tuples,
-    make_environment,
-    run_point_or_skip,
+    price_points,
 )
 
 PAPER_EXPECTATION = (
@@ -48,8 +45,13 @@ def run(
     sim=ORDERED_SIM,
     index_types: Sequence[type] = ALL_INDEX_TYPES,
     include_hash_join: bool = True,
+    workers: int = 1,
 ) -> ExperimentResult:
-    """Sweep the Zipf exponent at fixed R and window size."""
+    """Sweep the Zipf exponent at fixed R and window size.
+
+    ``workers > 1`` fans the points across processes with bit-identical
+    results (see :func:`repro.experiments.common.map_tasks`).
+    """
     result = ExperimentResult(
         name="fig8",
         title=f"Windowed INLJ under skew, R = {r_gib:g} GiB, "
@@ -60,44 +62,30 @@ def run(
     r_tuples = gib_to_tuples(r_gib)
     series_by_index = {cls: Series(cls.name) for cls in index_types}
     hash_series = Series("hash join")
+    points = []
     for theta in thetas:
         for index_cls in index_types:
-            def point(index_cls=index_cls, theta=theta):
-                env = make_environment(
-                    spec, r_tuples, index_cls=index_cls, sim=sim,
-                    zipf_theta=theta,
-                )
-                join = WindowedINLJ(
-                    env.index,
-                    default_partitioner(env.column),
-                    window_bytes=window_bytes,
-                )
-                return join.estimate(env)
-
-            cost = run_point_or_skip(
-                result, f"{index_cls.name} @ theta={theta}", point
+            point = Point(
+                "windowed", spec, r_tuples, index_cls, sim,
+                zipf_theta=theta, window_bytes=window_bytes,
             )
-            if cost is not None:
-                series_by_index[index_cls].append(
-                    theta, cost.queries_per_second
-                )
+            points.append(((index_cls, theta), f"{index_cls.name} @ theta={theta}", point))
         if include_hash_join:
-            def hash_point(theta=theta):
-                env = make_environment(
-                    spec, r_tuples, sim=sim, zipf_theta=theta
-                )
-                return HashJoin(env.relation).estimate(env)
-
-            cost = run_point_or_skip(result, f"hash @ theta={theta}", hash_point)
-            if cost is not None:
-                if cost.seconds > HASH_JOIN_TIMEOUT_SECONDS:
-                    result.notes.append(
-                        f"hash join @ theta={theta}: DNF -- modeled "
-                        f"{cost.seconds / 3600:.1f} h exceeds the paper's "
-                        "10 h termination"
-                    )
-                else:
-                    hash_series.append(theta, cost.queries_per_second)
+            point = Point("hash", spec, r_tuples, sim=sim, zipf_theta=theta)
+            points.append(((None, theta), f"hash @ theta={theta}", point))
+    for (index_cls, theta), cost in price_points(result, points, workers):
+        if cost is None:
+            continue
+        if index_cls is not None:
+            series_by_index[index_cls].append(theta, cost.queries_per_second)
+        elif cost.seconds > HASH_JOIN_TIMEOUT_SECONDS:
+            result.notes.append(
+                f"hash join @ theta={theta}: DNF -- modeled "
+                f"{cost.seconds / 3600:.1f} h exceeds the paper's "
+                "10 h termination"
+            )
+        else:
+            hash_series.append(theta, cost.queries_per_second)
     result.series = [series_by_index[cls] for cls in index_types]
     if include_hash_join:
         result.series.append(hash_series)

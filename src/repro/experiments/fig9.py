@@ -10,22 +10,20 @@ accesses better than PCIe.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Optional, Sequence
 
 from ..config import DEFAULT_S_TUPLES
 from ..hardware.spec import A100_PCIE4, SystemSpec, V100_NVLINK2
 from ..indexes import HarmoniaIndex, RadixSplineIndex
-from ..join.hash_join import HashJoin
-from ..join.window import WindowedINLJ
 from ..perf.report import Series
 from ..units import MIB
 from .common import (
     ExperimentResult,
     ORDERED_SIM,
-    default_partitioner,
+    Point,
     gib_to_tuples,
-    make_environment,
-    run_point_or_skip,
+    price_points,
 )
 
 PAPER_EXPECTATION = (
@@ -42,51 +40,44 @@ def run(
     window_bytes: int = 32 * MIB,
     sim=ORDERED_SIM,
     index_types: Sequence[type] = (RadixSplineIndex, HarmoniaIndex),
+    workers: int = 1,
 ) -> ExperimentResult:
-    """Sweep R on each machine; find the INLJ-vs-hash crossover."""
+    """Sweep R on each machine; find the INLJ-vs-hash crossover.
+
+    Both machines' points run as one sweep; ``workers > 1`` fans them
+    across processes with bit-identical results (see
+    :func:`repro.experiments.common.map_tasks`).
+    """
     result = ExperimentResult(
         name="fig9",
         title="Windowed INLJ vs hash join across interconnects (Q/s)",
         x_label="R (GiB)",
         paper_expectation=PAPER_EXPECTATION,
     )
+    points = []
+    for spec in specs:
+        tag = spec.interconnect.name
+        for gib in r_sizes_gib:
+            r_tuples = gib_to_tuples(gib)
+            for index_cls in index_types:
+                label = f"{index_cls.name} [{tag}] @ {gib} GiB"
+                point = Point("windowed", spec, r_tuples, index_cls, sim, window_bytes=window_bytes)
+                points.append(((index_cls, gib), label, point))
+            point = Point("hash", spec, r_tuples, sim=sim)
+            points.append(((None, gib), f"hash [{tag}] @ {gib} GiB", point))
+    priced = price_points(result, points, workers)
     for spec in specs:
         tag = spec.interconnect.name
         hash_series = Series(f"hash join [{tag}]")
         index_series = {
             cls: Series(f"{cls.name} [{tag}]") for cls in index_types
         }
-        for gib in r_sizes_gib:
-            r_tuples = gib_to_tuples(gib)
-            for index_cls in index_types:
-                def point(index_cls=index_cls):
-                    env = make_environment(
-                        spec, r_tuples, index_cls=index_cls, sim=sim
-                    )
-                    join = WindowedINLJ(
-                        env.index,
-                        default_partitioner(env.column),
-                        window_bytes=window_bytes,
-                    )
-                    return join.estimate(env)
-
-                cost = run_point_or_skip(
-                    result, f"{index_cls.name} [{tag}] @ {gib} GiB", point
-                )
-                if cost is not None:
-                    index_series[index_cls].append(
-                        gib, cost.queries_per_second
-                    )
-
-            def hash_point():
-                env = make_environment(spec, r_tuples, sim=sim)
-                return HashJoin(env.relation).estimate(env)
-
-            cost = run_point_or_skip(
-                result, f"hash [{tag}] @ {gib} GiB", hash_point
-            )
-            if cost is not None:
-                hash_series.append(gib, cost.queries_per_second)
+        # This machine's points, in sweep order (skips noted as they pass).
+        for (index_cls, gib), cost in islice(priced, len(points) // len(specs)):
+            if cost is None:
+                continue
+            series = hash_series if index_cls is None else index_series[index_cls]
+            series.append(gib, cost.queries_per_second)
         for index_cls in index_types:
             result.series.append(index_series[index_cls])
         result.series.append(hash_series)

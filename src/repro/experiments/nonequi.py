@@ -10,32 +10,28 @@ attribution -- per-lookup TLB misses, translation requests, divergence
 replays, and cold faults -- so the advantage is visible in the counters
 that price it, not just in the headline Q/s.
 
-Every point is a picklable task through
-:func:`repro.experiments.common.map_tasks`, so serial and pooled sweeps
+Every point is a :class:`~repro.experiments.common.Point` priced by
+:func:`~repro.experiments.common.run_point` through
+:func:`~repro.experiments.common.map_tasks`, so serial and pooled sweeps
 are bit-identical (the CI bench-smoke job diffs a committed baseline of
-this sweep's payloads).
+this sweep's counters).
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Sequence
 
-from ..errors import CapacityError, ConfigurationError
 from ..hardware.spec import SystemSpec, V100_NVLINK2
 from ..indexes import RadixSplineIndex
-from ..join.nonequi import BandJoin, WindowedBandJoin
 from ..perf.report import Series
 from ..units import KEY_BYTES, MIB
-from ..workloads.nonequi import band_epsilon_for_matches
-from ..resilience import faults
 from .common import (
     ExperimentResult,
     NAIVE_SIM,
     ORDERED_SIM,
-    default_partitioner,
+    Point,
     gib_to_tuples,
-    make_environment,
-    map_tasks,
+    price_points,
 )
 
 PAPER_EXPECTATION = (
@@ -53,70 +49,6 @@ DEFAULT_WINDOW_TUPLES = (2**18, 2**20, 2**22)
 
 #: Probe-skew axis (paper Fig. 8 sweeps 0-1.75; the endpoints suffice).
 DEFAULT_THETAS = (0.0, 1.0)
-
-#: One sweep point: variant, machine, R tuples, expected matches,
-#: window tuples (0 for the windowless naive variant), Zipf theta.
-NonEquiTask = Tuple[str, SystemSpec, int, float, int, float]
-
-
-def nonequi_task_label(task: NonEquiTask) -> str:
-    """Short human/fault-matchable name for one sweep point."""
-    variant, _spec, r_tuples, matches, window_tuples, theta = task
-    return (
-        f"nonequi:{variant}:{r_tuples}:m{matches:g}:w{window_tuples}"
-        f":z{theta:g}"
-    )
-
-
-def run_nonequi_point(task: NonEquiTask):
-    """Simulate one band-join point; ``("ok", payload) | ("skip", msg)``.
-
-    The payload is a plain dict of floats (picklable, JSON-stable), and
-    every RNG stream derives from the task alone -- the properties that
-    make serial and pooled sweeps bit-identical.
-    """
-    variant, spec, r_tuples, matches, window_tuples, theta = task
-    faults.check("point", nonequi_task_label(task))
-
-    try:
-        if variant == "naive":
-            env = make_environment(
-                spec, r_tuples, index_cls=RadixSplineIndex,
-                sim=NAIVE_SIM, zipf_theta=theta,
-            )
-            epsilon = band_epsilon_for_matches(env.column, matches)
-            join = BandJoin(env.index, epsilon)
-        elif variant == "windowed":
-            env = make_environment(
-                spec, r_tuples, index_cls=RadixSplineIndex,
-                sim=ORDERED_SIM, zipf_theta=theta,
-            )
-            epsilon = band_epsilon_for_matches(env.column, matches)
-            join = WindowedBandJoin(
-                env.index,
-                default_partitioner(env.column),
-                epsilon,
-                window_bytes=window_tuples * KEY_BYTES,
-            )
-        else:
-            raise ConfigurationError(f"unknown variant: {variant!r}")
-        cost = join.estimate(env)
-    except CapacityError as error:
-        return ("skip", str(error))
-    counters = cost.counters
-    payload = {
-        "qps": cost.queries_per_second,
-        "epsilon": float(epsilon),
-        "tlb_misses_per_lookup": counters.tlb_misses / counters.lookups,
-        "translation_requests_per_lookup": (
-            counters.translation_requests / counters.lookups
-        ),
-        "divergence_replays_per_lookup": (
-            counters.divergence_replays / counters.lookups
-        ),
-        "tlb_cold_misses": counters.tlb_cold_misses,
-    }
-    return ("ok", payload)
 
 
 def run(
@@ -145,45 +77,42 @@ def run(
         paper_expectation=PAPER_EXPECTATION,
     )
     r_tuples = gib_to_tuples(r_gib)
-    tasks: list = []
-    labels: list = []
+    points = []
     for theta in thetas:
         for m in matches:
-            tasks.append(("naive", spec, r_tuples, m, 0, theta))
-            labels.append((f"naive z={theta:g}", m))
+            point = Point(
+                "band", spec, r_tuples, RadixSplineIndex, NAIVE_SIM,
+                zipf_theta=theta, matches=m,
+            )
+            points.append(((f"naive z={theta:g}", m), point.label, point))
         for window in window_tuples:
+            series_label = f"windowed {window * KEY_BYTES // MIB} MiB z={theta:g}"
             for m in matches:
-                tasks.append(("windowed", spec, r_tuples, m, window, theta))
-                labels.append(
-                    (
-                        f"windowed {window * KEY_BYTES // MIB} MiB "
-                        f"z={theta:g}",
-                        m,
-                    )
+                point = Point(
+                    "windowed-band", spec, r_tuples, RadixSplineIndex, ORDERED_SIM,
+                    zipf_theta=theta, window_bytes=window * KEY_BYTES, matches=m,
                 )
+                points.append(((series_label, m), point.label, point))
     series: dict = {}
     attribution: dict = {}
-    outcomes = map_tasks(run_nonequi_point, tasks, workers=workers)
-    for (series_label, m), task, outcome in zip(labels, tasks, outcomes):
-        if outcome[0] == "skip":
-            result.notes.append(
-                f"{nonequi_task_label(task)}: skipped ({outcome[1]})"
-            )
+    for (series_label, m), cost in price_points(result, points, workers):
+        if cost is None:
             continue
-        payload = outcome[1]
         series.setdefault(series_label, Series(series_label)).append(
-            m, payload["qps"]
+            m, cost.queries_per_second
         )
-        attribution.setdefault(series_label, payload)
+        attribution.setdefault(series_label, cost)
     result.series = list(series.values())
-    for label, payload in attribution.items():
+    for label, cost in attribution.items():
+        counters = cost.counters
+        lookups = counters.lookups
         result.notes.append(
-            f"{label}: {payload['tlb_misses_per_lookup']:.3g} TLB misses, "
-            f"{payload['translation_requests_per_lookup']:.3g} translation "
-            f"requests, {payload['divergence_replays_per_lookup']:.3g} "
+            f"{label}: {counters.tlb_misses / lookups:.3g} TLB misses, "
+            f"{counters.translation_requests / lookups:.3g} translation "
+            f"requests, {counters.divergence_replays / lookups:.3g} "
             f"divergence replays per bound lookup; "
-            f"{payload['tlb_cold_misses']:g} cold faults "
-            f"(at {payload['epsilon']:g}-wide band)"
+            f"{counters.tlb_cold_misses:g} cold faults "
+            f"(at {cost.breakdown['band_epsilon']:g}-wide band)"
         )
     _annotate(result, thetas)
     return result

@@ -76,9 +76,9 @@ def run_report(
     ``output_dir`` additionally writes each result as CSV + JSON;
     ``charts`` appends a terminal chart under every figure's table.
     ``stream`` defaults to the *current* sys.stdout (resolved per call,
-    so redirected/captured stdout is honoured).  ``workers > 1`` fans the
-    standard sweeps' points across that many processes; the figures are
-    bit-identical to a serial run.
+    so redirected/captured stdout is honoured).  ``workers > 1`` fans
+    every figure's points (and the claims') across that many processes;
+    the figures are bit-identical to a serial run.
 
     ``trace=True`` enables the observability layer (:mod:`repro.obs`)
     for this run, ``trace=False`` disables it, and ``None`` keeps the
@@ -234,6 +234,15 @@ def _run_all(names, quick, stream, output_dir, charts, workers, report):
                     "failure summary]"
                 )
 
+    def single(name: str, run, y_format: str = "{:.3f}") -> None:
+        """Run, store, print and export a one-result experiment."""
+        value = guarded(name, run)
+        if value is not None:
+            results[name] = value
+            emit(value.to_text(y_format=y_format))
+            finish(value)
+            emit(f"  [{name} took {took(name):.1f}s]")
+
     r_sizes = QUICK_R_SIZES if quick else DEFAULT_R_SIZES_GIB
     naive_sim = QUICK_NAIVE_SIM if quick else NAIVE_SIM
 
@@ -277,59 +286,37 @@ def _run_all(names, quick, stream, output_dir, charts, workers, report):
             emit(f"  [fig5 took {took('fig5'):.1f}s]")
 
     if selected("fig6"):
-        value = guarded(
+        single(
             "fig6",
             lambda: fig6.run(
                 r_sizes_gib=r_sizes,
                 naive_requests=naive_requests,
                 partitioned_requests=partitioned_requests,
             ),
+            y_format="{:.2f}",
         )
-        if value is not None:
-            results["fig6"] = value
-            emit(value.to_text(y_format="{:.2f}"))
-            finish(value)
-            emit(f"  [fig6 took {took('fig6'):.1f}s]")
 
     if selected("fig7"):
         windows = QUICK_WINDOWS if quick else fig7.DEFAULT_WINDOW_TUPLES
-        value = guarded("fig7", lambda: fig7.run(window_tuples=windows))
-        if value is not None:
-            results["fig7"] = value
-            emit(value.to_text())
-            finish(value)
-            emit(f"  [fig7 took {took('fig7'):.1f}s]")
+        single(
+            "fig7", lambda: fig7.run(window_tuples=windows, workers=workers)
+        )
 
     if selected("fig8"):
         thetas = QUICK_THETAS if quick else fig8.DEFAULT_THETAS
-        value = guarded("fig8", lambda: fig8.run(thetas=thetas))
-        if value is not None:
-            results["fig8"] = value
-            emit(value.to_text())
-            finish(value)
-            emit(f"  [fig8 took {took('fig8'):.1f}s]")
+        single("fig8", lambda: fig8.run(thetas=thetas, workers=workers))
 
     if selected("fig9"):
-        value = guarded("fig9", fig9.run)
-        if value is not None:
-            results["fig9"] = value
-            emit(value.to_text())
-            finish(value)
-            emit(f"  [fig9 took {took('fig9'):.1f}s]")
+        single("fig9", lambda: fig9.run(workers=workers))
 
     if selected("nonequi"):
         thetas = (0.0,) if quick else nonequi.DEFAULT_THETAS
-        value = guarded(
+        single(
             "nonequi", lambda: nonequi.run(thetas=thetas, workers=workers)
         )
-        if value is not None:
-            results["nonequi"] = value
-            emit(value.to_text())
-            finish(value)
-            emit(f"  [nonequi took {took('nonequi'):.1f}s]")
 
     if selected("claims"):
-        measured = guarded("claims", claims.run)
+        measured = guarded("claims", lambda: claims.run(workers=workers))
         if measured is not None:
             results["claims"] = measured
             for claim in measured:

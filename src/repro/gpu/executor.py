@@ -22,7 +22,7 @@ The model distinguishes two probe-stream orders:
   (:mod:`repro.perf.analytic`) and disable the event TLB here.
 
 All methods return *raw, unscaled* counters for the simulated sample;
-callers scale by ``SimulationConfig.scale_factor`` and sum.
+:meth:`MachineModel.scale_lookup_counters` scales them to a lookup count.
 """
 
 from __future__ import annotations

@@ -102,12 +102,13 @@ class SystemMemory:
             return self.spec.huge_page_bytes
         return 256
 
-    def allocate(self, size: int, space: MemorySpace, label: str) -> Allocation:
-        """Reserve ``size`` bytes; raises :class:`CapacityError` when full.
+    def check_capacity(self, size: int, space: MemorySpace, label: str) -> int:
+        """Aligned size of a ``size``-byte request; raises when it won't fit.
 
-        Capacity accounting uses the *aligned* size: with 1 GiB huge pages a
-        1-byte host allocation still pins a whole page, exactly as on the
-        paper's machine.
+        Reserves nothing: estimates check a query's transient buffers this
+        way.  Capacity accounting uses the *aligned* size: with 1 GiB huge
+        pages a 1-byte host allocation still pins a whole page, exactly as
+        on the paper's machine.
         """
         if size <= 0:
             raise ConfigurationError(
@@ -123,6 +124,11 @@ class SystemMemory:
                 f"used {format_bytes(self._used[space])} of "
                 f"{format_bytes(capacity)}"
             )
+        return aligned_size
+
+    def allocate(self, size: int, space: MemorySpace, label: str) -> Allocation:
+        """Reserve ``size`` bytes; raises :class:`CapacityError` when full."""
+        aligned_size = self.check_capacity(size, space, label)
         base = self._next[space]
         allocation = Allocation(base=base, size=size, space=space, label=label)
         self._next[space] = base + aligned_size

@@ -343,7 +343,3 @@ class QueryEnvironment:
         """Expected join-result materialization volume."""
         matches = self.workload.s_tuples * self.workload.match_rate
         return matches * RESULT_PAIR_BYTES
-
-    def scale(self) -> float:
-        """Sample-to-full-relation counter scale factor."""
-        return self.sim.scale_factor(self.workload.s_tuples)

@@ -216,7 +216,7 @@ class HashJoin:
         capacity = 1
         while capacity < s_tuples / self.load_factor:
             capacity *= 2
-        env.machine.memory.allocate(
+        env.machine.memory.check_capacity(
             capacity * _SLOT_BYTES, MemorySpace.DEVICE, label="hash table"
         )
         sum_c2 = self._duplicate_sum_of_squares(env)

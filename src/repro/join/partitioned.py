@@ -50,15 +50,15 @@ class PartitionedINLJ:
         """Cost-model throughput with full key materialization.
 
         Stage 1 reads S and radix-partitions it in GPU memory (in/out
-        buffers are charged to device capacity -- the materialization the
-        paper objects to).  Stage 2 probes in partition order: the event
+        buffers are checked against device capacity -- the materialization
+        the paper objects to).  Stage 2 probes in partition order: the event
         simulator supplies cache behaviour from a density-preserving
         ordered sample, the TLB analytically (see repro.perf.analytic).
         """
         env.check_index(self.index)
         s_tuples = env.workload.s_tuples
         # Materialized key buffers (ping/pong) live in GPU memory.
-        env.machine.memory.allocate(
+        env.machine.memory.check_capacity(
             2 * s_tuples * _PARTITION_TUPLE_BYTES,
             MemorySpace.DEVICE,
             label="partitioned key buffers",

@@ -122,7 +122,7 @@ class WindowedJoin:
         window = min(self.window_tuples, env.workload.s_tuples)
         num_windows = math.ceil(env.workload.s_tuples / window)
         # Two in-flight windows (double buffering across streams).
-        env.machine.memory.allocate(
+        env.machine.memory.check_capacity(
             2 * 2 * window * _WINDOW_TUPLE_BYTES,
             MemorySpace.DEVICE,
             label="window buffers",

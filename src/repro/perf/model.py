@@ -185,14 +185,6 @@ class CostModel:
         stall = self.translation_stall_time(counters.translation_requests)
         return max(interconnect_time, gpu_time, compute) + stall
 
-    def price(self, counters: PerfCounters, stages: int = 1) -> QueryCost:
-        """Price a whole query executed as ``stages`` serial kernels."""
-        seconds = self.probe_stage_time(counters)
-        seconds += stages * self.constants.kernel_launch_seconds
-        breakdown = self.breakdown(counters)
-        breakdown["launch"] = stages * self.constants.kernel_launch_seconds
-        return QueryCost(seconds=seconds, breakdown=breakdown, counters=counters)
-
     def price_stages(self, stages) -> QueryCost:
         """Price serial pipeline stages: ``stages`` is [(label, counters)].
 
@@ -214,22 +206,3 @@ class CostModel:
         return QueryCost(
             seconds=seconds, breakdown=breakdown, counters=total_counters
         )
-
-    def breakdown(self, counters: PerfCounters) -> Dict[str, float]:
-        """Component times (not additive: the roofline takes a max)."""
-        gpu_random_bytes = (
-            counters.gpu_memory_accesses * self.constants.gpu_sector_bytes
-        )
-        gpu_bulk_bytes = max(0.0, counters.gpu_memory_bytes - gpu_random_bytes)
-        return {
-            "interconnect_random": self.remote_random_time(
-                counters.remote_accesses
-            ),
-            "interconnect_scan": self.scan_time(counters.scan_bytes),
-            "gpu_memory": self.gpu_memory_time(gpu_random_bytes, random=True)
-            + self.gpu_memory_time(gpu_bulk_bytes),
-            "compute": self.compute_time(counters.simt_instructions),
-            "translation_stall": self.translation_stall_time(
-                counters.translation_requests
-            ),
-        }

@@ -10,7 +10,8 @@ A :class:`FaultPlan` names a *kind* of fault and a *site* at which to
 fire.  Sites are labelled check-points sprinkled through the stack:
 
 * ``point`` -- checked before simulating one sweep point (serial path
-  and worker processes) by the standard, non-equi and serve sweeps;
+  and worker processes): every figure's points, labelled by
+  :attr:`repro.experiments.common.Point.label`, and the serve sweep's;
 * ``experiment`` -- checked by the runner before each experiment;
 * ``replica`` -- checked by the replicated serve executor before every
   replica probe attempt.

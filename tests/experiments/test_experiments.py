@@ -13,7 +13,6 @@ from repro.config import SimulationConfig
 from repro.experiments import (
     common,
     fig3,
-    fig4,
     fig5,
     fig6,
     fig7,
@@ -86,13 +85,6 @@ class TestFig3And4:
         )
         for series in throughput.series:
             assert len(series) == len(TINY_SIZES)
-
-    def test_fig4_wrapper(self):
-        requests = fig4.run(
-            r_sizes_gib=TINY_SIZES, sim=TINY_SIM, index_types=TINY_INDEXES
-        )
-        assert requests.name == "fig4"
-        assert all(y >= 0 for series in requests.series for y in series.y)
 
 
 class TestFig5And6:
@@ -229,13 +221,21 @@ class TestNonEqui:
         assert result.series_by_label()["naive z=0"].y[0] > 0
 
     def test_task_labels_are_unique(self):
-        tasks = [
-            ("naive", V100_NVLINK2, 2**20, 4.0, 0, 0.0),
-            ("windowed", V100_NVLINK2, 2**20, 4.0, 2**18, 1.0),
+        points = [
+            common.Point(
+                "band", V100_NVLINK2, 2**20, RadixSplineIndex, matches=4.0
+            ),
+            common.Point(
+                "windowed-band", V100_NVLINK2, 2**20, RadixSplineIndex,
+                zipf_theta=1.0, window_bytes=2**18 * 8, matches=4.0,
+            ),
         ]
-        labels = [nonequi.nonequi_task_label(t) for t in tasks]
+        labels = [point.label for point in points]
         assert len(set(labels)) == len(labels)
-        assert labels[0] == "nonequi:naive:1048576:m4:w0:z0"
+        assert labels == [
+            "nonequi:naive:1048576:m4:w0:z0",
+            "nonequi:windowed:1048576:m4:w262144:z1",
+        ]
 
 
 class TestRunner:

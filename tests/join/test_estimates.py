@@ -6,11 +6,13 @@ enough for per-test runs.  The paper-shape assertions (cliff, recovery,
 ranking) live in tests/test_paper_shapes.py.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config import SimulationConfig
 from repro.data.generator import WorkloadConfig
-from repro.errors import WorkloadError
+from repro.errors import CapacityError, WorkloadError
 from repro.hardware.memory import MemorySpace
 from repro.hardware.spec import V100_NVLINK2
 from repro.indexes import HarmoniaIndex, RadixSplineIndex
@@ -28,8 +30,33 @@ SIM = SimulationConfig(probe_sample=2**11)
 WORKLOAD = WorkloadConfig(r_tuples=int(2 * GIB // 8), s_tuples=2**20)
 
 
-def make_env(index_cls=None):
-    return QueryEnvironment(V100_NVLINK2, WORKLOAD, index_cls=index_cls, sim=SIM)
+def make_env(index_cls=None, spec=V100_NVLINK2):
+    return QueryEnvironment(spec, WORKLOAD, index_cls=index_cls, sim=SIM)
+
+
+def with_device_memory(capacity_bytes):
+    """The V100 with ``capacity_bytes`` of device memory."""
+    return replace(
+        V100_NVLINK2,
+        gpu=replace(V100_NVLINK2.gpu, memory_capacity_bytes=capacity_bytes),
+    )
+
+
+def assert_device_capacity_checked(buffer_bytes, index_cls, estimate):
+    """``estimate(env)`` needs ``buffer_bytes`` of device memory, reserves none.
+
+    One device 256 bytes (the device alignment) too small refuses the
+    query; one just large enough prices it and leaves its device memory
+    as it was, so repeated estimates on one environment keep fitting.
+    """
+    tight = make_env(index_cls, with_device_memory(buffer_bytes - 256))
+    with pytest.raises(CapacityError):
+        estimate(tight)
+    env = make_env(index_cls, with_device_memory(buffer_bytes))
+    before = env.machine.memory.used(MemorySpace.DEVICE)
+    estimate(env)
+    estimate(env)
+    assert env.machine.memory.used(MemorySpace.DEVICE) == before
 
 
 def make_partitioner(env):
@@ -138,11 +165,14 @@ class TestPartitionedEstimate:
         assert set(cost.breakdown) >= {"partition", "probe"}
 
     def test_materializes_key_buffers_in_device_memory(self):
-        env = make_env(RadixSplineIndex)
-        before = env.machine.memory.used(MemorySpace.DEVICE)
-        PartitionedINLJ(env.index, make_partitioner(env)).estimate(env)
-        after = env.machine.memory.used(MemorySpace.DEVICE)
-        assert after - before >= 2 * WORKLOAD.s_tuples * 16
+        """Both 16-byte-tuple buffers over all of S must fit the device."""
+        assert_device_capacity_checked(
+            2 * WORKLOAD.s_tuples * 16,
+            RadixSplineIndex,
+            lambda env: PartitionedINLJ(
+                env.index, make_partitioner(env)
+            ).estimate(env),
+        )
 
     def test_partition_traffic_charged(self):
         env = make_env(RadixSplineIndex)
@@ -152,15 +182,20 @@ class TestPartitionedEstimate:
 
 class TestWindowedEstimate:
     def test_no_input_materialization(self):
-        """Section 5: neither input is materialized -- device memory holds
-        only the in-flight window buffers."""
-        env = make_env(RadixSplineIndex)
-        join = WindowedINLJ(
-            env.index, make_partitioner(env), window_bytes=2 * MIB
+        """Section 5: neither input is materialized -- the device holds
+        only the in-flight window buffers (two windows, in and out, of
+        16-byte tuples), too little for the partitioned join's copy of S."""
+        window_buffers = 2 * 2 * (2 * MIB // 8) * 16
+        assert_device_capacity_checked(
+            window_buffers,
+            RadixSplineIndex,
+            lambda env: WindowedINLJ(
+                env.index, make_partitioner(env), window_bytes=2 * MIB
+            ).estimate(env),
         )
-        join.estimate(env)
-        used = env.machine.memory.used(MemorySpace.DEVICE)
-        assert used < 10 * 2 * MIB  # a few window buffers, not |S|
+        env = make_env(RadixSplineIndex, with_device_memory(window_buffers))
+        with pytest.raises(CapacityError):
+            PartitionedINLJ(env.index, make_partitioner(env)).estimate(env)
 
     def test_overlap_helps(self):
         env = make_env(RadixSplineIndex)
@@ -200,11 +235,12 @@ class TestHashJoinEstimate:
         assert cost.counters.scan_bytes >= env.r_bytes
 
     def test_table_charged_to_device_memory(self):
-        env = make_env()
-        before = env.machine.memory.used(MemorySpace.DEVICE)
-        HashJoin(env.relation).estimate(env)
-        used = env.machine.memory.used(MemorySpace.DEVICE) - before
-        assert used >= WORKLOAD.s_tuples / 0.5 * 16 / 2  # >= capacity bytes
+        """The table (|S| / 0.5 load factor slots of 16 bytes) must fit."""
+        assert_device_capacity_checked(
+            WORKLOAD.s_tuples * 2 * 16,
+            None,
+            lambda env: HashJoin(env.relation).estimate(env),
+        )
 
     def test_build_and_probe_stages(self):
         env = make_env()

@@ -90,16 +90,6 @@ class TestStagePricing:
             one + model.constants.kernel_launch_seconds, rel=0.01
         )
 
-    def test_breakdown_keys(self, model):
-        breakdown = model.breakdown(counters_with(remote_accesses=10))
-        assert set(breakdown) == {
-            "interconnect_random",
-            "interconnect_scan",
-            "gpu_memory",
-            "compute",
-            "translation_stall",
-        }
-
 
 class TestQueryCost:
     def test_throughput(self):

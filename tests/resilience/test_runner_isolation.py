@@ -64,7 +64,7 @@ class TestRunReportIsolation:
         series.append(1.0, 2.0)
         dummy.series.append(series)
         monkeypatch.setattr(
-            "repro.experiments.fig9.run", lambda: dummy
+            "repro.experiments.fig9.run", lambda workers: dummy
         )
 
         def boom(_result):

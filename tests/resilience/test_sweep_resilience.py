@@ -59,3 +59,38 @@ def test_dead_worker_fails_the_sweep_loudly():
     assert report.exit_code() == 1
     assert "BrokenProcessPool" in stream.getvalue()
     assert multiprocessing.active_children() == []
+
+
+def test_point_plan_matching_a_fig7_point_fails_fig7():
+    # Quick Fig. 7 prices 5 windows x 4 indexes, window by window; the
+    # plan selects the first Harmonia point, the sweep's third.
+    faults.install(
+        FaultPlan(
+            kind="raise", site="point", at=0, match="windowed:HarmoniaIndex"
+        )
+    )
+    stream = io.StringIO()
+    report = run_report(["table1", "fig7"], quick=True, stream=stream)
+    assert "table1" in report.results and "fig7" not in report.results
+    [failure] = report.failures
+    assert failure.name == "fig7"
+    assert failure.error_type == "InjectedFault"
+    assert "windowed:HarmoniaIndex:13421772800:w2097152" in failure.message
+    assert failure.points_completed == 2
+    assert report.exit_code() == 1
+
+
+def test_points_completed_sum_an_experiments_sweeps():
+    # The claims price ten points in one sweep, then Fig. 9's sweep for
+    # claim 3; the plan fails the first point of the second.
+    faults.install(
+        FaultPlan(
+            kind="raise", site="point", at=0,
+            match="windowed:RadixSplineIndex:268435456",
+        )
+    )
+    report = run_report(["claims"], quick=True, stream=io.StringIO())
+    [failure] = report.failures
+    assert failure.name == "claims"
+    assert failure.error_type == "InjectedFault"
+    assert failure.points_completed == 10

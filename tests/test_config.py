@@ -60,15 +60,3 @@ class TestSimulationConfig:
     def test_frozen(self):
         with pytest.raises(Exception):
             DEFAULT_CONFIG.seed = 1  # type: ignore[misc]
-
-    def test_scale_factor(self):
-        config = SimulationConfig(probe_sample=2**10)
-        assert config.scale_factor(2**20) == 2**10
-
-    def test_scale_factor_never_below_one(self):
-        config = SimulationConfig(probe_sample=2**10)
-        assert config.scale_factor(32) == 1.0
-
-    def test_scale_factor_rejects_non_positive(self):
-        with pytest.raises(ConfigurationError):
-            DEFAULT_CONFIG.scale_factor(0)
