@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .data.generator import WorkloadConfig
@@ -41,6 +42,9 @@ from .hardware.spec import A100_PCIE4, GH200_C2C, MI250X_IF3, V100_NVLINK2
 from .indexes import ALL_INDEX_TYPES
 from .resilience import faults
 from .units import GB, GIB, KEY_BYTES, format_bytes
+
+if TYPE_CHECKING:
+    from .serve.bench import ServePoint
 
 MACHINES = {
     "v100": V100_NVLINK2,
@@ -147,24 +151,38 @@ def cmd_serve_bench(args) -> int:
     return 0
 
 
-def cmd_chaos(args) -> int:
-    from .resilience.chaos import main as chaos_main
+def chaos_point(args) -> ServePoint:
+    """The serve point ``repro chaos`` replays its schedule against.
 
-    return chaos_main(
-        schedule_path=args.schedule,
+    Read-only traffic unless ``--update-fraction`` says otherwise, no
+    skew, and an unbounded admission backlog, so the schedule stretches
+    latency without flipping an admission decision.
+    """
+    from .resilience.chaos import UNBOUNDED_BACKLOG, ChaosSchedule
+    from .serve.bench import ServePoint, replica_index_names
+
+    return ServePoint(
         shards=args.shards,
-        replicas=args.replicas,
-        index=args.index,
-        replica_indexes=(
-            tuple(args.replica_indexes) if args.replica_indexes else None
+        window_kib=args.window_kib,
+        zipf_theta=0.0,
+        index_names=replica_index_names(
+            args.index, args.replicas, args.replica_indexes
         ),
         r_tuples=args.r_tuples,
         requests=args.requests,
         request_tuples=args.request_tuples,
-        window_kib=args.window_kib,
-        seed=args.seed,
-        event_log_path=args.event_log,
         update_fraction=args.update_fraction,
+        seed=args.seed,
+        chaos=ChaosSchedule.load(args.schedule),
+        max_backlog_tuples=UNBOUNDED_BACKLOG,
+    )
+
+
+def cmd_chaos(args) -> int:
+    from .resilience.chaos import main as chaos_main
+
+    return chaos_main(
+        chaos_point(args), source=args.schedule, event_log_path=args.event_log
     )
 
 
@@ -202,7 +220,8 @@ def cmd_plan(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` argument parser: every command, flag and default."""
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     subparsers = parser.add_subparsers(dest="command")
 
@@ -344,6 +363,7 @@ def main(argv=None) -> int:
     obs_parser = subparsers.add_parser(
         "obs", help="observability manifests: render and diff metrics.json"
     )
+    obs_parser.set_defaults(obs_help=obs_parser.print_help)
     obs_subparsers = obs_parser.add_subparsers(dest="obs_command")
     obs_report = obs_subparsers.add_parser(
         "report", help="render one manifest, or diff BASELINE CURRENT"
@@ -373,6 +393,11 @@ def main(argv=None) -> int:
         help="also price naive/materializing INLJ variants",
     )
 
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
     args = parser.parse_args(argv)
     try:
         # A bad REPRO_FAULTS spec is a usage error, raised before any
@@ -399,7 +424,7 @@ def main(argv=None) -> int:
             return cmd_plan(args)
         if args.command == "obs":
             if args.obs_command != "report":
-                obs_parser.print_help()
+                args.obs_help()
                 return 1
             try:
                 return cmd_obs(args)

@@ -319,14 +319,14 @@ class VectorSetAssociativeCache:
         if tags is not None:
             # New state per set: its ways most recently used distinct
             # lines, read off the last touches (ascending positions stay
-            # set-grouped).
+            # set-grouped).  A touched set re-saw every resident, so the
+            # write covers every way it held.
             last_pos = np.flatnonzero(last)
             last_line = stream[rank[last_pos]]
             last_set = last_line % self.num_sets
             ends = np.cumsum(np.bincount(last_set, minlength=self.num_sets))
             from_end = ends[last_set] - 1 - np.arange(len(last_pos))
             kept = from_end < ways
-            tags[touched] = -1
             tags[last_set[kept], ways - 1 - from_end[kept]] = last_line[kept]
         return out
 

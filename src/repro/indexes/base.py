@@ -44,7 +44,6 @@ from ..data.relation import Relation
 from ..errors import SimulationError
 from ..gpu.executor import LookupTrace
 from ..gpu.simt import SimtCost, divergent_cost
-from ..hardware.counters import PerfCounters
 from ..hardware.memory import SystemMemory
 from ..units import KEY_BYTES
 
@@ -312,16 +311,13 @@ class Index(abc.ABC):
 
     def probe_batch(
         self, keys: np.ndarray, out: np.ndarray, offset: int = 0
-    ) -> PerfCounters:
+    ) -> None:
         """Fused batch probe into a caller-owned output buffer.
 
         Writes the position of each key (-1 on miss) into
         ``out[offset : offset + len(keys)]`` -- no result allocation, no
-        concatenation -- and returns the batch's fused
-        :class:`PerfCounters` delta.  The counters are *structural*
-        (``lookups`` and a height-based access count), derived only from
-        the batch size and the index geometry; replayed cache/TLB
-        counters remain the job of :meth:`trace_lookups`.
+        concatenation.  Replayed cache/TLB counters are the job of
+        :meth:`trace_lookups`.
         """
         keys = np.asarray(keys, dtype=KEY_DTYPE)
         count = len(keys)
@@ -336,7 +332,7 @@ class Index(abc.ABC):
                 f"buffer of {len(out)} positions"
             )
         if count == 0:
-            return PerfCounters()
+            return
         if obs.enabled():
             with obs.span("index.probe_batch", index=self.name,
                           lookups=count):
@@ -347,16 +343,6 @@ class Index(abc.ABC):
         else:
             positions = self._traverse(keys, recorder=None)
         out[offset : offset + count] = positions
-        return self._batch_counters(count)
-
-    def _batch_counters(self, count: int) -> PerfCounters:
-        """Structural fused-counter delta for a batch of ``count`` keys."""
-        return PerfCounters(
-            lookups=float(count),
-            memory_accesses=float(count * self.height),
-            # int64 positions are key-sized (8 B each).
-            result_bytes=float(count * KEY_BYTES),
-        )
 
     # ------------------------------------------------------------------
     # Fused range probes (non-equi joins).
@@ -399,15 +385,13 @@ class Index(abc.ABC):
         out_start: np.ndarray,
         out_end: np.ndarray,
         offset: int = 0,
-    ) -> PerfCounters:
+    ) -> None:
         """Fused batch range probe into caller-owned span buffers.
 
         Writes, for each key pair, the half-open span ``[start, end)``
         of column positions whose keys fall in ``[lo[i], hi[i]]`` into
         ``out_start[offset : offset + count]`` /
-        ``out_end[offset : offset + count]``, and returns the batch's
-        structural :class:`PerfCounters` delta (two bound traversals per
-        pair, so twice :meth:`probe_batch`'s access count).
+        ``out_end[offset : offset + count]``.
         """
         lo = np.asarray(lo, dtype=KEY_DTYPE)
         hi = np.asarray(hi, dtype=KEY_DTYPE)
@@ -428,7 +412,7 @@ class Index(abc.ABC):
                     f"the {label} buffer of {len(buffer)} positions"
                 )
         if count == 0:
-            return PerfCounters()
+            return
         if obs.enabled():
             with obs.span("index.probe_range_batch", index=self.name,
                           lookups=count):
@@ -439,19 +423,6 @@ class Index(abc.ABC):
             starts, ends = self._range_bounds(lo, hi)
         out_start[offset : offset + count] = starts
         out_end[offset : offset + count] = ends
-        return self._range_batch_counters(count)
-
-    def _range_batch_counters(self, count: int) -> PerfCounters:
-        """Structural fused-counter delta for ``count`` range probes.
-
-        A range probe runs two bound traversals (lo and hi) and writes
-        two int64 span endpoints per pair.
-        """
-        return PerfCounters(
-            lookups=float(count),
-            memory_accesses=float(2 * count * self.height),
-            result_bytes=float(2 * count * KEY_BYTES),
-        )
 
     def trace_lookups(self, keys: np.ndarray) -> LookupResult:
         """Lookup with full access tracing for the machine model.

@@ -8,9 +8,9 @@ simulated quantities (the logical clock, the executor's window
 sequence), never the host.
 
 The harness around it (:func:`run_serve_under_chaos`,
-:func:`check_invariance`, :func:`check_replay`) runs one serving
-workload clean and under the schedule and asserts the serving layer's
-central robustness contract:
+:func:`check_invariance`, :func:`check_replay`) serves one
+:class:`~repro.serve.bench.ServePoint` clean and under its schedule and
+asserts the serving layer's central robustness contract:
 
 * **Invariance** -- served positions under any schedule that leaves the
   fallback reachable are element-equal to the fault-free run (replicas
@@ -32,25 +32,29 @@ Determinism rules a schedule must respect (see TESTING.md):
   logical clock at dispatch;
 * ``corrupt`` events name a window by the executor's global execution
   sequence (0-based), which is itself deterministic;
-* the harness runs with an unbounded admission backlog, so chaos
+* ``repro chaos`` serves with an unbounded admission backlog, so chaos
   stretches latency without flipping admission decisions -- the one
   knob that could legitimately change *which* requests get served.
 
-``repro chaos`` (see :mod:`repro.__main__`) runs a schedule file
-through the harness and writes the event-log artifact CI uploads.
+``repro chaos`` (see :mod:`repro.__main__`) builds the point from its
+flags and a schedule file, runs it through the harness and writes the
+event-log artifact CI uploads.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from ..errors import ConfigurationError, InjectedFault
 from ..ioutil import atomic_write_json
+
+if TYPE_CHECKING:
+    from ..serve.bench import ServePoint
 
 #: Schema tag of schedule documents (bump on incompatible change).
 SCHEMA = "repro-chaos/1"
@@ -233,17 +237,6 @@ class ChaosSchedule:
                 )
 
 
-def check_counts(shards: int, replicas: int) -> None:
-    """Reject a shard or replica count below one, naming its flag.
-
-    Runs before :meth:`ChaosSchedule.check_targets`, which would otherwise
-    blame the schedule for a count no schedule can fit.
-    """
-    for flag, count in (("--shards", shards), ("--replicas", replicas)):
-        if count < 1:
-            raise ConfigurationError(f"{flag} must be >= 1, got {count}")
-
-
 class ChaosController:
     """Replays a schedule against the replicated executor's probes.
 
@@ -324,9 +317,10 @@ class ChaosController:
 # The harness: one serving workload, with or without a schedule.
 # ----------------------------------------------------------------------
 
-#: Admission backlog used by the harness: effectively unbounded, so a
-#: schedule can stretch latency but never flip an admission decision
-#: (the determinism rule that makes result invariance well-defined).
+#: Admission backlog ``repro chaos`` serves with: effectively unbounded,
+#: so a schedule can stretch latency but never flip an admission
+#: decision (the determinism rule that makes result invariance
+#: well-defined).
 UNBOUNDED_BACKLOG = 2**62
 
 
@@ -361,76 +355,26 @@ class ChaosRunResult:
         }
 
 
-def run_serve_under_chaos(
-    schedule: Optional[ChaosSchedule] = None,
-    shards: int = 2,
-    replicas: int = 2,
-    index: str = "binary-search",
-    replica_indexes: Optional[Sequence[str]] = None,
-    r_tuples: int = 2**12,
-    requests: int = 16,
-    request_tuples: int = 256,
-    window_kib: int = 4,
-    zipf_theta: float = 0.0,
-    seed: int = 42,
-    update_fraction: float = 0.0,
-) -> ChaosRunResult:
-    """Serve one deterministic workload, optionally under a schedule.
+def run_serve_under_chaos(point: ServePoint) -> ChaosRunResult:
+    """Serve one deterministic point, under its schedule if it has one.
 
-    ``schedule=None`` is the fault-free reference run.  The point is
-    served by ``serve-bench``'s own driver
-    (:func:`repro.serve.bench.serve_point`) with an unbounded backlog,
-    so the workload, plan, and arrival spacing are pure functions of
-    the arguments and two calls with equal arguments are bit-identical
-    -- the property :func:`check_replay` asserts.  The driver checks
-    every served answer against ground truth: the generator's positions
-    on a read-only stream, the sorted-array-with-updates oracle when
-    ``update_fraction > 0`` interleaves updates (and priced compactions
-    fire mid-schedule).
+    A point without ``chaos`` is the fault-free reference run.  The
+    point is served by ``serve-bench``'s own driver
+    (:func:`repro.serve.bench.serve_point`), so the workload, plan, and
+    arrival spacing are pure functions of the point and two calls with
+    equal points are bit-identical -- the property :func:`check_replay`
+    asserts.  ``repro chaos`` serves with an unbounded backlog
+    (:data:`UNBOUNDED_BACKLOG`).  The driver checks every served answer
+    against ground truth: the generator's positions on a read-only
+    stream, the sorted-array-with-updates oracle when the point's
+    update fraction interleaves updates (and priced compactions fire
+    mid-schedule).
     """
-    # Imported here, not at module top: bench imports this module
-    # lazily for its --chaos-schedule flag, and the resilience package
-    # must stay importable without the serve layer's numpy machinery.
-    from ..serve.bench import (
-        INDEX_BY_NAME,
-        _serve_workload,
-        check_axis_values,
-        replica_index_names,
-        serve_point,
-    )
+    # Imported here, not at module top: bench imports this module for
+    # ChaosSchedule and ChaosController.
+    from ..serve.bench import serve_point
 
-    check_axis_values(
-        [zipf_theta],
-        [update_fraction],
-        {
-            "--window-kib": [window_kib],
-            "--r-tuples": [r_tuples],
-            "--requests": [requests],
-            "--request-tuples": [request_tuples],
-        },
-    )
-    check_counts(shards, replicas)
-    if schedule is not None:
-        schedule.check_targets(shards, replicas)
-    names = replica_index_names(index, replicas, replica_indexes)
-    relation, probes = _serve_workload(
-        r_tuples, requests * request_tuples, zipf_theta, seed
-    )
-    controller = (
-        ChaosController(schedule) if schedule is not None else None
-    )
-    executor, report, _ = serve_point(
-        relation,
-        probes,
-        shards,
-        window_kib,
-        [INDEX_BY_NAME[name] for name in names],
-        request_tuples,
-        update_fraction=update_fraction,
-        seed=seed,
-        chaos=controller,
-        max_backlog_tuples=UNBOUNDED_BACKLOG,
-    )
+    executor, report, _ = serve_point(point)
     parts = [
         outcome.positions
         for outcome in report.outcomes
@@ -439,6 +383,7 @@ def run_serve_under_chaos(
     positions = (
         np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
     )
+    controller = executor.chaos
     return ChaosRunResult(
         positions=positions,
         makespan_seconds=report.makespan_seconds,
@@ -455,25 +400,26 @@ def run_serve_under_chaos(
 
 
 def check_invariance(
-    schedule: ChaosSchedule, **harness_kwargs: Any
+    point: ServePoint,
 ) -> Tuple[bool, ChaosRunResult, ChaosRunResult]:
     """Clean run vs. scheduled run: served positions must be equal.
 
-    Returns (ok, clean_result, chaos_result); callers wanting the
-    counterexample get both runs back rather than a bare boolean.
+    The clean run is the point without its schedule.  Returns (ok,
+    clean_result, chaos_result); callers wanting the counterexample get
+    both runs back rather than a bare boolean.
     """
-    clean = run_serve_under_chaos(schedule=None, **harness_kwargs)
-    chaotic = run_serve_under_chaos(schedule=schedule, **harness_kwargs)
+    clean = run_serve_under_chaos(replace(point, chaos=None))
+    chaotic = run_serve_under_chaos(point)
     ok = bool(np.array_equal(clean.positions, chaotic.positions))
     return ok, clean, chaotic
 
 
 def check_replay(
-    schedule: Optional[ChaosSchedule], **harness_kwargs: Any
+    point: ServePoint,
 ) -> Tuple[bool, ChaosRunResult, ChaosRunResult]:
-    """Same schedule twice: results AND timeline must be bit-identical."""
-    first = run_serve_under_chaos(schedule=schedule, **harness_kwargs)
-    second = run_serve_under_chaos(schedule=schedule, **harness_kwargs)
+    """Same point twice: results AND timeline must be bit-identical."""
+    first = run_serve_under_chaos(point)
+    second = run_serve_under_chaos(point)
     ok = (
         bool(np.array_equal(first.positions, second.positions))
         and first.makespan_seconds == second.makespan_seconds
@@ -505,62 +451,35 @@ def build_event_log(
 
 
 def main(
-    schedule_path: str,
-    shards: int = 2,
-    replicas: int = 2,
-    index: str = "binary-search",
-    replica_indexes: Optional[Sequence[str]] = None,
-    r_tuples: int = 2**12,
-    requests: int = 16,
-    request_tuples: int = 256,
-    window_kib: int = 4,
-    seed: int = 42,
-    event_log_path: Optional[str] = None,
-    update_fraction: float = 0.0,
+    point: ServePoint, source: str, event_log_path: Optional[str] = None
 ) -> int:
-    """``repro chaos``: replay a schedule, gate on result invariance.
+    """``repro chaos``: replay a point's schedule, gate on result invariance.
 
+    ``source`` names the schedule file in the report and the event log.
     Exit status 0 when the scheduled run served positions element-equal
     to the fault-free run *and* the run replays bit-identically; 1 on
     either violation (the event log, if requested, is written in every
-    case so CI can upload the counterexample).  ``update_fraction > 0``
-    replays the schedule under mixed read/write traffic -- each run
-    additionally oracle-checks itself, so a lost or reordered write
-    fails loudly rather than as a silent divergence.
+    case so CI can upload the counterexample).  A point with an update
+    fraction replays the schedule under mixed read/write traffic --
+    each run additionally oracle-checks itself, so a lost or reordered
+    write fails loudly rather than as a silent divergence.
     """
-    schedule = ChaosSchedule.load(schedule_path)
-    check_counts(shards, replicas)
-    # The clean run goes first and ignores the schedule: check it now.
-    schedule.check_targets(shards, replicas)
-    kwargs: Dict[str, Any] = dict(
-        shards=shards,
-        replicas=replicas,
-        index=index,
-        replica_indexes=replica_indexes,
-        r_tuples=r_tuples,
-        requests=requests,
-        request_tuples=request_tuples,
-        window_kib=window_kib,
-        seed=seed,
-        update_fraction=update_fraction,
-    )
-    invariant, clean, chaotic = check_invariance(schedule, **kwargs)
-    replayed, _, _ = check_replay(schedule, **kwargs)
+    schedule = point.chaos or ChaosSchedule()
+    invariant, clean, chaotic = check_invariance(point)
+    replayed, _, _ = check_replay(point)
     if event_log_path:
         atomic_write_json(
             path=event_log_path,
-            payload=build_event_log(
-                schedule, chaotic, invariant, source=schedule_path
-            ),
+            payload=build_event_log(schedule, chaotic, invariant, source=source),
         )
     updates_note = (
         f" updates={chaotic.update_tuples} "
         f"compactions={chaotic.compactions_completed}/{chaotic.compactions}"
-        if update_fraction > 0.0
+        if point.update_fraction > 0.0
         else ""
     )
     print(
-        f"chaos {schedule_path}: events={len(schedule.events)} "
+        f"chaos {source}: events={len(schedule.events)} "
         f"injections={len(chaotic.injections)} "
         f"failovers={chaotic.failovers} recoveries={chaotic.recoveries} "
         f"fallback_windows={chaotic.fallback_windows} "

@@ -3,18 +3,18 @@
 A sweep fails in practice in one of two ways: a point raises, or a
 worker process dies.  This module lets tests (and CI smoke jobs) provoke
 either at an exact, reproducible place, so the loud-failure contract in
-:mod:`repro.experiments.common` and the serve executor's retry and
-failover can be exercised deterministically.
+:mod:`repro.experiments.common` can be exercised deterministically.
+Serve probes fail only by chaos schedule
+(:mod:`repro.resilience.chaos`).
 
 A :class:`FaultPlan` names a *kind* of fault and a *site* at which to
 fire.  Sites are labelled check-points sprinkled through the stack:
 
 * ``point`` -- checked before simulating one sweep point (serial path
   and worker processes): every figure's points, labelled by
-  :attr:`repro.experiments.common.Point.label`, and the serve sweep's;
-* ``experiment`` -- checked by the runner before each experiment;
-* ``replica`` -- checked by the replicated serve executor before every
-  replica probe attempt.
+  :attr:`repro.experiments.common.Point.label`, and the serve sweep's,
+  labelled by :attr:`repro.serve.bench.ServePoint.label`;
+* ``experiment`` -- checked by the runner before each experiment.
 
 A plan naming any other site is refused: it could never fire.
 
@@ -52,14 +52,8 @@ FAULTS_ENV = "REPRO_FAULTS"
 
 _KINDS = ("raise", "crash")
 
-#: Site checked before every replica probe attempt of the serve
-#: executor.  Labels name the replica, ``shard{s}r{k}``, so
-#: ``match=shard1`` selects every replica of shard 1 and
-#: ``match=shard1r0`` one copy.
-REPLICA_SITE = "replica"
-
 #: Every site the stack checks (see the module docstring).
-SITES = ("point", "experiment", REPLICA_SITE)
+SITES = ("point", "experiment")
 
 #: Exit status used by injected worker crashes (distinctive in waitpid).
 CRASH_EXIT_CODE = 117
@@ -232,8 +226,7 @@ def _load_env() -> None:
 def check(site: str, label: str = "") -> None:
     """Fire any due ``raise``/``crash`` fault at this site.
 
-    The fast path (no plans installed) is a tuple check -- cheap enough
-    to call per replica probe attempt.
+    The fast path (no plans installed) is a tuple check.
     """
     if not _plans and _env_loaded:
         return

@@ -13,24 +13,33 @@ workload generator's ground-truth positions (or, with updates in the
 stream, the sorted-array-with-updates oracle), so the bench doubles as
 an end-to-end differential test of the sharded path.
 
-Every point serves through one driver, :func:`serve_point`, which the
-chaos harness (:mod:`repro.resilience.chaos`) shares: the plan always
-holds K copies per range, with ``--replicas 1`` (the default) as the
-unreplicated deployment.
+A :class:`ServePoint` is one serving workload, and every point serves
+through one driver, :func:`serve_point`, which the chaos harness
+(:mod:`repro.resilience.chaos`) shares: the plan always holds K copies
+per range, with ``--replicas 1`` (the default) as the unreplicated
+deployment.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Type
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
-from ..data.generator import WorkloadConfig, make_build_relation, make_probe_keys
+from ..data.generator import (
+    ProbeSet,
+    WorkloadConfig,
+    make_build_relation,
+    make_probe_keys,
+)
+from ..data.relation import Relation
 from ..errors import ConfigurationError, SimulationError
 from ..experiments.common import map_tasks, resolve_workers
 from ..hardware.spec import SystemSpec
 from ..resilience import faults
+from ..resilience.chaos import ChaosController, ChaosSchedule
 from ..indexes import (
     BinarySearchIndex,
     BPlusTreeIndex,
@@ -233,82 +242,189 @@ def _updates_block(executor: ReplicatedShardExecutor) -> Dict[str, object]:
 def replica_index_names(
     index: str, replicas: int, replica_indexes: Optional[Sequence[str]]
 ) -> Tuple[str, ...]:
-    """The validated index name of every replica level, replica 0 first.
+    """The index name of every replica level, replica 0 first.
 
-    The one replica-index check ``serve-bench`` and ``chaos`` share:
-    ``index`` and every ``replica_indexes`` entry must name a paper
-    index, and an explicit list must name exactly ``replicas`` levels.
-    Without a list, every level takes ``index``.
+    An explicit ``replica_indexes`` list must name exactly ``replicas``
+    levels; without one, every level takes ``index``.
+    :class:`ServePoint` checks the names themselves.
     """
-    choices = ", ".join(sorted(INDEX_BY_NAME))
-    if index not in INDEX_BY_NAME:
+    if replica_indexes and len(replica_indexes) != replicas:
         raise ConfigurationError(
-            f"unknown index {index!r}; choose from {choices}"
-        )
-    if replicas < 1:
-        raise ConfigurationError(f"--replicas must be >= 1, got {replicas}")
-    names = tuple(replica_indexes or ())
-    unknown = sorted(set(names) - set(INDEX_BY_NAME))
-    if unknown:
-        raise ConfigurationError(
-            f"unknown replica index names {unknown}; choose from {choices}"
-        )
-    if names and len(names) != replicas:
-        raise ConfigurationError(
-            f"--replica-indexes names {len(names)} replicas but "
+            f"--replica-indexes names {len(replica_indexes)} replicas but "
             f"--replicas is {replicas}"
         )
-    return names or (index,) * replicas
+    return tuple(replica_indexes or (index,) * replicas)
+
+
+@dataclass(frozen=True)
+class ServePoint:
+    """One serving workload: a point of ``serve-bench``'s sweep, or the
+    run the chaos harness replays a schedule against.
+
+    It holds plain picklable values (a :class:`ChaosSchedule` is a
+    frozen tuple of frozen events), so pool workers receive it as it
+    is, and every row served from it is a pure function of the point.
+    ``index_names`` names one paper index per replica level, replica 0
+    first; one name is the unreplicated deployment.  ``chaos`` replays
+    a scripted fault schedule inside the point, and
+    ``max_backlog_tuples`` replaces the per-shard admission bound of
+    ``BACKLOG_WINDOWS`` windows.  A value no workload can be built
+    from, or a schedule aimed at a shard or replica the point lacks, is
+    refused here, naming its flag, before any work starts.
+    """
+
+    shards: int
+    window_kib: int
+    zipf_theta: float
+    index_names: Tuple[str, ...]
+    r_tuples: int
+    requests: int
+    request_tuples: int
+    update_fraction: float
+    seed: int
+    chaos: Optional[ChaosSchedule] = None
+    max_backlog_tuples: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        replicas = len(self.index_names)
+        for flag, count in (
+            ("--shards", self.shards),
+            ("--window-kib", self.window_kib),
+            ("--replicas", replicas),
+            ("--r-tuples", self.r_tuples),
+            ("--requests", self.requests),
+            ("--request-tuples", self.request_tuples),
+        ):
+            if count < 1:
+                raise ConfigurationError(f"{flag} must be >= 1, got {count}")
+        theta = self.zipf_theta
+        if not math.isfinite(theta) or theta < 0.0:
+            raise ConfigurationError(
+                f"zipf theta (--zipf) must be finite and >= 0, got {theta}"
+            )
+        if not 0.0 <= self.update_fraction <= 1.0:  # NaN fails every comparison
+            raise ConfigurationError(
+                "update fraction (--update-fraction) must be in [0, 1], "
+                f"got {self.update_fraction}"
+            )
+        unknown = sorted(set(self.index_names) - set(INDEX_BY_NAME))
+        if unknown:
+            raise ConfigurationError(
+                f"unknown index names {unknown} (--index, --replica-indexes); "
+                f"choose from {', '.join(sorted(INDEX_BY_NAME))}"
+            )
+        if self.chaos is not None:
+            # After the counts: a count below one is the count's fault,
+            # not the schedule's.
+            self.chaos.check_targets(self.shards, replicas)
+
+    @property
+    def label(self) -> str:
+        """Short name that ``match=`` fault plans select points by.
+
+        ``serve:<replica 0's index>:<shards>s:<window KiB>k:z<theta>``,
+        then ``:r<replicas>`` past one replica and ``:u<fraction>`` on a
+        mixed point.
+        """
+        replicas = len(self.index_names)
+        suffix = f":r{replicas}" if replicas > 1 else ""
+        if self.update_fraction > 0.0:
+            suffix += f":u{self.update_fraction}"
+        return (
+            f"serve:{self.index_names[0]}:{self.shards}s:"
+            f"{self.window_kib}k:z{self.zipf_theta}{suffix}"
+        )
+
+
+#: Per-process memo of generated serve workloads, keyed by the point
+#: fields each part derives from: the (relation, probes) pair by R's
+#: size, the probe count, the skew and the seed, and a mixed point's
+#: (R's keys, request stream) by those plus the request width and the
+#: update fraction.  The parent reuses one pair across every serial
+#: point of a skew and one stream per update fraction, and each pool
+#: worker generates them at most once for its share of the sweep.
+_WORKLOAD_MEMO: Dict[tuple, tuple] = {}
+
+
+def _workload(
+    point: ServePoint,
+) -> Tuple[Relation, ProbeSet, Optional[Tuple[np.ndarray, UpdateStream]]]:
+    """The point's relation, probes and, on a mixed point, R's keys and
+    its request stream (None when read-only), memoized."""
+    s_tuples = point.requests * point.request_tuples
+    key = (point.r_tuples, s_tuples, point.zipf_theta, point.seed)
+    if key not in _WORKLOAD_MEMO:
+        config = WorkloadConfig(
+            r_tuples=point.r_tuples,
+            s_tuples=s_tuples,
+            zipf_theta=point.zipf_theta,
+            seed=point.seed,
+        )
+        relation = make_build_relation(config)
+        _WORKLOAD_MEMO[key] = (
+            relation,
+            make_probe_keys(relation.column, config),
+        )
+    relation, probes = _WORKLOAD_MEMO[key]
+    if point.update_fraction == 0.0:
+        return relation, probes, None
+    mixed_key = key + (point.request_tuples, point.update_fraction)
+    if mixed_key not in _WORKLOAD_MEMO:
+        base_keys = relation.column.key_at(
+            np.arange(relation.num_tuples, dtype=np.int64)
+        )
+        _WORKLOAD_MEMO[mixed_key] = (
+            base_keys,
+            make_update_stream(
+                base_keys,
+                probes.keys,
+                point.requests,
+                point.request_tuples,
+                point.update_fraction,
+                point.seed,
+            ),
+        )
+    return relation, probes, _WORKLOAD_MEMO[mixed_key]
 
 
 def serve_point(
-    relation,
-    probes,
-    num_shards: int,
-    window_kib: int,
-    index_classes: Sequence[Type],
-    request_tuples: int,
-    update_fraction: float = 0.0,
-    seed: int = 42,
-    chaos: Optional[object] = None,
-    max_backlog_tuples: Optional[int] = None,
+    point: ServePoint,
 ) -> Tuple[ReplicatedShardExecutor, ServeReport, float]:
-    """Serve one workload end to end and check every answer.
+    """Serve one point end to end and check every answer.
 
     The one serve driver of ``serve-bench`` and the chaos harness:
-    range-shard ``relation`` with one replica per entry of
-    ``index_classes`` (a single entry is the unreplicated deployment),
-    build the executor (replaying ``chaos``, a
-    :class:`~repro.resilience.chaos.ChaosController`, if given) and the
-    service, space arrivals at the target load, and serve
-    ``probes.keys`` as ``request_tuples``-wide requests --
-    ``update_fraction`` of them as updates.  ``max_backlog_tuples``
-    defaults to ``BACKLOG_WINDOWS`` windows per shard.  Every admitted
-    request is then checked against ground truth: the generator's
-    expected positions on a read-only stream, the
-    sorted-array-with-updates oracle on a mixed one.  Returns the
+    range-shard R with one replica per entry of ``point.index_names``,
+    build the executor (replaying ``point.chaos`` through a
+    :class:`ChaosController`, if set) and the service, space arrivals at
+    the target load, and serve ``point.requests`` requests of
+    ``point.request_tuples`` keys -- ``point.update_fraction`` of them
+    as updates.  Every admitted request is then checked against ground
+    truth: the generator's expected positions on a read-only stream,
+    the sorted-array-with-updates oracle on a mixed one.  Returns the
     executor, the service report and the arrival spacing (seconds).
     """
-    window_tuples = max(1, window_kib * KIB // KEY_BYTES)
-    plan = range_shard(relation, num_shards, index_classes)
-    executor = ReplicatedShardExecutor(plan, chaos=chaos)
+    relation, probes, mixed = _workload(point)
+    width = point.request_tuples
+    window_tuples = max(1, point.window_kib * KIB // KEY_BYTES)
+    plan = range_shard(
+        relation, point.shards, [INDEX_BY_NAME[name] for name in point.index_names]
+    )
+    executor = ReplicatedShardExecutor(
+        plan,
+        chaos=ChaosController(point.chaos) if point.chaos is not None else None,
+    )
     service = ShardedIndexService(
         executor,
-        window_bytes=window_kib * KIB,
+        window_bytes=point.window_kib * KIB,
         max_backlog_tuples=(
             BACKLOG_WINDOWS * window_tuples
-            if max_backlog_tuples is None
-            else max_backlog_tuples
+            if point.max_backlog_tuples is None
+            else point.max_backlog_tuples
         ),
     )
-    interval = _arrival_interval(
-        plan, window_tuples, request_tuples, executor.spec
-    )
-    num_requests = len(probes.keys) // request_tuples
-    if update_fraction > 0.0:
-        base_keys, stream = _update_stream(
-            relation, probes, request_tuples, update_fraction, seed
-        )
+    interval = _arrival_interval(plan, window_tuples, width, executor.spec)
+    if mixed is not None:
+        base_keys, stream = mixed
         requests = [
             ProbeRequest(
                 request_id=i,
@@ -317,7 +433,7 @@ def serve_point(
                 kind=stream.kinds[i],
                 values=stream.values[i],
             )
-            for i in range(num_requests)
+            for i in range(point.requests)
         ]
         report = service.run(requests)
         _check_mixed_against_oracle(report, requests, base_keys)
@@ -325,64 +441,33 @@ def serve_point(
         requests = [
             ProbeRequest(
                 request_id=i,
-                keys=probes.keys[
-                    i * request_tuples : (i + 1) * request_tuples
-                ],
+                keys=probes.keys[i * width : (i + 1) * width],
                 arrival=i * interval,
             )
-            for i in range(num_requests)
+            for i in range(point.requests)
         ]
         report = service.run(requests)
         _check_against_oracle(report, requests, probes.expected_positions)
     return executor, report, interval
 
 
-def run_sweep_point(
-    relation,
-    probes,
-    num_shards: int,
-    window_kib: int,
-    zipf_theta: float,
-    index_classes: Sequence[Type],
-    request_tuples: int,
-    chaos_text: str = "",
-    update_fraction: float = 0.0,
-    seed: int = 42,
-) -> dict:
-    """Serve one (shards, window, skew) configuration; returns its row.
+def run_serve_point(point: ServePoint) -> dict:
+    """Serve one sweep point and return its payload row; the process
+    pool's unit of work.
 
-    ``index_classes`` names each replica level's index (one entry: the
-    unreplicated deployment).  ``chaos_text`` carries a
-    ``repro-chaos/1`` schedule as JSON text, so sweep tasks stay plain
-    picklable tuples; the schedule replays inside the point.
-    ``update_fraction > 0`` interleaves update requests into the stream.
+    The ``point`` fault site fires first, with the point's label.  The
+    row is a pure function of the point (the workload derives from its
+    seed and the serving simulation reads no ambient state), so serial
+    and pooled sweeps produce bit-identical rows.
     """
-    controller = None
-    if chaos_text:
-        import json as _json
-
-        from ..resilience.chaos import ChaosController, ChaosSchedule
-
-        controller = ChaosController(
-            ChaosSchedule.from_dict(_json.loads(chaos_text))
-        )
-    executor, report, interval = serve_point(
-        relation,
-        probes,
-        num_shards,
-        window_kib,
-        index_classes,
-        request_tuples,
-        update_fraction=update_fraction,
-        seed=seed,
-        chaos=controller,
-    )
+    faults.check("point", point.label)
+    executor, report, interval = serve_point(point)
     return {
-        "shards": num_shards,
-        "window_kib": window_kib,
-        "zipf_theta": zipf_theta,
-        "update_fraction": update_fraction,
-        "replicas": len(index_classes),
+        "shards": point.shards,
+        "window_kib": point.window_kib,
+        "zipf_theta": point.zipf_theta,
+        "update_fraction": point.update_fraction,
+        "replicas": len(point.index_names),
         "requests": len(report.outcomes),
         "admitted": report.admitted_requests,
         "rejected": report.rejected_requests,
@@ -401,151 +486,6 @@ def run_sweep_point(
         "updates": _updates_block(executor),
         "per_shard": _per_shard_metrics(report),
     }
-
-
-#: One serve sweep point as a picklable task for the process pool:
-#: (num_shards, window_kib, zipf_theta, index_name, r_tuples, requests,
-#: request_tuples, seed, replicas, replica_indexes, chaos_text,
-#: update_fraction); ``replica_indexes`` names every replica level.
-ServeTask = Tuple[
-    int, int, float, str, int, int, int, int,
-    int, Tuple[str, ...], str, float,
-]
-
-
-def serve_task_label(task: ServeTask) -> str:
-    """Short human/fault-matchable name for one serve sweep point."""
-    num_shards, window_kib, theta, index = task[:4]
-    replicas = task[8]
-    update_fraction = task[11]
-    suffix = f":r{replicas}" if replicas > 1 else ""
-    if update_fraction > 0.0:
-        suffix += f":u{update_fraction}"
-    return f"serve:{index}:{num_shards}s:{window_kib}k:z{theta}{suffix}"
-
-
-#: Per-process memo of generated serve workloads, keyed by workload
-#: config, and of the update streams served over them.  The parent
-#: reuses one (relation, probes) pair and one stream per update fraction
-#: across every serial point of a theta, and each pool worker
-#: regenerates them at most once for its share of the sweep.
-_WORKLOAD_MEMO: Dict[tuple, tuple] = {}
-
-
-def _update_stream(
-    relation, probes, request_tuples: int, update_fraction: float, seed: int
-) -> Tuple[np.ndarray, UpdateStream]:
-    """R's keys and the mixed request stream over ``probes``, memoized.
-
-    Every mixed point of a sweep over one (relation, probes) pair serves
-    the same stream.  The entry keeps the pair alive, so the object ids
-    in its key cannot be reused while it exists.
-    """
-    key = (
-        "updates",
-        id(relation),
-        id(probes),
-        request_tuples,
-        update_fraction,
-        seed,
-    )
-    if key not in _WORKLOAD_MEMO:
-        base_keys = relation.column.key_at(
-            np.arange(relation.num_tuples, dtype=np.int64)
-        )
-        stream = make_update_stream(
-            base_keys,
-            probes.keys,
-            len(probes.keys) // request_tuples,
-            request_tuples,
-            update_fraction,
-            seed,
-        )
-        _WORKLOAD_MEMO[key] = (relation, probes, base_keys, stream)
-    _, _, base_keys, stream = _WORKLOAD_MEMO[key]
-    return base_keys, stream
-
-
-def _serve_workload(
-    r_tuples: int, s_tuples: int, zipf_theta: float, seed: int
-) -> tuple:
-    key = (r_tuples, s_tuples, zipf_theta, seed)
-    if key not in _WORKLOAD_MEMO:
-        config = WorkloadConfig(
-            r_tuples=r_tuples,
-            s_tuples=s_tuples,
-            zipf_theta=zipf_theta,
-            seed=seed,
-        )
-        relation = make_build_relation(config)
-        probes = make_probe_keys(relation.column, config)
-        _WORKLOAD_MEMO[key] = (relation, probes)
-    return _WORKLOAD_MEMO[key]
-
-
-def run_serve_point_task(task: ServeTask) -> dict:
-    """Serve one sweep task; the process pool's unit of work.
-
-    Deterministic given the task alone: the workload derives from the
-    task's seed and the serving simulation reads no ambient state, so
-    serial and pooled sweeps produce bit-identical rows (the payload is
-    diffed for exactly that in the serve tests).
-    """
-    (
-        num_shards,
-        window_kib,
-        zipf_theta,
-        _,
-        r_tuples,
-        requests,
-        request_tuples,
-        seed,
-        _,
-        replica_indexes,
-        chaos_text,
-        update_fraction,
-    ) = task
-    faults.check("point", serve_task_label(task))
-    relation, probes = _serve_workload(
-        r_tuples, requests * request_tuples, zipf_theta, seed
-    )
-    return run_sweep_point(
-        relation,
-        probes,
-        num_shards=num_shards,
-        window_kib=window_kib,
-        zipf_theta=zipf_theta,
-        index_classes=[INDEX_BY_NAME[name] for name in replica_indexes],
-        request_tuples=request_tuples,
-        chaos_text=chaos_text,
-        update_fraction=update_fraction,
-        seed=seed,
-    )
-
-
-def check_axis_values(
-    zipf_thetas: Sequence[float],
-    update_fractions: Sequence[float],
-    counts: Mapping[str, Sequence[int]],
-) -> None:
-    """Reject a skew, update fraction or count no workload can be built
-    from.  ``counts`` maps each count flag to its values, which must all
-    be at least 1."""
-    for flag, values in counts.items():
-        for value in values:
-            if value < 1:
-                raise ConfigurationError(f"{flag} must be >= 1, got {value}")
-    for theta in zipf_thetas:
-        if not math.isfinite(theta) or theta < 0.0:
-            raise ConfigurationError(
-                f"zipf theta (--zipf) must be finite and >= 0, got {theta}"
-            )
-    for fraction in update_fractions:
-        if not 0.0 <= fraction <= 1.0:  # NaN fails every comparison
-            raise ConfigurationError(
-                "update fraction (--update-fraction) must be in [0, 1], "
-                f"got {fraction}"
-            )
 
 
 def run_serve_bench(
@@ -569,63 +509,38 @@ def run_serve_bench(
     (:func:`repro.experiments.common.map_tasks`): ``workers=0`` (the
     default) resolves to one process per CPU core, ``1`` forces the
     serial path, and either way the payload is bit-identical -- rows
-    come back in task order and every row is a pure function of its
-    task.  The payload deliberately carries no worker-count field.
+    come back in point order and every row is a pure function of its
+    point.  The payload deliberately carries no worker-count field.
 
     Each range carries ``replicas`` copies (1, the default, is the
     unreplicated deployment), indexed per level by ``replica_indexes``
     or else by ``index``; ``chaos_schedule`` (a path) replays the same
     scripted fault schedule inside every sweep point.
     ``update_fractions`` adds the mixed read/write axis: each fraction
-    re-runs the sweep with that share of requests as updates.
+    re-runs the sweep with that share of requests as updates.  Every
+    point is built, and so checked, before the first one is served.
     """
-    check_axis_values(
-        zipf_thetas,
-        update_fractions,
-        {
-            "--shards": shards,
-            "--window-kib": window_kib,
-            "--replicas": [replicas],
-            "--r-tuples": [r_tuples],
-            "--requests": [requests],
-            "--request-tuples": [request_tuples],
-        },
-    )
     names = replica_index_names(index, replicas, replica_indexes)
-    chaos_text = ""
-    if chaos_schedule:
-        # Validate eagerly (a bad file should fail the run, not every
-        # worker) and ship the schedule as canonical JSON text so the
-        # task tuples stay picklable.
-        import json as _json
-
-        from ..resilience.chaos import ChaosSchedule
-
-        chaos_text = _json.dumps(
-            ChaosSchedule.load(chaos_schedule).as_dict(), sort_keys=True
-        )
-    resolved = resolve_workers(workers)
-    tasks: List[ServeTask] = [
-        (
-            num_shards,
-            kib,
-            theta,
-            index,
-            r_tuples,
-            requests,
-            request_tuples,
-            seed,
-            replicas,
-            names,
-            chaos_text,
-            float(fraction),
+    chaos = ChaosSchedule.load(chaos_schedule) if chaos_schedule else None
+    points = [
+        ServePoint(
+            shards=num_shards,
+            window_kib=kib,
+            zipf_theta=theta,
+            index_names=names,
+            r_tuples=r_tuples,
+            requests=requests,
+            request_tuples=request_tuples,
+            update_fraction=float(fraction),
+            seed=seed,
+            chaos=chaos,
         )
         for fraction in update_fractions
         for theta in zipf_thetas
         for num_shards in shards
         for kib in window_kib
     ]
-    sweeps = map_tasks(run_serve_point_task, tasks, workers=resolved)
+    sweeps = map_tasks(run_serve_point, points, workers=resolve_workers(workers))
     return {
         "benchmark": "repro-serve",
         "index": index,

@@ -4,11 +4,12 @@ The executor runs one closed window on its shard and answers two
 questions: *what are the positions* (by actually probing the simulated
 index) and *how long did it take* (by pricing the shard's replayed
 window counters through the cost model -- simulated seconds, never wall
-clock).  Failures are injected through the fault sites and absorbed by
-the executor's own fixed retry schedule (:data:`PROBE_ATTEMPTS`,
+clock).  Failures are injected by a chaos schedule
+(:class:`~repro.resilience.chaos.ChaosController`) and absorbed by the
+executor's own fixed retry schedule (:data:`PROBE_ATTEMPTS`,
 :func:`retry_backoff`); backoff is added to *simulated* delay instead
-of sleeping, so fault plans stretch latency without touching the wall
-clock, and no environment variable can change it.
+of sleeping, so fault schedules stretch latency without touching the
+wall clock, and no environment variable can change it.
 
 :class:`ReplicatedShardExecutor` serves K replicas per range behind a
 cost-based router; an unreplicated deployment is simply K = 1.  A
@@ -32,7 +33,7 @@ from __future__ import annotations
 import copy
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -42,7 +43,6 @@ from ..errors import CapacityError, ConfigurationError
 from ..hardware.counters import PerfCounters
 from ..hardware.spec import SystemSpec, V100_NVLINK2
 from ..perf.model import CostModel
-from ..resilience import faults
 from ..units import KEY_BYTES
 from .batcher import Window
 from .delta import (
@@ -58,6 +58,9 @@ from .recovery import (
     price_rebuild,
 )
 from .shard import CALIBRATION_SIM, Shard, ShardPlan
+
+if TYPE_CHECKING:
+    from ..resilience.chaos import ChaosController
 
 
 #: A window executes as two serial kernels, mirroring the windowed
@@ -203,7 +206,7 @@ class ReplicatedShardExecutor:
     """Cost-routed window execution over a plan's copies with recovery.
 
     The plan supplies every copy of every range and the fallback.
-    ``chaos`` is an optional scripted fault source (duck-typed against
+    ``chaos`` is an optional scripted fault source (a
     :class:`repro.resilience.chaos.ChaosController`): ``check_probe``
     is consulted before every replica probe attempt and ``on_restart``
     is notified when a rebuilt replica rejoins.
@@ -213,7 +216,7 @@ class ReplicatedShardExecutor:
     spec: SystemSpec = V100_NVLINK2
     sim: SimulationConfig = CALIBRATION_SIM
     failure_threshold: int = DEFAULT_FAILURE_THRESHOLD
-    chaos: Optional[object] = None
+    chaos: Optional[ChaosController] = None
     compaction_policy: CompactionPolicy = DEFAULT_COMPACTION_POLICY
     _cost: CostModel = field(init=False)
 
@@ -381,7 +384,7 @@ class ReplicatedShardExecutor:
             return False
         self.recoveries += 1
         if self.chaos is not None:
-            self.chaos.on_restart(shard_id, replica_id, now)  # type: ignore[attr-defined]
+            self.chaos.on_restart(shard_id, replica_id, now)
         if obs.enabled():
             obs.add("serve.recoveries", shard=shard_id, replica=replica_id)
         return True
@@ -626,16 +629,12 @@ class ReplicatedShardExecutor:
         """
         shard_id = window.shard_id
         shard = self.plan.replicas[shard_id][replica_id]
-        label = f"shard{shard_id}r{replica_id}"
         for attempt in range(PROBE_ATTEMPTS):
             if attempt:
                 delays.append(retry_backoff(shard_id, replica_id, attempt))
             try:
                 if self.chaos is not None:
-                    self.chaos.check_probe(  # type: ignore[attr-defined]
-                        shard_id, replica_id, now, seq
-                    )
-                faults.check(faults.REPLICA_SITE, label=label)
+                    self.chaos.check_probe(shard_id, replica_id, now, seq)
                 positions = shard.probe(window.keys)
             except Exception as error:
                 if self.health.record_failure(shard_id, replica_id, now):
@@ -655,10 +654,10 @@ class ReplicatedShardExecutor:
         Updates are host-authoritative: the buffered pairs live in host
         memory, so they apply to every replica (dead or alive -- a dead
         replica's rebuild starts from current host state) and to the
-        fallback, unconditionally.  No chaos check, no fault site, no
-        retries: a kill schedule stretches read latency, never loses a
-        write, which is what keeps the PR-7 invariance gate meaningful
-        under mixed traffic.
+        fallback, unconditionally.  No chaos check, no retries: a kill
+        schedule stretches read latency, never loses a write, which is
+        what keeps the chaos invariance gate meaningful under mixed
+        traffic.
         """
         self._window_seq += 1
         values = _update_window_values(window)

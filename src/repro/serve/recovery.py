@@ -15,8 +15,8 @@ probing a slower surviving replica or the whole-relation fallback:
 * ``retrain`` (RadixSpline): two passes over the keys -- one to fit
   spline segments, one to verify the error bound -- plus writing the
   radix table and segment arrays.
-* ``hash_rebuild`` (anything else): scan the slice and scatter every
-  tuple into the table at random-sector efficiency.
+
+A shard of any other index type is refused: no plan serves one.
 
 All prices come from the same :class:`~repro.perf.model.CostModel` that
 prices probe windows, so "wait for the rebuild" and "fail over" are in
@@ -34,8 +34,7 @@ from ..perf.model import CalibrationConstants, CostModel, DEFAULT_CALIBRATION
 from ..units import KEY_BYTES
 from .shard import Shard
 
-#: Rebuild kind per index name; unknown index types price as a hash
-#: rebuild (the most conservative: random scatter per tuple).
+#: Rebuild kind per index name, one entry per paper index.
 REBUILD_KIND_BY_INDEX: Dict[str, str] = {
     "binary search": "slice_copy",
     "B+tree": "bulk_load",
@@ -64,6 +63,17 @@ class RebuildCost:
         return f"{self.kind}:{self.seconds:.9f}s"
 
 
+def _by_index(table: Dict[str, str], shard: Shard) -> str:
+    """``table``'s entry for ``shard``'s index type, which must be one
+    of the four paper indexes the table covers."""
+    name = shard.index.name
+    if name not in table:
+        raise ConfigurationError(
+            f"unknown index {name!r}; expected one of {sorted(table)}"
+        )
+    return table[name]
+
+
 def price_rebuild(
     shard: Shard,
     spec: SystemSpec = V100_NVLINK2,
@@ -78,7 +88,7 @@ def price_rebuild(
     cost = CostModel(spec, constants)
     n = shard.num_tuples
     slice_bytes = float(n * KEY_BYTES)
-    kind = REBUILD_KIND_BY_INDEX.get(shard.index.name, "hash_rebuild")
+    kind = _by_index(REBUILD_KIND_BY_INDEX, shard)
     breakdown: Dict[str, float] = {}
     if kind == "slice_copy":
         breakdown["scan"] = cost.scan_time(slice_bytes)
@@ -88,22 +98,13 @@ def price_rebuild(
             float(shard.index.footprint_bytes)
         )
         breakdown["bulk_load"] = cost.compute_time(float(n))
-    elif kind == "retrain":
+    else:  # retrain
         # Fit pass + error-bound verification pass over the keys.
         breakdown["scan"] = 2.0 * cost.scan_time(slice_bytes)
         breakdown["write_structure"] = cost.gpu_memory_time(
             float(shard.index.footprint_bytes)
         )
         breakdown["train"] = cost.compute_time(float(2 * n))
-    else:
-        breakdown["scan"] = cost.scan_time(slice_bytes)
-        breakdown["scatter"] = cost.gpu_memory_time(
-            float(n)
-            * constants.hash_build_accesses
-            * constants.gpu_sector_bytes,
-            random=True,
-        )
-        breakdown["build"] = cost.compute_time(float(n))
     breakdown["launches"] = (
         REBUILD_KERNELS * constants.kernel_launch_seconds
     )
@@ -117,7 +118,7 @@ def price_rebuild(
 #: and updates"): trees absorb delta tuples through traversal +
 #: leaf-write, the RadixSpline must retrain over the merged keys, and
 #: the implicit-array structure (binary search's sorted slice) rebuilds
-#: outright.  Unknown types rebuild (conservative).
+#: outright.
 COMPACTION_STRATEGY_BY_INDEX: Dict[str, str] = {
     "binary search": "rebuild",
     "B+tree": "absorb",
@@ -158,8 +159,8 @@ def price_compaction(
       scaling with tree height, no touch of the base slice.
     * ``retrain`` (RadixSpline): the merged key run must be re-fit; two
       passes over ``n + d`` keys plus writing the model arrays.
-    * ``rebuild`` (binary search, unknown): merge-write the new
-      sorted slice and rebuild the structure over ``n + d`` tuples.
+    * ``rebuild`` (binary search): merge-write the new sorted slice
+      and rebuild the structure over ``n + d`` tuples.
     """
     if delta_tuples <= 0:
         raise ConfigurationError(
@@ -169,7 +170,7 @@ def price_compaction(
     n = shard.num_tuples
     d = int(delta_tuples)
     merged_bytes = float((n + d) * KEY_BYTES)
-    strategy = COMPACTION_STRATEGY_BY_INDEX.get(shard.index.name, "rebuild")
+    strategy = _by_index(COMPACTION_STRATEGY_BY_INDEX, shard)
     breakdown: Dict[str, float] = {}
     if strategy == "absorb":
         height = float(max(1, shard.index.height))

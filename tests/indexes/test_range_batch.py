@@ -5,9 +5,7 @@ The same layers as tests/indexes/test_probe_batch.py, applied to
 
 * the vectorized ``_range_bounds`` vs a ``searchsorted`` oracle --
   per-key [start, end) spans over the sorted base, on materialized and
-  virtual columns alike;
-* structural :class:`PerfCounters`: two bound traversals and two int64
-  span endpoints per pair, a pure function of batch size and height.
+  virtual columns alike, with nothing written outside the window.
 """
 
 from __future__ import annotations
@@ -101,24 +99,6 @@ class TestRangeBatchNumpy:
             assert (buffer[:4] == -7).all()
             assert (buffer[4 + len(probes) :] == -7).all()
 
-    @given(workload=workloads())
-    @settings(max_examples=20)
-    def test_counters_are_structural(self, index_cls, workload):
-        keys, probes = workload
-        index = build_index(index_cls, keys)
-        lo, hi = band_bounds(probes, 5)
-        starts = np.empty(len(probes), dtype=np.int64)
-        ends = np.empty(len(probes), dtype=np.int64)
-        counters = index.probe_range_batch(lo, hi, starts, ends)
-        counters.validate()
-        assert counters.lookups == float(len(probes))
-        assert counters.memory_accesses == float(
-            2 * len(probes) * index.height
-        )
-        assert counters.result_bytes == float(2 * len(probes) * 8)
-        again = index.probe_range_batch(lo, hi, starts, ends)
-        assert counters.as_dict() == again.as_dict()
-
     def test_inverted_bounds_give_empty_spans(self, index_cls):
         keys = np.arange(10, 90, dtype=np.uint64)
         index = build_index(index_cls, keys)
@@ -152,8 +132,7 @@ class TestRangeBatchNumpy:
         starts = np.full(4, -7, dtype=np.int64)
         ends = np.full(4, -7, dtype=np.int64)
         empty = np.empty(0, dtype=np.uint64)
-        counters = index.probe_range_batch(empty, empty, starts, ends)
-        assert counters.lookups == 0.0
+        index.probe_range_batch(empty, empty, starts, ends)
         assert (starts == -7).all()
         assert (ends == -7).all()
 

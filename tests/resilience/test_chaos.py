@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from repro.resilience.chaos import (
     run_serve_under_chaos,
 )
 
+from .test_chaos_pins import cli_point
+
 try:
     from hypothesis import given, settings
     from hypothesis import strategies as st
@@ -40,25 +43,32 @@ SCHEDULE_DIR = os.path.join(
     os.path.dirname(__file__), "..", "..", "benchmarks", "chaos"
 )
 
-#: Small harness workload shared by the property tests: fast enough for
-#: a hypothesis example budget, big enough for several windows/shard.
-SMALL = dict(
-    shards=2,
-    replicas=2,
-    r_tuples=2**10,
-    requests=6,
-    request_tuples=64,
-    window_kib=4,
+#: Small fault-free harness point shared by the property tests (two
+#: shards, two replicas): fast enough for a hypothesis example budget,
+#: big enough for several windows/shard.
+SMALL = replace(
+    cli_point(
+        "kill-one", "--r-tuples", "1024", "--requests", "6",
+        "--request-tuples", "64",
+    ),
+    chaos=None,
 )
 
-#: Harness arguments of each committed schedule, as the CI chaos job
-#: replays it.
+#: Extra ``repro chaos`` flags of each committed schedule, as the CI
+#: chaos job replays it.
 COMMITTED = {
-    "kill-one": {},
-    "kill-then-recover": {},
-    "rolling-wedge": {},
-    "kill-during-compaction": dict(update_fraction=0.5, index="btree"),
+    "kill-one": "",
+    "kill-then-recover": "",
+    "rolling-wedge": "",
+    "kill-during-compaction": "--update-fraction 0.5 --index btree",
 }
+
+
+def run_committed(name, log_path, *flags):
+    """``repro chaos`` on a committed schedule at its CI flags."""
+    path = os.path.join(SCHEDULE_DIR, f"{name}.json")
+    argv = ["chaos", "--schedule", path, "--event-log", log_path]
+    return cli_main([*argv, *COMMITTED[name].split(), *flags])
 
 
 def assert_every_death_rebuilt(timeline):
@@ -257,10 +267,7 @@ class TestCommittedSchedules:
     def test_invariant_and_replayable(self, name, tmp_path):
         path = os.path.join(SCHEDULE_DIR, f"{name}.json")
         log_path = str(tmp_path / "events.json")
-        status = chaos.main(
-            schedule_path=path, event_log_path=log_path, **COMMITTED[name]
-        )
-        assert status == 0
+        assert run_committed(name, log_path) == 0
         log = json.loads(open(log_path).read())
         assert log["schema"] == chaos.LOG_SCHEMA
         assert log["invariant"] is True
@@ -271,15 +278,8 @@ class TestCommittedSchedules:
     def test_single_replica_invariant_and_rebuilt(self, name, tmp_path):
         """K = 1: every window of a dead copy waits for its rebuild or
         takes the fallback, and the copy always comes back."""
-        path = os.path.join(SCHEDULE_DIR, f"{name}.json")
         log_path = str(tmp_path / "events.json")
-        status = chaos.main(
-            schedule_path=path,
-            event_log_path=log_path,
-            replicas=1,
-            **COMMITTED[name],
-        )
-        assert status == 0
+        assert run_committed(name, log_path, "--replicas", "1") == 0
         log = json.loads(open(log_path).read())
         assert log["invariant"] is True
         assert_every_death_rebuilt(log["timeline"])
@@ -288,10 +288,7 @@ class TestCommittedSchedules:
 
     def test_kill_one_full_event_sequence(self):
         """kill -> failover -> priced rebuild -> probation -> rejoin."""
-        schedule = ChaosSchedule.load(
-            os.path.join(SCHEDULE_DIR, "kill-one.json")
-        )
-        result = run_serve_under_chaos(schedule=schedule)
+        result = run_serve_under_chaos(cli_point("kill-one"))
         kinds = [event["kind"] for event in result.timeline]
         for expected in (
             "failure",
@@ -320,13 +317,10 @@ class TestCommittedSchedules:
         assert result.injections
 
     def test_kill_one_emits_obs_metrics(self):
-        schedule = ChaosSchedule.load(
-            os.path.join(SCHEDULE_DIR, "kill-one.json")
-        )
         obs.enable()
         obs.reset()
         try:
-            run_serve_under_chaos(schedule=schedule)
+            run_serve_under_chaos(cli_point("kill-one"))
             assert obs.counter("serve.failovers", shard=0, replica=0) >= 1
             assert obs.counter("serve.rebuilds", shard=0, replica=0) >= 1
             assert obs.counter("serve.recoveries", shard=0, replica=0) >= 1
@@ -335,11 +329,9 @@ class TestCommittedSchedules:
             obs.disable()
 
     def test_event_log_shape(self):
-        schedule = ChaosSchedule.load(
-            os.path.join(SCHEDULE_DIR, "kill-one.json")
-        )
-        result = run_serve_under_chaos(schedule=schedule)
-        log = build_event_log(schedule, result, True, source="x.json")
+        point = cli_point("kill-one")
+        result = run_serve_under_chaos(point)
+        log = build_event_log(point.chaos, result, True, source="x.json")
         assert log["source"] == "x.json"
         assert log["summary"]["injections"] == len(result.injections)
         assert all(
@@ -357,7 +349,7 @@ class TestHarness:
                 ChaosEvent(kind="kill", at=0.0, shard=0, replica=1),
             )
         )
-        ok, clean, chaotic = check_invariance(schedule, **SMALL)
+        ok, clean, chaotic = check_invariance(replace(SMALL, chaos=schedule))
         assert ok
         assert chaotic.fallback_windows > 0
         assert len(chaotic.positions) == len(clean.positions)
@@ -383,40 +375,29 @@ class TestHarness:
         schedule = ChaosSchedule(
             events=(ChaosEvent(kind="kill", at=0.0, shard=0, replica=0),)
         )
-        ok, first, second = check_replay(schedule, **SMALL)
+        ok, first, second = check_replay(replace(SMALL, chaos=schedule))
         assert ok
         assert first.timeline == second.timeline
         assert first.injections == second.injections
 
     def test_unknown_replica_index_rejected(self):
         with pytest.raises(ConfigurationError):
-            run_serve_under_chaos(
-                replica_indexes=["btree", "fractal-tree"], **SMALL
-            )
+            replace(SMALL, index_names=("btree", "fractal-tree"))
 
     @pytest.mark.parametrize(
         "counts,flag",
-        [({"shards": 0}, "--shards"), ({"shards": -1}, "--shards"),
-         ({"replicas": 0}, "--replicas")],
+        [(("--shards", "0"), "--shards"), (("--shards", "-1"), "--shards"),
+         (("--replicas", "0"), "--replicas")],
     )
     def test_count_below_one_names_its_flag(self, counts, flag):
-        """A bad count is the count's fault, not the schedule's."""
-        schedule = ChaosSchedule(
-            events=(ChaosEvent(kind="kill", at=0.0, shard=0, replica=0),)
-        )
+        """A bad count is the count's fault, not the schedule's (kill-one
+        kills replica 0 of shard 0)."""
         with pytest.raises(ConfigurationError, match=flag):
-            run_serve_under_chaos(schedule=schedule, **{**SMALL, **counts})
+            cli_point("kill-one", *counts)
 
     def test_replica_index_count_must_match(self):
-        with pytest.raises(ConfigurationError):
-            run_serve_under_chaos(
-                replica_indexes=["btree"],
-                shards=2,
-                replicas=2,
-                r_tuples=2**10,
-                requests=4,
-                request_tuples=64,
-            )
+        with pytest.raises(ConfigurationError, match="--replica-indexes"):
+            cli_point("kill-one", "--replica-indexes", "btree")
 
 
 #: Malformed single-event schedules, and the field each error must name.
@@ -463,17 +444,17 @@ class TestMalformedSchedules:
     def test_harness_rejects_targets_outside_the_run(self, target):
         schedule = ChaosSchedule(events=(ChaosEvent(kind="kill", **target),))
         with pytest.raises(ConfigurationError, match="targets"):
-            run_serve_under_chaos(schedule=schedule, **SMALL)
+            replace(SMALL, chaos=schedule)
 
     @pytest.mark.parametrize("update_fraction", [float("nan"), -0.1, 1.5])
     def test_harness_rejects_bad_update_fraction(self, update_fraction):
         with pytest.raises(ConfigurationError, match="update fraction"):
-            run_serve_under_chaos(update_fraction=update_fraction, **SMALL)
+            replace(SMALL, update_fraction=update_fraction)
 
     @pytest.mark.parametrize("theta", [float("nan"), float("inf"), -1.0])
     def test_harness_rejects_bad_zipf_theta(self, theta):
         with pytest.raises(ConfigurationError, match="zipf theta"):
-            run_serve_under_chaos(zipf_theta=theta, **SMALL)
+            replace(SMALL, zipf_theta=theta)
 
 
 # ----------------------------------------------------------------------
@@ -542,7 +523,7 @@ if HAVE_HYPOTHESIS:
     def clean_run():
         global _CLEAN
         if _CLEAN is None:
-            _CLEAN = run_serve_under_chaos(schedule=None, **SMALL)
+            _CLEAN = run_serve_under_chaos(SMALL)
         return _CLEAN
 
     class TestInvarianceProperty:
@@ -552,11 +533,12 @@ if HAVE_HYPOTHESIS:
             self, schedule
         ):
             clean = clean_run()
-            chaotic = run_serve_under_chaos(schedule=schedule, **SMALL)
+            point = replace(SMALL, chaos=schedule)
+            chaotic = run_serve_under_chaos(point)
             assert np.array_equal(clean.positions, chaotic.positions), (
                 f"positions diverge under {schedule.as_dict()}"
             )
-            replayed = run_serve_under_chaos(schedule=schedule, **SMALL)
+            replayed = run_serve_under_chaos(point)
             assert np.array_equal(
                 chaotic.positions, replayed.positions
             )

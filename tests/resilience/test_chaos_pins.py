@@ -28,37 +28,43 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.resilience.chaos import ChaosSchedule, run_serve_under_chaos
+from repro.__main__ import build_parser, chaos_point
+from repro.resilience.chaos import run_serve_under_chaos
 
 FIXTURE = Path(__file__).with_name("chaos_pins.json")
 
 SCHEDULE_DIR = Path(__file__).parents[2] / "benchmarks" / "chaos"
 
-#: Cell name -> (schedule, harness arguments), as the CI chaos matrix
-#: names its event logs and passes its extra arguments.
+#: Cell name -> (schedule, extra ``repro chaos`` flags), as the CI chaos
+#: matrix names its event logs and passes its extra arguments.
 CELLS = {
-    "kill-one": ("kill-one", {}),
-    "kill-then-recover": ("kill-then-recover", {}),
-    "rolling-wedge": ("rolling-wedge", {}),
+    "kill-one": ("kill-one", ""),
+    "kill-then-recover": ("kill-then-recover", ""),
+    "rolling-wedge": ("rolling-wedge", ""),
     "kill-during-compaction": (
         "kill-during-compaction",
-        dict(update_fraction=0.5, index="btree"),
+        "--update-fraction 0.5 --index btree",
     ),
-    "kill-then-recover-r1": ("kill-then-recover", dict(replicas=1)),
+    "kill-then-recover-r1": ("kill-then-recover", "--replicas 1"),
     "kill-then-recover-r1-updates": (
         "kill-then-recover",
-        dict(replicas=1, update_fraction=0.5, index="btree"),
+        "--replicas 1 --update-fraction 0.5 --index btree",
     ),
 }
 
 
+def cli_point(schedule_name: str, *flags: str):
+    """The point ``repro chaos --schedule <schedule_name>.json flags``
+    serves, read off the CLI, which alone holds the harness defaults."""
+    path = os.fspath(SCHEDULE_DIR / f"{schedule_name}.json")
+    args = build_parser().parse_args(["chaos", "--schedule", path, *flags])
+    return chaos_point(args)
+
+
 def record_cell(name: str) -> dict:
     """One cell's chaotic run, through JSON (tuples become lists)."""
-    schedule_name, kwargs = CELLS[name]
-    schedule = ChaosSchedule.load(
-        os.fspath(SCHEDULE_DIR / f"{schedule_name}.json")
-    )
-    result = run_serve_under_chaos(schedule=schedule, **kwargs)
+    schedule_name, flags = CELLS[name]
+    result = run_serve_under_chaos(cli_point(schedule_name, *flags.split()))
     positions = np.ascontiguousarray(result.positions, dtype=np.int64)
     return json.loads(
         json.dumps(

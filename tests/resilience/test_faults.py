@@ -16,9 +16,9 @@ class TestParsing:
         assert plan.count == 1
 
     def test_full_spec(self):
-        plan = parse_plan("crash@replica:3,count=2,match=fig7")
+        plan = parse_plan("crash@experiment:3,count=2,match=fig7")
         assert plan == FaultPlan(
-            kind="crash", site="replica", at=3, count=2, match="fig7"
+            kind="crash", site="experiment", at=3, count=2, match="fig7"
         )
 
     def test_multiple_specs(self):
@@ -40,6 +40,7 @@ class TestParsing:
             "raise@nowhere:0",        # unknown site
             "raise@batch:0",          # a site nothing checks
             "raise@checkpoint:0",     # retired site
+            "raise@replica:0",        # retired site
             "raise@point:x",          # non-integer 'at'
             "raise@point:0,count=x",  # non-integer count
             "raise@point:0,seed=1.5",  # retired option
@@ -84,8 +85,8 @@ class TestFiring:
 
     def test_other_sites_do_not_count(self):
         faults.install(FaultPlan(kind="raise", site="point", at=1))
-        faults.check("replica")
         faults.check("experiment")
+        faults.check("experiment", "fig7")
         faults.check("point")  # first matching check: index 0, no fire
         with pytest.raises(InjectedFault):
             faults.check("point")

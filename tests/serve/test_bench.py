@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.data.generator import WorkloadConfig, make_probe_keys
 from repro.errors import ConfigurationError
+from repro.resilience.chaos import ChaosEvent, ChaosSchedule
 from repro.serve import bench
-from repro.serve.bench import run_serve_bench, write_serve_bench
+from repro.serve.bench import ServePoint, run_serve_bench, write_serve_bench
 from repro.workloads.updates import make_update_stream
 
 BENCH_KWARGS = dict(
@@ -116,38 +117,124 @@ class TestServeBench:
         assert "lookups/s" in captured.out
 
 
+#: A small mixed point of the serve sweep.
+MIXED_POINT = ServePoint(
+    shards=1,
+    window_kib=4,
+    zipf_theta=0.0,
+    index_names=("binary-search",),
+    r_tuples=2**12,
+    requests=8,
+    request_tuples=128,
+    update_fraction=0.5,
+    seed=42,
+)
+
+
 def test_update_streams_are_memoized_per_workload(monkeypatch):
-    """Equal arguments share one generated stream; a different relation,
-    probe stream, update fraction, request width or seed gets its own,
-    equal to a fresh ``make_update_stream``."""
+    """Points with equal workload fields share one generated relation,
+    probe stream and update stream; a different skew, seed, update
+    fraction or request width gets its own stream, equal to a fresh
+    ``make_update_stream``, and the (relation, probes) pair is shared
+    while R's size, the probe count, the skew and the seed agree."""
     monkeypatch.setattr(bench, "_WORKLOAD_MEMO", {})
-    relation, probes = bench._serve_workload(2**12, 8 * 128, 0.0, 42)
-    other_relation, _ = bench._serve_workload(2**12, 8 * 128, 1.0, 42)
-    other_probes = make_probe_keys(
-        relation.column,
-        WorkloadConfig(r_tuples=2**12, s_tuples=8 * 128, seed=7),
+    relation, probes, (_, first) = bench._workload(MIXED_POINT)
+    # Fields the workload does not derive from share every entry.
+    served = replace(
+        MIXED_POINT, shards=2, window_kib=16, index_names=("btree",) * 2
     )
-    _, first = bench._update_stream(relation, probes, 128, 0.5, 42)
-    assert bench._update_stream(relation, probes, 128, 0.5, 42)[1] is first
-    for args in (
-        (other_relation, probes, 128, 0.5, 42),
-        (relation, other_probes, 128, 0.5, 42),
-        (relation, probes, 128, 0.25, 42),
-        (relation, probes, 64, 0.5, 42),
-        (relation, probes, 128, 0.5, 43),
+    rel, prb, (_, stream) = bench._workload(served)
+    assert rel is relation and prb is probes and stream is first
+    rel, prb, mixed = bench._workload(replace(MIXED_POINT, update_fraction=0.0))
+    assert rel is relation and prb is probes and mixed is None
+    for fields, same_pair in (
+        (dict(zipf_theta=1.0), False),
+        (dict(seed=43), False),
+        (dict(update_fraction=0.25), True),
+        (dict(requests=16, request_tuples=64), True),
     ):
-        base_keys, stream = bench._update_stream(*args)
+        point = replace(MIXED_POINT, **fields)
+        rel, prb, (base_keys, stream) = bench._workload(point)
         assert stream is not first
-        rel, prb, width, fraction, seed = args
+        assert (rel is relation and prb is probes) == same_pair
         np.testing.assert_array_equal(
             base_keys, rel.column.key_at(np.arange(rel.num_tuples))
         )
         expected = make_update_stream(
-            base_keys, prb.keys, len(prb.keys) // width, width, fraction, seed
+            base_keys,
+            prb.keys,
+            point.requests,
+            point.request_tuples,
+            point.update_fraction,
+            point.seed,
         )
         assert stream.kinds == expected.kinds
         for keys, want in zip(stream.keys, expected.keys):
             np.testing.assert_array_equal(keys, want)
+
+
+class TestServePoint:
+    """The one serve point: its label and its checks."""
+
+    def sweep_points(self, monkeypatch, **axes):
+        """The points ``run_serve_bench`` builds, none of them served."""
+        points = []
+        monkeypatch.setattr(
+            "repro.serve.bench.map_tasks",
+            lambda run, tasks, workers: points.extend(tasks) or [],
+        )
+        run_serve_bench(**dict(BENCH_KWARGS, **axes))
+        return points
+
+    def test_labels_keep_their_strings(self, monkeypatch):
+        plain = self.sweep_points(monkeypatch)
+        assert [point.label for point in plain] == [
+            "serve:binary-search:1s:4k:z0.0",
+            "serve:binary-search:2s:4k:z0.0",
+        ]
+        mixed = self.sweep_points(
+            monkeypatch, index="btree", replicas=2, update_fractions=(0.5,)
+        )
+        assert mixed[0].label == "serve:btree:1s:4k:z0.0:r2:u0.5"
+
+    def test_label_names_replica_zeros_index(self, monkeypatch):
+        points = self.sweep_points(
+            monkeypatch,
+            index="binary-search",
+            replicas=2,
+            replica_indexes=["btree", "binary-search"],
+        )
+        assert points[0].label == "serve:btree:1s:4k:z0.0:r2"
+
+    @pytest.mark.parametrize(
+        "event",
+        [
+            ChaosEvent(kind="kill", shard=2, replica=0),
+            ChaosEvent(kind="kill", shard=0, replica=2),
+            ChaosEvent(kind="wedge", shard=5, duration=1.0),
+        ],
+    )
+    def test_schedule_outside_the_point_rejected_before_any_work(
+        self, event, tmp_path, monkeypatch
+    ):
+        schedule = ChaosSchedule(events=(event,))
+        with pytest.raises(ConfigurationError, match="targets"):
+            replace(
+                MIXED_POINT,
+                shards=2,
+                index_names=("btree",) * 2,
+                chaos=schedule,
+            )
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("sweep started despite a bad schedule")
+
+        monkeypatch.setattr("repro.serve.bench.map_tasks", no_work)
+        monkeypatch.setattr("repro.serve.bench._workload", no_work)
+        path = str(tmp_path / "schedule.json")
+        schedule.dump(path)
+        with pytest.raises(ConfigurationError, match="targets"):
+            run_serve_bench(replicas=2, chaos_schedule=path, **BENCH_KWARGS)
 
 
 #: The default sweep's simulated peak (binary search, 12 points, seed
@@ -228,8 +315,6 @@ class TestReplicatedServeBench:
             run_serve_bench(replicas=0, **BENCH_KWARGS)
 
     def test_chaos_schedule_flows_into_degraded_block(self, tmp_path):
-        from repro.resilience.chaos import ChaosEvent, ChaosSchedule
-
         schedule = tmp_path / "kill.json"
         ChaosSchedule(
             events=(ChaosEvent(kind="kill", at=0.0, shard=0, replica=0),)
@@ -267,6 +352,21 @@ class TestServeBenchWorkers:
     def test_serial_and_pooled_payloads_bit_identical(self):
         serial = run_serve_bench(workers=1, **BENCH_KWARGS)
         pooled = run_serve_bench(workers=2, **BENCH_KWARGS)
+        assert json.dumps(serial, sort_keys=True) == json.dumps(
+            pooled, sort_keys=True
+        )
+
+    def test_chaos_schedule_crosses_the_pool(self, tmp_path):
+        """A point's schedule reaches pool workers by pickle: the pooled
+        chaotic sweep equals the serial one."""
+        path = str(tmp_path / "kill.json")
+        ChaosSchedule(
+            events=(ChaosEvent(kind="kill", at=0.0, shard=0, replica=0),)
+        ).dump(path)
+        kwargs = dict(BENCH_KWARGS, replicas=2, chaos_schedule=path)
+        serial = run_serve_bench(workers=1, **kwargs)
+        pooled = run_serve_bench(workers=2, **kwargs)
+        assert any(row["degraded"]["failovers"] for row in serial["sweeps"])
         assert json.dumps(serial, sort_keys=True) == json.dumps(
             pooled, sort_keys=True
         )

@@ -14,8 +14,7 @@ from repro.indexes import (
     HarmoniaIndex,
     RadixSplineIndex,
 )
-from repro.resilience import faults
-from repro.resilience.faults import FaultPlan
+from repro.resilience.chaos import ChaosController, ChaosEvent, ChaosSchedule
 from repro.serve.batcher import Window
 from repro.serve.executor import (
     MAX_WINDOW_DEFERRALS,
@@ -24,7 +23,7 @@ from repro.serve.executor import (
     WindowResult,
     retry_backoff,
 )
-from repro.serve.recovery import price_rebuild
+from repro.serve.recovery import price_compaction, price_rebuild
 from repro.serve.service import ProbeRequest, ShardedIndexService
 from repro.serve.shard import range_shard
 from repro.units import KEY_BYTES
@@ -49,16 +48,19 @@ class TestPriceRebuild:
         assert cost.kind == kind
         assert cost.seconds > 0
 
-    def test_unknown_index_prices_as_hash_rebuild(self):
-        # price_rebuild only touches num_tuples and the index's
-        # name/footprint, so a stub exercises the default path.
+    def test_unknown_index_is_refused_by_both_pricers(self):
+        # The pricers cover the four paper indexes and nothing else; a
+        # stub shard of any other index type is refused by name.
         stub = SimpleNamespace(
             num_tuples=2**12,
-            index=SimpleNamespace(name="cuckoo", footprint_bytes=2**16),
+            index=SimpleNamespace(
+                name="cuckoo", footprint_bytes=2**16, height=3
+            ),
         )
-        cost = price_rebuild(stub)
-        assert cost.kind == "hash_rebuild"
-        assert "scatter" in cost.breakdown
+        with pytest.raises(ConfigurationError, match="cuckoo"):
+            price_rebuild(stub)
+        with pytest.raises(ConfigurationError, match="cuckoo"):
+            price_compaction(stub, delta_tuples=16)
 
     def test_breakdown_sums_to_total(self, small_relation):
         cost = price_rebuild(shard_for(small_relation, BPlusTreeIndex))
@@ -247,32 +249,24 @@ class TestDeathMidRetry:
     budget (3 attempts); a later attempt then answers, but the replica
     is dead and must still be rebuilt."""
 
-    @pytest.fixture(autouse=True)
-    def clean_faults(self):
-        faults.clear()
-        yield
-        faults.clear()
-
-    def two_transient_faults(self, shard_id=0):
-        faults.install(
-            FaultPlan(
-                kind="raise",
-                site="replica",
-                at=0,
-                count=2,
-                match=f"shard{shard_id}r0",
-            )
-        )
-
-    def two_replica_executor(self, relation):
+    def two_replica_executor(self, relation, faulted=False):
+        """Two copies per range.  ``faulted``: two corrupt events on
+        window 0, so its probe fails twice on the replica the router
+        picks first (replica 0: homogeneous copies tie on price)."""
+        corrupt = ChaosEvent(kind="corrupt", batch=0)
         return ReplicatedShardExecutor(
-            range_shard(relation, 2, [BinarySearchIndex] * 2)
+            range_shard(relation, 2, [BinarySearchIndex] * 2),
+            chaos=(
+                ChaosController(ChaosSchedule(events=(corrupt, corrupt)))
+                if faulted
+                else None
+            ),
         )
 
     def test_death_schedules_exactly_one_rebuild(
         self, small_relation, small_probes
     ):
-        executor = self.two_replica_executor(small_relation)
+        executor = self.two_replica_executor(small_relation, faulted=True)
         keys = small_probes.keys[:256]
         shard_id, shard_keys, indices = executor.plan.split(
             keys, np.arange(len(keys))
@@ -281,7 +275,6 @@ class TestDeathMidRetry:
             shard_id=shard_id, keys=shard_keys, indices=indices, full=True
         )
         clean = self.two_replica_executor(small_relation).execute(window)
-        self.two_transient_faults(shard_id)
         result = executor.execute(window, now=0.0)
         # The third attempt answered from the (already dead) replica.
         assert isinstance(result, WindowResult)
@@ -302,7 +295,7 @@ class TestDeathMidRetry:
     def test_two_transient_faults_at_two_replicas_recover(
         self, small_relation, small_probes
     ):
-        executor = self.two_replica_executor(small_relation)
+        executor = self.two_replica_executor(small_relation, faulted=True)
         service = ShardedIndexService(
             executor,
             window_bytes=64 * KEY_BYTES,
@@ -316,7 +309,7 @@ class TestDeathMidRetry:
             )
             for i in range(len(small_probes.keys) // 64)
         ]
-        self.two_transient_faults(0)
+        # Window 0 is shard 0's first.
         report = service.run(requests)
         own = [
             event["kind"]

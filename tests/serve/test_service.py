@@ -10,8 +10,7 @@ from repro import obs
 from repro.data.generator import WorkloadConfig, make_build_relation, make_probe_keys
 from repro.errors import ConfigurationError
 from repro.indexes import BinarySearchIndex, RadixSplineIndex
-from repro.resilience import faults
-from repro.resilience.faults import FaultPlan
+from repro.resilience.chaos import ChaosController, ChaosEvent, ChaosSchedule
 from repro.serve import (
     ProbeRequest,
     ReplicatedShardExecutor,
@@ -19,13 +18,6 @@ from repro.serve import (
     range_shard,
 )
 from repro.units import KEY_BYTES
-
-
-@pytest.fixture(autouse=True)
-def clean_faults():
-    faults.clear()
-    yield
-    faults.clear()
 
 
 def build_workload(theta=0.0, r_tuples=2**12, probe_count=2**11, seed=3):
@@ -48,9 +40,12 @@ def build_service(
     index_cls=BinarySearchIndex,
     max_backlog_tuples=10_000,
     replicas=1,
+    chaos=None,
 ):
     plan = range_shard(relation, num_shards, [index_cls] * replicas)
-    executor = ReplicatedShardExecutor(plan)
+    executor = ReplicatedShardExecutor(
+        plan, chaos=ChaosController(chaos) if chaos is not None else None
+    )
     return ShardedIndexService(
         executor,
         window_bytes=window_tuples * KEY_BYTES,
@@ -182,15 +177,16 @@ class TestShardedIndexService:
     def test_transient_fault_is_retried_and_results_unchanged(self):
         relation, probes = build_workload()
         requests = as_requests(probes)
+        # Window 1's probe fails twice, then answers.
+        corrupt = ChaosEvent(kind="corrupt", batch=1)
+        schedule = ChaosSchedule(events=(corrupt, corrupt))
         for replicas in (1, 2):
-            faults.clear()
             baseline = build_service(relation, replicas=replicas).run(
                 requests
             )
-            faults.install(
-                FaultPlan(kind="raise", site="replica", at=1, count=2)
-            )
-            report = build_service(relation, replicas=replicas).run(requests)
+            report = build_service(
+                relation, replicas=replicas, chaos=schedule
+            ).run(requests)
             total_retries = sum(
                 stats.retries for stats in report.shard_stats.values()
             )
@@ -206,23 +202,18 @@ class TestShardedIndexService:
     def test_permanent_shard_failure_degrades_to_fallback(self):
         relation, probes = build_workload()
         requests = as_requests(probes)
+        # A wedge on every copy of shard 2 that outlasts the run: no
+        # replica of it can ever answer.
+        schedule = ChaosSchedule(
+            events=(ChaosEvent(kind="wedge", shard=2, duration=1e9),)
+        )
         for replicas in (1, 2):
-            faults.clear()
             baseline = build_service(relation, replicas=replicas).run(
                 requests
             )
-            # Labels are shard{n}r{k}: the match selects every copy of
-            # shard 2, so no replica of it can ever answer.
-            faults.install(
-                FaultPlan(
-                    kind="raise",
-                    site="replica",
-                    at=0,
-                    count=10_000,
-                    match="shard2",
-                )
+            service = build_service(
+                relation, replicas=replicas, chaos=schedule
             )
-            service = build_service(relation, replicas=replicas)
             report = service.run(requests)
             stats = report.shard_stats
             assert stats[2].windows > 0

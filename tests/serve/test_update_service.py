@@ -6,6 +6,7 @@ block's bit-identity."""
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,14 @@ from repro.data.generator import WorkloadConfig, make_build_relation, make_probe
 from repro.errors import ConfigurationError
 from repro.indexes import BinarySearchIndex, BPlusTreeIndex
 from repro.resilience import faults
+from repro.resilience.chaos import (
+    UNBOUNDED_BACKLOG,
+    ChaosEvent,
+    ChaosSchedule,
+    check_invariance,
+    check_replay,
+    run_serve_under_chaos,
+)
 from repro.serve import (
     CompactionPolicy,
     ProbeRequest,
@@ -24,7 +33,7 @@ from repro.serve import (
     ShardedIndexService,
     range_shard,
 )
-from repro.serve.bench import run_serve_bench, run_sweep_point
+from repro.serve.bench import ServePoint, run_serve_bench, run_serve_point
 from repro.units import KEY_BYTES
 from repro.workloads.updates import SortedArrayOracle, make_update_stream
 
@@ -316,41 +325,43 @@ class TestMixedServiceReplicated:
         assert "serve.update_tuples" in names
 
 
+#: A mixed chaos-harness point: two B+tree replicas per shard, half the
+#: requests updates, served with the unbounded backlog ``repro chaos``
+#: uses.
+MIXED_CHAOS_POINT = ServePoint(
+    shards=2,
+    window_kib=4,
+    zipf_theta=0.0,
+    index_names=("btree", "btree"),
+    r_tuples=2**12,
+    requests=16,
+    request_tuples=256,
+    update_fraction=0.5,
+    seed=42,
+    max_backlog_tuples=UNBOUNDED_BACKLOG,
+)
+
+
 class TestChaosUnderMixedTraffic:
     def test_kill_schedule_preserves_positions_and_oracle(self):
-        from repro.resilience.chaos import (
-            ChaosEvent,
-            ChaosSchedule,
-            check_invariance,
-            check_replay,
-        )
-
-        schedule = ChaosSchedule(
-            events=(
-                ChaosEvent(kind="kill", at=1e-05, shard=0, replica=0),
-            )
-        )
-        kwargs = dict(
-            shards=2,
-            replicas=2,
-            index="btree",
-            requests=16,
+        point = replace(
+            MIXED_CHAOS_POINT,
             request_tuples=128,
-            update_fraction=0.5,
+            chaos=ChaosSchedule(
+                events=(
+                    ChaosEvent(kind="kill", at=1e-05, shard=0, replica=0),
+                )
+            ),
         )
-        ok, clean, chaotic = check_invariance(schedule, **kwargs)
+        ok, clean, chaotic = check_invariance(point)
         assert ok, "mixed-traffic positions diverge under the schedule"
         assert chaotic.update_tuples == clean.update_tuples > 0
         assert clean.compactions > 0
-        replayed, _, _ = check_replay(schedule, **kwargs)
+        replayed, _, _ = check_replay(point)
         assert replayed
 
     def test_summary_carries_update_and_compaction_tallies(self):
-        from repro.resilience.chaos import run_serve_under_chaos
-
-        result = run_serve_under_chaos(
-            schedule=None, index="btree", update_fraction=0.5
-        )
+        result = run_serve_under_chaos(MIXED_CHAOS_POINT)
         summary = result.summary()
         assert summary["update_tuples"] == result.update_tuples > 0
         assert summary["compactions"] == result.compactions > 0
@@ -360,18 +371,24 @@ class TestChaosUnderMixedTraffic:
         )
 
 
+#: A small sweep point: 1 KiB windows over 2^12 tuples, 32 requests of
+#: 64 keys.
+SWEEP_POINT = ServePoint(
+    shards=1,
+    window_kib=1,
+    zipf_theta=0.0,
+    index_names=("binary-search",),
+    r_tuples=2**12,
+    requests=32,
+    request_tuples=64,
+    update_fraction=0.0,
+    seed=42,
+)
+
+
 class TestBenchUpdatesPayload:
     def test_updates_block_zero_for_read_only_rows(self):
-        relation, probes = build_workload()
-        row = run_sweep_point(
-            relation,
-            probes,
-            num_shards=1,
-            window_kib=1,
-            zipf_theta=0.0,
-            index_classes=[BinarySearchIndex],
-            request_tuples=64,
-        )
+        row = run_serve_point(SWEEP_POINT)
         updates = row["updates"]
         assert updates["update_windows"] == 0
         assert updates["update_tuples"] == 0
@@ -379,16 +396,13 @@ class TestBenchUpdatesPayload:
         assert set(updates["delta_depth"]) == {"0:0"}
 
     def test_mixed_row_reports_compactions_and_depths(self):
-        relation, probes = build_workload()
-        row = run_sweep_point(
-            relation,
-            probes,
-            num_shards=2,
-            window_kib=1,
-            zipf_theta=0.0,
-            index_classes=[BPlusTreeIndex] * 2,
-            request_tuples=64,
-            update_fraction=0.5,
+        row = run_serve_point(
+            replace(
+                SWEEP_POINT,
+                shards=2,
+                index_names=("btree", "btree"),
+                update_fraction=0.5,
+            )
         )
         updates = row["updates"]
         assert updates["update_tuples"] > 0

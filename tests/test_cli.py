@@ -160,7 +160,7 @@ class TestBadAxisValues:
             raise AssertionError("work started despite a bad axis value")
 
         monkeypatch.setattr("repro.serve.bench.map_tasks", no_work)
-        monkeypatch.setattr("repro.serve.bench._serve_workload", no_work)
+        monkeypatch.setattr("repro.serve.bench._workload", no_work)
         assert main(argv) == 2
         assert field_name in capsys.readouterr().err
 
@@ -170,6 +170,7 @@ class TestBadAxisValues:
             "garbage",
             "raise@batch:0",
             "raise@nowhere:0",
+            "raise@replica:0",
             "raise@point:x",
             "raise@point:0,count=x",
             "hang@point:0,hang=nan",
